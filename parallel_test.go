@@ -11,6 +11,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"v6lab/internal/faults"
+	"v6lab/internal/report"
+	"v6lab/internal/timeline"
 )
 
 // studyHashes are the sha256 sums of the serial single-home study's
@@ -86,5 +90,82 @@ func TestResilienceWorkersEquivalence(t *testing.T) {
 	a, b := serial.Report(ResilienceStudy), par.Report(ResilienceStudy)
 	if a != b {
 		t.Fatalf("resilience reports differ between serial and 4-worker runs:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
+	}
+}
+
+// lifecycleHashes pin the engines that boot a home outside the six-config
+// study: the WAN firewall comparison, the resilience grid, the adversary
+// campaign, the fleet, the timeline (clean and under lossy-wifi, which
+// drives the faulted boot-retry path), and the AAAA-everywhere ablation.
+// The population engines run small (12 homes, 2 days) to stay fast.
+var lifecycleHashes = map[string]string{
+	"firewall":            "6d55e850ef4f4b8f5d4d3b0264f5b3048f5a3dde17e1cb699d8f295e620ef0d1",
+	"resilience":          "e7fc961a9f5e400dbd706ff0136288391077b3da6fa64a17da03ceafd879ef71",
+	"adversary":           "52d2e2dd65bbb035560077d4bd1e6937b8ee600111fc3f4ea016a61c3315e2ce",
+	"fleet":               "ebec393efa0848ee03792a4ad323696fd9dab6b96c44a2b68e4e1c7003f2101a",
+	"timeline":            "87db43b0a66abc49362108a28af276415f249331f82422242f2f88834c7eca8b",
+	"timeline-lossy-wifi": "258b336a98f252cfbe102bf82097b1812af407d3f51cd54c6c0c612cae30c22e",
+	"ablation-aaaa":       "945438c03dd9786810abdc4ac915585a6fd150bc284de8bfe3e749486b043b9c",
+}
+
+// TestLifecycleHashes checks each engine's rendered output against its
+// recorded sha256.
+func TestLifecycleHashes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seven engine runs; skipped with -short")
+	}
+	timelineCfg := TimelineConfig(timeline.Config{Homes: 12, Seed: 2})
+	runs := map[string]func() (string, error){
+		"firewall": func() (string, error) {
+			lab := New()
+			if err := lab.Run(FirewallComparison()); err != nil {
+				return "", err
+			}
+			return report.FirewallExposure(lab.FirewallCmp), nil
+		},
+		"resilience": func() (string, error) {
+			lab := New(WithDevices("Behmor Brewer", "Smarter IKettle", "Samsung Fridge"))
+			err := lab.Run(Resilience())
+			return lab.Report(ResilienceStudy), err
+		},
+		"adversary": func() (string, error) {
+			lab := New(WithWorkers(2))
+			err := lab.Run(Adversary(12, Seed(3)))
+			return lab.Report(AdversaryStudy), err
+		},
+		"fleet": func() (string, error) {
+			lab := New(WithWorkers(2))
+			err := lab.Run(Fleet(12, Seed(3)))
+			return lab.Report(FleetStudy), err
+		},
+		"timeline": func() (string, error) {
+			lab := New(WithWorkers(2))
+			err := lab.Run(Timeline(Days(2), timelineCfg))
+			return lab.Report(TimelineStudy), err
+		},
+		"timeline-lossy-wifi": func() (string, error) {
+			lab := New(WithWorkers(2))
+			err := lab.Run(Timeline(Days(2), timelineCfg, Impairments(faults.LossyWiFi())))
+			return lab.Report(TimelineStudy), err
+		},
+		"ablation-aaaa": func() (string, error) {
+			lab := NewWithOptions(Options{AAAAEverywhere: true})
+			if err := lab.Run(); err != nil {
+				return "", err
+			}
+			return lab.FullReport(), nil
+		},
+	}
+	for name, want := range lifecycleHashes {
+		t.Run(name, func(t *testing.T) {
+			out, err := runs[name]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256([]byte(out))
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("%s sha256 = %s, recorded %s", name, got, want)
+			}
+		})
 	}
 }
