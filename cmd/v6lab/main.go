@@ -12,8 +12,7 @@
 //
 // -workers sizes every engine's worker pool (connectivity experiments,
 // analysis extraction, fleet homes, adversary campaign, resilience
-// profiles); output is byte-identical for any value. -parallel remains as
-// a deprecated alias.
+// profiles); output is byte-identical for any value.
 //
 // Without -artifact, every artifact is printed in report order. The
 // command takes no positional arguments; unknown flags or arguments exit
@@ -69,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	capture := fs.String("capture", "", "frame-capture policy: full buffers every frame (default for the single-home study; required by -pcap-dir), none streams frames through the analysis observer without buffering (reports are byte-identical, memory stays flat)")
 	seed := fs.Uint64("seed", 1, "impairment seed for -fault and -resilience; identical seeds reproduce runs byte-for-byte")
 	devices := fs.String("devices", "", "comma-separated device names restricting the testbed (default: the full registry)")
-	parallel := fs.Int("parallel", 0, "deprecated alias for -workers")
 	metricsPath := fs.String("metrics", "", "write the deterministic telemetry snapshot to this file after the run (.prom/.txt = Prometheus text format, otherwise JSON)")
 	progress := fs.Bool("progress", false, "stream one line per completed experiment, fleet home, firewall policy, and resilience profile to stderr")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -183,22 +181,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "v6lab: unknown capture policy %q (want full|none)\n", *capture)
 		return 2
 	}
-	if *workers < 0 || *parallel < 0 {
+	if *workers < 0 {
 		fmt.Fprintf(stderr, "v6lab: -workers wants a non-negative worker count\n")
-		return 2
-	}
-	if *workers != 0 && *parallel != 0 && *workers != *parallel {
-		fmt.Fprintln(stderr, "v6lab: -parallel is a deprecated alias for -workers; do not set both to different values")
 		return 2
 	}
 	// One worker knob for everything: WithWorkers sizes the connectivity
 	// engine and flows into the fleet/adversary parts below.
-	nWorkers := *workers
-	if nWorkers == 0 {
-		nWorkers = *parallel
-	}
-	if nWorkers > 0 {
-		labOpts = append(labOpts, v6lab.WithWorkers(nWorkers))
+	if *workers > 0 {
+		labOpts = append(labOpts, v6lab.WithWorkers(*workers))
 	}
 	if *metricsPath != "" {
 		labOpts = append(labOpts, v6lab.WithTelemetry(telemetry.NewRegistry()))
@@ -289,7 +279,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			homes = 100
 		}
 		fmt.Fprintf(stderr, "simulating %d homes over a %s horizon (seed %d, workers %d)...\n",
-			homes, horizon, *fleetSeed, nWorkers)
+			homes, horizon, *fleetSeed, *workers)
 		part := v6lab.Timeline(horizon,
 			v6lab.FleetConfig(fleet.Config{Homes: homes, Seed: *fleetSeed}))
 		if err := lab.Run(part); err != nil {
@@ -309,7 +299,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *fleetN > 0 && *horizonStr == "" {
 		fmt.Fprintf(stderr, "simulating a fleet of %d homes (seed %d, workers %d)...\n",
-			*fleetN, *fleetSeed, nWorkers)
+			*fleetN, *fleetSeed, *workers)
 		if err := lab.Run(v6lab.Fleet(*fleetN, v6lab.Seed(*fleetSeed))); err != nil {
 			fmt.Fprintln(stderr, "error:", err)
 			return 1
@@ -325,7 +315,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *adversaryN > 0 {
 		fmt.Fprintf(stderr, "attacking a fleet of %d homes (fleet seed %d, campaign seed %d, workers %d)...\n",
-			*adversaryN, *fleetSeed, *campaignSeed, nWorkers)
+			*adversaryN, *fleetSeed, *campaignSeed, *workers)
 		err := lab.Run(v6lab.Adversary(*adversaryN,
 			v6lab.Seed(*fleetSeed),
 			v6lab.AdversaryConfig(adversary.Config{CampaignSeed: *campaignSeed})))

@@ -102,20 +102,3 @@ func TestTimelinePartAndArtifact(t *testing.T) {
 		}
 	}
 }
-
-// TestDeprecatedWrappersMatchNewForms: the thin deprecated wrappers are
-// exactly the new PartOption spellings.
-func TestDeprecatedWrappersMatchNewForms(t *testing.T) {
-	render := func(part RunPart) string {
-		lab := New()
-		if err := lab.Run(part); err != nil {
-			t.Fatal(err)
-		}
-		return lab.Report(FleetStudy)
-	}
-	oldForm := render(FleetWith(fleet.Config{Homes: 6, Seed: 2}))
-	newForm := render(Fleet(6, Seed(2)))
-	if oldForm != newForm {
-		t.Errorf("FleetWith and Fleet(n, Seed(...)) diverge:\n--- old ---\n%s\n--- new ---\n%s", oldForm, newForm)
-	}
-}

@@ -128,7 +128,8 @@ func (c *Cloud) install(d *Domain) {
 // Clone returns a cloud sharing this one's domain registry — immutable
 // while experiments run — but with its own query counters, so concurrent
 // experiment environments do not race on the diagnostics map. Do not call
-// AddDomain or EnsureAAAA on a clone.
+// AddDomain on a clone. EnsureAAAA on a clone writes the shared registry,
+// so only the ablation lab calls it, on a private world before any run.
 func (c *Cloud) Clone() *Cloud {
 	return &Cloud{
 		domains: c.domains,

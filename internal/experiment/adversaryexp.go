@@ -48,10 +48,14 @@ type TargetedExposure struct {
 // is deterministic: sport cycles from 40000 in hitlist order, so the same
 // hitlist always produces the same frames.
 func (st *Study) RunTargetedExposure(cfg Config, pol firewall.Policy, targets []TargetProbe) (*TargetedExposure, error) {
-	net, rt, _, err := st.bootFirewalled(cfg, pol)
-	if err != nil {
+	h := st.NewHome(cfg, pol, "")
+	if err := h.Boot(); err != nil {
 		return nil, err
 	}
+	if err := h.Workload(); err != nil {
+		return nil, err
+	}
+	rt := h.Router
 
 	te := &TargetedExposure{
 		Policy: pol.Name(),
@@ -94,7 +98,7 @@ func (st *Study) RunTargetedExposure(cfg Config, pol firewall.Policy, targets []
 			te.ProbesSent++
 			rt.InjectWANv6(raw)
 		}
-		if _, err := net.Run(st.MaxFramesPerRun); err != nil {
+		if err := h.Drain(); err != nil {
 			return nil, err
 		}
 	}

@@ -24,24 +24,17 @@ type Scratch struct {
 // NewScratch returns an empty Scratch; the switch is built on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// Network returns the recycled switch, reset onto the given clock. The
+// network returns the recycled switch, reset onto the given clock. The
 // reset invalidates every frame the previous run's arena handed out —
 // callers retain only capture copies and value types, which is the
-// Reset contract that makes recycling safe. Exported for run drivers that
-// orchestrate their own delivery loop over a study's infrastructure (the
-// timeline engine); everyone else goes through RunExperiment.
-func (sc *Scratch) Network(clock *netsim.Clock) *netsim.Network {
+// Reset contract that makes recycling safe.
+func (sc *Scratch) network(clock *netsim.Clock) *netsim.Network {
 	if sc.net == nil {
 		sc.net = netsim.NewNetwork(clock)
 	} else {
 		sc.net.Reset(clock)
 	}
 	return sc.net
-}
-
-// network is the package-internal spelling RunExperiment uses.
-func (sc *Scratch) network(clock *netsim.Clock) *netsim.Network {
-	return sc.Network(clock)
 }
 
 // EnvPool recycles isolated parallel-run environments — device stacks,

@@ -248,20 +248,19 @@ type Study struct {
 	pool *EnvPool
 }
 
-// StudyOptions parameterizes testbed construction. The zero value builds
-// the paper's single-home study: the full 93-device registry, the paper's
-// capture start time, and the default frame budget. Unless World, Pool, or
+// StudyOptions parameterizes testbed construction over a World. The zero
+// value of every other field selects the paper's single-home defaults:
+// the paper's capture start time and the default frame budget, a serial
+// buffered run with no faults or telemetry. Unless World, Pool, or
 // Scratch deliberately share state, every field the study touches is
 // instantiated per call — two studies built from such options share no
 // mutable state and may run on concurrent goroutines. (A shared World is
 // read-only and therefore also concurrency-safe; a shared Scratch is not.)
 type StudyOptions struct {
-	// World, when non-nil, is a prebuilt immutable world the study runs
-	// over, shared read-only with any number of other studies. The study
-	// serves traffic through a Clone of its cloud (private query
-	// counters), so sharing is race-free. When nil, the study builds a
-	// private world from Devices/Start below — the compatibility path,
-	// byte-identical to the pre-World API.
+	// World is the prebuilt immutable world the study runs over (required;
+	// world.Build makes one), shared read-only with any number of other
+	// studies. The study serves traffic through a Clone of its cloud
+	// (private query counters), so sharing is race-free.
 	World *world.World
 	// Pool, when non-nil, recycles isolated parallel-run environments
 	// (stacks, switch, clock, cloud clone) across studies. Environments
@@ -273,12 +272,6 @@ type StudyOptions struct {
 	// only legal across *sequential* studies — one fleet worker's homes,
 	// never two concurrent ones. Nil means private scratch.
 	Scratch *Scratch
-	// Devices selects the device population; nil means the full registry.
-	// Ignored when World is set (the world fixes the population).
-	// Workload plans scale with the population: a household holding a
-	// subset of a category gets a proportional share of that category's
-	// paper-derived domain and volume targets.
-	Devices []*device.Profile
 	// Start is the simulated capture start time; the zero value means the
 	// paper's 2024-04-05 09:00 UTC.
 	Start time.Time
@@ -311,11 +304,12 @@ type StudyOptions struct {
 // NewStudy builds the testbed: 93 device stacks, their workload plans, and
 // a cloud primed with every planned destination domain.
 func NewStudy() *Study {
-	return NewStudyWith(StudyOptions{})
+	return NewStudyWith(StudyOptions{World: world.Build(nil)})
 }
 
 // NewStudyWith builds a testbed from options; see StudyOptions for the
-// zero-value defaults.
+// zero-value defaults. The study serves traffic through a Clone of the
+// world's cloud: private query counters over the shared domain registry.
 func NewStudyWith(opts StudyOptions) *Study {
 	start := opts.Start
 	if start.IsZero() {
@@ -326,22 +320,11 @@ func NewStudyWith(opts StudyOptions) *Study {
 		maxFrames = 3_000_000
 	}
 	w := opts.World
-	cl := (*cloud.Cloud)(nil)
-	if w == nil {
-		// Private world: the study owns it, so it can serve traffic on the
-		// master cloud directly — exactly the pre-World construction (and
-		// what keeps the ablation lab's EnsureAAAA mutations legal).
-		w = world.Build(opts.Devices)
-		cl = w.Cloud
-	} else {
-		// Shared world: private query counters over the shared registry.
-		cl = w.Cloud.Clone()
-	}
 	st := &Study{
 		World:           w,
 		Profiles:        w.Profiles,
 		Plans:           w.Plans,
-		Cloud:           cl,
+		Cloud:           w.Cloud.Clone(),
 		Clock:           netsim.NewClock(start),
 		MACToDevice:     w.MACToDevice,
 		ActiveDNS:       map[string]AAAAResult{},
@@ -428,12 +411,9 @@ func (st *Study) runConnectivity(ctx context.Context) error {
 // functionality test.
 func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
 	began := st.Clock.Now()
-	net := st.scratch.network(st.Clock)
-	if st.tm != nil {
-		net.SetMetrics(st.tm.net)
-	} else {
-		net.SetMetrics(nil)
-	}
+	// The config ID sub-seeds the fault profile: the six runs see
+	// different (but reproducible) frame fates from the same seed.
+	h := st.NewHome(cfg, nil, cfg.ID)
 	// At most one analysis tap per run: the buffered capture (default) or
 	// the streaming observer — never both, so every frame is recorded or
 	// parsed for analysis exactly once. CaptureNone without an observer
@@ -445,61 +425,21 @@ func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
 	if st.Capture == CaptureNone {
 		if st.Observe != nil {
 			obs = st.Observe(cfg, st)
-			net.AddTap(obs)
+			h.Net.AddTap(obs)
 		}
 	} else {
 		cap = &pcapio.Capture{}
-		net.AddTap(cap)
+		h.Net.AddTap(cap)
 	}
 
-	rt := router.New(cfg.Router, st.Cloud)
-	rt.Attach(net)
-	if st.Faults != nil {
-		// Per-experiment sub-seed: the six runs see different (but
-		// reproducible) frame fates from the same profile seed.
-		net.SetImpairment(faults.NewLink(*st.Faults, faults.SubSeed(st.Faults.Seed, cfg.ID)))
-		rt.Faults = faults.NewServices(*st.Faults, st.Clock)
-	}
-	for _, s := range st.Stacks {
-		s.Attach(net)
-		s.Reset(cfg.Mode, cfg.V6Seq)
-	}
-
-	// Phase 1: reboot. The router advertises once (dnsmasq sends periodic
-	// RAs); devices solicit as they boot.
-	rt.SendRouterAdvert()
-	for _, s := range st.Stacks {
-		s.Boot()
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
+	// Phases 1-3: reboot and configure, announce, run the workload.
+	if err := h.Boot(); err != nil {
 		return nil, err
 	}
-	if st.Faults != nil {
-		if err := st.retryRounds(net, (*device.Stack).RetryConfig); err != nil {
-			return nil, err
-		}
-	}
-
-	// Phase 2: DAD completes; addresses are announced.
-	for _, s := range st.Stacks {
-		s.Announce()
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
+	if err := h.Workload(); err != nil {
 		return nil, err
 	}
-
-	// Phase 3: the devices talk to their destinations.
-	for _, s := range st.Stacks {
-		s.RunWorkload(st.Cloud)
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
-		return nil, err
-	}
-	if st.Faults != nil {
-		if err := st.retryRounds(net, (*device.Stack).RetryWorkload); err != nil {
-			return nil, err
-		}
-	}
+	rt := h.Router
 
 	// Phase 4: functionality test (§4.1).
 	res := &RunResult{
@@ -509,7 +449,7 @@ func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
 		Functional:      map[string]bool{},
 		Neighbors:       rt.Neighbors,
 		Leases4:         map[packet.MAC]netip.Addr{},
-		FramesDelivered: net.Delivered(),
+		FramesDelivered: h.Net.Delivered(),
 	}
 	for _, s := range st.Stacks {
 		res.Functional[s.Prof.Name] = s.Functional()
@@ -519,7 +459,7 @@ func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
 		res.Retransmits += s.Retransmits()
 	}
 	if st.Faults != nil {
-		res.FramesDropped = net.Dropped()
+		res.FramesDropped = h.Net.Dropped()
 		res.PTBSent = rt.PTBSent
 		res.ServiceDrops = rt.Faults.RAsDropped + rt.Faults.DHCPv6Dropped + rt.Faults.AAAADropped
 	}
@@ -554,33 +494,6 @@ func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
 	})
 	st.Clock.Advance(time.Hour)
 	return res, nil
-}
-
-// retryRounds models client retransmit timers under impairment: advance
-// the clock past a backoff interval, let every stack retransmit whatever
-// went unanswered, and drain the network; repeat until a round sends
-// nothing. The per-stack retry caps bound it, with 4 rounds (the ballpark
-// of RFC 4861's MAX_RTR_SOLICITATIONS) as a backstop.
-func (st *Study) retryRounds(net *netsim.Network, retry func(*device.Stack) int) error {
-	backoff := 4 * time.Second
-	for round := 0; round < 4; round++ {
-		st.Clock.Advance(backoff)
-		backoff *= 2
-		sent := 0
-		for _, s := range st.Stacks {
-			sent += retry(s)
-		}
-		if sent == 0 {
-			return nil
-		}
-		if st.tm != nil {
-			st.tm.retryRounds.Inc()
-		}
-		if _, err := net.Run(st.MaxFramesPerRun); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RunActiveDNS performs the §4.3 active measurement: AAAA queries for

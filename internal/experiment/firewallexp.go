@@ -9,7 +9,6 @@ import (
 	"v6lab/internal/conntrack"
 	"v6lab/internal/device"
 	"v6lab/internal/firewall"
-	"v6lab/internal/netsim"
 	"v6lab/internal/packet"
 	"v6lab/internal/router"
 	"v6lab/internal/scan"
@@ -137,53 +136,18 @@ func (st *Study) RunFirewallExposureUnder(cfg Config, policies []firewall.Policy
 	return rep, nil
 }
 
-// bootFirewalled resets the study's scratch network around its stacks
-// with pol installed on the router's inbound-IPv6 path, then runs the
-// full boot + announce + workload sequence so conntrack holds the
-// devices' outbound flows — the state every WAN-vantage scan must
-// traverse.
-func (st *Study) bootFirewalled(cfg Config, pol firewall.Policy) (*netsim.Network, *router.Router, *firewall.Firewall, error) {
-	net := st.scratch.network(st.Clock)
-	if st.tm != nil {
-		net.SetMetrics(st.tm.net)
-	} else {
-		net.SetMetrics(nil)
-	}
-	rt := router.New(cfg.Router, st.Cloud)
-	fw := firewall.New(pol, st.Clock, conntrack.DefaultConfig())
-	rt.SetFirewall(fw)
-	rt.Attach(net)
-	for _, s := range st.Stacks {
-		s.Attach(net)
-		s.Reset(cfg.Mode, cfg.V6Seq)
-	}
-	rt.SendRouterAdvert()
-	for _, s := range st.Stacks {
-		s.Boot()
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
-		return nil, nil, nil, err
-	}
-	for _, s := range st.Stacks {
-		s.Announce()
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
-		return nil, nil, nil, err
-	}
-	for _, s := range st.Stacks {
-		s.RunWorkload(st.Cloud)
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
-		return nil, nil, nil, err
-	}
-	return net, rt, fw, nil
-}
-
+// runExposure boots an unfaulted home with pol on the router's
+// inbound-IPv6 path and runs the workload, so conntrack holds the devices'
+// outbound flows, then sweeps every routable GUA from the WAN vantage.
 func (st *Study) runExposure(cfg Config, pol firewall.Policy, ports []uint16) (*PolicyExposure, error) {
-	net, rt, fw, err := st.bootFirewalled(cfg, pol)
-	if err != nil {
+	h := st.NewHome(cfg, pol, "")
+	if err := h.Boot(); err != nil {
 		return nil, err
 	}
+	if err := h.Workload(); err != nil {
+		return nil, err
+	}
+	rt, fw := h.Router, h.Firewall
 
 	pe := &PolicyExposure{Policy: pol.Name(), OpenByDevice: map[string][]uint16{}}
 	if ph, ok := pol.(firewall.Pinhole); ok {
@@ -244,7 +208,7 @@ func (st *Study) runExposure(cfg Config, pol firewall.Policy, ports []uint16) (*
 			}
 			rt.InjectWANv6(raw)
 		}
-		if _, err := net.Run(st.MaxFramesPerRun); err != nil {
+		if err := h.Drain(); err != nil {
 			return nil, err
 		}
 	}

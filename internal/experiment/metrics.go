@@ -32,9 +32,9 @@ type studyMetrics struct {
 	ctFlows, ctHits, ctMisses, ctInserts, ctEvictions, ctExpiries *telemetry.Counter
 
 	// Device folds.
-	retransmits, retryRounds *telemetry.Counter
-	devTested, devFunctional *telemetry.Counter
-	failureStages            *telemetry.CounterVec
+	retransmits, backoffRounds *telemetry.Counter
+	devTested, devFunctional   *telemetry.Counter
+	failureStages              *telemetry.CounterVec
 
 	// Experiment progress.
 	expRuns      *telemetry.Counter
@@ -81,7 +81,7 @@ func newStudyMetrics(r *telemetry.Registry) *studyMetrics {
 		ctExpiries:      r.Counter("conntrack", "expiries_total", "Flows expired by the idle timer wheel."),
 
 		retransmits:   r.Counter("device", "retransmits_total", "Retry transmissions devices made to recover from impairment."),
-		retryRounds:   r.Counter("device", "retry_rounds_total", "Backoff rounds in which at least one device retransmitted."),
+		backoffRounds: r.Counter("device", "retry_rounds_total", "Backoff rounds in which at least one device retransmitted."),
 		devTested:     r.Counter("device", "functional_tests_total", "Device functionality tests applied."),
 		devFunctional: r.Counter("device", "functional_pass_total", "Device functionality tests passed."),
 		failureStages: r.CounterVec("device", "failure_stages_total", "Device runs by earliest broken funnel stage (ok = functional).", "stage"),

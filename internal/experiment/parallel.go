@@ -9,7 +9,6 @@ import (
 
 	"v6lab/internal/device"
 	"v6lab/internal/dnsmsg"
-	"v6lab/internal/netsim"
 )
 
 // The parallel study engine.
@@ -131,29 +130,19 @@ func (st *Study) runConnectivityParallel(ctx context.Context, workers int) error
 // scratch, and query counters, so one experiment can run on it
 // concurrently with others.
 func (st *Study) isolatedEnv(base time.Time) *Study {
-	w := st.World
-	env := &Study{
-		World:           w,
-		Profiles:        w.Profiles,
-		Plans:           w.Plans,
-		Cloud:           st.Cloud.Clone(),
-		Clock:           netsim.NewClock(base),
-		MACToDevice:     w.MACToDevice,
+	env := NewStudyWith(StudyOptions{
+		World:           st.World,
+		Start:           base,
 		MaxFramesPerRun: st.MaxFramesPerRun,
 		Capture:         st.Capture,
 		Observe:         st.Observe,
-		scratch:         NewScratch(),
-		// The environments share the parent's instruments and sink:
-		// counter folds are atomic additions (order-independent), and
-		// cloud-query folding stays with the parent, which merges the
-		// environments' counters in config order before its single fold.
-		Telemetry: st.Telemetry,
-		Progress:  st.Progress,
-		tm:        st.tm,
-	}
-	for i, p := range w.Profiles {
-		env.Stacks = append(env.Stacks, device.NewStack(p, w.Plans[i], i, w.Prefixes))
-	}
+		Progress:        st.Progress,
+	})
+	// The environments share the parent's instruments: counter folds are
+	// atomic additions (order-independent), and cloud-query folding stays
+	// with the parent, which merges the environments' counters in config
+	// order before its single fold.
+	env.Telemetry, env.tm = st.Telemetry, st.tm
 	return env
 }
 

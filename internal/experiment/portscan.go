@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"v6lab/internal/device"
-	"v6lab/internal/router"
 	"v6lab/internal/scan"
 )
 
@@ -55,32 +54,13 @@ func probePorts(profiles []*device.Profile) []uint16 {
 // families, harvesting IPv6 addresses via all-nodes echo and the router's
 // neighbor table exactly as §4.3 describes.
 func (st *Study) RunPortScan() (*ScanReport, error) {
-	net := st.scratch.network(st.Clock)
-	if st.tm != nil {
-		net.SetMetrics(st.tm.net)
-	} else {
-		net.SetMetrics(nil)
-	}
-	cfg := Configs[len(Configs)-1] // dual-stack (stateful): everything live
-	rt := router.New(cfg.Router, st.Cloud)
-	rt.Attach(net)
+	// Dual-stack (stateful): everything live. The scan measures exposure,
+	// not impairment, so the home boots unfaulted even in a faulted study.
+	h := st.NewHome(Configs[len(Configs)-1], nil, "")
+	net, rt := h.Net, h.Router
 	sc := scan.New()
 	sc.Attach(net)
-	for _, s := range st.Stacks {
-		s.Attach(net)
-		s.Reset(cfg.Mode, cfg.V6Seq)
-	}
-	rt.SendRouterAdvert()
-	for _, s := range st.Stacks {
-		s.Boot()
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
-		return nil, err
-	}
-	for _, s := range st.Stacks {
-		s.Announce()
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
+	if err := h.Boot(); err != nil {
 		return nil, err
 	}
 

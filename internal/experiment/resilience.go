@@ -92,9 +92,9 @@ func RunResilienceContext(ctx context.Context, opts StudyOptions, profiles ...fa
 	}
 	// One immutable world for the whole grid: every profile's study shares
 	// the population, plans, and primed cloud registry, rebuilding only
-	// its own stacks.
+	// its own stacks. Without a shared one, the grid runs the full registry.
 	if opts.World == nil {
-		opts.World = world.Build(opts.Devices)
+		opts.World = world.Build(nil)
 	}
 	rep := &ResilienceReport{Profiles: make([]*ResilienceProfile, len(profiles))}
 	workers := opts.Workers

@@ -157,6 +157,16 @@ type HomeSpec struct {
 	Policy string
 }
 
+// Profiles resolves the home's devices against a registry snapshot, in
+// DeviceIndexes order.
+func (s HomeSpec) Profiles(reg []*device.Profile) []*device.Profile {
+	profiles := make([]*device.Profile, len(s.DeviceIndexes))
+	for j, di := range s.DeviceIndexes {
+		profiles[j] = reg[di]
+	}
+	return profiles
+}
+
 // rng is a splitmix64 generator: tiny, deterministic, and safe to
 // instantiate per home (no shared state).
 type rng struct{ s uint64 }
@@ -311,10 +321,7 @@ type HomeResult struct {
 // run's shared registry snapshot (profiles are read-only during runs);
 // scratch is the calling worker's recycled run infrastructure.
 func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, scratch *experiment.Scratch) (*HomeResult, error) {
-	profiles := make([]*device.Profile, len(spec.DeviceIndexes))
-	for j, di := range spec.DeviceIndexes {
-		profiles[j] = reg[di]
-	}
+	profiles := spec.Profiles(reg)
 	w := world.Build(profiles)
 	st := experiment.NewStudyWith(experiment.StudyOptions{
 		World:           w,

@@ -8,9 +8,7 @@ import (
 
 	"v6lab/internal/device"
 	"v6lab/internal/experiment"
-	"v6lab/internal/faults"
 	"v6lab/internal/fleet"
-	"v6lab/internal/netsim"
 	"v6lab/internal/router"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/world"
@@ -103,10 +101,8 @@ func (h *evHeap) pop() event {
 // homeEngine drives one home's serial event queue over the horizon.
 type homeEngine struct {
 	cfg      Config
-	ec       experiment.Config
 	st       *experiment.Study
-	net      *netsim.Network
-	rt       *router.Router
+	home     *experiment.Home
 	start    time.Time
 	deadline time.Time
 	res      *HomeTimeline
@@ -132,53 +128,28 @@ func (e *homeEngine) push(at time.Time, kind evKind, dev, aux int) {
 	e.h.push(event{at: at, seq: e.seq, kind: kind, dev: dev, aux: aux})
 }
 
-func (e *homeEngine) drain() error {
-	_, err := e.net.Run(e.cfg.MaxFramesPerDrain)
-	return err
-}
-
 // runHome builds and runs one fully self-contained home over the horizon.
 func runHome(cfg Config, reg []*device.Profile, spec fleet.HomeSpec, scratch *experiment.Scratch) (*HomeTimeline, error) {
-	profiles := make([]*device.Profile, len(spec.DeviceIndexes))
-	for j, di := range spec.DeviceIndexes {
-		profiles[j] = reg[di]
-	}
 	ec, ok := experiment.ConfigByID(spec.ConfigID)
 	if !ok {
 		return nil, fmt.Errorf("unknown connectivity config %q", spec.ConfigID)
 	}
-	w := world.Build(profiles)
 	st := experiment.NewStudyWith(experiment.StudyOptions{
-		World:     w,
-		Capture:   experiment.CaptureNone,
-		Telemetry: cfg.Telemetry,
+		World:           world.Build(spec.Profiles(reg)),
+		Scratch:         scratch,
+		MaxFramesPerRun: cfg.MaxFramesPerDrain,
+		Faults:          cfg.Impairments,
+		Capture:         experiment.CaptureNone,
+		Telemetry:       cfg.Telemetry,
 	})
-	// The timeline drives its own delivery loop over the worker's recycled
-	// switch; the study contributes world, stacks, cloud clone, and clock.
-	net := scratch.Network(st.Clock)
-	rt := router.New(ec.Router, st.Cloud)
-	rt.Attach(net)
-	var fp *faults.Profile
-	if cfg.Impairments != nil && cfg.Impairments.Active() {
-		p := *cfg.Impairments
-		if p.Seed == 0 {
-			p.Seed = 1
-		}
-		fp = &p
-		net.SetImpairment(faults.NewLink(p, faults.SubSeed(p.Seed, fmt.Sprintf("timeline-home-%d", spec.Index))))
-		rt.Faults = faults.NewServices(p, st.Clock)
-	}
-	for _, s := range st.Stacks {
-		s.Attach(net)
-		s.Reset(ec.Mode, ec.V6Seq)
-	}
+	// A long-horizon impairment is sub-seeded per home, so homes see
+	// different (but reproducible) frame fates from one profile seed.
+	home := st.NewHome(ec, nil, fmt.Sprintf("timeline-home-%d", spec.Index))
 
 	e := &homeEngine{
 		cfg:     cfg,
-		ec:      ec,
 		st:      st,
-		net:     net,
-		rt:      rt,
+		home:    home,
 		start:   st.Clock.Now(),
 		res:     &HomeTimeline{Spec: spec},
 		asleep:  make([]bool, len(st.Stacks)),
@@ -190,62 +161,25 @@ func runHome(cfg Config, reg []*device.Profile, spec fleet.HomeSpec, scratch *ex
 	days := int((cfg.Horizon + 24*time.Hour - 1) / (24 * time.Hour))
 	e.res.Days = make([]DayStat, days)
 
-	// Boot: the same three phases a single experiment runs, then the event
-	// loop takes over.
-	rt.SendRouterAdvert()
-	for _, s := range st.Stacks {
-		s.Boot()
-	}
-	if err := e.drain(); err != nil {
+	// Boot the way a single experiment does, then the event loop takes
+	// over.
+	if err := home.Boot(); err != nil {
 		return nil, err
 	}
-	if fp != nil {
-		if err := e.retryRounds(); err != nil {
-			return nil, err
-		}
-	}
-	for _, s := range st.Stacks {
-		s.Announce()
-	}
-	if err := e.drain(); err != nil {
-		return nil, err
-	}
-
 	e.schedule()
 	if err := e.loop(); err != nil {
 		return nil, err
 	}
-	e.res.FramesDelivered = net.Delivered()
+	e.res.FramesDelivered = home.Net.Delivered()
 	st.FoldCloudMetrics()
 	return e.res, nil
-}
-
-// retryRounds mirrors the study engine's configuration-retry loop for
-// faulted boots: back off, let every stack retransmit, drain, repeat.
-func (e *homeEngine) retryRounds() error {
-	backoff := 4 * time.Second
-	for round := 0; round < 4; round++ {
-		e.st.Clock.Advance(backoff)
-		backoff *= 2
-		sent := 0
-		for _, s := range e.st.Stacks {
-			sent += s.RetryConfig()
-		}
-		if sent == 0 {
-			return nil
-		}
-		if err := e.drain(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // schedule seeds the event queue: everything below is derived from
 // (seed, home index, device index) alone, in device order, so the queue's
 // contents are independent of anything another home (or worker) does.
 func (e *homeEngine) schedule() {
-	v6 := e.ec.Router.IPv6
+	v6 := e.home.Config.Router.IPv6
 	if v6 {
 		e.push(e.start.Add(e.cfg.RAInterval), evRA, -1, 0)
 		if e.cfg.RotationEvery > 0 {
@@ -282,10 +216,10 @@ func (e *homeEngine) schedule() {
 		// Renewal timers start one lease-half after boot, staggered so a
 		// home's devices don't all renew in the same instant.
 		stagger := time.Duration(r.intn(600)) * time.Second
-		if e.ec.Mode != device.ModeV6Only {
+		if e.home.Config.Mode != device.ModeV6Only {
 			e.push(e.start.Add(renewEvery+stagger), evRenew4, i, 0)
 		}
-		if v6 && e.ec.Router.StatefulDHCPv6 && s.Prof.StatefulDHCPv6 {
+		if v6 && e.home.Config.Router.StatefulDHCPv6 && s.Prof.StatefulDHCPv6 {
 			e.push(e.start.Add(renewEvery+stagger+7*time.Second), evRenew6, i, 0)
 		}
 		e.push(e.start.Add(durBetween(r, 24*time.Hour, 96*time.Hour)), evPowerCycle, i, 0)
@@ -310,8 +244,8 @@ func (e *homeEngine) loop() error {
 func (e *homeEngine) handle(ev event) error {
 	switch ev.kind {
 	case evRA:
-		e.rt.SendRouterAdvert()
-		if err := e.drain(); err != nil {
+		e.home.Router.SendRouterAdvert()
+		if err := e.home.Drain(); err != nil {
 			return err
 		}
 		if e.pendingReaddr {
@@ -323,7 +257,7 @@ func (e *homeEngine) handle(ev event) error {
 					s.Announce()
 				}
 			}
-			if err := e.drain(); err != nil {
+			if err := e.home.Drain(); err != nil {
 				return err
 			}
 			e.checkReaddr()
@@ -339,7 +273,7 @@ func (e *homeEngine) handle(ev event) error {
 		day.BurstsAttempted++
 		s := e.st.Stacks[ev.dev]
 		s.RunBurst(e.st.Cloud)
-		if err := e.drain(); err != nil {
+		if err := e.home.Drain(); err != nil {
 			return err
 		}
 		if s.Functional() {
@@ -366,7 +300,7 @@ func (e *homeEngine) handle(ev event) error {
 			e.asleep[ev.dev] = false
 			e.res.Wakes++
 			slept := ev.at.Sub(e.sleptAt[ev.dev])
-			if e.ec.Router.IPv6 {
+			if e.home.Config.Router.IPv6 {
 				raExpired := slept > routerLifetime && s.HasRA()
 				if raExpired {
 					s.LoseRA()
@@ -377,7 +311,7 @@ func (e *homeEngine) handle(ev event) error {
 					// periodic RA — recovery from expiry and from a
 					// renumbering that happened mid-sleep alike.
 					s.SolicitRouter()
-					if err := e.drain(); err != nil {
+					if err := e.home.Drain(); err != nil {
 						return err
 					}
 					if s.HasRA() {
@@ -385,7 +319,7 @@ func (e *homeEngine) handle(ev event) error {
 							e.res.RARecoveries++
 						}
 						s.Announce()
-						if err := e.drain(); err != nil {
+						if err := e.home.Drain(); err != nil {
 							return err
 						}
 					}
@@ -411,7 +345,7 @@ func (e *homeEngine) handle(ev event) error {
 		hadLease := s.V4Configured()
 		before := s.DHCP4Acks()
 		s.RenewV4()
-		if err := e.drain(); err != nil {
+		if err := e.home.Drain(); err != nil {
 			return err
 		}
 		renewed := s.DHCP4Acks() > before
@@ -446,7 +380,7 @@ func (e *homeEngine) handle(ev event) error {
 		e.res.V6.Attempts++
 		before := s.DHCP6Replies()
 		s.RenewV6()
-		if err := e.drain(); err != nil {
+		if err := e.home.Drain(); err != nil {
 			return err
 		}
 		switch {
@@ -464,18 +398,11 @@ func (e *homeEngine) handle(ev event) error {
 		}
 
 	case evPowerCycle:
-		s := e.st.Stacks[ev.dev]
 		if e.asleep[ev.dev] {
 			e.push(ev.at.Add(durBetween(&e.devRng[ev.dev], 12*time.Hour, 24*time.Hour)), evPowerCycle, ev.dev, 0)
 			return nil
 		}
-		s.Reset(e.ec.Mode, e.ec.V6Seq)
-		s.Boot()
-		if err := e.drain(); err != nil {
-			return err
-		}
-		s.Announce()
-		if err := e.drain(); err != nil {
+		if err := e.home.Reboot(ev.dev); err != nil {
 			return err
 		}
 		e.res.PowerCycles++
@@ -485,10 +412,10 @@ func (e *homeEngine) handle(ev event) error {
 		e.push(ev.at.Add(durBetween(&e.devRng[ev.dev], 48*time.Hour, 96*time.Hour)), evPowerCycle, ev.dev, 0)
 
 	case evRotate:
-		old := e.rt.DelegatedPrefix()
+		old := e.home.Router.DelegatedPrefix()
 		e.rotationIdx++
 		next := router.GUAPrefixN(e.rotationIdx)
-		e.rt.Renumber(next)
+		e.home.Router.Renumber(next)
 		aborted := 0
 		for _, s := range e.st.Stacks {
 			aborted += s.AbortStaleConns(old)
@@ -520,7 +447,7 @@ func (e *homeEngine) dayOf(at time.Time) *DayStat {
 // holds an address in the new prefix: the recorded outage is the gap from
 // the prefix withdrawal to that first re-addressing.
 func (e *homeEngine) checkReaddr() {
-	cur := e.rt.DelegatedPrefix()
+	cur := e.home.Router.DelegatedPrefix()
 	for _, s := range e.st.Stacks {
 		if !s.Asleep() && s.HasGUAIn(cur) {
 			rot := &e.res.Rotations[len(e.res.Rotations)-1]

@@ -35,6 +35,7 @@ import (
 	"v6lab/internal/report"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/timeline"
+	"v6lab/internal/world"
 )
 
 // Artifact names one of the paper's tables or figures.
@@ -275,7 +276,6 @@ func New(opts ...Option) *Lab {
 // built with, for parts that build their own studies.
 func (l *Lab) studyOptions() experiment.StudyOptions {
 	so := experiment.StudyOptions{
-		Devices:         l.opts.devices,
 		MaxFramesPerRun: l.opts.maxFrames,
 		Capture:         l.opts.capture,
 		// The factory is inert on buffered runs; under CaptureNone it is
@@ -290,6 +290,8 @@ func (l *Lab) studyOptions() experiment.StudyOptions {
 	if l.opts.env != nil && len(l.opts.devices) == 0 {
 		so.World = l.opts.env.world
 		so.Pool = l.opts.env.pool
+	} else {
+		so.World = world.Build(l.opts.devices)
 	}
 	return so
 }

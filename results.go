@@ -29,7 +29,7 @@ type Results struct {
 	Data *analysis.Dataset
 	// Firewall holds the policy comparison from FirewallComparison.
 	Firewall *experiment.FirewallReport
-	// Fleet holds the population results from Fleet/FleetWith.
+	// Fleet holds the population results from Fleet.
 	Fleet *fleet.Population
 	// Resilience holds the impairment grid from Resilience.
 	Resilience *experiment.ResilienceReport

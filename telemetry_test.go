@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"v6lab/internal/telemetry"
+	"v6lab/internal/timeline"
 )
 
 // TestResultsNotRun: a fresh lab has no typed results yet.
@@ -183,6 +184,36 @@ func TestTelemetryDeterminismFleet(t *testing.T) {
 	}
 	if !bytes.Contains(serial, []byte(`"fleet_homes_completed_total"`)) {
 		t.Error("fleet snapshot missing fleet_homes_completed_total")
+	}
+}
+
+// TestTelemetryTimelineSwitch: the timeline's homes switch their frames
+// through the instrumented switch, so netsim_frames_switched_total counts
+// every frame the report counts, and instrumenting leaves the report
+// bytes unchanged.
+func TestTelemetryTimelineSwitch(t *testing.T) {
+	part := Timeline(Days(2), TimelineConfig(timeline.Config{Homes: 8, Seed: 4}), Workers(2))
+	reg := telemetry.NewRegistry()
+	lab := New(WithTelemetry(reg))
+	if err := lab.Run(part); err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := lab.TelemetrySnapshot()
+	var switched int64
+	for _, p := range snap.Points {
+		if p.Name == "netsim_frames_switched_total" {
+			switched += p.Value
+		}
+	}
+	if want := int64(lab.TL.Totals().Frames); switched != want || want == 0 {
+		t.Errorf("netsim_frames_switched_total = %d, want the report's %d frames", switched, want)
+	}
+	plain := New()
+	if err := plain.Run(part); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := lab.Report(TimelineStudy), plain.Report(TimelineStudy); a != b {
+		t.Errorf("telemetry changed the timeline report:\n--- instrumented ---\n%s\n--- plain ---\n%s", a, b)
 	}
 }
 
