@@ -89,18 +89,22 @@ type Cloud struct {
 	// replies synchronously (the switch copies frames at enqueue), which
 	// is what makes the reuse safe. Each Clone carries its own scratch,
 	// keeping concurrent experiment environments independent.
-	dec     packet.Decoder
-	tx      packet.Buffer
-	ip4L    packet.IPv4
-	ip6L    packet.IPv6
-	udpL    packet.UDP
-	tcpL    packet.TCP
-	ic4L    packet.ICMPv4
-	ic6L    packet.ICMPv6
-	rawL    packet.Raw
-	layers  [3]packet.SerializableLayer
-	payload []byte
-	reply   [1][]byte
+	dec    packet.Decoder
+	tx     packet.Buffer
+	ip4L   packet.IPv4
+	ip6L   packet.IPv6
+	udpL   packet.UDP
+	tcpL   packet.TCP
+	ic4L   packet.ICMPv4
+	ic6L   packet.ICMPv6
+	rawL   packet.Raw
+	layers [3]packet.SerializableLayer
+	// fill holds 0x17 bytes (TLS application data) for TCP replies; it is
+	// refilled only when it grows. ntp is the NTP reply body, zero past
+	// its mode byte.
+	fill  []byte
+	ntp   [48]byte
+	reply [1][]byte
 }
 
 // New creates an empty cloud with the NTP support domain preinstalled.
@@ -288,16 +292,16 @@ func (c *Cloud) serializeReply(src, dst netip.Addr, l4 packet.SerializableLayer,
 	return c.reply[:1]
 }
 
-// payloadBuf returns a zeroed n-byte scratch slice reused across replies.
-func (c *Cloud) payloadBuf(n int) []byte {
-	if cap(c.payload) < n {
-		c.payload = make([]byte, n)
+// appData returns n bytes of 0x17 — what TLS application data looks like
+// on the wire — from a buffer reused across replies.
+func (c *Cloud) appData(n int) []byte {
+	if len(c.fill) < n {
+		c.fill = make([]byte, n)
+		for i := range c.fill {
+			c.fill[i] = 0x17
+		}
 	}
-	b := c.payload[:n]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
+	return c.fill[:n]
 }
 
 func (c *Cloud) handleDNS(p *packet.Packet) [][]byte {
@@ -329,9 +333,8 @@ func (c *Cloud) handleNTP(p *packet.Packet) [][]byte {
 	if !c.reachable(p.DstIP()) || len(p.UDP.PayloadData) < 48 {
 		return nil
 	}
-	resp := c.payloadBuf(48)
-	resp[0] = 0x24 // LI=0 VN=4 mode=server
-	return c.replyUDP(p, resp)
+	c.ntp[0] = 0x24 // LI=0 VN=4 mode=server
+	return c.replyUDP(p, c.ntp[:])
 }
 
 // handleTCP implements a reactive TCP endpoint: SYN-ACK for open service
@@ -364,11 +367,7 @@ func (c *Cloud) handleTCP(p *packet.Packet) [][]byte {
 		// Acknowledge and answer with an equal-sized application payload,
 		// keeping per-destination volume proportional to what the device
 		// sent (Table 6's volume fractions count both directions).
-		resp := c.payloadBuf(len(t.PayloadData))
-		for i := range resp {
-			resp[i] = 0x17 // looks like TLS application data
-		}
-		return mk(packet.TCPFlagPSH|packet.TCPFlagACK, t.Ack, t.Seq+uint32(len(t.PayloadData)), resp)
+		return mk(packet.TCPFlagPSH|packet.TCPFlagACK, t.Ack, t.Seq+uint32(len(t.PayloadData)), c.appData(len(t.PayloadData)))
 	}
 	return nil
 }

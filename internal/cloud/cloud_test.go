@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 
@@ -256,5 +257,48 @@ func TestGarbageInputIgnored(t *testing.T) {
 	}
 	if out := c.HandleIP([]byte{0xff, 0x00}); out != nil {
 		t.Error("bad version")
+	}
+}
+
+// TestNTPAfterBulkReply: TCP replies reuse one 0x17-filled payload buffer,
+// so an NTP reply served after a bulk TCP reply must still carry the
+// 48-byte server body — mode byte, then zeros — byte for byte.
+func TestNTPAfterBulkReply(t *testing.T) {
+	c := New()
+	ntpReq := mustIP(t,
+		&packet.IPv4{Protocol: packet.IPProtocolUDP, Src: clientV4, Dst: NTPv4},
+		&packet.UDP{SrcPort: 123, DstPort: 123, Src: clientV4, Dst: NTPv4},
+		packet.Raw(make([]byte, 48)))
+	ntpReply := func() []byte {
+		t.Helper()
+		replies := c.HandleIP(ntpReq)
+		if len(replies) != 1 {
+			t.Fatalf("ntp replies: %d", len(replies))
+		}
+		return append([]byte(nil), replies[0]...)
+	}
+	before := ntpReply()
+	want := make([]byte, 48)
+	want[0] = 0x24
+	if got := packet.ParseIP(before).UDP.PayloadData; !bytes.Equal(got, want) {
+		t.Fatalf("ntp body = %x, want %x", got, want)
+	}
+
+	d := c.AddDomain("bulk.example", PartyFirst, true, false)
+	for _, n := range []int{32000, 100, 32000} {
+		req := mustIP(t,
+			&packet.IPv6{NextHeader: packet.IPProtocolTCP, Src: clientV6, Dst: d.V6[0]},
+			&packet.TCP{SrcPort: 55555, DstPort: 443, Seq: 1, Ack: 1, Flags: packet.TCPFlagPSH | packet.TCPFlagACK, Src: clientV6, Dst: d.V6[0]},
+			packet.Raw(make([]byte, n)))
+		replies := c.HandleIP(req)
+		if len(replies) != 1 {
+			t.Fatalf("data replies: %d", len(replies))
+		}
+		if got := packet.ParseIP(replies[0]).TCP.PayloadData; !bytes.Equal(got, bytes.Repeat([]byte{0x17}, n)) {
+			t.Fatalf("%d-byte reply is not all 0x17", n)
+		}
+	}
+	if after := ntpReply(); !bytes.Equal(after, before) {
+		t.Errorf("ntp reply after a bulk TCP reply = %x, want %x", after, before)
 	}
 }

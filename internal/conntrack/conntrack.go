@@ -280,13 +280,23 @@ func (t *Table) Lookup(key FlowKey) *Flow {
 // Sweep expires every flow whose idle deadline has passed on the clock,
 // returning how many were removed. Callers never need to call it
 // explicitly — every mutation sweeps first — but tests and metrics may.
+// A sweep costs at most one wheel revolution plus the live flows, however
+// far the clock has moved since the last one.
 func (t *Table) Sweep() int {
 	now := t.clock.Now()
+	elapsed := 0
+	if d := now.Sub(t.cursorTime); d >= t.cfg.WheelSlot {
+		elapsed = int(d / t.cfg.WheelSlot)
+	}
 	expired := 0
 	// Advance the cursor one slot at a time up to the present, emptying
 	// each due bucket. Flows are (re)bucketed on every touch, so a flow in
 	// a due bucket either is expired or was re-linked elsewhere already.
-	for !t.cursorTime.Add(t.cfg.WheelSlot).After(now) {
+	// One revolution visits every bucket, and every deadline lies within
+	// one revolution of the last touch, so a longer jump expires every
+	// flow in its first revolution and skips the rest.
+	steps := min(elapsed, len(t.wheel))
+	for i := 0; i < steps; i++ {
 		for f := t.wheel[t.cursor]; f != nil; {
 			next := f.wheelNext
 			if !f.expiry.After(now) {
@@ -295,16 +305,22 @@ func (t *Table) Sweep() int {
 				expired++
 			} else {
 				// Deadline is in the future but the flow sits in a stale
-				// bucket (clock jumped a full wheel revolution): re-link.
+				// bucket: re-link.
 				t.unlinkWheel(f)
 				t.linkWheel(f)
 			}
 			f = next
 		}
-		t.cursor = (t.cursor + 1) % len(t.wheel)
-		t.cursorTime = t.cursorTime.Add(t.cfg.WheelSlot)
+		t.advance(1)
 	}
+	t.advance(elapsed - steps)
 	return expired
+}
+
+// advance moves the wheel cursor n slots forward.
+func (t *Table) advance(n int) {
+	t.cursor = (t.cursor + n) % len(t.wheel)
+	t.cursorTime = t.cursorTime.Add(time.Duration(n) * t.cfg.WheelSlot)
 }
 
 // insert creates a flow, evicting the LRU entry when at capacity.

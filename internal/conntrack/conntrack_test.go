@@ -290,9 +290,9 @@ func TestWheelHandlesLongIdleGaps(t *testing.T) {
 func TestHitMissCounters(t *testing.T) {
 	_, tb := newTable(Config{})
 	k := tcpKey(devAddr, cloudAddr, 40000, 443)
-	tb.Outbound(k, packet.TCPFlagSYN) // miss + insert
-	tb.Outbound(k, 0)                 // hit
-	tb.Inbound(k.Reverse(), 0)        // hit
+	tb.Outbound(k, packet.TCPFlagSYN)              // miss + insert
+	tb.Outbound(k, 0)                              // hit
+	tb.Inbound(k.Reverse(), 0)                     // hit
 	tb.Inbound(tcpKey(scanAddr, devAddr, 1, 2), 0) // miss
 	st := tb.Stats()
 	if st.Hits != 2 || st.Misses != 2 || st.Inserts != 1 {
@@ -328,5 +328,91 @@ func TestStateStrings(t *testing.T) {
 	k := tcpKey(devAddr, cloudAddr, 1, 2)
 	if s := fmt.Sprint(k); s == "" {
 		t.Error("empty key string")
+	}
+}
+
+// TestSweepLongJump: one 3-day clock jump, swept at once, must leave the
+// table exactly as sweeping after every simulated second does — same
+// Stats, Len and live keys — and leave the wheel cursor where flows
+// touched after the jump still expire on time.
+func TestSweepLongJump(t *testing.T) {
+	type table struct {
+		clock *netsim.Clock
+		tb    *Table
+	}
+	jump, step := table{}, table{}
+	jump.clock, jump.tb = newTable(Config{})
+	step.clock, step.tb = newTable(Config{})
+	both := func(f func(tb table)) { f(jump); f(step) }
+	same := func(when string) {
+		t.Helper()
+		if js, ss := jump.tb.Stats(), step.tb.Stats(); js != ss {
+			t.Fatalf("%s: stats jump=%+v step=%+v", when, js, ss)
+		}
+		if jump.tb.Len() != step.tb.Len() {
+			t.Fatalf("%s: len jump=%d step=%d", when, jump.tb.Len(), step.tb.Len())
+		}
+		for k := range step.tb.flows {
+			if jump.tb.flows[k] == nil {
+				t.Fatalf("%s: %v live only in the stepped table", when, k)
+			}
+		}
+	}
+
+	// Flows in every state, opened 300 ms apart so their deadlines spread
+	// over many buckets and fall between slot boundaries.
+	for i := 0; i < 60; i++ {
+		k := tcpKey(devAddr, cloudAddr, uint16(40000+i), 443)
+		both(func(tb table) {
+			tb.clock.Advance(300 * time.Millisecond)
+			switch i % 3 {
+			case 0:
+				tb.tb.Outbound(udpKey(devAddr, cloudAddr, uint16(50000+i), 123), 0)
+			case 1:
+				tb.tb.Outbound(k, packet.TCPFlagSYN)
+				tb.tb.Inbound(k.Reverse(), packet.TCPFlagSYN|packet.TCPFlagACK)
+			default:
+				tb.tb.Outbound(k, packet.TCPFlagFIN)
+			}
+		})
+	}
+	same("before the jump")
+
+	const horizon = 3 * 24 * time.Hour
+	jump.clock.Advance(horizon)
+	jump.tb.Sweep()
+	for i := time.Duration(0); i < horizon; i += time.Second {
+		step.clock.Advance(time.Second)
+		step.tb.Sweep()
+	}
+	same("after 3 days")
+	if jump.tb.Len() != 0 || jump.tb.Stats().Expiries != 60 {
+		t.Fatalf("after 3 days: len=%d stats=%+v, want every flow expired", jump.tb.Len(), jump.tb.Stats())
+	}
+
+	// Flows opened after the jump survive it and must expire on the same
+	// second in both tables: NEW after 30 s, ESTABLISHED after 5 min.
+	fresh := udpKey(devAddr, cloudAddr, 5353, 53)
+	est := tcpKey(devAddr, cloudAddr, 41000, 443)
+	both(func(tb table) {
+		tb.clock.Advance(400 * time.Millisecond)
+		tb.tb.Outbound(fresh, 0)
+		tb.tb.Outbound(est, packet.TCPFlagSYN)
+		tb.tb.Inbound(est.Reverse(), packet.TCPFlagSYN|packet.TCPFlagACK)
+	})
+	for s := 1; s <= 400; s++ {
+		both(func(tb table) {
+			tb.clock.Advance(time.Second)
+			tb.tb.Sweep()
+		})
+		same(fmt.Sprintf("%ds after the jump", s))
+		_, freshLive := jump.tb.flows[fresh]
+		_, estLive := jump.tb.flows[est]
+		switch {
+		case s < 30 && !freshLive, s < 300 && !estLive:
+			t.Fatalf("%ds after the jump: flow expired early (fresh=%v est=%v)", s, freshLive, estLive)
+		case s > 32 && freshLive, s > 302 && estLive:
+			t.Fatalf("%ds after the jump: flow outlived its timeout (fresh=%v est=%v)", s, freshLive, estLive)
+		}
 	}
 }

@@ -25,9 +25,9 @@ import (
 func (s *Stack) sendPayload(key connKey, c *conn) {
 	seg := c.segLimit()
 	seq := c.payloadStart
-	for off := 0; off < len(c.lastPayload); off += seg {
-		end := min(off+seg, len(c.lastPayload))
-		s.sendTCP(c.src, c.dst, key.sport, c.dport, packet.TCPFlagPSH|packet.TCPFlagACK, seq, c.lastAck, c.lastPayload[off:end])
+	for off := 0; off < c.payloadLen; off += seg {
+		end := min(off+seg, c.payloadLen)
+		s.sendTCP(c.src, c.dst, key.sport, c.dport, packet.TCPFlagPSH|packet.TCPFlagACK, seq, c.lastAck, tlsSegment{hello: c.hello, off: off, end: end})
 		seq += uint32(end - off)
 	}
 	c.seq = seq
@@ -59,7 +59,7 @@ func (s *Stack) handlePacketTooBig(body []byte) {
 	}
 	key := connKey{dst: dst, sport: binary.BigEndian.Uint16(inner[40:42])}
 	c, ok := s.conns[key]
-	if !ok || len(c.lastPayload) == 0 || mtu <= 0 {
+	if !ok || c.payloadLen == 0 || mtu <= 0 {
 		return
 	}
 	if c.pmtu != 0 && c.pmtu <= mtu {
@@ -144,9 +144,9 @@ func (s *Stack) RetryWorkload() int {
 		switch {
 		case c.state == 0 && c.synRetries < 2:
 			c.synRetries++
-			s.sendTCP(c.src, c.dst, key.sport, c.dport, packet.TCPFlagSYN, c.seq, 0, nil)
+			s.sendTCP(c.src, c.dst, key.sport, c.dport, packet.TCPFlagSYN, c.seq, 0, tlsSegment{})
 			n++
-		case c.state == 1 && c.dataRetries < 2 && len(c.lastPayload) > 0:
+		case c.state == 1 && c.dataRetries < 2 && c.payloadLen > 0:
 			c.dataRetries++
 			s.sendPayload(key, c)
 			n++

@@ -124,10 +124,14 @@ type conn struct {
 	// needSNI forces a TLS hello even on tiny flows: vendor-configured
 	// literal endpoints are only attributable through it.
 	needSNI bool
-	// lastPayload retains the application payload (with its starting
-	// sequence number and peer ACK) so the flow can be retransmitted —
-	// resegmented after a Packet-Too-Big, or whole after loss.
-	lastPayload  []byte
+	// hello and payloadLen describe the application payload — the TLS
+	// hello (nil when a tiny flow skips it) followed by 0x17 fill up to
+	// payloadLen bytes — without materialising it. With its starting
+	// sequence number and peer ACK, that is enough to (re)transmit the
+	// flow: first send, resegmented after a Packet-Too-Big, or whole
+	// after loss.
+	hello        []byte
+	payloadLen   int
 	payloadStart uint32
 	lastAck      uint32
 	// pmtu is the path MTU learned from ICMPv6 Packet-Too-Big (0 = none).
@@ -147,6 +151,36 @@ func (c *conn) segLimit() int {
 		}
 	}
 	return maxSeg
+}
+
+// tlsSegment is the window [off, end) of a connection's application
+// payload: the TLS hello bytes, then 0x17 application-data fill. It
+// serializes straight into the stack's tx buffer, so a bulk flow never
+// materialises its payload. The zero value is an empty payload.
+type tlsSegment struct {
+	hello    []byte
+	off, end int
+}
+
+// LayerType implements packet.Layer.
+func (*tlsSegment) LayerType() packet.LayerType { return packet.LayerTypePayload }
+
+// SerializeTo implements packet.SerializableLayer.
+func (sg *tlsSegment) SerializeTo(b *packet.Buffer) error {
+	region := b.Prepend(sg.end - sg.off)
+	n := 0
+	if sg.off < len(sg.hello) {
+		n = copy(region, sg.hello[sg.off:min(sg.end, len(sg.hello))])
+	}
+	fill := region[n:]
+	if len(fill) > 0 {
+		// Doubling copies fill at memmove speed.
+		fill[0] = 0x17
+		for k := 1; k < len(fill); k *= 2 {
+			copy(fill[k:], fill[:k])
+		}
+	}
+	return nil
 }
 
 // NewStack builds a device stack; idx gives the device a unique MAC with a
@@ -772,7 +806,7 @@ func (s *Stack) openTCP(specIdx int, dst netip.Addr, name string, v6, viaEUI64 b
 	key := connKey{dst: dst, sport: s.nextPort}
 	s.conns[key] = c
 	s.connOrder = append(s.connOrder, key)
-	s.sendTCP(src, dst, s.nextPort, 443, packet.TCPFlagSYN, c.seq, 0, nil)
+	s.sendTCP(src, dst, s.nextPort, 443, packet.TCPFlagSYN, c.seq, 0, tlsSegment{})
 }
 
 // handleTCP advances client connections and answers scanner probes.
@@ -787,23 +821,14 @@ func (s *Stack) handleTCP(p *packet.Packet) {
 			// unless the destination is only attributable via SNI,
 			// keeping the per-family volume budgets faithful.
 			c.seq++
-			payload := tlssim.ClientHello(c.name, nil)
-			if c.bytes >= len(payload) || c.needSNI {
-				if c.bytes > len(payload) {
-					pad := make([]byte, c.bytes-len(payload))
-					for i := range pad {
-						pad[i] = 0x17
-					}
-					payload = append(payload, pad...)
-				}
+			c.hello = tlssim.ClientHello(c.name, nil)
+			if c.bytes >= len(c.hello) || c.needSNI {
+				c.payloadLen = max(c.bytes, len(c.hello))
 			} else {
-				payload = make([]byte, max(16, c.bytes))
-				for i := range payload {
-					payload[i] = 0x17
-				}
+				c.hello = nil
+				c.payloadLen = max(16, c.bytes)
 			}
-			s.sendTCP(c.src, c.dst, key.sport, c.dport, packet.TCPFlagACK, c.seq, t.Seq+1, nil)
-			c.lastPayload = payload
+			s.sendTCP(c.src, c.dst, key.sport, c.dport, packet.TCPFlagACK, c.seq, t.Seq+1, tlsSegment{})
 			c.payloadStart = c.seq
 			c.lastAck = t.Seq + 1
 			s.sendPayload(key, c)
@@ -813,7 +838,7 @@ func (s *Stack) handleTCP(p *packet.Packet) {
 		case c.state == 1 && len(t.PayloadData) > 0:
 			// Server answered: the exchange succeeded.
 			s.markSuccess(c.specIdx)
-			s.sendTCP(c.src, c.dst, key.sport, c.dport, packet.TCPFlagFIN|packet.TCPFlagACK, c.seq, t.Seq+uint32(len(t.PayloadData)), nil)
+			s.sendTCP(c.src, c.dst, key.sport, c.dport, packet.TCPFlagFIN|packet.TCPFlagACK, c.seq, t.Seq+uint32(len(t.PayloadData)), tlsSegment{})
 			c.state = 2
 		case c.state == 2 && t.HasFlag(packet.TCPFlagFIN):
 			c.state = 3
@@ -829,7 +854,7 @@ func (s *Stack) handleTCP(p *packet.Packet) {
 			flags = packet.TCPFlagSYN | packet.TCPFlagACK
 			seq = 1000
 		}
-		s.sendTCPTo(p.Ethernet.Src, p.DstIP(), p.SrcIP(), t.DstPort, t.SrcPort, flags, seq, t.Seq+1, nil)
+		s.sendTCPTo(p.Ethernet.Src, p.DstIP(), p.SrcIP(), t.DstPort, t.SrcPort, flags, seq, t.Seq+1, tlsSegment{})
 	}
 }
 
@@ -1289,7 +1314,9 @@ func (s *Stack) sendUDP(src, dst netip.Addr, dport uint16, payload []byte) {
 	)
 }
 
-func (s *Stack) sendTCP(src, dst netip.Addr, sport, dport uint16, flags uint8, seq, ack uint32, payload []byte) {
+// sendTCP emits a TCP segment carrying payload, a window of a flow's TLS
+// payload; the zero tlsSegment carries none.
+func (s *Stack) sendTCP(src, dst netip.Addr, sport, dport uint16, flags uint8, seq, ack uint32, payload tlsSegment) {
 	var dstMAC packet.MAC
 	if src.Is4() {
 		dstMAC = s.routerMAC
@@ -1304,7 +1331,7 @@ func (s *Stack) sendTCP(src, dst netip.Addr, sport, dport uint16, flags uint8, s
 
 // sendTCPTo emits a TCP segment to an explicit link-layer destination
 // (used for answering on-link probes).
-func (s *Stack) sendTCPTo(dstMAC packet.MAC, src, dst netip.Addr, sport, dport uint16, flags uint8, seq, ack uint32, payload []byte) {
+func (s *Stack) sendTCPTo(dstMAC packet.MAC, src, dst netip.Addr, sport, dport uint16, flags uint8, seq, ack uint32, payload tlsSegment) {
 	var ipLayer packet.SerializableLayer
 	typ := packet.EtherTypeIPv6
 	if src.Is4() {
@@ -1313,10 +1340,12 @@ func (s *Stack) sendTCPTo(dstMAC packet.MAC, src, dst netip.Addr, sport, dport u
 	} else {
 		ipLayer = &packet.IPv6{NextHeader: packet.IPProtocolTCP, Src: src, Dst: dst}
 	}
-	s.transmit(
-		&packet.Ethernet{Dst: dstMAC, Src: s.MAC, Type: typ},
-		ipLayer,
-		&packet.TCP{SrcPort: sport, DstPort: dport, Seq: seq, Ack: ack, Flags: flags, Src: src, Dst: dst},
-		packet.Raw(payload),
-	)
+	eth := &packet.Ethernet{Dst: dstMAC, Src: s.MAC, Type: typ}
+	tcp := &packet.TCP{SrcPort: sport, DstPort: dport, Seq: seq, Ack: ack, Flags: flags, Src: src, Dst: dst}
+	if payload.end == payload.off {
+		// Control segments skip the payload layer and its allocation.
+		s.transmit(eth, ipLayer, tcp)
+		return
+	}
+	s.transmit(eth, ipLayer, tcp, &payload)
 }

@@ -4,7 +4,9 @@ package packet
 // gopacket's SerializeBuffer: outer layers are written in front of the
 // bytes already present, so a packet is built by serializing its layers in
 // reverse order (payload first, Ethernet last). SerializeLayers does the
-// reversal for callers.
+// reversal for callers. A Buffer never shrinks: Clear hands its whole
+// capacity back as headroom, so a buffer reused across frames stops
+// allocating once it has held its largest frame.
 type Buffer struct {
 	data  []byte // window [start:] of buf holds the current content
 	start int
@@ -20,45 +22,35 @@ func NewBuffer(headroom int) *Buffer {
 }
 
 // Bytes returns the current contents. The slice is invalidated by the next
-// Prepend/Append/Clear.
+// Prepend/Clear.
 func (b *Buffer) Bytes() []byte { return b.data[b.start:] }
 
 // Len returns the number of content bytes.
 func (b *Buffer) Len() int { return len(b.data) - b.start }
 
-// Clear empties the buffer while retaining capacity.
+// Clear empties the buffer, keeping its whole capacity as headroom.
 func (b *Buffer) Clear() {
-	half := cap(b.data) / 2
-	b.data = b.data[:half]
-	b.start = half
+	b.data = b.data[:cap(b.data)]
+	b.start = len(b.data)
 }
 
 // Prepend grows the content by n bytes at the front and returns the new
-// zeroed region.
+// zeroed region. Growth at least doubles the capacity and leaves room for
+// a full header stack in front of the new bytes, so a payload followed by
+// its Ethernet, IP and TCP headers reallocates at most once.
 func (b *Buffer) Prepend(n int) []byte {
 	if n > b.start {
-		headroom := n + 64
-		grown := make([]byte, headroom+b.Len())
-		copy(grown[headroom:], b.data[b.start:])
-		b.data = grown
-		b.start = headroom
+		const headerRoom = 128
+		content := b.Len()
+		size := max(2*len(b.data), n+content+headerRoom)
+		grown := make([]byte, size)
+		copy(grown[size-content:], b.Bytes())
+		b.data, b.start = grown, size-content
 	}
 	b.start -= n
 	region := b.data[b.start : b.start+n]
-	for i := range region {
-		region[i] = 0
-	}
+	clear(region)
 	return region
-}
-
-// Append grows the content by n bytes at the back and returns the new
-// zeroed region.
-func (b *Buffer) Append(n int) []byte {
-	old := len(b.data)
-	for i := 0; i < n; i++ {
-		b.data = append(b.data, 0)
-	}
-	return b.data[old:]
 }
 
 // SerializableLayer is a Layer that can write itself in front of a Buffer's
