@@ -2,34 +2,53 @@ package packet
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"net/netip"
 )
 
-// sum16 accumulates data into the running one's-complement sum. It reads
-// eight bytes per step into a 64-bit accumulator — one's-complement
-// addition is associative, so summing aligned 32-bit words and deferring
-// the carry fold gives the same result as the word-at-a-time definition —
-// and folds below 16 bits before returning so callers can keep chaining
-// 16-bit quantities into a uint32 without overflow.
+// sum16 accumulates data into the running one's-complement sum. The sum
+// does not depend on byte order (RFC 1071 §2(B)), so the kernel adds
+// native little-endian 64-bit words, four per step with the carries
+// chained through bits.Add64, folds to 16 bits once and byte-swaps back to
+// network order before adding the caller's sum. The result is folded below
+// 16 bits so callers can keep chaining 16-bit quantities into a uint32
+// without overflow. An odd trailing byte is padded with a zero low byte,
+// as RFC 1071 specifies.
 func sum16(sum uint32, data []byte) uint32 {
-	s := uint64(sum)
+	var s, c uint64
+	for len(data) >= 32 {
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(data), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(data[8:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(data[16:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(data[24:]), c)
+		data = data[32:]
+	}
 	for len(data) >= 8 {
-		s += uint64(binary.BigEndian.Uint32(data)) + uint64(binary.BigEndian.Uint32(data[4:]))
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(data), c)
 		data = data[8:]
 	}
+	var tail uint64
 	if len(data) >= 4 {
-		s += uint64(binary.BigEndian.Uint32(data))
+		tail = uint64(binary.LittleEndian.Uint32(data))
 		data = data[4:]
 	}
 	if len(data) >= 2 {
-		s += uint64(binary.BigEndian.Uint16(data))
+		tail += uint64(binary.LittleEndian.Uint16(data))
 		data = data[2:]
 	}
 	if len(data) == 1 {
-		s += uint64(data[0]) << 8
+		tail += uint64(data[0])
 	}
+	// tail < 2^33, so a carry out of this add leaves s small enough to
+	// take the carry back in without overflowing again.
+	s, c = bits.Add64(s, tail, c)
+	s += c
 	for s>>16 != 0 {
-		s = (s & 0xffff) + (s >> 16)
+		s = s&0xffff + s>>16
+	}
+	s = uint64(sum) + uint64(bits.ReverseBytes16(uint16(s)))
+	for s>>16 != 0 {
+		s = s&0xffff + s>>16
 	}
 	return uint32(s)
 }
@@ -45,6 +64,14 @@ func foldChecksum(sum uint32) uint16 {
 
 // Checksum computes the RFC 1071 Internet checksum over data.
 func Checksum(data []byte) uint16 { return foldChecksum(sum16(0, data)) }
+
+// AdjustChecksum returns the Internet checksum hc updated for covered
+// bytes that changed from old to cur, without summing the unchanged bytes
+// again: RFC 1624 eqn. 3, HC' = ~(~HC + ~m + m'). old and cur must have the
+// same even length and start at an even offset of the checksummed data.
+func AdjustChecksum(hc uint16, old, cur []byte) uint16 {
+	return foldChecksum(uint32(^hc) + uint32(Checksum(old)) + sum16(0, cur))
+}
 
 // pseudoHeaderSum returns the partial checksum of the IPv4 or IPv6
 // pseudo-header used by UDP, TCP, and ICMPv6.

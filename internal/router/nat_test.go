@@ -2,9 +2,12 @@ package router
 
 // NAT44 edge cases: source-port collisions between devices and between
 // protocols, lease stability across device re-attachment, and
-// deterministic lease ordering.
+// deterministic lease ordering; and the in-place header rewrite checked
+// byte for byte against packets rebuilt from layers.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net/netip"
 	"testing"
 	"time"
@@ -179,5 +182,246 @@ func TestDeterministicLeaseOrdering(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("lease ordering not reproducible: %v vs %v", first, second)
 		}
+	}
+}
+
+var natDevIP = netip.MustParseAddr("192.168.1.50")
+
+// reserialized is the reference NAT44 translation: ip decoded and rebuilt
+// from fresh IPv4 and transport layers with the source (natSrc) or
+// destination (natDst) address and port replaced, every checksum summed
+// from scratch.
+func reserialized(t *testing.T, ip []byte, dir int, a netip.Addr, port uint16) []byte {
+	t.Helper()
+	p := packet.ParseIP(ip)
+	if p.Err != nil || p.IPv4 == nil {
+		t.Fatalf("reference: not an IPv4 packet: %v", p.Err)
+	}
+	src, dst := p.IPv4.Src, p.IPv4.Dst
+	if dir == natSrc {
+		src = a
+	} else {
+		dst = a
+	}
+	setPort := func(sport, dport *uint16) {
+		if dir == natSrc {
+			*sport = port
+		} else {
+			*dport = port
+		}
+	}
+	var l4 packet.SerializableLayer = p.ICMPv4
+	var payload packet.Raw
+	switch {
+	case p.UDP != nil:
+		u := &packet.UDP{SrcPort: p.UDP.SrcPort, DstPort: p.UDP.DstPort, Src: src, Dst: dst}
+		setPort(&u.SrcPort, &u.DstPort)
+		l4, payload = u, p.UDP.PayloadData
+	case p.TCP != nil:
+		tc := *p.TCP
+		tc.Src, tc.Dst = src, dst
+		setPort(&tc.SrcPort, &tc.DstPort)
+		l4, payload = &tc, p.TCP.PayloadData
+	}
+	out, err := packet.Serialize(&packet.IPv4{Protocol: p.IPv4.Protocol, Src: src, Dst: dst}, l4, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// zeroFoldPayload returns an NTP-sized payload whose UDP checksum between
+// src:sport and dst:dport sums to zero, so it must go out as 0xffff.
+func zeroFoldPayload(t *testing.T, src, dst netip.Addr, sport, dport uint16) []byte {
+	t.Helper()
+	payload := make([]byte, 48)
+	payload[0] = 0x1b
+	seg, err := packet.Serialize(&packet.UDP{SrcPort: sport, DstPort: dport, Src: src, Dst: dst}, packet.Raw(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The checksum with the last word zero is the word that completes the
+	// one's-complement sum to 0xffff.
+	copy(payload[46:], seg[6:8])
+	return payload
+}
+
+// bulkSegment returns the LAN frame of a device's 32,000-byte TCP data
+// segment, with options, to dst — the §5 workloads' bulk segment.
+func bulkSegment(tb testing.TB, dst netip.Addr) []byte {
+	tb.Helper()
+	frame, err := packet.Serialize(
+		&packet.Ethernet{Dst: RouterMAC, Src: devMAC, Type: packet.EtherTypeIPv4},
+		&packet.IPv4{Protocol: packet.IPProtocolTCP, Src: natDevIP, Dst: dst},
+		&packet.TCP{SrcPort: 40000, DstPort: 443, Seq: 1000, Ack: 77, Flags: packet.TCPFlagPSH | packet.TCPFlagACK,
+			Options: []byte{2, 4, 0x05, 0xb4, 1, 3, 3, 7}, Src: natDevIP, Dst: dst},
+		packet.Raw(bytes.Repeat([]byte{0x17}, 32000)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame
+}
+
+// TestNAT44MatchesReserialized: the in-place rewrite with incremental
+// checksums must produce exactly the bytes of a packet rebuilt from
+// layers, for the translated WAN packet and for the reply frame delivered
+// back to the device.
+func TestNAT44MatchesReserialized(t *testing.T) {
+	cases := []struct {
+		name string
+		// frame builds the device's LAN frame to the service address svc,
+		// given the NAT port its flow will be mapped to.
+		frame func(t *testing.T, svc netip.Addr, natPort uint16) []byte
+		// wanCk, when nonzero, is the checksum the WAN packet must carry.
+		wanCk uint16
+	}{
+		{name: "tcp-bulk-options", frame: func(t *testing.T, svc netip.Addr, _ uint16) []byte {
+			return bulkSegment(t, svc)
+		}},
+		{name: "udp-ntp", frame: func(t *testing.T, _ netip.Addr, _ uint16) []byte {
+			ntp := make([]byte, 48)
+			ntp[0] = 0x1b
+			return lanFrame(t, &packet.IPv4{Protocol: packet.IPProtocolUDP, Src: natDevIP, Dst: cloud.NTPv4},
+				&packet.UDP{SrcPort: 5000, DstPort: 123, Src: natDevIP, Dst: cloud.NTPv4}, packet.Raw(ntp))
+		}},
+		{name: "udp-zero-fold", wanCk: 0xffff, frame: func(t *testing.T, _ netip.Addr, natPort uint16) []byte {
+			ntp := zeroFoldPayload(t, WANv4, cloud.NTPv4, natPort, 123)
+			return lanFrame(t, &packet.IPv4{Protocol: packet.IPProtocolUDP, Src: natDevIP, Dst: cloud.NTPv4},
+				&packet.UDP{SrcPort: 5000, DstPort: 123, Src: natDevIP, Dst: cloud.NTPv4}, packet.Raw(ntp))
+		}},
+		{name: "icmpv4-echo", frame: func(t *testing.T, svc netip.Addr, _ uint16) []byte {
+			return lanFrame(t, &packet.IPv4{Protocol: packet.IPProtocolICMPv4, Src: natDevIP, Dst: svc},
+				&packet.ICMPv4{Type: packet.ICMPv4TypeEchoRequest, Body: []byte{0, 1, 0, 7, 'p', 'i', 'n', 'g', '!'}})
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n, r, h, _, cl := natSetup(t)
+			svc := cl.AddDomain("svc.example", cloud.PartyFirst, false, false).V4[0]
+			natPort := r.natNext + 1
+			frame := c.frame(t, svc, natPort)
+			h.port.Send(frame)
+			run(t, n)
+
+			lan := packet.Parse(frame)
+			want := reserialized(t, lan.Ethernet.PayloadData, natSrc, WANv4, natPort)
+			if !bytes.Equal(r.wanBuf, want) {
+				t.Fatalf("WAN packet differs from the reserialized reference:\n got %x\nwant %x", head(r.wanBuf), head(want))
+			}
+			if c.wanCk != 0 && binary.BigEndian.Uint16(r.wanBuf[26:28]) != c.wanCk {
+				t.Fatalf("WAN UDP checksum = %#04x, want %#04x", binary.BigEndian.Uint16(r.wanBuf[26:28]), c.wanCk)
+			}
+
+			replies := cl.HandleIP(want)
+			if len(replies) != 1 {
+				t.Fatalf("cloud sent %d replies, want 1", len(replies))
+			}
+			var devPort uint16
+			if lan.UDP != nil {
+				devPort = lan.UDP.SrcPort
+			} else if lan.TCP != nil {
+				devPort = lan.TCP.SrcPort
+			}
+			wantLAN := ethFrame(t, reserialized(t, replies[0], natDst, natDevIP, devPort))
+			if !bytes.Equal(r.lanBuf, wantLAN) {
+				t.Fatalf("LAN reply differs from the reserialized reference:\n got %x\nwant %x", head(r.lanBuf), head(wantLAN))
+			}
+			if p := h.last(); p == nil || p.IPv4 == nil || p.IPv4.Dst != natDevIP {
+				t.Fatalf("reply not delivered to the device: %+v", p)
+			}
+		})
+	}
+
+	// A reply whose translated checksum folds to zero: the inbound
+	// rewrite must also send it as 0xffff.
+	t.Run("udp-zero-fold-reply", func(t *testing.T) {
+		_, r, _, _, _ := natSetup(t)
+		r.nat[natKey{proto: packet.IPProtocolUDP, natPort: 20001}] = natEntry{proto: packet.IPProtocolUDP, devIP: natDevIP, devPort: 5000}
+		reply, err := packet.Serialize(
+			&packet.IPv4{Protocol: packet.IPProtocolUDP, Src: cloud.NTPv4, Dst: WANv4},
+			&packet.UDP{SrcPort: 123, DstPort: 20001, Src: cloud.NTPv4, Dst: WANv4},
+			packet.Raw(zeroFoldPayload(t, cloud.NTPv4, natDevIP, 123, 5000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.deliverWANReplyV4(reply, devMAC, natDevIP)
+		wantLAN := ethFrame(t, reserialized(t, reply, natDst, natDevIP, 5000))
+		if !bytes.Equal(r.lanBuf, wantLAN) {
+			t.Fatalf("LAN reply differs from the reserialized reference:\n got %x\nwant %x", r.lanBuf, wantLAN)
+		}
+		if ck := binary.BigEndian.Uint16(r.lanBuf[14+26:]); ck != 0xffff {
+			t.Fatalf("LAN UDP checksum = %#04x, want 0xffff", ck)
+		}
+	})
+}
+
+// lanFrame serializes an IPv4 packet from the test device to the router.
+func lanFrame(t *testing.T, layers ...packet.SerializableLayer) []byte {
+	t.Helper()
+	frame, err := packet.Serialize(append([]packet.SerializableLayer{
+		&packet.Ethernet{Dst: RouterMAC, Src: devMAC, Type: packet.EtherTypeIPv4}}, layers...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// ethFrame frames an IPv4 packet from the router to the test device.
+func ethFrame(t *testing.T, ip []byte) []byte {
+	t.Helper()
+	frame, err := packet.Serialize(&packet.Ethernet{Dst: devMAC, Src: RouterMAC, Type: packet.EtherTypeIPv4}, packet.Raw(ip))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// head trims a packet for a failure message.
+func head(b []byte) []byte { return b[:min(len(b), 80)] }
+
+// bulkNAT44 returns a router with a cloud service on its WAN, and the LAN
+// frame of a device's 32,000-byte TCP segment to that service.
+func bulkNAT44(tb testing.TB) (*netsim.Network, *Router, []byte) {
+	cl := cloud.New()
+	n := netsim.NewNetwork(netsim.NewClock(time.Date(2024, 4, 5, 0, 0, 0, 0, time.UTC)))
+	r := New(Config{IPv4: true}, cl)
+	r.Attach(n)
+	svc := cl.AddDomain("svc.example", cloud.PartyFirst, false, false).V4[0]
+	return n, r, bulkSegment(tb, svc)
+}
+
+// forwardBulk hands the router one bulk segment and, once the segment and
+// its reply have crossed the NAT, recycles the switch's queue and frame
+// arena so that only the router's and cloud's work is measured.
+func forwardBulk(n *netsim.Network, r *Router, frame []byte) {
+	r.HandleFrame(frame)
+	n.Reset(nil)
+}
+
+// TestNAT44BulkForwardAllocs: once the flow is mapped and the buffers have
+// grown, forwarding a 32,000-byte TCP segment and translating its reply
+// allocates nothing.
+func TestNAT44BulkForwardAllocs(t *testing.T) {
+	n, r, frame := bulkNAT44(t)
+	forwardBulk(n, r, frame)
+	if len(r.lanBuf) < 32000 {
+		t.Fatalf("no bulk reply translated: %d-byte LAN frame", len(r.lanBuf))
+	}
+	if allocs := testing.AllocsPerRun(50, func() { forwardBulk(n, r, frame) }); allocs != 0 {
+		t.Fatalf("NAT44 bulk round trip allocates %.0f times, want 0", allocs)
+	}
+}
+
+// BenchmarkNAT44Forward measures one bulk TCP round trip through NAT44:
+// the device's 32,000-byte segment out to the cloud and the equal-sized
+// reply back toward the LAN.
+func BenchmarkNAT44Forward(b *testing.B) {
+	n, r, frame := bulkNAT44(b)
+	forwardBulk(n, r, frame)
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		forwardBulk(n, r, frame)
 	}
 }

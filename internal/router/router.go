@@ -73,22 +73,20 @@ type Router struct {
 	tx *packet.Buffer
 
 	// dec parses LAN frames; wanDec parses WAN-side replies and injected
-	// probes while a LAN parse may still be live. wanTx and wanBuf are the
-	// reusable buffers for WAN-bound raw IP packets, and the scratch layer
-	// structs below back the hot forwarding paths so no per-packet layer
-	// allocation survives in steady state. All of it is single-goroutine
-	// state, like the router itself.
+	// probes while a LAN parse may still be live. wanBuf is the reusable
+	// buffer for WAN-bound raw IP packets and lanBuf the one for
+	// forwarded WAN-to-LAN frames; the scratch layer structs below back
+	// the DHCP replies, so no per-packet allocation survives in steady
+	// state. All of it is single-goroutine state, like the router itself.
 	dec    packet.Decoder
 	wanDec packet.Decoder
-	wanTx  *packet.Buffer
 	wanBuf []byte
+	lanBuf []byte
 	ethL   packet.Ethernet
 	ip4L   packet.IPv4
 	ip6L   packet.IPv6
 	udpL   packet.UDP
-	tcpL   packet.TCP
 	rawL   packet.Raw
-	layerS [4]packet.SerializableLayer
 
 	// dhcp4Leases maps client MAC to its assigned private address.
 	dhcp4Leases map[packet.MAC]netip.Addr
@@ -144,7 +142,6 @@ func New(cfg Config, cl *cloud.Cloud) *Router {
 		guaPrefix:   GUAPrefix,
 		routerGUA:   RouterGUA,
 		tx:          packet.NewBuffer(128),
-		wanTx:       packet.NewBuffer(128),
 		dhcp4Leases: make(map[packet.MAC]netip.Addr),
 		dhcp6Leases: make(map[string]netip.Addr),
 		Neighbors:   make(map[netip.Addr]packet.MAC),
@@ -252,26 +249,21 @@ func (r *Router) transmit(layers ...packet.SerializableLayer) bool {
 	return true
 }
 
-// transmitL4 wraps an L4 layer in the right IP version and Ethernet
-// framing and sends it, for reply paths that transmit immediately.
-func (r *Router) transmitL4(dstMAC, srcMAC packet.MAC, src, dst netip.Addr, l4 packet.SerializableLayer) {
-	var ipLayer packet.SerializableLayer
+// transmitUDP wraps a UDP payload in the right IP version and Ethernet
+// framing and sends it, for the DHCP reply paths.
+func (r *Router) transmitUDP(dstMAC packet.MAC, src, dst netip.Addr, sport, dport uint16, payload []byte) {
+	var ipLayer packet.SerializableLayer = &r.ip4L
 	typ := packet.EtherTypeIPv4
 	if src.Is4() {
-		r.ip4L = packet.IPv4{Protocol: protoOf(l4), Src: src, Dst: dst}
-		ipLayer = &r.ip4L
+		r.ip4L = packet.IPv4{Protocol: packet.IPProtocolUDP, Src: src, Dst: dst}
 	} else {
-		r.ip6L = packet.IPv6{NextHeader: protoOf(l4), Src: src, Dst: dst}
-		ipLayer = &r.ip6L
-		typ = packet.EtherTypeIPv6
+		r.ip6L = packet.IPv6{NextHeader: packet.IPProtocolUDP, Src: src, Dst: dst}
+		ipLayer, typ = &r.ip6L, packet.EtherTypeIPv6
 	}
-	r.ethL = packet.Ethernet{Dst: dstMAC, Src: srcMAC, Type: typ}
-	layers := append(r.layerS[:0], &r.ethL, ipLayer, l4)
-	if extra := payloadOf(l4); extra != nil {
-		r.rawL = extra
-		layers = append(layers, &r.rawL)
-	}
-	r.transmit(layers...)
+	r.ethL = packet.Ethernet{Dst: dstMAC, Src: RouterMAC, Type: typ}
+	r.udpL = packet.UDP{SrcPort: sport, DstPort: dport, Src: src, Dst: dst}
+	r.rawL = payload
+	r.transmit(&r.ethL, ipLayer, &r.udpL, &r.rawL)
 }
 
 func (r *Router) handleIPv4(p *packet.Packet) {
@@ -321,13 +313,14 @@ func (r *Router) handleIPv6(p *packet.Packet) {
 }
 
 // forwardV4 NATs a LAN packet to the WAN address, hands it to the cloud,
-// and translates any replies back to the device.
+// and translates any replies back to the device. Translation rewrites a
+// copy of the packet in place, as a NAT does (RFC 3022 §4.2), rather than
+// rebuilding it from layers.
 func (r *Router) forwardV4(p *packet.Packet) {
 	devIP := p.IPv4.Src
 	devMAC := p.Ethernet.Src
 	var devPort, natPort uint16
 	var proto packet.IPProtocol
-	var l4 packet.SerializableLayer
 	switch {
 	case p.UDP != nil:
 		proto, devPort = packet.IPProtocolUDP, p.UDP.SrcPort
@@ -349,28 +342,19 @@ func (r *Router) forwardV4(p *packet.Packet) {
 		r.nat[natKey{proto: proto, natPort: natPort}] = entry
 		r.NATTranslations++
 	}
-	switch {
-	case p.UDP != nil:
-		r.udpL = packet.UDP{SrcPort: natPort, DstPort: p.UDP.DstPort, Src: WANv4, Dst: p.IPv4.Dst, PayloadData: p.UDP.PayloadData}
-		l4 = &r.udpL
-	case p.TCP != nil:
-		r.tcpL = *p.TCP
-		r.tcpL.SrcPort, r.tcpL.Src, r.tcpL.Dst = natPort, WANv4, p.IPv4.Dst
-		l4 = &r.tcpL
-	case p.ICMPv4 != nil:
-		l4 = p.ICMPv4
-	}
-	raw, err := r.buildIPPacket(WANv4, p.IPv4.Dst, l4)
-	if err != nil {
-		return
-	}
+	ip := p.Ethernet.PayloadData
+	r.wanBuf = append(r.wanBuf[:0], ip[:ipv4HeaderLen(ip)+len(p.IPv4.PayloadData)]...)
+	natRewrite(r.wanBuf, natSrc, WANv4, natPort)
 	r.ForwardedV4++
-	for _, reply := range r.Cloud.HandleIP(raw) {
-		r.deliverWANReplyV4(reply, devMAC)
+	for _, reply := range r.Cloud.HandleIP(r.wanBuf) {
+		r.deliverWANReplyV4(reply, devMAC, devIP)
 	}
 }
 
-func (r *Router) deliverWANReplyV4(raw []byte, devMAC packet.MAC) {
+// deliverWANReplyV4 translates one cloud reply back to the LAN device that
+// owns its NAT port. ICMPv4 has no port, so echo replies go to devIP, the
+// source of the request being answered.
+func (r *Router) deliverWANReplyV4(raw []byte, devMAC packet.MAC, devIP netip.Addr) {
 	rp := r.wanDec.ParseIP(raw)
 	if rp.Err != nil || rp.IPv4 == nil {
 		return
@@ -381,53 +365,25 @@ func (r *Router) deliverWANReplyV4(raw []byte, devMAC packet.MAC) {
 		r.Faults.DropDNSReply(rp.UDP.PayloadData) {
 		return
 	}
-	var entry natEntry
-	var ok bool
+	entry, ok := natEntry{devIP: devIP}, false
 	switch {
 	case rp.UDP != nil:
 		entry, ok = r.nat[natKey{proto: packet.IPProtocolUDP, natPort: rp.UDP.DstPort}]
 	case rp.TCP != nil:
 		entry, ok = r.nat[natKey{proto: packet.IPProtocolTCP, natPort: rp.TCP.DstPort}]
 	case rp.ICMPv4 != nil:
-		// ICMP has no ports; deliver to the requesting device directly.
-		entry, ok = natEntry{}, true
+		ok = true
 	}
 	if !ok {
 		return
 	}
-	var l4 packet.SerializableLayer
-	devIP := entry.devIP
-	switch {
-	case rp.UDP != nil:
-		r.udpL = packet.UDP{SrcPort: rp.UDP.SrcPort, DstPort: entry.devPort, Src: rp.IPv4.Src, Dst: devIP, PayloadData: rp.UDP.PayloadData}
-		l4 = &r.udpL
-	case rp.TCP != nil:
-		r.tcpL = *rp.TCP
-		r.tcpL.DstPort, r.tcpL.Src, r.tcpL.Dst = entry.devPort, rp.IPv4.Src, devIP
-		l4 = &r.tcpL
-	case rp.ICMPv4 != nil:
-		// Without a port mapping we cannot recover the device IP from the
-		// ICMP reply alone; use the ARP table via MAC instead.
-		devIP = r.ipForMACv4(devMAC)
-		if !devIP.IsValid() {
-			return
-		}
-		l4 = rp.ICMPv4
-	}
-	mac := r.ARPTable[devIP]
+	mac := r.ARPTable[entry.devIP]
 	if mac.IsZero() {
 		mac = devMAC
 	}
-	r.transmitL4(mac, RouterMAC, rp.IPv4.Src, devIP, l4)
-}
-
-func (r *Router) ipForMACv4(mac packet.MAC) netip.Addr {
-	for ip, m := range r.ARPTable {
-		if m == mac {
-			return ip
-		}
-	}
-	return netip.Addr{}
+	frame := r.lanFrame(mac, packet.EtherTypeIPv4, raw[:ipv4HeaderLen(raw)+len(rp.IPv4.PayloadData)])
+	natRewrite(frame[14:], natDst, entry.devIP, entry.devPort)
+	r.port.Send(frame)
 }
 
 // forwardV6 routes a LAN packet to the cloud unchanged (the paper's LAN is
@@ -480,9 +436,7 @@ func (r *Router) deliverWANv6(raw []byte) {
 	if !ok {
 		return
 	}
-	r.ethL = packet.Ethernet{Dst: mac, Src: RouterMAC, Type: packet.EtherTypeIPv6}
-	r.rawL = raw
-	r.transmit(&r.ethL, &r.rawL)
+	r.port.Send(r.lanFrame(mac, packet.EtherTypeIPv6, raw))
 }
 
 // InjectWANv6 delivers an unsolicited raw IPv6 packet arriving from the
@@ -520,39 +474,56 @@ func (r *Router) reserializeIPv6(p *packet.Packet) []byte {
 	return r.wanBuf
 }
 
-// buildIPPacket serializes an IPv4 packet around an L4 layer into the
-// router's reusable WAN buffer, re-emitting any payload the layer carries.
-// The result is valid until the next forwardV4.
-func (r *Router) buildIPPacket(src, dst netip.Addr, l4 packet.SerializableLayer) ([]byte, error) {
-	r.ip4L = packet.IPv4{Protocol: protoOf(l4), Src: src, Dst: dst}
-	layers := append(r.layerS[:0], &r.ip4L, l4)
-	if extra := payloadOf(l4); extra != nil {
-		r.rawL = extra
-		layers = append(layers, &r.rawL)
-	}
-	return packet.SerializeInto(r.wanTx, layers...)
+// lanFrame writes a router-sourced Ethernet header for dst followed by a
+// copy of the IP packet into the router's reusable LAN buffer. The frame
+// is valid until the next lanFrame; the switch copies it at Send.
+func (r *Router) lanFrame(dst packet.MAC, typ packet.EtherType, ip []byte) []byte {
+	f := append(r.lanBuf[:0], dst[:]...)
+	f = append(f, RouterMAC[:]...)
+	f = binary.BigEndian.AppendUint16(f, uint16(typ))
+	r.lanBuf = append(f, ip...)
+	return r.lanBuf
 }
 
-func protoOf(l packet.SerializableLayer) packet.IPProtocol {
-	switch l.(type) {
-	case *packet.UDP:
-		return packet.IPProtocolUDP
-	case *packet.TCP:
-		return packet.IPProtocolTCP
-	case *packet.ICMPv6:
-		return packet.IPProtocolICMPv6
-	case *packet.ICMPv4:
-		return packet.IPProtocolICMPv4
-	}
-	return packet.IPProtocolNoNext
-}
+// ipv4HeaderLen returns the header length (IHL) of a decoded IPv4 packet.
+func ipv4HeaderLen(ip []byte) int { return int(ip[0]&0x0f) * 4 }
 
-func payloadOf(l packet.SerializableLayer) []byte {
-	switch v := l.(type) {
-	case *packet.UDP:
-		return v.PayloadData
-	case *packet.TCP:
-		return v.PayloadData
+// The two directions of a NAT44 rewrite: outbound packets have their
+// source address and port translated, inbound replies their destination.
+const (
+	natSrc = 0
+	natDst = 1
+)
+
+// natRewrite translates an IPv4 packet in place: it replaces the source
+// (dir natSrc) or destination (natDst) address with a and, for TCP and
+// UDP, the matching port with port. The IPv4 header checksum is
+// recomputed and the transport checksum, whose pseudo-header covers the
+// address, is updated incrementally from the changed words (RFC 1624
+// eqn. 3) instead of being summed again over the payload. ICMPv4 carries
+// no pseudo-header, so its checksum stands.
+func natRewrite(ip []byte, dir int, a netip.Addr, port uint16) {
+	hdr, l4 := ip[:ipv4HeaderLen(ip)], ip[ipv4HeaderLen(ip):]
+	addrField, portField := hdr[12+4*dir:16+4*dir], l4[2*dir:2+2*dir]
+	na := a.As4()
+	var np [2]byte
+	binary.BigEndian.PutUint16(np[:], port)
+	switch proto := packet.IPProtocol(hdr[9]); proto {
+	case packet.IPProtocolTCP, packet.IPProtocolUDP:
+		ckOff := 16
+		if proto == packet.IPProtocolUDP {
+			ckOff = 6
+		}
+		ckField := l4[ckOff : ckOff+2]
+		ck := packet.AdjustChecksum(binary.BigEndian.Uint16(ckField), addrField, na[:])
+		ck = packet.AdjustChecksum(ck, portField, np[:])
+		if ck == 0 && proto == packet.IPProtocolUDP {
+			ck = 0xffff // as UDP.SerializeTo: zero would mean "no checksum"
+		}
+		binary.BigEndian.PutUint16(ckField, ck)
+		copy(portField, np[:])
 	}
-	return nil
+	copy(addrField, na[:])
+	hdr[10], hdr[11] = 0, 0
+	binary.BigEndian.PutUint16(hdr[10:12], packet.Checksum(hdr))
 }

@@ -51,8 +51,7 @@ func (r *Router) handleDHCPv4(p *packet.Packet) {
 		return
 	}
 	r.ARPTable[lease] = msg.ClientMAC
-	r.transmitL4(msg.ClientMAC, RouterMAC, RouterV4, lease,
-		&packet.UDP{SrcPort: dhcp4.ServerPort, DstPort: dhcp4.ClientPort, Src: RouterV4, Dst: lease, PayloadData: wire})
+	r.transmitUDP(msg.ClientMAC, RouterV4, lease, dhcp4.ServerPort, dhcp4.ClientPort, wire)
 }
 
 // LeaseFor returns the DHCPv4 lease assigned to a MAC, if any.
@@ -195,9 +194,7 @@ func (r *Router) handleDHCPv6(p *packet.Packet) {
 	if err != nil {
 		return
 	}
-	src := p.IPv6.Src
-	r.transmitL4(p.Ethernet.Src, RouterMAC, RouterLLA, src,
-		&packet.UDP{SrcPort: dhcp6.ServerPort, DstPort: dhcp6.ClientPort, Src: RouterLLA, Dst: src, PayloadData: wire})
+	r.transmitUDP(p.Ethernet.Src, RouterLLA, p.IPv6.Src, dhcp6.ServerPort, dhcp6.ClientPort, wire)
 }
 
 // leaseV6 assigns a stable IA_NA address from the GUA prefix per DUID.
