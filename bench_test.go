@@ -59,6 +59,22 @@ func BenchmarkFullStudy(b *testing.B) {
 	}
 }
 
+// benchReport keeps BenchmarkAnalyzeAndReport's output alive.
+var benchReport string
+
+// BenchmarkAnalyzeAndReport measures the two stages after the simulation
+// on an already-run lab: analysis.FromStudy (extraction over the buffered
+// captures plus the experiment-group views) and rendering every artifact.
+func BenchmarkAnalyzeAndReport(b *testing.B) {
+	view := *benchSetup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		view.Data = analysis.FromStudy(view.Study)
+		benchReport = view.FullReport()
+	}
+}
+
 // BenchmarkStudyParallel measures the full study on the parallel engine
 // at several worker counts, each over a shared Env with a warm environment
 // pool — the steady state a study server or fleet reaches after its first

@@ -29,7 +29,8 @@ func observationsFor(st *experiment.Study, res *experiment.RunResult) *ExpObs {
 }
 
 // FromStudy runs the extraction over every experiment a Study produced and
-// assembles the Dataset the table derivations consume. Each frame is
+// assembles the Dataset the table derivations consume, including each
+// experiment group's per-device union (see Dataset.Device). Each frame is
 // parsed exactly once — at delivery for streaming (CaptureNone) runs, or
 // here over the buffered capture; when the study's Workers allow it, the
 // per-capture extractions run concurrently (they are independent) and land
@@ -71,5 +72,6 @@ func FromStudy(st *experiment.Study) *Dataset {
 	for name, r := range st.ActiveDNS {
 		ds.ActiveAAAA[name] = r.HasAAAA
 	}
+	ds.buildViews()
 	return ds
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 
 	"v6lab/internal/addr"
@@ -23,136 +24,139 @@ type Dataset struct {
 	ActiveAAAA map[string]bool
 	// Cloud supplies party labels for destination classification.
 	Cloud *cloud.Cloud
+
+	// views holds each group's per-device union, indexed by Group. Groups
+	// that select the same experiments share one map.
+	views [AllRuns + 1]map[string]*DeviceObs
+	// cat maps a device name to its column in paper.CategoryOrder.
+	cat map[string]int
 }
 
-func (ds *Dataset) profile(name string) *device.Profile {
-	return device.Find(ds.Profiles, name)
-}
+// Group is a set of stack modes: an experiment belongs to the group when
+// its mode is in the set.
+type Group uint8
 
-func (ds *Dataset) catIndex(name string) int {
-	p := ds.profile(name)
-	for i, c := range paper.CategoryOrder {
-		if string(p.Category) == c {
-			return i
-		}
+// The experiment groups the tables read.
+const (
+	V4Only    Group = 1 << device.ModeV4Only
+	V6Only    Group = 1 << device.ModeV6Only
+	DualStack Group = 1 << device.ModeDual
+	V6Enabled       = V6Only | DualStack
+	AllRuns         = V4Only | V6Enabled
+)
+
+// zeroObs is what a device no run of a group observed reads as; its nil
+// maps read as empty.
+var zeroObs DeviceObs
+
+// Device returns the device's observations unioned over the group's
+// experiments, never nil: a device no run of the group observed reads as
+// a shared zero DeviceObs. Callers must not modify the result.
+func (ds *Dataset) Device(g Group, name string) *DeviceObs {
+	if d := ds.views[g][name]; d != nil {
+		return d
 	}
-	return -1
+	return &zeroObs
 }
 
-// expsWhere selects experiments by predicate.
-func (ds *Dataset) expsWhere(pred func(*ExpObs) bool) []*ExpObs {
-	var out []*ExpObs
+// buildViews fills ds.views and ds.cat. A group's view is folded under
+// the modes it shares with the dataset's experiments, so groups that
+// select the same experiments fold one union: in a one-experiment fleet
+// home, every group holding that experiment's mode reads the same map.
+func (ds *Dataset) buildViews() {
+	var present Group
 	for _, e := range ds.Exps {
-		if pred(e) {
-			out = append(out, e)
-		}
+		present |= 1 << e.Mode
 	}
-	return out
+	for _, g := range []Group{V4Only, V6Only, DualStack, V6Enabled, AllRuns} {
+		key := g & present
+		if ds.views[key] == nil {
+			v := map[string]*DeviceObs{}
+			for _, e := range ds.Exps {
+				if key&(1<<e.Mode) == 0 {
+					continue
+				}
+				for name, d := range e.Devices {
+					out := v[name]
+					if out == nil {
+						out = newDeviceObs(&device.Profile{Name: d.Name, Category: d.Category}, d.MAC)
+						v[name] = out
+					}
+					out.union(d)
+				}
+			}
+			ds.views[key] = v
+		}
+		ds.views[g] = ds.views[key]
+	}
+	ds.cat = make(map[string]int, len(ds.Profiles))
+	for _, p := range ds.Profiles {
+		ds.cat[p.Name] = slices.Index(paper.CategoryOrder, string(p.Category))
+	}
 }
 
-// V6OnlyExps returns the three IPv6-only runs.
-func (ds *Dataset) V6OnlyExps() []*ExpObs {
-	return ds.expsWhere(func(e *ExpObs) bool { return e.Mode == device.ModeV6Only })
+// union folds one experiment's observations of the device into o. Folded
+// in experiment order, the first experiment's MAC wins (o is created with
+// it), the last valid stateful lease wins, and byte counts sum.
+func (o *DeviceObs) union(d *DeviceObs) {
+	o.NDP = o.NDP || d.NDP
+	for a, k := range d.Assigned {
+		o.Assigned[a] = k
+	}
+	for a := range d.Used {
+		o.Used[a] = true
+	}
+	for a := range d.DADProbed {
+		o.DADProbed[a] = true
+	}
+	if d.StatefulLease.IsValid() {
+		o.StatefulLease = d.StatefulLease
+	}
+	o.StatelessDHCPv6 = o.StatelessDHCPv6 || d.StatelessDHCPv6
+	o.StatefulDHCPv6 = o.StatefulDHCPv6 || d.StatefulDHCPv6
+	for k := range d.Queries {
+		o.Queries[k] = true
+	}
+	for k := range d.Responses {
+		o.Responses[k] = true
+	}
+	for k := range d.InternetFlows {
+		o.InternetFlows[k] = true
+	}
+	o.LocalV6Data = o.LocalV6Data || d.LocalV6Data
+	o.InternetV6 = o.InternetV6 || d.InternetV6
+	o.InternetV4 = o.InternetV4 || d.InternetV4
+	o.BytesV4 += d.BytesV4
+	o.BytesV6 += d.BytesV6
+	o.EUI64DNS = o.EUI64DNS || d.EUI64DNS
+	o.EUI64Data = o.EUI64Data || d.EUI64Data
+	o.EUI64GUAUsed = o.EUI64GUAUsed || d.EUI64GUAUsed
+	for n := range d.EUI64DNSNames {
+		o.EUI64DNSNames[n] = true
+	}
+	for n := range d.EUI64DataDomains {
+		o.EUI64DataDomains[n] = true
+	}
 }
 
-// DualExps returns the two dual-stack runs.
-func (ds *Dataset) DualExps() []*ExpObs {
-	return ds.expsWhere(func(e *ExpObs) bool { return e.Mode == device.ModeDual })
-}
-
-// V6Exps returns every v6-enabled run.
-func (ds *Dataset) V6Exps() []*ExpObs {
-	return ds.expsWhere(func(e *ExpObs) bool { return e.Mode != device.ModeV4Only })
-}
-
-// V4OnlyExp returns the IPv4-only baseline.
-func (ds *Dataset) V4OnlyExp() *ExpObs {
+// BaselineV6Only returns the first IPv6-only run (the functionality
+// reference).
+func (ds *Dataset) BaselineV6Only() *ExpObs {
 	for _, e := range ds.Exps {
-		if e.Mode == device.ModeV4Only {
+		if e.Mode == device.ModeV6Only {
 			return e
 		}
 	}
 	return nil
 }
 
-// BaselineV6Only returns the first IPv6-only run (the functionality
-// reference).
-func (ds *Dataset) BaselineV6Only() *ExpObs {
-	v6 := ds.V6OnlyExps()
-	if len(v6) == 0 {
-		return nil
-	}
-	return v6[0]
-}
-
-// merged unions a device's observations across experiments.
-func merged(exps []*ExpObs, name string) *DeviceObs {
-	var out *DeviceObs
-	for _, e := range exps {
-		d, ok := e.Devices[name]
-		if !ok {
-			continue
-		}
-		if out == nil {
-			out = newDeviceObs(&device.Profile{Name: d.Name, Category: d.Category}, d.MAC)
-		}
-		out.NDP = out.NDP || d.NDP
-		for a, k := range d.Assigned {
-			out.Assigned[a] = k
-		}
-		for a := range d.Used {
-			out.Used[a] = true
-		}
-		for a := range d.DADProbed {
-			out.DADProbed[a] = true
-		}
-		if d.StatefulLease.IsValid() {
-			out.StatefulLease = d.StatefulLease
-		}
-		out.StatelessDHCPv6 = out.StatelessDHCPv6 || d.StatelessDHCPv6
-		out.StatefulDHCPv6 = out.StatefulDHCPv6 || d.StatefulDHCPv6
-		for k := range d.Queries {
-			out.Queries[k] = true
-		}
-		for k := range d.Responses {
-			out.Responses[k] = true
-		}
-		for k := range d.InternetFlows {
-			out.InternetFlows[k] = true
-		}
-		out.LocalV6Data = out.LocalV6Data || d.LocalV6Data
-		out.InternetV6 = out.InternetV6 || d.InternetV6
-		out.InternetV4 = out.InternetV4 || d.InternetV4
-		out.BytesV4 += d.BytesV4
-		out.BytesV6 += d.BytesV6
-		out.EUI64DNS = out.EUI64DNS || d.EUI64DNS
-		out.EUI64Data = out.EUI64Data || d.EUI64Data
-		out.EUI64GUAUsed = out.EUI64GUAUsed || d.EUI64GUAUsed
-		for n := range d.EUI64DNSNames {
-			out.EUI64DNSNames[n] = true
-		}
-		for n := range d.EUI64DataDomains {
-			out.EUI64DataDomains[n] = true
-		}
-	}
-	return out
-}
-
-// Merged unions a device's observations across the given experiments,
-// for report-level consumers.
-func Merged(exps []*ExpObs, name string) *DeviceObs { return merged(exps, name) }
-
-// vecOver counts devices satisfying pred per category, over the merged
-// observations of the given experiments.
-func (ds *Dataset) vecOver(exps []*ExpObs, pred func(*DeviceObs) bool) paper.Vec {
+// vecOver counts devices satisfying pred per category, over the group's
+// view.
+func (ds *Dataset) vecOver(g Group, pred func(*DeviceObs) bool) paper.Vec {
 	var v paper.Vec
 	for _, p := range ds.Profiles {
-		d := merged(exps, p.Name)
-		if d == nil {
-			d = newDeviceObs(p, [6]byte{})
-		}
-		if pred(d) {
-			v[ds.catIndex(p.Name)]++
+		if pred(ds.Device(g, p.Name)) {
+			v[ds.cat[p.Name]]++
 		}
 	}
 	return v
@@ -168,21 +172,20 @@ type Funnel struct {
 
 // Table3 computes the IPv6-only funnel from the three v6-only runs.
 func (ds *Dataset) Table3() Funnel {
-	exps := ds.V6OnlyExps()
 	base := ds.BaselineV6Only()
 	yes := true
 	var f Funnel
 	f.Devices = paper.DevicesPerCategory
-	f.NDP = ds.vecOver(exps, func(d *DeviceObs) bool { return d.NDP })
-	f.Addr = ds.vecOver(exps, func(d *DeviceObs) bool { return len(d.Assigned) > 0 })
-	f.GUA = ds.vecOver(exps, func(d *DeviceObs) bool { return d.HasAddr(addr.KindGUA) })
-	f.DNSAAAAReq = ds.vecOver(exps, func(d *DeviceObs) bool { return d.QueriedAAAA(&yes) })
-	f.AAAAResp = ds.vecOver(exps, func(d *DeviceObs) bool { return d.GotAAAAResponse(&yes) })
-	f.InternetData = ds.vecOver(exps, func(d *DeviceObs) bool { return d.InternetV6 })
+	f.NDP = ds.vecOver(V6Only, func(d *DeviceObs) bool { return d.NDP })
+	f.Addr = ds.vecOver(V6Only, func(d *DeviceObs) bool { return len(d.Assigned) > 0 })
+	f.GUA = ds.vecOver(V6Only, func(d *DeviceObs) bool { return d.HasAddr(addr.KindGUA) })
+	f.DNSAAAAReq = ds.vecOver(V6Only, func(d *DeviceObs) bool { return d.QueriedAAAA(&yes) })
+	f.AAAAResp = ds.vecOver(V6Only, func(d *DeviceObs) bool { return d.GotAAAAResponse(&yes) })
+	f.InternetData = ds.vecOver(V6Only, func(d *DeviceObs) bool { return d.InternetV6 })
 	for _, p := range ds.Profiles {
-		ci := ds.catIndex(p.Name)
-		d := merged(exps, p.Name)
-		if d == nil || !d.NDP {
+		ci := ds.cat[p.Name]
+		d := ds.Device(V6Only, p.Name)
+		if !d.NDP {
 			f.NoIPv6[ci]++
 			continue
 		}
@@ -212,10 +215,9 @@ type Delta struct {
 
 // Table4 compares the dual-stack runs against the IPv6-only runs.
 func (ds *Dataset) Table4() Delta {
-	v6, dual := ds.V6OnlyExps(), ds.DualExps()
 	diff := func(pred func(*DeviceObs) bool) paper.Vec {
-		a := ds.vecOver(dual, pred)
-		b := ds.vecOver(v6, pred)
+		a := ds.vecOver(DualStack, pred)
+		b := ds.vecOver(V6Only, pred)
 		var out paper.Vec
 		for i := range out {
 			out[i] = a[i] - b[i]
@@ -243,8 +245,8 @@ type Features struct {
 	V6Trans, InternetTrans, LocalTrans paper.Vec
 }
 
-// featurePreds lists the Table 5 rows as named predicates over the merged
-// v6-enabled observations (also reused by the Table 8/12 groupings).
+// featurePreds lists the Table 5 rows as named predicates over the
+// v6-enabled view (also reused by the Table 8/12 groupings).
 func featurePreds() []struct {
 	Name string
 	Pred func(*DeviceObs) bool
@@ -275,7 +277,6 @@ func featurePreds() []struct {
 
 // Table5 computes union feature support per category.
 func (ds *Dataset) Table5() Features {
-	exps := ds.V6Exps()
 	var f Features
 	rows := featurePreds()
 	dst := []*paper.Vec{
@@ -284,7 +285,7 @@ func (ds *Dataset) Table5() Features {
 		&f.AAAAReqNoRes, &f.StatelessDHCPv6, &f.V6Trans, &f.InternetTrans, &f.LocalTrans,
 	}
 	for i, row := range rows {
-		*dst[i] = ds.vecOver(exps, row.Pred)
+		*dst[i] = ds.vecOver(V6Enabled, row.Pred)
 	}
 	return f
 }
@@ -340,13 +341,9 @@ type Inventory struct {
 // fractions over the dual-stack runs.
 func (ds *Dataset) Table6() Inventory {
 	var inv Inventory
-	exps := ds.V6Exps()
 	for _, p := range ds.Profiles {
-		ci := ds.catIndex(p.Name)
-		d := merged(exps, p.Name)
-		if d == nil {
-			continue
-		}
+		ci := ds.cat[p.Name]
+		d := ds.Device(V6Enabled, p.Name)
 		for a, k := range d.Assigned {
 			if a == d.StatefulLease {
 				continue // IA_NA leases are server-assigned, not SLAAC
@@ -389,26 +386,20 @@ func (ds *Dataset) Table6() Inventory {
 		inv.AAAARes[ci] += len(res)
 	}
 	// Volume fractions from the dual-stack runs.
-	dual := ds.DualExps()
+	var v6, all [paper.NumCategories]float64
+	for _, p := range ds.Profiles {
+		ci := ds.cat[p.Name]
+		d := ds.Device(DualStack, p.Name)
+		v6[ci] += float64(d.BytesV6)
+		all[ci] += float64(d.BytesV4 + d.BytesV6)
+	}
 	var totV6, totAll float64
 	for ci := range paper.CategoryOrder {
-		var v6, all float64
-		for _, p := range ds.Profiles {
-			if ds.catIndex(p.Name) != ci {
-				continue
-			}
-			d := merged(dual, p.Name)
-			if d == nil {
-				continue
-			}
-			v6 += float64(d.BytesV6)
-			all += float64(d.BytesV4 + d.BytesV6)
+		if all[ci] > 0 {
+			inv.V6FracPct[ci] = 100 * v6[ci] / all[ci]
 		}
-		if all > 0 {
-			inv.V6FracPct[ci] = 100 * v6 / all
-		}
-		totV6 += v6
-		totAll += all
+		totV6 += v6[ci]
+		totAll += all[ci]
 	}
 	if totAll > 0 {
 		inv.V6FracTotalPct = 100 * totV6 / totAll
@@ -426,13 +417,9 @@ type CDFs struct {
 
 // Figure3 computes the distribution data.
 func (ds *Dataset) Figure3() CDFs {
-	exps := ds.V6Exps()
 	var out CDFs
 	for _, p := range ds.Profiles {
-		d := merged(exps, p.Name)
-		if d == nil {
-			continue
-		}
+		d := ds.Device(V6Enabled, p.Name)
 		n := len(d.Assigned)
 		if _, ok := d.Assigned[d.StatefulLease]; ok {
 			n-- // server-assigned lease, outside the SLAAC inventory
@@ -482,12 +469,11 @@ type VolumeShare struct {
 // Figure4 lists devices with global IPv6 data in dual-stack, sorted by
 // descending fraction.
 func (ds *Dataset) Figure4() []VolumeShare {
-	dual := ds.DualExps()
 	base := ds.BaselineV6Only()
 	var out []VolumeShare
 	for _, p := range ds.Profiles {
-		d := merged(dual, p.Name)
-		if d == nil || !d.InternetV6 || d.BytesV4+d.BytesV6 == 0 {
+		d := ds.Device(DualStack, p.Name)
+		if !d.InternetV6 || d.BytesV4+d.BytesV6 == 0 {
 			continue
 		}
 		out = append(out, VolumeShare{

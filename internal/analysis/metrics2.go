@@ -5,6 +5,7 @@ import (
 
 	"v6lab/internal/addr"
 	"v6lab/internal/cloud"
+	"v6lab/internal/device"
 	"v6lab/internal/dnsmsg"
 	"v6lab/internal/paper"
 )
@@ -30,14 +31,8 @@ func (r Readiness) Pct() float64 {
 // deviceDomains returns every destination name a device used across all
 // experiments (DNS queries plus contacted destinations).
 func (ds *Dataset) deviceDomains(name string) map[string]bool {
-	out := map[string]bool{}
-	d := merged(ds.Exps, name)
-	if d == nil {
-		return out
-	}
-	for n := range d.AllDNSNames() {
-		out[n] = true
-	}
+	d := ds.Device(AllRuns, name)
+	out := d.AllDNSNames()
 	for fk := range d.InternetFlows {
 		out[fk.Domain] = true
 	}
@@ -125,24 +120,17 @@ type Switching struct {
 // network types.
 func (ds *Dataset) Table9() Switching {
 	var sw Switching
-	v4Exp := ds.V4OnlyExp()
-	v6Exps := ds.V6OnlyExps()
-	dualExps := ds.DualExps()
 	for _, p := range ds.Profiles {
-		ci := ds.catIndex(p.Name)
-		v4only := merged([]*ExpObs{v4Exp}, p.Name)
-		v6only := merged(v6Exps, p.Name)
-		dual := merged(dualExps, p.Name)
-		all := merged(ds.Exps, p.Name)
-		if all == nil {
-			continue
-		}
+		ci := ds.cat[p.Name]
+		v4only := ds.Device(V4Only, p.Name)
+		v6only := ds.Device(V6Only, p.Name)
+		dual := ds.Device(DualStack, p.Name)
 		// Universe: every name seen from this device (queries + contacts).
 		universe := ds.deviceDomains(p.Name)
 		sw.TotalDest[ci] += len(universe)
 
 		contacted := func(o *DeviceObs, name string, v6 bool) bool {
-			return o != nil && o.InternetFlows[FlowKey{Domain: name, V6: v6}]
+			return o.InternetFlows[FlowKey{Domain: name, V6: v6}]
 		}
 		for name := range universe {
 			everV6 := contacted(v6only, name, true) || contacted(dual, name, true) || contacted(v4only, name, true)
@@ -204,7 +192,6 @@ type EUI64Report struct {
 // EUI64Exposure computes the funnel over the union of v6-enabled runs.
 func (ds *Dataset) EUI64Exposure() EUI64Report {
 	var r EUI64Report
-	exps := ds.V6Exps()
 	countParties := func(names map[string]bool, first, third, support *int) {
 		for n := range names {
 			party, _ := DomainParty(ds.Cloud, n)
@@ -219,10 +206,7 @@ func (ds *Dataset) EUI64Exposure() EUI64Report {
 		}
 	}
 	for _, p := range ds.Profiles {
-		d := merged(exps, p.Name)
-		if d == nil {
-			continue
-		}
+		d := ds.Device(V6Enabled, p.Name)
 		if !d.EUI64GUAFromAssigned() {
 			continue
 		}
@@ -261,10 +245,9 @@ type DADReport struct {
 // probes, over the union of v6-enabled runs.
 func (ds *Dataset) DADAudit() DADReport {
 	var r DADReport
-	exps := ds.V6Exps()
 	for _, p := range ds.Profiles {
-		d := merged(exps, p.Name)
-		if d == nil || len(d.Assigned) == 0 {
+		d := ds.Device(V6Enabled, p.Name)
+		if len(d.Assigned) == 0 {
 			continue
 		}
 		skipped, probed := 0, 0
@@ -314,29 +297,18 @@ type TrackingReport struct {
 func (ds *Dataset) Tracking() TrackingReport {
 	var r TrackingReport
 	base := ds.BaselineV6Only()
-	v4 := ds.V4OnlyExp()
-	v6Exps := ds.V6OnlyExps()
 	slds := map[string]bool{}
 	thirdSLDs := map[string]bool{}
 	for _, p := range ds.Profiles {
 		if base == nil || !base.Functional[p.Name] {
 			continue
 		}
-		dv4 := merged([]*ExpObs{v4}, p.Name)
-		dv6 := merged(v6Exps, p.Name)
-		if dv4 == nil {
-			continue
+		dv6 := ds.Device(V6Only, p.Name)
+		v6Names := dv6.AllDNSNames()
+		for fk := range dv6.InternetFlows {
+			v6Names[fk.Domain] = true
 		}
-		v6Names := map[string]bool{}
-		if dv6 != nil {
-			for fk := range dv6.InternetFlows {
-				v6Names[fk.Domain] = true
-			}
-			for n := range dv6.AllDNSNames() {
-				v6Names[n] = true
-			}
-		}
-		for fk := range dv4.InternetFlows {
+		for fk := range ds.Device(V4Only, p.Name).InternetFlows {
 			if v6Names[fk.Domain] {
 				continue
 			}
@@ -372,11 +344,9 @@ type GroupRow struct {
 // GroupBy computes union feature support grouped by an identity dimension
 // ("manufacturer", "os", "year"), including groups of at least minSize.
 func (ds *Dataset) GroupBy(dim string, minSize int) []GroupRow {
-	exps := ds.V6Exps()
 	base := ds.BaselineV6Only()
 	rowsByGroup := map[string]*GroupRow{}
-	keyFor := func(name string) string {
-		p := ds.profile(name)
+	keyFor := func(p *device.Profile) string {
 		switch dim {
 		case "manufacturer":
 			return p.Manufacturer
@@ -389,17 +359,14 @@ func (ds *Dataset) GroupBy(dim string, minSize int) []GroupRow {
 	}
 	preds := featurePreds()
 	for _, p := range ds.Profiles {
-		key := keyFor(p.Name)
+		key := keyFor(p)
 		row, ok := rowsByGroup[key]
 		if !ok {
 			row = &GroupRow{Group: key, Features: map[string]int{}}
 			rowsByGroup[key] = row
 		}
 		row.Devices++
-		d := merged(exps, p.Name)
-		if d == nil {
-			d = newDeviceObs(p, [6]byte{})
-		}
+		d := ds.Device(V6Enabled, p.Name)
 		for _, pr := range preds {
 			if pr.Pred(d) {
 				row.Features[pr.Name]++

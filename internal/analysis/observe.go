@@ -76,10 +76,9 @@ type DeviceObs struct {
 	BytesV4, BytesV6 int
 
 	// EUI64 exposure (Figure 5).
-	EUI64GUAAssigned bool
-	EUI64GUAUsed     bool
-	EUI64DNS         bool
-	EUI64Data        bool
+	EUI64GUAUsed bool
+	EUI64DNS     bool
+	EUI64Data    bool
 	// EUI64DNSNames / EUI64DataDomains: names and destinations the EUI-64
 	// source address was exposed to.
 	EUI64DNSNames    map[string]bool

@@ -14,17 +14,9 @@ import (
 func TestTable10PerDevice(t *testing.T) {
 	ds := dataset(t)
 	base := ds.BaselineV6Only()
-	exps := ds.V6Exps()
-	v6only := ds.V6OnlyExps()
 	for _, p := range ds.Profiles {
-		d := merged(exps, p.Name)
-		if d == nil {
-			d = newDeviceObs(p, [6]byte{})
-		}
-		d6 := merged(v6only, p.Name)
-		if d6 == nil {
-			d6 = newDeviceObs(p, [6]byte{})
-		}
+		d := ds.Device(V6Enabled, p.Name)
+		d6 := ds.Device(V6Only, p.Name)
 
 		check := func(col string, got, want bool) {
 			if got != want {
@@ -56,16 +48,12 @@ func TestTable10PerDevice(t *testing.T) {
 // Fridge source traffic from their DHCPv6 leases.
 func TestStatefulAddressUsers(t *testing.T) {
 	ds := dataset(t)
-	exps := ds.V6Exps()
 	want := map[string]bool{
 		"SmartThings Hub": true, "HomePod Mini": true,
 		"Aeotec Hub": true, "Samsung Fridge": true,
 	}
 	for _, p := range ds.Profiles {
-		d := merged(exps, p.Name)
-		if d == nil {
-			continue
-		}
+		d := ds.Device(V6Enabled, p.Name)
 		uses := d.StatefulLease.IsValid() && d.Used[d.StatefulLease]
 		if uses != want[p.Name] {
 			t.Errorf("%s: uses stateful lease = %v, want %v", p.Name, uses, want[p.Name])
@@ -78,16 +66,12 @@ func TestStatefulAddressUsers(t *testing.T) {
 // documented deviation) hold more than one link-local address.
 func TestLLARotators(t *testing.T) {
 	ds := dataset(t)
-	exps := ds.V6Exps()
 	allowed := map[string]bool{
 		"Samsung Fridge": true, "Samsung TV": true,
 		"HomePod Mini": true, "Apple TV": true, "Aeotec Hub": true,
 	}
 	for _, p := range ds.Profiles {
-		d := merged(exps, p.Name)
-		if d == nil {
-			continue
-		}
+		d := ds.Device(V6Enabled, p.Name)
 		llas := 0
 		for _, k := range d.Assigned {
 			if k == addr.KindLLA {

@@ -366,19 +366,15 @@ func Table10(ds *analysis.Dataset) string {
 	fmt.Fprintf(&w, "Table 10 — Device inventory with observed IPv6 features\n")
 	fmt.Fprintf(&w, "%-24s %-10s %4s %4s %4s %4s %4s %4s\n", "Device", "Category", "Func", "NDP", "Addr", "GUA", "DNS6", "Data")
 	base := ds.BaselineV6Only()
-	exps := ds.V6Exps()
 	for _, p := range ds.Profiles {
-		d := analysis.Merged(exps, p.Name)
-		row := [6]bool{}
-		if base != nil {
-			row[0] = base.Functional[p.Name]
-		}
-		if d != nil {
-			row[1] = d.NDP
-			row[2] = len(d.Assigned) > 0
-			row[3] = d.HasAddr(addr.KindGUA)
-			row[4] = d.DNSOverV6()
-			row[5] = d.InternetV6
+		d := ds.Device(analysis.V6Enabled, p.Name)
+		row := [6]bool{
+			base != nil && base.Functional[p.Name],
+			d.NDP,
+			len(d.Assigned) > 0,
+			d.HasAddr(addr.KindGUA),
+			d.DNSOverV6(),
+			d.InternetV6,
 		}
 		fmt.Fprintf(&w, "%-24s %-10s", p.Name, p.Category)
 		for _, b := range row {

@@ -99,6 +99,10 @@ var Artifacts = []Artifact{
 // outside Artifacts.
 var ErrUnknownArtifact = errors.New("unknown artifact")
 
+// ErrUnknownDevice is returned (wrapped) by Run and RunContext when
+// WithDevices named a device outside the registry.
+var ErrUnknownDevice = errors.New("v6lab: unknown device")
+
 // options collects what the functional options configure.
 type options struct {
 	deviceNames []string
@@ -133,8 +137,9 @@ type Option func(*options)
 
 // WithDevices restricts the testbed to the named devices (registry order
 // is preserved regardless of the order given). Workload plans scale with
-// the population, per experiment.StudyOptions. New panics on a name not
-// in the registry — that is a programming error, not a runtime condition.
+// the population, per experiment.StudyOptions. Names outside the registry
+// are rejected at New time: the constructor records an ErrUnknownDevice
+// that the first Run/RunContext returns.
 func WithDevices(names ...string) Option {
 	return func(o *options) { o.deviceNames = append(o.deviceNames, names...) }
 }
@@ -251,11 +256,14 @@ func New(opts ...Option) *Lab {
 	for _, opt := range opts {
 		opt(&o)
 	}
+	var devErr error
 	if len(o.deviceNames) > 0 {
-		o.devices = resolveDevices(o.deviceNames)
+		o.devices, devErr = resolveDevices(o.deviceNames)
 	}
 	l := &Lab{opts: o}
-	if o.horizonSet {
+	if devErr != nil {
+		l.initErr = fmt.Errorf("WithDevices: %w", devErr)
+	} else if o.horizonSet {
 		if err := o.horizon.validate(); err != nil {
 			l.initErr = fmt.Errorf("WithHorizon: %w", err)
 		}
@@ -306,8 +314,9 @@ func (l *Lab) runCtx() context.Context {
 }
 
 // resolveDevices maps names onto registry profiles, preserving registry
-// order and panicking on unknown names.
-func resolveDevices(names []string) []*device.Profile {
+// order. Unknown names yield an ErrUnknownDevice listing them in the order
+// given.
+func resolveDevices(names []string) ([]*device.Profile, error) {
 	want := map[string]bool{}
 	for _, n := range names {
 		want[n] = true
@@ -319,14 +328,17 @@ func resolveDevices(names []string) []*device.Profile {
 			delete(want, p.Name)
 		}
 	}
-	if len(want) > 0 {
-		missing := make([]string, 0, len(want))
-		for n := range want {
+	var missing []string
+	for _, n := range names {
+		if want[n] {
 			missing = append(missing, n)
+			delete(want, n)
 		}
-		panic(fmt.Sprintf("v6lab: WithDevices names not in registry: %s", strings.Join(missing, ", ")))
 	}
-	return out
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownDevice, strings.Join(missing, ", "))
+	}
+	return out, nil
 }
 
 // RunPart is one composable unit of work for Run. The provided parts —
@@ -415,7 +427,8 @@ func (l *Lab) RunContext(ctx context.Context, parts ...RunPart) error {
 	return nil
 }
 
-// ensure panics helpfully when Report is called before Run.
+// ensure panics helpfully when FullReport, ExportCSV or an ablation
+// accessor is called before Run.
 func (l *Lab) ensure() {
 	if l.Data == nil {
 		panic("v6lab: call Run before Report")
@@ -423,21 +436,21 @@ func (l *Lab) ensure() {
 }
 
 // Report renders one artifact as text, side by side with the paper's
-// published values. Unknown artifacts render as a one-line note; callers
-// that need to distinguish that case should use ReportErr.
+// published values. An artifact ReportErr rejects renders as the error's
+// one-line message.
 func (l *Lab) Report(a Artifact) string {
 	out, err := l.ReportErr(a)
 	if err != nil {
-		return fmt.Sprintf("unknown artifact %q\n", a)
+		return err.Error() + "\n"
 	}
 	return out
 }
 
 // ReportErr renders one artifact as text, returning an error wrapping
-// ErrUnknownArtifact for names outside Artifacts. The name check comes
-// first, so an unknown artifact errors (rather than panics) even on a lab
-// that has not run yet. Rendering itself is a thin pass over the typed
-// Results view (see renderArtifact).
+// ErrUnknownArtifact for names outside Artifacts, or ErrNotRun for a
+// study artifact before Connectivity has run. The name check comes first.
+// Rendering itself is a thin pass over the typed Results view (see
+// renderArtifact).
 func (l *Lab) ReportErr(a Artifact) (string, error) {
 	known := false
 	for _, k := range Artifacts {

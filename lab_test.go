@@ -2,12 +2,15 @@ package v6lab
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"v6lab/internal/analysis"
 	"v6lab/internal/paper"
 )
 
@@ -79,13 +82,26 @@ func TestSavePcaps(t *testing.T) {
 	}
 }
 
-func TestReportBeforeRunPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic")
-		}
-	}()
-	New().Report(Table3)
+func TestReportBeforeRunErrNotRun(t *testing.T) {
+	lab := New()
+	_, err := lab.ReportErr(Table3)
+	if !errors.Is(err, ErrNotRun) {
+		t.Fatalf("err = %v, want ErrNotRun", err)
+	}
+	if got := lab.Report(Table3); got != err.Error()+"\n" {
+		t.Errorf("Report = %q, want the error's message", got)
+	}
+}
+
+// TestFullReportLeavesZeroDeviceObs renders every artifact, report.Table10
+// included, then checks that the zero DeviceObs the views return for an
+// unobserved device is still zero.
+func TestFullReportLeavesZeroDeviceObs(t *testing.T) {
+	lab := sharedLab(t)
+	lab.FullReport()
+	if d := lab.Data.Device(analysis.AllRuns, "no such device"); !reflect.DeepEqual(*d, analysis.DeviceObs{}) {
+		t.Errorf("a renderer wrote the shared zero DeviceObs: %+v", *d)
+	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {

@@ -38,17 +38,19 @@ func TestWithDevicesRestrictsAndOrders(t *testing.T) {
 	}
 }
 
-func TestWithDevicesUnknownNamePanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("want panic")
+func TestWithDevicesUnknownNameErr(t *testing.T) {
+	const want = "WithDevices: v6lab: unknown device: Quantum Toaster, Acme Widget"
+	// Several unknown names, one repeated: the message lists each once, in
+	// the order given, on every construction.
+	for i := 0; i < 5; i++ {
+		err := New(WithDevices("Quantum Toaster", "Wyze Cam", "Acme Widget", "Quantum Toaster")).Run()
+		if !errors.Is(err, ErrUnknownDevice) {
+			t.Fatalf("err = %v, want ErrUnknownDevice", err)
 		}
-		if !strings.Contains(r.(string), "Quantum Toaster") {
-			t.Errorf("panic message missing the offending name: %v", r)
+		if err.Error() != want {
+			t.Fatalf("err = %q, want %q", err, want)
 		}
-	}()
-	New(WithDevices("Quantum Toaster"))
+	}
 }
 
 func TestWithMaxFramesPerRun(t *testing.T) {

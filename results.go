@@ -111,7 +111,7 @@ func renderArtifact(res Results, a Artifact) (string, error) {
 		return report.Timeline(res.Timeline), nil
 	}
 	if res.Data == nil {
-		panic("v6lab: call Run before Report")
+		return "", fmt.Errorf("%s: %w", a, ErrNotRun)
 	}
 	ds := res.Data
 	switch a {
