@@ -43,7 +43,8 @@ func writeTestCapture(t *testing.T, path string) {
 		&packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: 255, Src: ip6A, Dst: ip6B},
 		&packet.ICMPv6{Type: 135, Body: make([]byte, 20), Src: ip6A, Dst: ip6B},
 	)
-	query, err := dnsmsg.NewQuery(7, "cloud.example.com", dnsmsg.TypeAAAA).Pack()
+	query, err := (&dnsmsg.Message{ID: 7, RecursionDesired: true,
+		Questions: []dnsmsg.Question{{Name: "cloud.example.com", Type: dnsmsg.TypeAAAA}}}).Pack()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,6 +164,9 @@ type Observer struct {
 	macMap map[packet.MAC]*device.Profile
 	frames int
 	final  bool
+	// answer and query are the DNS messages frames decode into, reused
+	// frame after frame; only their decoded strings are retained.
+	answer, query dnsmsg.Message
 }
 
 // NewObserver returns a streaming observer for one experiment run.
@@ -211,7 +214,7 @@ func (o *Observer) Add(_ time.Time, frame []byte) {
 	// inbound response extraction below.
 	var dnsAnswer *dnsmsg.Message
 	if p.UDP != nil && p.UDP.SrcPort == 53 {
-		if m, err := dnsmsg.Unpack(p.UDP.PayloadData); err == nil && m.Response {
+		if m := &o.answer; dnsmsg.UnpackInto(m, p.UDP.PayloadData) == nil && m.Response {
 			for _, rr := range m.Answers {
 				if rr.Addr.IsValid() {
 					obs.IPToName[rr.Addr] = dnsmsg.CanonicalName(rr.Name)
@@ -228,7 +231,7 @@ func (o *Observer) Add(_ time.Time, frame []byte) {
 
 	// Per-device feature extraction.
 	if d := o.devFor(p.Ethernet.Src); d != nil {
-		observeOutbound(d, p)
+		observeOutbound(d, p, &o.query)
 	}
 	// Inbound: DNS responses and DHCPv6 replies addressed to devices.
 	if dst := o.devFor(p.Ethernet.Dst); dst != nil {
@@ -275,9 +278,11 @@ func Observe(id string, mode device.Mode, cap *pcapio.Capture, macMap map[packet
 	return o.Finalize(functional)
 }
 
-func observeOutbound(d *DeviceObs, p *packet.Packet) {
+// observeOutbound extracts what a device's own frame shows; dns is the
+// message a DNS query decodes into.
+func observeOutbound(d *DeviceObs, p *packet.Packet, dns *dnsmsg.Message) {
 	if p.IPv6 == nil {
-		observeOutboundV4(d, p)
+		observeOutboundV4(d, p, dns)
 		return
 	}
 	src := p.IPv6.Src
@@ -323,29 +328,28 @@ func observeOutbound(d *DeviceObs, p *packet.Packet) {
 			}
 		}
 	case p.UDP != nil && p.UDP.DstPort == 53:
-		observeQuery(d, p, true, src)
+		observeQuery(d, p, dns, true, src)
 	default:
 		observeData(d, p, true, src)
 	}
 }
 
-func observeOutboundV4(d *DeviceObs, p *packet.Packet) {
+func observeOutboundV4(d *DeviceObs, p *packet.Packet, dns *dnsmsg.Message) {
 	if p.IPv4 == nil {
 		return
 	}
 	switch {
 	case p.UDP != nil && (p.UDP.DstPort == 67 || p.UDP.DstPort == 68):
 	case p.UDP != nil && p.UDP.DstPort == 53:
-		observeQuery(d, p, false, p.IPv4.Src)
+		observeQuery(d, p, dns, false, p.IPv4.Src)
 	case p.ICMPv4 != nil:
 	default:
 		observeData(d, p, false, p.IPv4.Src)
 	}
 }
 
-func observeQuery(d *DeviceObs, p *packet.Packet, overV6 bool, src netip.Addr) {
-	m, err := dnsmsg.Unpack(p.UDP.PayloadData)
-	if err != nil || m.Response || len(m.Questions) == 0 {
+func observeQuery(d *DeviceObs, p *packet.Packet, m *dnsmsg.Message, overV6 bool, src netip.Addr) {
+	if err := dnsmsg.UnpackInto(m, p.UDP.PayloadData); err != nil || m.Response || len(m.Questions) == 0 {
 		return
 	}
 	q := m.Questions[0]

@@ -93,7 +93,7 @@ func TestObserveResolutionNSNotAttributedToSender(t *testing.T) {
 }
 
 func TestObserveEUI64DNSExposure(t *testing.T) {
-	q := dnsmsg.NewQuery(7, "secret.vendor.example", dnsmsg.TypeAAAA)
+	q := &dnsmsg.Message{ID: 7, RecursionDesired: true, Questions: []dnsmsg.Question{{Name: "secret.vendor.example", Type: dnsmsg.TypeAAAA}}}
 	wire, _ := q.Pack()
 	dns6 := netip.MustParseAddr("2001:4860:4860::8888")
 	c := mkCap(t, frame(t,
@@ -158,8 +158,8 @@ func TestObserveLocalVsInternet(t *testing.T) {
 }
 
 func TestObserveNodataResponseIsNegative(t *testing.T) {
-	q := dnsmsg.NewQuery(3, "v4only.example", dnsmsg.TypeAAAA)
-	r := q.Reply(dnsmsg.RCodeSuccess) // NOERROR, zero answers
+	r := &dnsmsg.Message{ID: 3, Response: true, RecursionDesired: true, RecursionAvailable: true, // NOERROR, zero answers
+		Questions: []dnsmsg.Question{{Name: "v4only.example", Type: dnsmsg.TypeAAAA}}}
 	r.Authority = []dnsmsg.Record{{Name: "example", Type: dnsmsg.TypeSOA, Target: "ns.example", TTL: 60}}
 	wire, _ := r.Pack()
 	dns6 := netip.MustParseAddr("2001:4860:4860::8888")
@@ -175,8 +175,8 @@ func TestObserveNodataResponseIsNegative(t *testing.T) {
 }
 
 func TestObservePositiveResponse(t *testing.T) {
-	q := dnsmsg.NewQuery(4, "ok.example", dnsmsg.TypeAAAA)
-	r := q.Reply(dnsmsg.RCodeSuccess)
+	r := &dnsmsg.Message{ID: 4, Response: true, RecursionDesired: true, RecursionAvailable: true,
+		Questions: []dnsmsg.Question{{Name: "ok.example", Type: dnsmsg.TypeAAAA}}}
 	r.Answers = []dnsmsg.Record{{Name: "ok.example", Type: dnsmsg.TypeAAAA, TTL: 60, Addr: remote}}
 	wire, _ := r.Pack()
 	dns6 := netip.MustParseAddr("2001:4860:4860::8888")

@@ -105,6 +105,10 @@ type Cloud struct {
 	fill  []byte
 	ntp   [48]byte
 	reply [1][]byte
+	// dnsQ and dnsR are the decoded query and the reply being built, and
+	// dnsWire the reply's wire form, all reused across DNS questions.
+	dnsQ, dnsR dnsmsg.Message
+	dnsWire    []byte
 }
 
 // New creates an empty cloud with the NTP support domain preinstalled.
@@ -305,28 +309,36 @@ func (c *Cloud) appData(n int) []byte {
 }
 
 func (c *Cloud) handleDNS(p *packet.Packet) [][]byte {
-	q, err := dnsmsg.Unpack(p.UDP.PayloadData)
-	if err != nil || q.Response || len(q.Questions) == 0 {
+	q := &c.dnsQ
+	if err := dnsmsg.UnpackInto(q, p.UDP.PayloadData); err != nil || q.Response || len(q.Questions) == 0 {
 		return nil
 	}
 	question := q.Questions[0]
 	c.Queries[question.Type]++
 	answers, rcode := c.Resolve(question.Name, question.Type)
-	r := q.Reply(rcode)
-	r.Answers = answers
+	// Answers aliases Resolve's fresh slice and is only ever replaced,
+	// never appended to; the other sections reuse their arrays.
+	r := &c.dnsR
+	*r = dnsmsg.Message{
+		ID: q.ID, Response: true, RecursionDesired: q.RecursionDesired,
+		RecursionAvailable: true, RCode: rcode,
+		Questions: append(r.Questions[:0], q.Questions...),
+		Answers:   answers,
+		Authority: r.Authority[:0],
+	}
 	if len(answers) == 0 {
 		// NODATA/NXDOMAIN negative answer carries the zone SOA, the shape
 		// the paper observed ("no such name" error and/or SOA records).
-		r.Authority = []dnsmsg.Record{{
-			Name: dnsmsg.SLD(question.Name), Type: dnsmsg.TypeSOA, TTL: 900,
-			Target: "ns1." + dnsmsg.SLD(question.Name),
-		}}
+		sld := dnsmsg.SLD(question.Name)
+		r.Authority = append(r.Authority, dnsmsg.Record{
+			Name: sld, Type: dnsmsg.TypeSOA, TTL: 900, Target: "ns1." + sld,
+		})
 	}
-	wire, err := r.Pack()
-	if err != nil {
+	var err error
+	if c.dnsWire, err = r.AppendPack(c.dnsWire[:0]); err != nil {
 		return nil
 	}
-	return c.replyUDP(p, wire)
+	return c.replyUDP(p, c.dnsWire)
 }
 
 func (c *Cloud) handleNTP(p *packet.Packet) [][]byte {

@@ -23,7 +23,7 @@ func mustIP(t *testing.T, layers ...packet.SerializableLayer) []byte {
 
 func dnsQuery(t *testing.T, c *Cloud, src, server netip.Addr, name string, qtype dnsmsg.Type) *dnsmsg.Message {
 	t.Helper()
-	q := dnsmsg.NewQuery(99, name, qtype)
+	q := &dnsmsg.Message{ID: 99, RecursionDesired: true, Questions: []dnsmsg.Question{{Name: name, Type: qtype}}}
 	wire, err := q.Pack()
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"v6lab/internal/cloud"
 	"v6lab/internal/dhcp4"
 	"v6lab/internal/dhcp6"
-	"v6lab/internal/dnsmsg"
 	"v6lab/internal/packet"
 )
 
@@ -160,7 +159,7 @@ func (s *Stack) RetryWorkload() int {
 // original transport; it reports whether a retransmission went out.
 func (s *Stack) resendDNS(id uint16, pq pendingQuery) bool {
 	sp := &s.Plan.Specs[pq.specIdx]
-	wire, err := dnsmsg.NewQuery(id, sp.Name, pq.qtype).Pack()
+	wire, err := s.packQuery(id, sp.Name, pq.qtype)
 	if err != nil {
 		return false
 	}

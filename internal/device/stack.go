@@ -53,6 +53,19 @@ type Stack struct {
 	// is independent of the decoder (fresh copies, value types, or slices
 	// into the switch arena), so reuse across frames is safe.
 	dec packet.Decoder
+	// The send path fills these reused layers and DNS buffers instead of
+	// allocating per frame: transmit serializes synchronously and the
+	// switch copies the frame, so they are free again once it returns.
+	ethL     packet.Ethernet
+	ip4L     packet.IPv4
+	ip6L     packet.IPv6
+	tcpL     packet.TCP
+	udpL     packet.UDP
+	rawL     packet.Raw
+	segL     tlsSegment
+	dnsQ     [1]dnsmsg.Question
+	dnsWire  []byte
+	dnsReply dnsmsg.Message
 
 	mode   Mode
 	expSeq int // 0-based index among the device's v6-enabled experiments
@@ -193,6 +206,13 @@ func NewStack(p *Profile, pl *Plan, idx int, prefixes NetPrefixes) *Stack {
 		prefixes: prefixes,
 		v6Exps:   5,
 		tx:       packet.NewBuffer(128),
+		// Sized for any query and any cloud reply, like the maps in Reset.
+		dnsWire: make([]byte, 0, 512),
+		dnsReply: dnsmsg.Message{
+			Questions: make([]dnsmsg.Question, 0, 1),
+			Answers:   make([]dnsmsg.Record, 0, 1),
+			Authority: make([]dnsmsg.Record, 0, 1),
+		},
 	}
 }
 
@@ -251,13 +271,20 @@ func (s *Stack) Reset(mode Mode, expSeq int) {
 	s.dhcp6ServerID = nil
 	// Maps are cleared in place rather than reallocated: a stack that is
 	// pooled across experiments (and across homes, via the env pool)
-	// reaches a steady state where Reset allocates nothing.
+	// reaches a steady state where Reset allocates nothing. They start
+	// sized for the plan, so what a run allocates does not depend on
+	// which runs a pooled stack served before.
 	if s.tentative == nil {
-		s.tentative = map[netip.Addr]bool{}
-		s.pendingDNS = map[uint16]pendingQuery{}
-		s.conns = map[connKey]*conn{}
-		s.contacted = map[string]map[bool]bool{}
-		s.essOK = map[string]bool{}
+		n := len(s.Plan.Specs)
+		s.tentative = make(map[netip.Addr]bool, 8)
+		s.pendingDNS = make(map[uint16]pendingQuery, n)
+		s.conns = make(map[connKey]*conn, n)
+		s.contacted = make(map[string]map[bool]bool, n)
+		s.essOK = make(map[string]bool, n)
+		s.connOrder = make([]connKey, 0, n)
+		s.llas = make([]netip.Addr, 0, 4)
+		s.guas = make([]netip.Addr, 0, 8)
+		s.ulas = make([]netip.Addr, 0, 4)
 	} else {
 		clear(s.tentative)
 		clear(s.pendingDNS)
@@ -725,8 +752,7 @@ func (s *Stack) sendDNSType(i int, t dnsmsg.Type, overV6, viaEUI64 bool) {
 	s.nextDNSID++
 	id := s.nextDNSID
 	s.pendingDNS[id] = pendingQuery{specIdx: i, qtype: t, overV6: overV6, viaEUI64: viaEUI64}
-	q := dnsmsg.NewQuery(id, sp.Name, t)
-	wire, err := q.Pack()
+	wire, err := s.packQuery(id, sp.Name, t)
 	if err != nil {
 		return
 	}
@@ -746,11 +772,21 @@ func (s *Stack) sendDNSType(i int, t dnsmsg.Type, overV6, viaEUI64 bool) {
 	}
 }
 
+// packQuery encodes a standard recursive query for one question into the
+// stack's reused DNS buffer; the bytes are valid until the next query.
+func (s *Stack) packQuery(id uint16, name string, t dnsmsg.Type) ([]byte, error) {
+	s.dnsQ[0] = dnsmsg.Question{Name: name, Type: t}
+	q := dnsmsg.Message{ID: id, RecursionDesired: true, Questions: s.dnsQ[:]}
+	var err error
+	s.dnsWire, err = q.AppendPack(s.dnsWire[:0])
+	return s.dnsWire, err
+}
+
 // handleDNSResponse reacts to an answer: v6 addresses trigger TCP over v6,
 // v4 addresses over v4 — if the spec's plan calls for that family now.
 func (s *Stack) handleDNSResponse(p *packet.Packet) {
-	m, err := dnsmsg.Unpack(p.UDP.PayloadData)
-	if err != nil || !m.Response {
+	m := &s.dnsReply
+	if err := dnsmsg.UnpackInto(m, p.UDP.PayloadData); err != nil || !m.Response {
 		return
 	}
 	pq, ok := s.pendingDNS[m.ID]
@@ -931,7 +967,7 @@ func (s *Stack) sendNTP() {
 			// exposed) in the captures.
 			if s.dnsV6.IsValid() {
 				s.nextDNSID++
-				if q, err := dnsmsg.NewQuery(s.nextDNSID, cloud.NTPDomain, dnsmsg.TypeAAAA).Pack(); err == nil {
+				if q, err := s.packQuery(s.nextDNSID, cloud.NTPDomain, dnsmsg.TypeAAAA); err == nil {
 					s.sendUDP(src, s.dnsV6, 53, q)
 				}
 			}
@@ -951,8 +987,7 @@ func (s *Stack) sendStatefulDNS() {
 		return
 	}
 	s.nextDNSID++
-	q := dnsmsg.NewQuery(s.nextDNSID, ess[0].Name, dnsmsg.TypeA)
-	wire, err := q.Pack()
+	wire, err := s.packQuery(s.nextDNSID, ess[0].Name, dnsmsg.TypeA)
 	if err != nil {
 		return
 	}
@@ -1288,30 +1323,35 @@ func (s *Stack) sendDHCP6(m *dhcp6.Message, src netip.Addr) {
 
 func (s *Stack) sendUDP(src, dst netip.Addr, dport uint16, payload []byte) {
 	s.nextPort++
-	var ipLayer packet.SerializableLayer
-	typ := packet.EtherTypeIPv6
 	var dstMAC packet.MAC
 	if src.Is4() {
-		ipLayer = &packet.IPv4{Protocol: packet.IPProtocolUDP, Src: src, Dst: dst}
-		typ = packet.EtherTypeIPv4
 		dstMAC = s.routerMAC
 		if dstMAC.IsZero() {
 			dstMAC = packet.BroadcastMAC
 		}
 	} else {
-		ipLayer = &packet.IPv6{NextHeader: packet.IPProtocolUDP, Src: src, Dst: dst}
 		dstMAC = s.etherDstV6(dst)
 	}
 	sport := s.nextPort
 	if dport == 123 {
 		sport = 123
 	}
-	s.transmit(
-		&packet.Ethernet{Dst: dstMAC, Src: s.MAC, Type: typ},
-		ipLayer,
-		&packet.UDP{SrcPort: sport, DstPort: dport, Src: src, Dst: dst},
-		packet.Raw(payload),
-	)
+	s.udpL = packet.UDP{SrcPort: sport, DstPort: dport, Src: src, Dst: dst}
+	s.rawL = payload
+	s.transmit(&s.ethL, s.ipLayer(dstMAC, src, dst, packet.IPProtocolUDP), &s.udpL, &s.rawL)
+}
+
+// ipLayer fills the stack's reused Ethernet header and the IP header of
+// src's family for one outgoing frame, and returns the IP layer.
+func (s *Stack) ipLayer(dstMAC packet.MAC, src, dst netip.Addr, proto packet.IPProtocol) packet.SerializableLayer {
+	if src.Is4() {
+		s.ethL = packet.Ethernet{Dst: dstMAC, Src: s.MAC, Type: packet.EtherTypeIPv4}
+		s.ip4L = packet.IPv4{Protocol: proto, Src: src, Dst: dst}
+		return &s.ip4L
+	}
+	s.ethL = packet.Ethernet{Dst: dstMAC, Src: s.MAC, Type: packet.EtherTypeIPv6}
+	s.ip6L = packet.IPv6{NextHeader: proto, Src: src, Dst: dst}
+	return &s.ip6L
 }
 
 // sendTCP emits a TCP segment carrying payload, a window of a flow's TLS
@@ -1332,20 +1372,13 @@ func (s *Stack) sendTCP(src, dst netip.Addr, sport, dport uint16, flags uint8, s
 // sendTCPTo emits a TCP segment to an explicit link-layer destination
 // (used for answering on-link probes).
 func (s *Stack) sendTCPTo(dstMAC packet.MAC, src, dst netip.Addr, sport, dport uint16, flags uint8, seq, ack uint32, payload tlsSegment) {
-	var ipLayer packet.SerializableLayer
-	typ := packet.EtherTypeIPv6
-	if src.Is4() {
-		ipLayer = &packet.IPv4{Protocol: packet.IPProtocolTCP, Src: src, Dst: dst}
-		typ = packet.EtherTypeIPv4
-	} else {
-		ipLayer = &packet.IPv6{NextHeader: packet.IPProtocolTCP, Src: src, Dst: dst}
-	}
-	eth := &packet.Ethernet{Dst: dstMAC, Src: s.MAC, Type: typ}
-	tcp := &packet.TCP{SrcPort: sport, DstPort: dport, Seq: seq, Ack: ack, Flags: flags, Src: src, Dst: dst}
+	ip := s.ipLayer(dstMAC, src, dst, packet.IPProtocolTCP)
+	s.tcpL = packet.TCP{SrcPort: sport, DstPort: dport, Seq: seq, Ack: ack, Flags: flags, Src: src, Dst: dst}
 	if payload.end == payload.off {
-		// Control segments skip the payload layer and its allocation.
-		s.transmit(eth, ipLayer, tcp)
+		// Control segments skip the payload layer.
+		s.transmit(&s.ethL, ip, &s.tcpL)
 		return
 	}
-	s.transmit(eth, ipLayer, tcp, &payload)
+	s.segL = payload
+	s.transmit(&s.ethL, ip, &s.tcpL, &s.segL)
 }

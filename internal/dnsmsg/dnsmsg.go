@@ -132,42 +132,56 @@ var (
 	ErrBadName      = errors.New("dnsmsg: malformed name")
 )
 
-// NewQuery builds a standard recursive query for one question.
-func NewQuery(id uint16, name string, qtype Type) *Message {
-	return &Message{ID: id, RecursionDesired: true, Questions: []Question{{Name: name, Type: qtype}}}
-}
-
-// Reply builds a response skeleton mirroring the query's ID and question.
-func (m *Message) Reply(rcode RCode) *Message {
-	r := &Message{
-		ID: m.ID, Response: true, RecursionDesired: m.RecursionDesired,
-		RecursionAvailable: true, RCode: rcode,
-	}
-	r.Questions = append(r.Questions, m.Questions...)
-	return r
+// suffix is one entry of the encoder's compression table: a name suffix
+// already written to the message, and its offset from the message start.
+type suffix struct {
+	name string
+	off  int
 }
 
 // appendNameCompressed encodes a domain name, emitting a compression
-// pointer for any suffix already present in the message (tracked in
-// offsets). Only owner names use compression; rdata names stay literal,
-// which keeps types whose rdata must not be compressed (SRV, SVCB) safe.
-func appendNameCompressed(b []byte, name string, offsets map[string]int) ([]byte, error) {
+// pointer for any suffix already present in the message. tab lists the
+// suffixes written so far, with offsets relative to start; the entries
+// are substrings of the names themselves, so the table costs nothing per
+// name. It is passed and returned by value, which keeps the caller's
+// backing array on its stack. Only owner names use compression; rdata
+// names stay literal, which keeps types whose rdata must not be
+// compressed (SRV, SVCB) safe.
+func appendNameCompressed(b []byte, start int, name string, tab []suffix) ([]byte, []suffix, error) {
 	name = strings.TrimSuffix(name, ".")
 	if name == "" {
-		return append(b, 0), nil
+		return append(b, 0), tab, nil
 	}
-	labels := strings.Split(name, ".")
-	for i := range labels {
-		suffix := strings.Join(labels[i:], ".")
-		if off, ok := offsets[suffix]; ok && off < 0x4000 {
-			return append(b, 0xc0|byte(off>>8), byte(off)), nil
+	for rest := name; ; {
+		for _, s := range tab {
+			if s.name == rest {
+				return append(b, 0xc0|byte(s.off>>8), byte(s.off)), tab, nil
+			}
 		}
-		if len(b) < 0x4000 {
-			offsets[suffix] = len(b)
+		if off := len(b) - start; off < 0x4000 {
+			tab = append(tab, suffix{name: rest, off: off})
 		}
-		label := labels[i]
+		label, more, dot := strings.Cut(rest, ".")
 		if len(label) == 0 || len(label) > 63 {
-			return nil, fmt.Errorf("%w: label %q", ErrBadName, label)
+			return b, tab, fmt.Errorf("%w: label %q", ErrBadName, label)
+		}
+		b = append(b, byte(len(label)))
+		b = append(b, label...)
+		if !dot {
+			return append(b, 0), tab, nil
+		}
+		rest = more
+	}
+}
+
+// appendName encodes a domain name without compression.
+func appendName(b []byte, name string) ([]byte, error) {
+	name = strings.TrimSuffix(name, ".")
+	for dot := name != ""; dot; {
+		var label string
+		label, name, dot = strings.Cut(name, ".")
+		if len(label) == 0 || len(label) > 63 {
+			return b, fmt.Errorf("%w: label %q", ErrBadName, label)
 		}
 		b = append(b, byte(len(label)))
 		b = append(b, label...)
@@ -175,25 +189,24 @@ func appendNameCompressed(b []byte, name string, offsets map[string]int) ([]byte
 	return append(b, 0), nil
 }
 
-// appendName encodes a domain name without compression.
-func appendName(b []byte, name string) ([]byte, error) {
-	name = strings.TrimSuffix(name, ".")
-	if name != "" {
-		for _, label := range strings.Split(name, ".") {
-			if len(label) == 0 || len(label) > 63 {
-				return nil, fmt.Errorf("%w: label %q", ErrBadName, label)
-			}
-			b = append(b, byte(len(label)))
-			b = append(b, label...)
-		}
-	}
-	return append(b, 0), nil
+// decoder decodes the names of one message. It remembers the last few
+// names it produced, so a name repeated across sections (an owner name
+// compressed against the question, say) costs one string, not one per
+// occurrence.
+type decoder struct {
+	msg   []byte
+	names [4]string
+	n     int
 }
 
-// parseName decodes a possibly compressed name starting at off, returning
-// the name and the offset just past its in-place encoding.
-func parseName(msg []byte, off int) (string, int, error) {
-	var sb strings.Builder
+// name decodes a possibly compressed name starting at off, returning the
+// name and the offset just past its in-place encoding. The labels are
+// gathered on the stack; the only allocation is the returned string, and
+// none when the name repeats a recent one.
+func (d *decoder) name(off int) (string, int, error) {
+	msg := d.msg
+	var arr [256]byte
+	buf := arr[:0]
 	jumped := false
 	next := 0
 	for hops := 0; ; hops++ {
@@ -209,11 +222,7 @@ func parseName(msg []byte, off int) (string, int, error) {
 			if !jumped {
 				next = off + 1
 			}
-			name := sb.String()
-			if name == "" {
-				name = "."
-			}
-			return name, next, nil
+			return d.intern(buf), next, nil
 		case l&0xc0 == 0xc0:
 			if off+1 >= len(msg) {
 				return "", 0, ErrTruncatedMsg
@@ -233,19 +242,47 @@ func parseName(msg []byte, off int) (string, int, error) {
 			if off+1+l > len(msg) {
 				return "", 0, ErrTruncatedMsg
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if len(buf) > 0 {
+				buf = append(buf, '.')
 			}
-			sb.Write(msg[off+1 : off+1+l])
+			buf = append(buf, msg[off+1:off+1+l]...)
 			off += 1 + l
 		}
 	}
 }
 
-// Pack serializes the message.
+// intern returns the decoded name as a string: "." for the root, a
+// recently decoded string when the bytes repeat it, a new one otherwise.
+func (d *decoder) intern(b []byte) string {
+	if len(b) == 0 {
+		return "."
+	}
+	for _, s := range d.names {
+		if s == string(b) {
+			return s
+		}
+	}
+	s := string(b)
+	d.names[d.n%len(d.names)] = s
+	d.n++
+	return s
+}
+
+// Pack serializes the message into a new buffer.
 func (m *Message) Pack() ([]byte, error) {
-	b := make([]byte, 12, 128)
-	binary.BigEndian.PutUint16(b[0:2], m.ID)
+	b, err := m.AppendPack(make([]byte, 0, 128))
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// AppendPack appends the message's wire form to b and returns the
+// extended buffer. Compression pointers are relative to the message's
+// first byte, so b may carry a prefix (a TCP length, another message).
+// On error it returns b truncated back to its original length.
+func (m *Message) AppendPack(b []byte) ([]byte, error) {
+	start := len(b)
 	var flags uint16
 	if m.Response {
 		flags |= 1 << 15
@@ -260,127 +297,154 @@ func (m *Message) Pack() ([]byte, error) {
 		flags |= 1 << 7
 	}
 	flags |= uint16(m.RCode) & 0x0f
-	binary.BigEndian.PutUint16(b[2:4], flags)
-	binary.BigEndian.PutUint16(b[4:6], uint16(len(m.Questions)))
-	binary.BigEndian.PutUint16(b[6:8], uint16(len(m.Answers)))
-	binary.BigEndian.PutUint16(b[8:10], uint16(len(m.Authority)))
-	binary.BigEndian.PutUint16(b[10:12], uint16(len(m.Additional)))
+	b = binary.BigEndian.AppendUint16(b, m.ID)
+	b = binary.BigEndian.AppendUint16(b, flags)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Questions)))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Answers)))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Authority)))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Additional)))
+	var arr [16]suffix
+	tab := arr[:0]
 	var err error
-	offsets := map[string]int{}
 	for _, q := range m.Questions {
-		if b, err = appendNameCompressed(b, q.Name, offsets); err != nil {
-			return nil, err
+		if b, tab, err = appendNameCompressed(b, start, q.Name, tab); err != nil {
+			return b[:start], err
 		}
 		b = binary.BigEndian.AppendUint16(b, uint16(q.Type))
 		b = binary.BigEndian.AppendUint16(b, ClassIN)
 	}
-	for _, sec := range [][]Record{m.Answers, m.Authority, m.Additional} {
-		for _, rr := range sec {
-			if b, err = appendRecord(b, rr, offsets); err != nil {
-				return nil, err
+	for _, sec := range [...][]Record{m.Answers, m.Authority, m.Additional} {
+		for i := range sec {
+			if b, tab, err = appendRecord(b, start, &sec[i], tab); err != nil {
+				return b[:start], err
 			}
 		}
 	}
 	return b, nil
 }
 
-func appendRecord(b []byte, rr Record, offsets map[string]int) ([]byte, error) {
+// appendRecord appends one resource record. The rdata is written in place
+// behind its 2-byte length, which is patched once the rdata is complete.
+func appendRecord(b []byte, start int, rr *Record, tab []suffix) ([]byte, []suffix, error) {
 	var err error
-	if b, err = appendNameCompressed(b, rr.Name, offsets); err != nil {
-		return nil, err
+	if b, tab, err = appendNameCompressed(b, start, rr.Name, tab); err != nil {
+		return b, tab, err
 	}
 	b = binary.BigEndian.AppendUint16(b, uint16(rr.Type))
 	b = binary.BigEndian.AppendUint16(b, ClassIN)
 	b = binary.BigEndian.AppendUint32(b, rr.TTL)
-	var rdata []byte
+	lenAt := len(b)
+	b = append(b, 0, 0)
 	switch rr.Type {
 	case TypeA:
 		if !rr.Addr.Is4() {
-			return nil, fmt.Errorf("dnsmsg: A record for %s needs IPv4, have %v", rr.Name, rr.Addr)
+			return b, tab, fmt.Errorf("dnsmsg: A record for %s needs IPv4, have %v", rr.Name, rr.Addr)
 		}
 		a4 := rr.Addr.As4()
-		rdata = a4[:]
+		b = append(b, a4[:]...)
 	case TypeAAAA:
 		if !rr.Addr.Is6() || rr.Addr.Is4In6() {
-			return nil, fmt.Errorf("dnsmsg: AAAA record for %s needs IPv6, have %v", rr.Name, rr.Addr)
+			return b, tab, fmt.Errorf("dnsmsg: AAAA record for %s needs IPv6, have %v", rr.Name, rr.Addr)
 		}
 		a16 := rr.Addr.As16()
-		rdata = a16[:]
+		b = append(b, a16[:]...)
 	case TypeCNAME, TypePTR:
-		if rdata, err = appendName(nil, rr.Target); err != nil {
-			return nil, err
-		}
+		b, err = appendName(b, rr.Target)
 	case TypeSOA:
 		// MNAME RNAME SERIAL REFRESH RETRY EXPIRE MINIMUM, with fixed
-		// administrative values; only MNAME (Target) is configurable.
-		if rdata, err = appendName(nil, rr.Target); err != nil {
-			return nil, err
+		// administrative values; only MNAME (Target) is configurable, and
+		// RNAME is hostmaster.MNAME.
+		if b, err = appendName(b, rr.Target); err != nil {
+			break
 		}
-		if rdata, err = appendName(rdata, "hostmaster."+strings.TrimSuffix(rr.Target, ".")); err != nil {
-			return nil, err
+		b = append(b, byte(len("hostmaster")))
+		b = append(b, "hostmaster"...)
+		if b, err = appendName(b, rr.Target); err != nil {
+			break
 		}
-		for _, v := range []uint32{1, 7200, 900, 1209600, 86400} {
-			rdata = binary.BigEndian.AppendUint32(rdata, v)
+		for _, v := range [...]uint32{1, 7200, 900, 1209600, 86400} {
+			b = binary.BigEndian.AppendUint32(b, v)
 		}
 	case TypeTXT:
 		for _, s := range rr.Text {
 			if len(s) > 255 {
-				return nil, fmt.Errorf("dnsmsg: TXT string too long")
+				return b, tab, fmt.Errorf("dnsmsg: TXT string too long")
 			}
-			rdata = append(rdata, byte(len(s)))
-			rdata = append(rdata, s...)
+			b = append(b, byte(len(s)))
+			b = append(b, s...)
 		}
 	case TypeSRV:
 		// priority, weight, port, target (RFC 2782).
-		rdata = binary.BigEndian.AppendUint16(rdata, rr.Priority)
-		rdata = binary.BigEndian.AppendUint16(rdata, 0)
-		rdata = binary.BigEndian.AppendUint16(rdata, rr.Port)
-		if rdata, err = appendName(rdata, rr.Target); err != nil {
-			return nil, err
-		}
+		b = binary.BigEndian.AppendUint16(b, rr.Priority)
+		b = binary.BigEndian.AppendUint16(b, 0)
+		b = binary.BigEndian.AppendUint16(b, rr.Port)
+		b, err = appendName(b, rr.Target)
 	case TypeSVCB, TypeHTTPS:
-		rdata = binary.BigEndian.AppendUint16(rdata, rr.Priority)
-		if rdata, err = appendName(rdata, rr.Target); err != nil {
-			return nil, err
+		b = binary.BigEndian.AppendUint16(b, rr.Priority)
+		if b, err = appendName(b, rr.Target); err != nil {
+			break
 		}
 		if rr.Addr.Is6() && !rr.Addr.Is4In6() {
 			// SvcParam ipv6hint (key 6), one address.
-			rdata = binary.BigEndian.AppendUint16(rdata, 6)
-			rdata = binary.BigEndian.AppendUint16(rdata, 16)
+			b = binary.BigEndian.AppendUint16(b, 6)
+			b = binary.BigEndian.AppendUint16(b, 16)
 			hint := rr.Addr.As16()
-			rdata = append(rdata, hint[:]...)
+			b = append(b, hint[:]...)
 		}
 	default:
-		return nil, fmt.Errorf("dnsmsg: cannot pack type %v", rr.Type)
+		return b, tab, fmt.Errorf("dnsmsg: cannot pack type %v", rr.Type)
 	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(rdata)))
-	return append(b, rdata...), nil
+	if err != nil {
+		return b, tab, err
+	}
+	binary.BigEndian.PutUint16(b[lenAt:], uint16(len(b)-lenAt-2))
+	return b, tab, nil
 }
 
-// Unpack parses a wire-format message.
+// Unpack parses a wire-format message into a new Message.
 func Unpack(data []byte) (*Message, error) {
-	if len(data) < 12 {
-		return nil, ErrTruncatedMsg
+	m := new(Message)
+	if err := UnpackInto(m, data); err != nil {
+		return nil, err
 	}
-	m := &Message{ID: binary.BigEndian.Uint16(data[0:2])}
+	return m, nil
+}
+
+// UnpackInto parses a wire-format message into m, overwriting every field
+// and reusing the backing arrays of m's sections, so a caller decoding
+// message after message into one Message allocates only the decoded names.
+// An empty section of a reused m is empty but not nil. On error m's
+// contents are unspecified. Decoded strings never alias data.
+func UnpackInto(m *Message, data []byte) error {
+	if len(data) < 12 {
+		return ErrTruncatedMsg
+	}
 	flags := binary.BigEndian.Uint16(data[2:4])
-	m.Response = flags&(1<<15) != 0
-	m.Authoritative = flags&(1<<10) != 0
-	m.RecursionDesired = flags&(1<<8) != 0
-	m.RecursionAvailable = flags&(1<<7) != 0
-	m.RCode = RCode(flags & 0x0f)
+	*m = Message{
+		ID:                 binary.BigEndian.Uint16(data[0:2]),
+		Response:           flags&(1<<15) != 0,
+		Authoritative:      flags&(1<<10) != 0,
+		RecursionDesired:   flags&(1<<8) != 0,
+		RecursionAvailable: flags&(1<<7) != 0,
+		RCode:              RCode(flags & 0x0f),
+		Questions:          m.Questions[:0],
+		Answers:            m.Answers[:0],
+		Authority:          m.Authority[:0],
+		Additional:         m.Additional[:0],
+	}
 	qd := int(binary.BigEndian.Uint16(data[4:6]))
 	an := int(binary.BigEndian.Uint16(data[6:8]))
 	ns := int(binary.BigEndian.Uint16(data[8:10]))
 	ar := int(binary.BigEndian.Uint16(data[10:12]))
+	d := decoder{msg: data}
 	off := 12
 	for i := 0; i < qd; i++ {
-		name, next, err := parseName(data, off)
+		name, next, err := d.name(off)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if next+4 > len(data) {
-			return nil, ErrTruncatedMsg
+			return ErrTruncatedMsg
 		}
 		m.Questions = append(m.Questions, Question{
 			Name: name,
@@ -389,29 +453,30 @@ func Unpack(data []byte) (*Message, error) {
 		off = next + 4
 	}
 	var err error
-	for _, sec := range []struct {
+	for _, sec := range [...]struct {
 		n   int
 		dst *[]Record
 	}{{an, &m.Answers}, {ns, &m.Authority}, {ar, &m.Additional}} {
 		for i := 0; i < sec.n; i++ {
-			var rr Record
-			if rr, off, err = parseRecord(data, off); err != nil {
-				return nil, err
+			*sec.dst = append(*sec.dst, Record{})
+			if off, err = d.record(&(*sec.dst)[len(*sec.dst)-1], off); err != nil {
+				return err
 			}
-			*sec.dst = append(*sec.dst, rr)
 		}
 	}
-	return m, nil
+	return nil
 }
 
-func parseRecord(msg []byte, off int) (Record, int, error) {
-	var rr Record
-	name, next, err := parseName(msg, off)
+// record decodes the resource record at off into rr, which must be zero,
+// and returns the offset just past it.
+func (d *decoder) record(rr *Record, off int) (int, error) {
+	msg := d.msg
+	name, next, err := d.name(off)
 	if err != nil {
-		return rr, 0, err
+		return 0, err
 	}
 	if next+10 > len(msg) {
-		return rr, 0, ErrTruncatedMsg
+		return 0, ErrTruncatedMsg
 	}
 	rr.Name = name
 	rr.Type = Type(binary.BigEndian.Uint16(msg[next : next+2]))
@@ -419,50 +484,54 @@ func parseRecord(msg []byte, off int) (Record, int, error) {
 	rdLen := int(binary.BigEndian.Uint16(msg[next+8 : next+10]))
 	rdStart := next + 10
 	if rdStart+rdLen > len(msg) {
-		return rr, 0, ErrTruncatedMsg
+		return 0, ErrTruncatedMsg
 	}
 	rdata := msg[rdStart : rdStart+rdLen]
 	switch rr.Type {
 	case TypeA:
 		if rdLen != 4 {
-			return rr, 0, fmt.Errorf("dnsmsg: A rdata length %d", rdLen)
+			return 0, fmt.Errorf("dnsmsg: A rdata length %d", rdLen)
 		}
 		rr.Addr = netip.AddrFrom4([4]byte(rdata))
 	case TypeAAAA:
 		if rdLen != 16 {
-			return rr, 0, fmt.Errorf("dnsmsg: AAAA rdata length %d", rdLen)
+			return 0, fmt.Errorf("dnsmsg: AAAA rdata length %d", rdLen)
 		}
 		rr.Addr = netip.AddrFrom16([16]byte(rdata))
 	case TypeCNAME, TypePTR, TypeSOA:
-		if rr.Target, _, err = parseName(msg, rdStart); err != nil {
-			return rr, 0, err
+		if rr.Target, _, err = d.name(rdStart); err != nil {
+			return 0, err
 		}
 	case TypeTXT:
 		for p := 0; p < len(rdata); {
 			l := int(rdata[p])
 			if p+1+l > len(rdata) {
-				return rr, 0, ErrTruncatedMsg
+				return 0, ErrTruncatedMsg
 			}
 			rr.Text = append(rr.Text, string(rdata[p+1:p+1+l]))
 			p += 1 + l
 		}
 	case TypeSRV:
 		if rdLen < 7 {
-			return rr, 0, ErrTruncatedMsg
+			return 0, ErrTruncatedMsg
 		}
 		rr.Priority = binary.BigEndian.Uint16(rdata[0:2])
 		rr.Port = binary.BigEndian.Uint16(rdata[4:6])
-		if rr.Target, _, err = parseName(msg, rdStart+6); err != nil {
-			return rr, 0, err
+		if rr.Target, _, err = d.name(rdStart + 6); err != nil {
+			return 0, err
 		}
 	case TypeSVCB, TypeHTTPS:
 		if rdLen < 3 {
-			return rr, 0, ErrTruncatedMsg
+			return 0, ErrTruncatedMsg
 		}
 		rr.Priority = binary.BigEndian.Uint16(rdata[0:2])
 		var after int
-		if rr.Target, after, err = parseName(msg, rdStart+2); err != nil {
-			return rr, 0, err
+		if rr.Target, after, err = d.name(rdStart + 2); err != nil {
+			return 0, err
+		}
+		if after > rdStart+rdLen {
+			// The target name ran past the rdata.
+			return 0, ErrTruncatedMsg
 		}
 		// SvcParams: pick out an ipv6hint (key 6) when present.
 		params := msg[after : rdStart+rdLen]
@@ -478,7 +547,7 @@ func parseRecord(msg []byte, off int) (Record, int, error) {
 			params = params[4+plen:]
 		}
 	}
-	return rr, rdStart + rdLen, nil
+	return rdStart + rdLen, nil
 }
 
 // CanonicalName lowercases and strips the trailing dot, the normalization
@@ -488,11 +557,14 @@ func CanonicalName(name string) string {
 }
 
 // SLD returns the second-level domain of a canonical name (the last two
-// labels), which §5.4.3 groups tracking destinations by.
+// labels), which §5.4.3 groups tracking destinations by. The result is a
+// substring of the canonical name.
 func SLD(name string) string {
-	labels := strings.Split(CanonicalName(name), ".")
-	if len(labels) < 2 {
-		return CanonicalName(name)
+	c := CanonicalName(name)
+	if i := strings.LastIndexByte(c, '.'); i >= 0 {
+		if j := strings.LastIndexByte(c[:i], '.'); j >= 0 {
+			return c[j+1:]
+		}
 	}
-	return strings.Join(labels[len(labels)-2:], ".")
+	return c
 }

@@ -8,8 +8,19 @@ import (
 	"testing/quick"
 )
 
+// query is a standard recursive query for one question.
+func query(id uint16, name string, qtype Type) *Message {
+	return &Message{ID: id, RecursionDesired: true, Questions: []Question{{Name: name, Type: qtype}}}
+}
+
+// reply is a response skeleton mirroring q's ID and question.
+func reply(q *Message, rcode RCode) *Message {
+	return &Message{ID: q.ID, Response: true, RecursionDesired: q.RecursionDesired,
+		RecursionAvailable: true, RCode: rcode, Questions: append([]Question(nil), q.Questions...)}
+}
+
 func TestQueryRoundTrip(t *testing.T) {
-	q := NewQuery(0x1234, "api.nest.example", TypeAAAA)
+	q := query(0x1234, "api.nest.example", TypeAAAA)
 	wire, err := q.Pack()
 	if err != nil {
 		t.Fatal(err)
@@ -27,8 +38,8 @@ func TestQueryRoundTrip(t *testing.T) {
 }
 
 func TestResponseRoundTripAllTypes(t *testing.T) {
-	q := NewQuery(7, "www.example.com", TypeHTTPS)
-	r := q.Reply(RCodeSuccess)
+	q := query(7, "www.example.com", TypeHTTPS)
+	r := reply(q, RCodeSuccess)
 	r.Authoritative = true
 	r.Answers = []Record{
 		{Name: "www.example.com", Type: TypeCNAME, TTL: 300, Target: "cdn.example.net"},
@@ -81,8 +92,8 @@ func TestResponseRoundTripAllTypes(t *testing.T) {
 }
 
 func TestNXDomainReply(t *testing.T) {
-	q := NewQuery(9, "missing.example", TypeAAAA)
-	r := q.Reply(RCodeNXDomain)
+	q := query(9, "missing.example", TypeAAAA)
+	r := reply(q, RCodeNXDomain)
 	r.Authority = []Record{{Name: "example", Type: TypeSOA, TTL: 300, Target: "ns.example"}}
 	wire, err := r.Pack()
 	if err != nil {
@@ -103,7 +114,7 @@ func TestNXDomainReply(t *testing.T) {
 func TestNameCompressionPointers(t *testing.T) {
 	// Hand-build a message whose answer name is a pointer to the question
 	// name, as real resolvers emit.
-	q := NewQuery(1, "a.example.com", TypeA)
+	q := query(1, "a.example.com", TypeA)
 	wire, err := q.Pack()
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +167,7 @@ func TestPackRejectsWrongAddressFamily(t *testing.T) {
 }
 
 func TestTruncatedInputs(t *testing.T) {
-	q := NewQuery(3, "trunc.example", TypeAAAA)
+	q := query(3, "trunc.example", TypeAAAA)
 	wire, err := q.Pack()
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +180,7 @@ func TestTruncatedInputs(t *testing.T) {
 }
 
 func TestRootName(t *testing.T) {
-	q := NewQuery(4, ".", TypeSOA)
+	q := query(4, ".", TypeSOA)
 	wire, err := q.Pack()
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +240,7 @@ func TestQuickNameRoundTrip(t *testing.T) {
 			return true
 		}
 		name := strings.Join(parts, ".")
-		q := NewQuery(42, name, Type(qtype))
+		q := query(42, name, Type(qtype))
 		wire, err := q.Pack()
 		if err != nil {
 			return false
@@ -247,8 +258,8 @@ func TestQuickNameRoundTrip(t *testing.T) {
 
 func TestCompressionOnEncode(t *testing.T) {
 	// A response with repeated owner names must emit pointers and shrink.
-	q := NewQuery(5, "very.long.subdomain.vendor.example", TypeAAAA)
-	r := q.Reply(RCodeSuccess)
+	q := query(5, "very.long.subdomain.vendor.example", TypeAAAA)
+	r := reply(q, RCodeSuccess)
 	for i := 0; i < 4; i++ {
 		r.Answers = append(r.Answers, Record{
 			Name: "very.long.subdomain.vendor.example", Type: TypeAAAA, TTL: 60,
@@ -292,5 +303,25 @@ func TestSRVRoundTrip(t *testing.T) {
 	}
 	if TypeSRV.String() != "SRV" {
 		t.Error("type string")
+	}
+}
+
+// TestSVCBTargetOverrunsRdata: an HTTPS record whose target name runs
+// past its 3-byte rdata (a compression pointer there needs 2 bytes after
+// the priority) is a truncated message, not a slice past the rdata.
+func TestSVCBTargetOverrunsRdata(t *testing.T) {
+	wire, err := query(1, "a.example", TypeHTTPS).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire[7] = 1 // ANCOUNT = 1
+	// Owner: pointer to the question name; HTTPS, IN, TTL 60, RDLENGTH 3:
+	// priority 1, then a pointer to the question name.
+	wire = append(wire, 0xc0, 12, 0, 65, 0, 1, 0, 0, 0, 60, 0, 3, 0, 1, 0xc0, 12)
+	if _, err := Unpack(wire); err == nil {
+		t.Fatal("want an error for a target name overrunning the rdata")
+	}
+	if _, err := oracleUnpackSafe(wire); err == nil || !strings.HasPrefix(err.Error(), "oracle panic") {
+		t.Fatalf("the original decoder returned %v instead of panicking; the case no longer tests the fix", err)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"v6lab/internal/device"
 	"v6lab/internal/dnsmsg"
 	"v6lab/internal/faults"
+	"v6lab/internal/firewall"
 	"v6lab/internal/netsim"
 	"v6lab/internal/packet"
 	"v6lab/internal/pcapio"
@@ -408,12 +409,27 @@ func (st *Study) runConnectivity(ctx context.Context) error {
 
 // RunExperiment performs one Table 2 run: reboot everything, configure,
 // let devices register with their clouds, run the workload, and apply the
-// functionality test.
+// functionality test. The clock then advances an hour, the gap between
+// the paper's runs.
 func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
+	res, _, err := st.RunExperimentWith(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	st.Clock.Advance(time.Hour)
+	return res, nil
+}
+
+// RunExperimentWith is RunExperiment with pol, when non-nil, on the
+// router's inbound-IPv6 path. It also returns the live Home, so phases
+// that need the booted home (the fleet's WAN sweep) follow on the same
+// boot, and it leaves the clock where the run ended: the hour between
+// runs is the caller's to advance.
+func (st *Study) RunExperimentWith(cfg Config, pol firewall.Policy) (*RunResult, *Home, error) {
 	began := st.Clock.Now()
 	// The config ID sub-seeds the fault profile: the six runs see
 	// different (but reproducible) frame fates from the same seed.
-	h := st.NewHome(cfg, nil, cfg.ID)
+	h := st.NewHome(cfg, pol, cfg.ID)
 	// At most one analysis tap per run: the buffered capture (default) or
 	// the streaming observer — never both, so every frame is recorded or
 	// parsed for analysis exactly once. CaptureNone without an observer
@@ -434,10 +450,10 @@ func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
 
 	// Phases 1-3: reboot and configure, announce, run the workload.
 	if err := h.Boot(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := h.Workload(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rt := h.Router
 
@@ -492,8 +508,7 @@ func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
 		Detail:  fmt.Sprintf("%d/%d devices functional, %d frames", functional, len(st.Stacks), res.Frames()),
 		Elapsed: elapsed,
 	})
-	st.Clock.Advance(time.Hour)
-	return res, nil
+	return res, h, nil
 }
 
 // RunActiveDNS performs the §4.3 active measurement: AAAA queries for
@@ -517,9 +532,9 @@ func (st *Study) RunActiveDNS() {
 
 // FoldCloudMetrics folds the study's not-yet-folded cloud query counts
 // into the telemetry registry (a no-op without telemetry). RunAllContext
-// and the firewall-exposure loop call it automatically; callers driving
-// RunExperiment directly (the fleet's single-config homes, the
-// resilience grid) call it once their study is done.
+// and Home.Sweep fold automatically; callers driving RunExperiment
+// directly (the fleet's single-config homes, the resilience grid) call it
+// once their study is done.
 func (st *Study) FoldCloudMetrics() {
 	if st.tm != nil {
 		st.tm.foldCloud(st.Cloud)

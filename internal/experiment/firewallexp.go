@@ -107,11 +107,9 @@ func (st *Study) RunFirewallExposure(policies []firewall.Policy) (*FirewallRepor
 }
 
 // RunFirewallExposureUnder is RunFirewallExposure with an explicit
-// connectivity configuration: the fleet simulator scans each home under
-// the home's own (v6-enabled) Table 2 config rather than always booting
-// dual-stack stateful.
+// connectivity configuration, booting cfg instead of dual-stack stateful.
 func (st *Study) RunFirewallExposureUnder(cfg Config, policies []firewall.Policy) (*FirewallReport, error) {
-	ports := probePorts(st.Profiles)
+	ports := ProbePorts(st.Profiles)
 	rep := &FirewallReport{Ports: ports}
 	for _, pol := range policies {
 		began := st.Clock.Now()
@@ -120,12 +118,6 @@ func (st *Study) RunFirewallExposureUnder(cfg Config, policies []firewall.Policy
 			return nil, err
 		}
 		rep.Policies = append(rep.Policies, *pe)
-		if st.tm != nil {
-			st.tm.foldFirewall(pe)
-			// The exposure runs add cloud queries after the study's
-			// RunAll fold; pick up the per-policy delta here.
-			st.tm.foldCloud(st.Cloud)
-		}
 		telemetry.Emit(st.Progress, telemetry.Event{
 			Scope:   "firewall",
 			ID:      pe.Policy,
@@ -138,7 +130,7 @@ func (st *Study) RunFirewallExposureUnder(cfg Config, policies []firewall.Policy
 
 // runExposure boots an unfaulted home with pol on the router's
 // inbound-IPv6 path and runs the workload, so conntrack holds the devices'
-// outbound flows, then sweeps every routable GUA from the WAN vantage.
+// outbound flows, then sweeps it from the WAN vantage.
 func (st *Study) runExposure(cfg Config, pol firewall.Policy, ports []uint16) (*PolicyExposure, error) {
 	h := st.NewHome(cfg, pol, "")
 	if err := h.Boot(); err != nil {
@@ -147,8 +139,19 @@ func (st *Study) runExposure(cfg Config, pol firewall.Policy, ports []uint16) (*
 	if err := h.Workload(); err != nil {
 		return nil, err
 	}
-	rt, fw := h.Router, h.Firewall
+	return h.Sweep(ports)
+}
 
+// Sweep probes the booted home from the WAN vantage through its firewall:
+// a SYN to each of ports on every routable GUA in the router's neighbor
+// table, drained target by target. It runs on the live home after its
+// workload, so conntrack holds the devices' outbound flows, and reports
+// what answered under the home's policy. The home must have been built
+// with a policy. Every frame the sweep causes reaches the home's taps;
+// callers whose taps must see only the workload remove them first.
+func (h *Home) Sweep(ports []uint16) (*PolicyExposure, error) {
+	st, rt, fw := h.st, h.Router, h.Firewall
+	pol := fw.Policy()
 	pe := &PolicyExposure{Policy: pol.Name(), OpenByDevice: map[string][]uint16{}}
 	if ph, ok := pol.(firewall.Pinhole); ok {
 		for _, r := range ph.Rules {
@@ -226,5 +229,11 @@ func (st *Study) runExposure(cfg Config, pol firewall.Policy, ports []uint16) (*
 	pe.FW = fw.Stats()
 	pe.Flows = fw.Table.Len()
 	pe.CT = fw.Table.Stats()
+	if st.tm != nil {
+		st.tm.foldFirewall(pe)
+		// Cloud queries fold as a delta: this picks up whatever the home
+		// served since the study's last fold.
+		st.tm.foldCloud(st.Cloud)
+	}
 	return pe, nil
 }

@@ -94,7 +94,7 @@ func TestFirewallExposurePolicies(t *testing.T) {
 	}
 
 	// Determinism anchor: the probe list must match the LAN scan's.
-	if len(rep.Ports) != len(probePorts(st.Profiles)) {
+	if len(rep.Ports) != len(ProbePorts(st.Profiles)) {
 		t.Fatalf("probe list drifted: %d ports", len(rep.Ports))
 	}
 }

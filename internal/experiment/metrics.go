@@ -27,7 +27,7 @@ type studyMetrics struct {
 	leases4, leases6, neighbors *telemetry.Counter
 	serviceDrops                *telemetry.Counter
 
-	// Firewall / conntrack folds, taken per exposure run.
+	// Firewall / conntrack folds, taken per WAN sweep.
 	fwPassedOut, fwAllowedState, fwAllowedPolicy, fwDroppedIn     *telemetry.Counter
 	ctFlows, ctHits, ctMisses, ctInserts, ctEvictions, ctExpiries *telemetry.Counter
 
@@ -128,7 +128,7 @@ func (tm *studyMetrics) foldRun(cfg Config, rt *router.Router, stacks []*device.
 	tm.expElapsedMS.Add(uint64(elapsed.Milliseconds()))
 }
 
-// foldFirewall folds one exposure run's firewall and conntrack counters.
+// foldFirewall folds one WAN sweep's firewall and conntrack counters.
 func (tm *studyMetrics) foldFirewall(pe *PolicyExposure) {
 	tm.fwPassedOut.Add(pe.FW.PassedOut)
 	tm.fwAllowedState.Add(pe.FW.AllowedByState)

@@ -28,12 +28,12 @@ type ScanReport struct {
 	DevicesWithV6OnlyPorts int
 }
 
-// probePorts is the targeted probe list the harness uses: the union of
+// ProbePorts is the targeted probe list the harness uses: the union of
 // every service port any device exposes plus common closed controls. The
 // paper scans 1-65535 per address; Scanner supports arbitrary ranges, but
 // the study uses the reduced deterministic set to keep frame counts sane —
 // the per-family *differences* the paper reports are unaffected.
-func probePorts(profiles []*device.Profile) []uint16 {
+func ProbePorts(profiles []*device.Profile) []uint16 {
 	set := map[uint16]bool{22: true, 23: true, 80: true, 443: true, 1883: true, 5000: true}
 	for _, p := range profiles {
 		for _, list := range [][]uint16{p.OpenTCPv4, p.OpenTCPv6} {
@@ -79,7 +79,7 @@ func (st *Study) RunPortScan() (*ScanReport, error) {
 		v6ByMAC[m.String()] = append(v6ByMAC[m.String()], a)
 	}
 
-	ports := probePorts(st.Profiles)
+	ports := ProbePorts(st.Profiles)
 	report := &ScanReport{}
 	for _, s := range st.Stacks {
 		ds := DeviceScan{Device: s.Prof.Name}

@@ -319,7 +319,10 @@ type HomeResult struct {
 
 // runHome builds and runs one fully self-contained home. reg is the fleet
 // run's shared registry snapshot (profiles are read-only during runs);
-// scratch is the calling worker's recycled run infrastructure.
+// scratch is the calling worker's recycled run infrastructure. A home
+// boots once: a v6-enabled home runs its experiment with its firewall
+// policy already on the router, and the WAN exposure sweep follows on the
+// same live home.
 func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, scratch *experiment.Scratch) (*HomeResult, error) {
 	profiles := spec.Profiles(reg)
 	w := world.Build(profiles)
@@ -336,7 +339,17 @@ func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, scratch *experime
 	if !ok {
 		return nil, fmt.Errorf("unknown connectivity config %q", spec.ConfigID)
 	}
-	res, err := st.RunExperiment(ec)
+	var pol firewall.Policy
+	if ec.Router.IPv6 && !cfg.SkipExposure {
+		var err error
+		if pol, err = firewall.ByName(spec.Policy); err != nil {
+			return nil, err
+		}
+		if ph, ok := pol.(firewall.Pinhole); ok && len(ph.Rules) == 0 {
+			pol = firewall.Pinhole{Rules: experiment.DefaultPinholes(st.Profiles)}
+		}
+	}
+	res, h, err := st.RunExperimentWith(ec, pol)
 	if err != nil {
 		return nil, err
 	}
@@ -378,20 +391,15 @@ func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, scratch *experime
 	hr.EUI64Assign = eui.Assign
 	hr.EUI64Use = eui.Use
 
-	if ec.Router.IPv6 && !cfg.SkipExposure {
-		pol, err := firewall.ByName(spec.Policy)
-		if err != nil {
+	if pol != nil {
+		// The probes are the scanner's traffic, not the home's: the
+		// analysis tap sees only the run above.
+		h.Net.RemoveTaps()
+		if hr.Exposure, err = h.Sweep(experiment.ProbePorts(st.Profiles)); err != nil {
 			return nil, err
 		}
-		if ph, ok := pol.(firewall.Pinhole); ok && len(ph.Rules) == 0 {
-			pol = firewall.Pinhole{Rules: experiment.DefaultPinholes(st.Profiles)}
-		}
-		rep, err := st.RunFirewallExposureUnder(ec, []firewall.Policy{pol})
-		if err != nil {
-			return nil, err
-		}
-		hr.Exposure = &rep.Policies[0]
 	}
+	st.Clock.Advance(time.Hour)
 	st.FoldCloudMetrics()
 	hr.Elapsed = st.Clock.Now().Sub(began)
 	if cfg.RetainWorlds {

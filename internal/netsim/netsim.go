@@ -220,6 +220,10 @@ func (n *Network) Reset(clock *Clock) {
 // AddTap registers a sink that sees every frame on the wire.
 func (n *Network) AddTap(tap Tap) { n.taps = append(n.taps, tap) }
 
+// RemoveTaps detaches every tap: later frames are still delivered, but no
+// sink sees them.
+func (n *Network) RemoveTaps() { n.taps = n.taps[:0] }
+
 // Delivered reports the total number of frames delivered so far.
 func (n *Network) Delivered() int { return n.delivered }
 

@@ -293,7 +293,7 @@ func TestNAT44DNSRoundTrip(t *testing.T) {
 	n, r, h, cl := setup(t, Config{IPv4: true})
 	cl.AddDomain("api.vendor.example", cloud.PartyFirst, true, false)
 	devIP := netip.MustParseAddr("192.168.1.101")
-	q := dnsmsg.NewQuery(77, "api.vendor.example", dnsmsg.TypeA)
+	q := &dnsmsg.Message{ID: 77, RecursionDesired: true, Questions: []dnsmsg.Question{{Name: "api.vendor.example", Type: dnsmsg.TypeA}}}
 	wire, _ := q.Pack()
 	send(t, h,
 		&packet.Ethernet{Dst: RouterMAC, Src: devMAC, Type: packet.EtherTypeIPv4},
