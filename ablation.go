@@ -52,7 +52,7 @@ func NewWithOptions(opts Options, extra ...Option) *Lab {
 		for name := range st.Cloud.Domains() {
 			st.Cloud.EnsureAAAA(name)
 		}
-		for _, pl := range st.Plans {
+		for _, pl := range st.World.Plans {
 			for i := range pl.Specs {
 				pl.Specs[i].HasAAAA = true
 			}

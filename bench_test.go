@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"v6lab/internal/analysis"
-	"v6lab/internal/experiment"
 )
 
 var (
@@ -63,8 +62,9 @@ func BenchmarkFullStudy(b *testing.B) {
 var benchReport string
 
 // BenchmarkAnalyzeAndReport measures the two stages after the simulation
-// on an already-run lab: analysis.FromStudy (extraction over the buffered
-// captures plus the experiment-group views) and rendering every artifact.
+// on an already-run lab: analysis.FromStudy (finalizing the streamed
+// observations and building the experiment-group views) and rendering
+// every artifact.
 func BenchmarkAnalyzeAndReport(b *testing.B) {
 	view := *benchSetup(b)
 	b.ReportAllocs()
@@ -133,9 +133,10 @@ func BenchmarkResilience(b *testing.B) {
 	}
 }
 
-// benchBiggestCapture returns the largest experiment capture of the
-// shared bench lab — the analysis benches' common input.
-func benchBiggestCapture(b *testing.B) (*Lab, *experiment.RunResult) {
+// BenchmarkObserveStreaming measures the analysis extraction: the largest
+// experiment's frames fed one by one through a fresh streaming Observer,
+// the per-frame tap cost every run pays at delivery, then Finalize.
+func BenchmarkObserveStreaming(b *testing.B) {
 	lab := benchSetup(b)
 	biggest := lab.Study.Results[0]
 	for _, r := range lab.Study.Results {
@@ -143,36 +144,11 @@ func benchBiggestCapture(b *testing.B) (*Lab, *experiment.RunResult) {
 			biggest = r
 		}
 	}
-	return lab, biggest
-}
-
-// BenchmarkObserveBuffered isolates the batch analysis path: re-extracting
-// the per-device observations from the largest experiment capture (the
-// frames were already buffered; this replays them through the extraction
-// core).
-func BenchmarkObserveBuffered(b *testing.B) {
-	lab, biggest := benchBiggestCapture(b)
 	b.SetBytes(int64(biggest.Capture.Bytes()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.Observe(biggest.Config.ID, biggest.Config.Mode, biggest.Capture,
-			lab.Study.MACToDevice, biggest.Functional)
-	}
-}
-
-// BenchmarkObserveStreaming measures the same extraction fed frame by
-// frame through the streaming Observer — the per-frame delivery-tap cost a
-// CaptureNone run pays instead of buffering. Same frames, same resulting
-// observations (TestStreamingEqualsBuffered), so the delta against
-// ObserveBuffered is pure path overhead.
-func BenchmarkObserveStreaming(b *testing.B) {
-	lab, biggest := benchBiggestCapture(b)
-	b.SetBytes(int64(biggest.Capture.Bytes()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := analysis.NewObserver(biggest.Config.ID, biggest.Config.Mode, lab.Study.MACToDevice)
+		o := analysis.NewObserver(biggest.Config.ID, biggest.Config.Mode, lab.Study.World.MACToDevice)
 		for _, rec := range biggest.Capture.Records {
 			o.Add(rec.Time, rec.Data)
 		}

@@ -11,8 +11,8 @@
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-list]
 //
 // -workers sizes every engine's worker pool (connectivity experiments,
-// analysis extraction, fleet homes, adversary campaign, resilience
-// profiles); output is byte-identical for any value.
+// fleet homes, adversary campaign, resilience profiles); output is
+// byte-identical for any value.
 //
 // Without -artifact, every artifact is printed in report order. The
 // command takes no positional arguments; unknown flags or arguments exit
@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	resilience := fs.Bool("resilience", false, "re-run the connectivity grid under the impairment profiles and render the resilience artifact")
 	horizonStr := fs.String("horizon", "", "run the long-horizon timeline over this much simulated time (e.g. 7d, 2w, 36h) and render the timeline artifact; -fleet N sizes the population (default 100)")
 	faultName := fs.String("fault", "", "run the whole lab under one impairment profile: clean|lossy-wifi|clamped-tunnel|flaky-dnsmasq")
-	capture := fs.String("capture", "", "frame-capture policy: full buffers every frame (default for the single-home study; required by -pcap-dir), none streams frames through the analysis observer without buffering (reports are byte-identical, memory stays flat)")
+	capture := fs.String("capture", "", "pcap buffering for the single-home study: full keeps every frame for pcap artifacts (default; required by -pcap-dir), none keeps no frames (memory stays flat); analysis streams every frame either way, so reports are byte-identical")
 	seed := fs.Uint64("seed", 1, "impairment seed for -fault and -resilience; identical seeds reproduce runs byte-for-byte")
 	devices := fs.String("devices", "", "comma-separated device names restricting the testbed (default: the full registry)")
 	metricsPath := fs.String("metrics", "", "write the deterministic telemetry snapshot to this file after the run (.prom/.txt = Prometheus text format, otherwise JSON)")

@@ -32,6 +32,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"v6lab/internal/splitmix"
 )
 
 func main() {
@@ -147,10 +149,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		wg.Add(1)
 		go func(tenant int) {
 			defer wg.Done()
-			rng := splitmix{state: *loadSeed*1_000_003 + uint64(tenant)}
+			rng := splitmix.New(*loadSeed*1_000_003 + uint64(tenant))
 			for i := 0; i < *requests; i++ {
 				spec := baseSpec
-				if int(rng.next()%100) >= *dup {
+				if rng.Intn(100) >= *dup {
 					spec = specFor(uniqueSeed.Add(1))
 				}
 				outcomes[tenant**requests+i] = oneJob(base, tenant, spec, *pollEvery, *timeout)
@@ -334,16 +336,4 @@ func fetchArtifact(base, id, name string) ([]byte, error) {
 		return nil, fmt.Errorf("GET artifact %s of %s: %d", name, id, resp.StatusCode)
 	}
 	return blob, nil
-}
-
-// splitmix is the same tiny deterministic generator the faults package
-// uses: identical on every platform, no math/rand version skew.
-type splitmix struct{ state uint64 }
-
-func (r *splitmix) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

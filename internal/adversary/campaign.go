@@ -13,6 +13,7 @@ import (
 	"v6lab/internal/experiment"
 	"v6lab/internal/firewall"
 	"v6lab/internal/fleet"
+	"v6lab/internal/splitmix"
 	"v6lab/internal/telemetry"
 )
 
@@ -22,23 +23,6 @@ import (
 // report is byte-identical at any worker count. The campaign seed only
 // shuffles the attacker's per-home probe order — which matters exactly
 // when a probe budget truncates the hitlist.
-
-// campaignRNG is splitmix64, the same generator the fleet uses for spec
-// derivation: one uint64 of state, sequence fully determined by the seed.
-type campaignRNG struct{ s uint64 }
-
-func (r *campaignRNG) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
-func (r *campaignRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // CampaignPorts returns the attacker's probe list: the classic IoT sweep
 // set plus every TCP service port any registry device exposes over IPv6 —
@@ -159,9 +143,9 @@ func campaignHome(cfg Config, hr *fleet.HomeResult, hd *HomeDiscovery, ports []u
 	for i := range order {
 		order[i] = i
 	}
-	rng := &campaignRNG{s: cfg.CampaignSeed ^ (uint64(spec.Index)+1)*0x9e3779b97f4a7c15}
+	rng := splitmix.New(cfg.CampaignSeed ^ (uint64(spec.Index)+1)*0x9e3779b97f4a7c15)
 	for i := len(order) - 1; i > 0; i-- {
-		j := rng.intn(i + 1)
+		j := rng.Intn(i + 1)
 		order[i], order[j] = order[j], order[i]
 	}
 	maxTargets := len(order)

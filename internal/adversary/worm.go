@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"v6lab/internal/fleet"
+	"v6lab/internal/splitmix"
 )
 
 // This file is the propagation phase: an epidemic model seeded by the
@@ -85,7 +86,7 @@ type wormNode struct {
 	wanEntry   bool // campaign found it inbound-reachable
 	infected   bool
 	infectedAt int
-	rng        *campaignRNG
+	rng        splitmix.Rand
 }
 
 // runWorm seeds patient zero on the first WAN-reachable device and runs
@@ -150,7 +151,7 @@ func runWorm(cfg Config, pop *fleet.Population, camp *CampaignReport) WormReport
 		n := nodes[id]
 		n.infected = true
 		n.infectedAt = tick
-		n.rng = &campaignRNG{s: wormSeed ^ (uint64(id)+1)*0x9e3779b97f4a7c15}
+		n.rng = splitmix.New(wormSeed ^ (uint64(id)+1)*0x9e3779b97f4a7c15)
 	}
 
 	if len(wanTargets) > 0 {
@@ -191,7 +192,7 @@ func runWorm(cfg Config, pop *fleet.Population, camp *CampaignReport) WormReport
 			// (the classic random-scanning epidemic slowdown).
 			for ; budget > 0 && len(wanTargets) > 0; budget-- {
 				rep.ProbesSent++
-				tid := wanTargets[b.rng.intn(len(wanTargets))]
+				tid := wanTargets[b.rng.Intn(len(wanTargets))]
 				if !nodes[tid].infected {
 					infect(tid, tick)
 					rep.Compromised++

@@ -6,6 +6,7 @@ import (
 
 	"v6lab/internal/experiment"
 	"v6lab/internal/paper"
+	"v6lab/internal/world"
 )
 
 var (
@@ -18,7 +19,7 @@ var (
 func dataset(t *testing.T) *Dataset {
 	t.Helper()
 	dsOnce.Do(func() {
-		st := experiment.NewStudy()
+		st := experiment.NewStudyWith(experiment.StudyOptions{World: world.Build(nil), Observe: Streaming()})
 		if err := st.RunAll(); err != nil {
 			t.Fatalf("study: %v", err)
 		}

@@ -18,7 +18,6 @@ import (
 	"v6lab/internal/dnsmsg"
 	"v6lab/internal/ndp"
 	"v6lab/internal/packet"
-	"v6lab/internal/pcapio"
 	"v6lab/internal/router"
 	"v6lab/internal/tlssim"
 )
@@ -147,7 +146,7 @@ func (o *DeviceObs) markUsed(a netip.Addr, mac packet.MAC) {
 
 // Observer is the streaming extraction engine: it consumes frames one at
 // a time — at switch-delivery time through the netsim.Tap interface, or
-// replayed from a buffered capture by Observe — parses each frame exactly
+// replayed from a pcap file in the same order — parses each frame exactly
 // once through its private decoder, and accumulates the per-device
 // observations online. DNS/SNI attribution is deferred: Internet contacts
 // made before the name mapping is complete are parked per device and
@@ -162,7 +161,6 @@ type Observer struct {
 	obs    *ExpObs
 	dec    *packet.Decoder
 	macMap map[packet.MAC]*device.Profile
-	frames int
 	final  bool
 	// answer and query are the DNS messages frames decode into, reused
 	// frame after frame; only their decoded strings are retained.
@@ -195,14 +193,10 @@ func (o *Observer) devFor(mac packet.MAC) *DeviceObs {
 	return d
 }
 
-// Frames reports how many frames the observer has consumed.
-func (o *Observer) Frames() int { return o.frames }
-
 // Add consumes one delivered frame (the netsim.Tap contract). The frame
 // is parsed once; the timestamp is unused — analysis never reads capture
 // times — but kept for Tap compatibility.
 func (o *Observer) Add(_ time.Time, frame []byte) {
-	o.frames++
 	p := o.dec.Parse(frame)
 	if p.Err != nil || p.Ethernet == nil {
 		return
@@ -265,17 +259,6 @@ func (o *Observer) Finalize(functional map[string]bool) *ExpObs {
 		d.pendingFlows, d.pendingEUI64 = nil, nil
 	}
 	return obs
-}
-
-// Observe runs the extraction over one experiment's buffered capture by
-// replaying it through a streaming Observer: the batch and streaming
-// paths share one extraction core, so they are equal by construction.
-func Observe(id string, mode device.Mode, cap *pcapio.Capture, macMap map[packet.MAC]*device.Profile, functional map[string]bool) *ExpObs {
-	o := NewObserver(id, mode, macMap)
-	for _, rec := range cap.Records {
-		o.Add(rec.Time, rec.Data)
-	}
-	return o.Finalize(functional)
 }
 
 // observeOutbound extracts what a device's own frame shows; dns is the

@@ -10,7 +10,6 @@ import (
 	"v6lab/internal/dnsmsg"
 	"v6lab/internal/ndp"
 	"v6lab/internal/packet"
-	"v6lab/internal/pcapio"
 	"v6lab/internal/router"
 	"v6lab/internal/tlssim"
 )
@@ -24,14 +23,16 @@ var (
 	remote  = netip.MustParseAddr("2606:4700:10::77")
 )
 
-func mkCap(t *testing.T, frames ...[]byte) *pcapio.Capture {
+// observeAll feeds frames through a fresh streaming Observer, in order,
+// and returns its finished observations.
+func observeAll(t *testing.T, frames ...[]byte) *ExpObs {
 	t.Helper()
-	c := &pcapio.Capture{}
+	o := NewObserver("test", device.ModeV6Only, obsMap)
 	base := time.Unix(1712300000, 0)
 	for i, f := range frames {
-		c.Add(base.Add(time.Duration(i)*time.Millisecond), f)
+		o.Add(base.Add(time.Duration(i)*time.Millisecond), f)
 	}
-	return c
+	return o.Finalize(nil)
 }
 
 func frame(t *testing.T, layers ...packet.SerializableLayer) []byte {
@@ -43,9 +44,8 @@ func frame(t *testing.T, layers ...packet.SerializableLayer) []byte {
 	return f
 }
 
-func obs1(t *testing.T, c *pcapio.Capture) *DeviceObs {
+func obs1(t *testing.T, e *ExpObs) *DeviceObs {
 	t.Helper()
-	e := Observe("test", device.ModeV6Only, c, obsMap, nil)
 	d := e.Devices["testdev"]
 	if d == nil {
 		t.Fatal("device not observed")
@@ -57,11 +57,11 @@ func TestObserveDADAttribution(t *testing.T) {
 	ns := &ndp.NeighborSolicit{Target: gua}
 	dst := addr.SolicitedNodeMulticast(gua)
 	unspec := netip.IPv6Unspecified()
-	c := mkCap(t, frame(t,
+	e := observeAll(t, frame(t,
 		&packet.Ethernet{Dst: addr.MulticastMAC(dst), Src: obsMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: 255, Src: unspec, Dst: dst},
 		&packet.ICMPv6{Type: packet.ICMPv6TypeNeighborSolicit, Body: ns.MarshalBody(), Src: unspec, Dst: dst}))
-	d := obs1(t, c)
+	d := obs1(t, e)
 	if !d.NDP {
 		t.Error("NDP not flagged")
 	}
@@ -82,11 +82,11 @@ func TestObserveResolutionNSNotAttributedToSender(t *testing.T) {
 	other := netip.MustParseAddr("2001:470:8:100::1")
 	ns := &ndp.NeighborSolicit{Target: other, SourceLinkAddr: obsMAC}
 	dst := addr.SolicitedNodeMulticast(other)
-	c := mkCap(t, frame(t,
+	e := observeAll(t, frame(t,
 		&packet.Ethernet{Dst: addr.MulticastMAC(dst), Src: obsMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: 255, Src: gua, Dst: dst},
 		&packet.ICMPv6{Type: packet.ICMPv6TypeNeighborSolicit, Body: ns.MarshalBody(), Src: gua, Dst: dst}))
-	d := obs1(t, c)
+	d := obs1(t, e)
 	if _, ok := d.Assigned[other]; ok {
 		t.Error("router's address attributed to the device")
 	}
@@ -96,12 +96,12 @@ func TestObserveEUI64DNSExposure(t *testing.T) {
 	q := &dnsmsg.Message{ID: 7, RecursionDesired: true, Questions: []dnsmsg.Question{{Name: "secret.vendor.example", Type: dnsmsg.TypeAAAA}}}
 	wire, _ := q.Pack()
 	dns6 := netip.MustParseAddr("2001:4860:4860::8888")
-	c := mkCap(t, frame(t,
+	e := observeAll(t, frame(t,
 		&packet.Ethernet{Dst: router.RouterMAC, Src: obsMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolUDP, Src: gua, Dst: dns6},
 		&packet.UDP{SrcPort: 9999, DstPort: 53, Src: gua, Dst: dns6},
 		packet.Raw(wire)))
-	d := obs1(t, c)
+	d := obs1(t, e)
 	if !d.EUI64DNS || !d.EUI64DNSNames["secret.vendor.example"] {
 		t.Errorf("EUI-64 DNS exposure missed: %+v", d.EUI64DNSNames)
 	}
@@ -112,12 +112,12 @@ func TestObserveEUI64DNSExposure(t *testing.T) {
 
 func TestObserveSNIAttribution(t *testing.T) {
 	hello := tlssim.ClientHello("hardcoded.vendor.example", nil)
-	c := mkCap(t, frame(t,
+	e := observeAll(t, frame(t,
 		&packet.Ethernet{Dst: router.RouterMAC, Src: obsMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolTCP, Src: privGUA, Dst: remote},
 		&packet.TCP{SrcPort: 5, DstPort: 443, Flags: packet.TCPFlagPSH | packet.TCPFlagACK, Src: privGUA, Dst: remote},
 		packet.Raw(hello)))
-	d := obs1(t, c)
+	d := obs1(t, e)
 	if !d.InternetV6 {
 		t.Error("Internet v6 data missed")
 	}
@@ -132,12 +132,12 @@ func TestObserveSNIAttribution(t *testing.T) {
 func TestObserveLocalVsInternet(t *testing.T) {
 	local := netip.MustParseAddr("ff02::fb")
 	lla := addr.LinkLocalEUI64(obsMAC)
-	c := mkCap(t, frame(t,
+	e := observeAll(t, frame(t,
 		&packet.Ethernet{Dst: addr.MulticastMAC(local), Src: obsMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolUDP, Src: lla, Dst: local},
 		&packet.UDP{SrcPort: 5353, DstPort: 5353, Src: lla, Dst: local},
 		packet.Raw([]byte("matter"))))
-	d := obs1(t, c)
+	d := obs1(t, e)
 	if !d.LocalV6Data {
 		t.Error("local data missed")
 	}
@@ -146,12 +146,12 @@ func TestObserveLocalVsInternet(t *testing.T) {
 	}
 	// On-link GUA destinations also stay local.
 	peer := netip.MustParseAddr("2001:470:8:100::77")
-	c2 := mkCap(t, frame(t,
+	e2 := observeAll(t, frame(t,
 		&packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 9}, Src: obsMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolUDP, Src: gua, Dst: peer},
 		&packet.UDP{SrcPort: 1, DstPort: 5540, Src: gua, Dst: peer},
 		packet.Raw([]byte("x"))))
-	d2 := obs1(t, c2)
+	d2 := obs1(t, e2)
 	if d2.InternetV6 || !d2.LocalV6Data {
 		t.Error("on-link GUA misclassified")
 	}
@@ -163,12 +163,12 @@ func TestObserveNodataResponseIsNegative(t *testing.T) {
 	r.Authority = []dnsmsg.Record{{Name: "example", Type: dnsmsg.TypeSOA, Target: "ns.example", TTL: 60}}
 	wire, _ := r.Pack()
 	dns6 := netip.MustParseAddr("2001:4860:4860::8888")
-	c := mkCap(t, frame(t,
+	e := observeAll(t, frame(t,
 		&packet.Ethernet{Dst: obsMAC, Src: router.RouterMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolUDP, Src: dns6, Dst: gua},
 		&packet.UDP{SrcPort: 53, DstPort: 9999, Src: dns6, Dst: gua},
 		packet.Raw(wire)))
-	d := obs1(t, c)
+	d := obs1(t, e)
 	if d.GotAAAAResponse(nil) {
 		t.Error("NODATA counted as positive response")
 	}
@@ -180,12 +180,11 @@ func TestObservePositiveResponse(t *testing.T) {
 	r.Answers = []dnsmsg.Record{{Name: "ok.example", Type: dnsmsg.TypeAAAA, TTL: 60, Addr: remote}}
 	wire, _ := r.Pack()
 	dns6 := netip.MustParseAddr("2001:4860:4860::8888")
-	c := mkCap(t, frame(t,
+	e := observeAll(t, frame(t,
 		&packet.Ethernet{Dst: obsMAC, Src: router.RouterMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolUDP, Src: dns6, Dst: gua},
 		&packet.UDP{SrcPort: 53, DstPort: 9999, Src: dns6, Dst: gua},
 		packet.Raw(wire)))
-	e := Observe("t", device.ModeV6Only, c, obsMap, nil)
 	d := e.Devices["testdev"]
 	if d == nil || !d.GotAAAAResponse(nil) {
 		t.Fatal("positive AAAA response missed")
@@ -196,12 +195,11 @@ func TestObservePositiveResponse(t *testing.T) {
 }
 
 func TestObserveIgnoresUnknownMACs(t *testing.T) {
-	c := mkCap(t, frame(t,
+	e := observeAll(t, frame(t,
 		&packet.Ethernet{Dst: obsMAC, Src: packet.MAC{2, 9, 9, 9, 9, 9}, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolUDP, Src: remote, Dst: gua},
 		&packet.UDP{SrcPort: 1, DstPort: 2, Src: remote, Dst: gua},
 		packet.Raw([]byte("x"))))
-	e := Observe("t", device.ModeV6Only, c, obsMap, nil)
 	if len(e.Devices) != 1 { // only the inbound side (testdev) materializes
 		t.Errorf("devices = %d", len(e.Devices))
 	}

@@ -66,7 +66,7 @@ func (st *Study) RunTargetedExposure(cfg Config, pol firewall.Policy, targets []
 		if addr.Classify(a) != addr.KindGUA || !router.GUAPrefix.Contains(a) {
 			continue
 		}
-		if prof := st.MACToDevice[m]; prof != nil {
+		if prof := st.World.MACToDevice[m]; prof != nil {
 			te.Device[a] = prof.Name
 		}
 	}

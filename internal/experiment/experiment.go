@@ -92,39 +92,26 @@ func ConfigByID(id string) (Config, bool) {
 }
 
 // CapturePolicy selects whether an experiment buffers its frames into a
-// pcap Capture or streams them straight into an analysis observer.
+// pcap Capture. It decides buffering only: analysis always streams
+// through the study's observer factory, whatever the policy.
 type CapturePolicy int
 
 const (
-	// CaptureDefault resolves to a caller-appropriate policy: the run
-	// engine treats it as CaptureFull (the pre-policy behavior, keeping
-	// zero-value StudyOptions byte-identical), while aggregate-only
-	// drivers — the fleet, the resilience grid — resolve it to
-	// CaptureNone before building their studies.
-	CaptureDefault CapturePolicy = iota
-	// CaptureFull buffers every delivered frame into a pcapio.Capture
-	// (the tcpdump-equivalent record pcap artifacts are written from).
-	CaptureFull
-	// CaptureNone materializes no Capture at all: frames are parsed once
-	// at delivery by the study's streaming Observer and the bytes are
-	// never retained. Requires an ObserverFactory.
+	// CaptureFull buffers every delivered frame into a pcapio.Capture, the
+	// tcpdump-equivalent record pcap artifacts are written from. It is the
+	// zero value, so zero StudyOptions keep the recorded pcaps.
+	CaptureFull CapturePolicy = iota
+	// CaptureNone materializes no Capture: frames are never retained.
 	CaptureNone
 )
 
-// Observer is the experiment-facing half of a streaming analysis sink: a
-// delivery tap that also reports how many frames it consumed. The
-// analysis package owns the concrete type (and its Finalize); experiment
-// only wires it onto the switch, which keeps the import direction
-// analysis → experiment.
-type Observer interface {
-	netsim.Tap
-	Frames() int
-}
-
-// ObserverFactory builds one streaming Observer per experiment run.
-// Factories must return observers that are independent across calls: each
-// run gets its own (runs on different workers are concurrent).
-type ObserverFactory func(cfg Config, st *Study) Observer
+// ObserverFactory builds one streaming analysis tap per experiment run.
+// Factories must return taps that are independent across calls: each run
+// gets its own (runs on different workers are concurrent). The analysis
+// package owns the concrete type and its Finalize; experiment only wires
+// it onto the switch, which keeps the import direction analysis →
+// experiment.
+type ObserverFactory func(cfg Config, st *Study) netsim.Tap
 
 // RunResult captures everything one experiment produced.
 type RunResult struct {
@@ -133,9 +120,9 @@ type RunResult struct {
 	// when the study ran CaptureNone.
 	Capture *pcapio.Capture
 	// Observed is the streaming observer that consumed the run's frames
-	// under CaptureNone (nil on the buffered path). It is an opaque
+	// (nil when the study has no observer factory). It is an opaque
 	// handle here; the analysis package finalizes it.
-	Observed Observer
+	Observed netsim.Tap
 	// Functional maps device name to the outcome of its functionality
 	// test in this experiment.
 	Functional map[string]bool
@@ -160,18 +147,9 @@ type RunResult struct {
 	ServiceDrops int
 }
 
-// Frames reports how many frames the run recorded for analysis: the
-// buffered capture's length, or the streaming observer's count, or (with
-// neither attached) the raw delivery count.
-func (r *RunResult) Frames() int {
-	switch {
-	case r.Capture != nil:
-		return r.Capture.Len()
-	case r.Observed != nil:
-		return r.Observed.Frames()
-	}
-	return r.FramesDelivered
-}
+// Frames reports how many frames the run recorded for analysis. Every
+// tap sees exactly the delivered frames, so this is FramesDelivered.
+func (r *RunResult) Frames() int { return r.FramesDelivered }
 
 // AAAAResult records the active DNS experiment's verdict for one domain.
 type AAAAResult struct {
@@ -184,18 +162,13 @@ type AAAAResult struct {
 // results, and active-measurement outputs.
 type Study struct {
 	// World is the immutable half of the study: population, plans, primed
-	// cloud registry, MAC index. Profiles/Plans/MACToDevice below alias it
-	// (kept as fields for the pre-World API).
+	// cloud registry, MAC index. Profiles aliases World.Profiles.
 	World *world.World
 
 	Profiles []*device.Profile
-	Plans    []*device.Plan
 	Stacks   []*device.Stack
 	Cloud    *cloud.Cloud
 	Clock    *netsim.Clock
-
-	// MACToDevice resolves capture frames back to device identities.
-	MACToDevice map[packet.MAC]*device.Profile
 
 	Results []*RunResult
 	// ActiveDNS holds the §4.3 active AAAA query results per domain.
@@ -206,20 +179,17 @@ type Study struct {
 	// MaxFramesPerRun bounds each experiment's frame deliveries.
 	MaxFramesPerRun int
 
-	// Capture selects frame buffering per run; CaptureDefault behaves as
-	// CaptureFull here. CaptureNone runs feed the Observe factory's
-	// streaming sink instead — or, with no factory, attach no analysis
-	// tap at all (aggregate-only runs).
+	// Capture selects whether each run buffers its frames for pcap
+	// artifacts. It never changes what analysis sees.
 	Capture CapturePolicy
-	// Observe, when non-nil, builds the streaming analysis sink each
-	// CaptureNone run feeds at delivery time. Ignored on buffered runs
-	// (the capture is the analysis source there; attaching both would
-	// parse every frame twice for nothing).
+	// Observe, when non-nil, builds the streaming analysis sink each run
+	// feeds at delivery time. Without one no analysis tap is attached
+	// (aggregate-only runs read stack and router state, not frames).
 	Observe ObserverFactory
 
-	// Workers bounds the worker pool the connectivity experiments (and the
-	// analysis extraction) run on. 0 or 1 means serial. See parallel.go for
-	// the byte-identity guarantee and the fault-path fallback.
+	// Workers bounds the worker pool the connectivity experiments run on.
+	// 0 or 1 means serial. See parallel.go for the byte-identity guarantee
+	// and the fault-path fallback.
 	Workers int
 
 	// Faults, when non-nil, impairs every experiment: the link model is
@@ -283,12 +253,11 @@ type StudyOptions struct {
 	// experiment the study runs. Inactive profiles (see faults.Profile)
 	// are ignored; nil means a perfect network.
 	Faults *faults.Profile
-	// Capture selects frame buffering per run. The zero value
-	// (CaptureDefault) keeps the buffered pre-policy behavior here;
-	// aggregate-only drivers resolve it to CaptureNone themselves.
+	// Capture selects pcap buffering per run; the zero value is
+	// CaptureFull.
 	Capture CapturePolicy
-	// Observe builds the streaming analysis sink for CaptureNone runs;
-	// see Study.Observe.
+	// Observe builds each run's streaming analysis sink; see
+	// Study.Observe.
 	Observe ObserverFactory
 	// Workers bounds the pool the six connectivity experiments run on;
 	// 0 or 1 means the serial engine. Results are byte-identical either
@@ -324,10 +293,8 @@ func NewStudyWith(opts StudyOptions) *Study {
 	st := &Study{
 		World:           w,
 		Profiles:        w.Profiles,
-		Plans:           w.Plans,
 		Cloud:           w.Cloud.Clone(),
 		Clock:           netsim.NewClock(start),
-		MACToDevice:     w.MACToDevice,
 		ActiveDNS:       map[string]AAAAResult{},
 		MaxFramesPerRun: maxFrames,
 		Capture:         opts.Capture,
@@ -430,20 +397,16 @@ func (st *Study) RunExperimentWith(cfg Config, pol firewall.Policy) (*RunResult,
 	// The config ID sub-seeds the fault profile: the six runs see
 	// different (but reproducible) frame fates from the same seed.
 	h := st.NewHome(cfg, pol, cfg.ID)
-	// At most one analysis tap per run: the buffered capture (default) or
-	// the streaming observer — never both, so every frame is recorded or
-	// parsed for analysis exactly once. CaptureNone without an observer
-	// attaches nothing: aggregate-only callers (the resilience grid, the
-	// adversary campaign) read stack and router state, not frames, and
-	// skip the per-frame tap cost entirely.
+	// The observer is the run's only analysis source; the capture, when
+	// the policy keeps one, is just the buffer pcap artifacts are written
+	// from.
+	var obs netsim.Tap
+	if st.Observe != nil {
+		obs = st.Observe(cfg, st)
+		h.Net.AddTap(obs)
+	}
 	var cap *pcapio.Capture
-	var obs Observer
-	if st.Capture == CaptureNone {
-		if st.Observe != nil {
-			obs = st.Observe(cfg, st)
-			h.Net.AddTap(obs)
-		}
-	} else {
+	if st.Capture == CaptureFull {
 		cap = &pcapio.Capture{}
 		h.Net.AddTap(cap)
 	}
@@ -493,7 +456,7 @@ func (st *Study) RunExperimentWith(cfg Config, pol firewall.Policy) (*RunResult,
 			st.tm.captureBytes.Add(int64(cap.Bytes()))
 		}
 		if obs != nil {
-			st.tm.framesStreamed.Add(uint64(obs.Frames()))
+			st.tm.framesStreamed.Add(uint64(res.FramesDelivered))
 		}
 	}
 	functional := 0
@@ -515,7 +478,7 @@ func (st *Study) RunExperimentWith(cfg Config, pol firewall.Policy) (*RunResult,
 // every destination domain observed across the experiments. (The planner's
 // spec list is exactly the set of names the captures contain.)
 func (st *Study) RunActiveDNS() {
-	for _, pl := range st.Plans {
+	for _, pl := range st.World.Plans {
 		for _, sp := range pl.Specs {
 			if _, done := st.ActiveDNS[sp.Name]; done {
 				continue

@@ -177,7 +177,7 @@ func (h *Home) Sweep(ports []uint16) (*PolicyExposure, error) {
 		if addr.Classify(a) != addr.KindGUA || !router.GUAPrefix.Contains(a) {
 			continue
 		}
-		prof := st.MACToDevice[m]
+		prof := st.World.MACToDevice[m]
 		if prof == nil {
 			continue
 		}

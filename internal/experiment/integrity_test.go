@@ -97,7 +97,7 @@ func TestRDNSSOnlyVariantMechanism(t *testing.T) {
 			t.Fatalf("no result for %s", expID)
 		}
 		var mac packet.MAC
-		for m, p := range st.MACToDevice {
+		for m, p := range st.World.MACToDevice {
 			if p.Name == "Vizio TV" {
 				mac = m
 			}
@@ -150,7 +150,7 @@ func TestStatefulVariantLeases(t *testing.T) {
 func TestEufySkipsV6InDualStack(t *testing.T) {
 	st := fullStudy(t)
 	var mac packet.MAC
-	for m, p := range st.MACToDevice {
+	for m, p := range st.World.MACToDevice {
 		if p.Name == "Eufy Hub" {
 			mac = m
 		}
@@ -177,7 +177,7 @@ func TestEufySkipsV6InDualStack(t *testing.T) {
 // the whole destination universe.
 func TestActiveDNSCoversAllDomains(t *testing.T) {
 	st := fullStudy(t)
-	for _, pl := range st.Plans {
+	for _, pl := range st.World.Plans {
 		for _, sp := range pl.Specs {
 			if _, ok := st.ActiveDNS[sp.Name]; !ok {
 				t.Fatalf("active DNS missing %s", sp.Name)

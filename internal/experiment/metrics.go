@@ -41,9 +41,9 @@ type studyMetrics struct {
 	expElapsedMS *telemetry.Counter
 	expByConfig  *telemetry.CounterVec
 
-	// Analysis-path accounting: how runs fed their frames to analysis
-	// (streamed at delivery vs buffered into a capture) and how many
-	// capture bytes the buffered runs retained.
+	// Analysis-path accounting: frames streamed through the analysis
+	// observer, frames also buffered into a capture, and the capture bytes
+	// the buffered runs retained.
 	framesStreamed *telemetry.Counter
 	framesBuffered *telemetry.Counter
 	captureBytes   *telemetry.Gauge
@@ -90,8 +90,8 @@ func newStudyMetrics(r *telemetry.Registry) *studyMetrics {
 		expElapsedMS: r.Counter("experiment", "sim_elapsed_ms_total", "Simulated milliseconds consumed by experiment runs."),
 		expByConfig:  r.CounterVec("experiment", "runs_by_config_total", "Experiment runs by Table 2 configuration.", "config"),
 
-		framesStreamed: r.Counter("analysis", "frames_streamed_total", "Frames parsed at delivery by streaming observers (CaptureNone runs)."),
-		framesBuffered: r.Counter("analysis", "frames_buffered_total", "Frames buffered into pcap captures for batch analysis."),
+		framesStreamed: r.Counter("analysis", "frames_streamed_total", "Frames parsed at delivery by streaming analysis observers."),
+		framesBuffered: r.Counter("analysis", "frames_buffered_total", "Frames buffered into pcap captures for pcap artifacts."),
 		captureBytes:   r.Gauge("pcapio", "capture_bytes_retained", "Frame bytes currently retained in experiment captures."),
 
 		cloudQueries: r.CounterVec("cloud", "queries_total", "DNS questions served by the simulated cloud, by record type.", "type"),

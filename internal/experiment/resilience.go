@@ -84,12 +84,8 @@ func RunResilienceContext(ctx context.Context, opts StudyOptions, profiles ...fa
 		profiles = faults.Grid()
 	}
 	// The grid reads stack and router state (failure stages, drop and
-	// retransmit counters), never frames, so the default capture policy
-	// here is none: no Capture is materialized and no analysis tap runs.
-	// Callers that do want buffered runs pass CaptureFull explicitly.
-	if opts.Capture == CaptureDefault {
-		opts.Capture = CaptureNone
-	}
+	// retransmit counters), never frames: no capture, no analysis tap.
+	opts.Capture, opts.Observe = CaptureNone, nil
 	// One immutable world for the whole grid: every profile's study shares
 	// the population, plans, and primed cloud registry, rebuilding only
 	// its own stacks. Without a shared one, the grid runs the full registry.

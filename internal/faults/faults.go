@@ -23,6 +23,7 @@ import (
 
 	"v6lab/internal/dnsmsg"
 	"v6lab/internal/netsim"
+	"v6lab/internal/splitmix"
 )
 
 // Profile is one named impairment configuration. The zero value (and any
@@ -118,21 +119,6 @@ func ByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("faults: unknown profile %q (want clean|lossy-wifi|clamped-tunnel|flaky-dnsmasq)", name)
 }
 
-// rng is a splitmix64 sequence: tiny, fast, and identical on every
-// platform (no floating point, no math/rand version skew).
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// permille returns a deterministic draw in [0, 1000).
-func (r *rng) permille() int { return int(r.next() % 1000) }
-
 // SubSeed derives a stable per-scope seed (e.g. per experiment ID) from a
 // base seed, so each of the six Table 2 runs gets an independent but
 // reproducible impairment sequence.
@@ -146,20 +132,20 @@ func SubSeed(seed uint64, scope string) uint64 {
 // switch. It implements netsim.Impairment.
 type Link struct {
 	p       Profile
-	r       rng
+	r       splitmix.Rand
 	dropped int
 }
 
 // NewLink builds the link impairment for one experiment run.
 func NewLink(p Profile, seed uint64) *Link {
-	return &Link{p: p, r: rng{state: seed}}
+	return &Link{p: p, r: splitmix.New(seed)}
 }
 
 // Verdict implements netsim.Impairment: one PRNG draw per frame decides
 // its fate. Draw order is delivery order, which the switch keeps
 // deterministic, so the whole run is reproducible.
 func (l *Link) Verdict(frame []byte) netsim.Verdict {
-	d := l.r.permille()
+	d := l.r.Intn(1000) // permille
 	switch {
 	case d < l.p.LossPermille:
 		l.dropped++

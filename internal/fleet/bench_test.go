@@ -3,8 +3,6 @@ package fleet
 import (
 	"fmt"
 	"testing"
-
-	"v6lab/internal/experiment"
 )
 
 // BenchmarkFleet times a 16-home fleet at increasing worker counts. Homes
@@ -15,21 +13,6 @@ func BenchmarkFleet(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			benchFleet(b, Config{Homes: 16, Workers: workers, Seed: 1})
-		})
-	}
-	// The capture-policy rows isolate what buffering costs per home at a
-	// fixed worker count: capture=none is the default streaming path (no
-	// Capture materialized, frames parsed once at delivery), capture=full
-	// the buffered batch path (arena copy per frame plus a replay parse).
-	for _, row := range []struct {
-		name   string
-		policy experiment.CapturePolicy
-	}{
-		{"capture=none", experiment.CaptureNone},
-		{"capture=full", experiment.CaptureFull},
-	} {
-		b.Run(row.name, func(b *testing.B) {
-			benchFleet(b, Config{Homes: 16, Workers: 4, Seed: 1, Capture: row.policy})
 		})
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"v6lab/internal/device"
 	"v6lab/internal/experiment"
 	"v6lab/internal/firewall"
+	"v6lab/internal/splitmix"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/world"
 )
@@ -64,12 +65,6 @@ type Config struct {
 	// MaxFramesPerRun bounds each home experiment's frame deliveries;
 	// 0 means the study default.
 	MaxFramesPerRun int
-	// Capture selects per-home frame buffering. The fleet only needs
-	// aggregates, so the default (CaptureDefault) resolves to CaptureNone:
-	// each home's frames stream through an analysis Observer at delivery
-	// and are never buffered. Set CaptureFull to restore the buffered
-	// batch path (e.g. when debugging a home's traffic).
-	Capture experiment.CapturePolicy
 	// SkipExposure disables the per-home WAN-vantage inbound scan.
 	SkipExposure bool
 	// RetainWorlds keeps each home's immutable world on its HomeResult, so
@@ -137,9 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.Policies == nil {
 		c.Policies = DefaultPolicies
 	}
-	if c.Capture == experiment.CaptureDefault {
-		c.Capture = experiment.CaptureNone
-	}
 	return c
 }
 
@@ -167,30 +159,13 @@ func (s HomeSpec) Profiles(reg []*device.Profile) []*device.Profile {
 	return profiles
 }
 
-// rng is a splitmix64 generator: tiny, deterministic, and safe to
-// instantiate per home (no shared state).
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // pickIndex draws an index with probability proportional to its weight.
-func (r *rng) pickIndex(weights []int) int {
+func pickIndex(r *splitmix.Rand, weights []int) int {
 	total := 0
 	for _, w := range weights {
 		total += w
 	}
-	x := r.intn(total)
+	x := r.Intn(total)
 	for i, w := range weights {
 		x -= w
 		if x < 0 {
@@ -201,12 +176,12 @@ func (r *rng) pickIndex(weights []int) int {
 }
 
 // pick draws one option from a weighted mix.
-func (r *rng) pick(shares []Share) string {
+func pick(r *splitmix.Rand, shares []Share) string {
 	weights := make([]int, len(shares))
 	for i, s := range shares {
 		weights[i] = s.Weight
 	}
-	return shares[r.pickIndex(weights)].Name
+	return shares[pickIndex(r, weights)].Name
 }
 
 // SpecFor derives home i's spec from the fleet seed alone; it never looks
@@ -226,17 +201,17 @@ func (c Config) SpecForIn(registry []*device.Profile, i int) HomeSpec {
 // loop derives all N specs from one registry copy instead of N.
 func (c Config) specFor(registry []*device.Profile, i int) HomeSpec {
 	c = c.withDefaults()
-	r := &rng{s: c.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15}
+	r := splitmix.New(c.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
 
 	// Household size: pick a band by weight, then uniform within it.
 	weights := make([]int, len(c.Sizes))
 	for bi, b := range c.Sizes {
 		weights[bi] = b.Weight
 	}
-	band := c.Sizes[r.pickIndex(weights)]
+	band := c.Sizes[pickIndex(&r, weights)]
 	size := band.Min
 	if band.Max > band.Min {
-		size += r.intn(band.Max - band.Min + 1)
+		size += r.Intn(band.Max - band.Min + 1)
 	}
 	if size > len(registry) {
 		size = len(registry)
@@ -249,7 +224,7 @@ func (c Config) specFor(registry []*device.Profile, i int) HomeSpec {
 		perm[j] = j
 	}
 	for j := 0; j < size; j++ {
-		k := j + r.intn(len(perm)-j)
+		k := j + r.Intn(len(perm)-j)
 		perm[j], perm[k] = perm[k], perm[j]
 	}
 	idx := append([]int(nil), perm[:size]...)
@@ -263,8 +238,8 @@ func (c Config) specFor(registry []*device.Profile, i int) HomeSpec {
 		Index:         i,
 		DeviceIndexes: idx,
 		Devices:       names,
-		ConfigID:      r.pick(c.Connectivity),
-		Policy:        r.pick(c.Policies),
+		ConfigID:      pick(&r, c.Connectivity),
+		Policy:        pick(&r, c.Policies),
 	}
 }
 
@@ -296,8 +271,8 @@ type HomeResult struct {
 	EUI64Assign int
 	EUI64Use    int
 
-	// FramesCaptured is the home run's analysis frame count (streamed or
-	// buffered — the two paths see the same delivered frames).
+	// FramesCaptured is the home run's analysis frame count: the frames
+	// its observer streamed, which are the delivered frames.
 	FramesCaptured int
 
 	// Elapsed is the simulated time the home's runs consumed.
@@ -329,7 +304,7 @@ func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, scratch *experime
 	st := experiment.NewStudyWith(experiment.StudyOptions{
 		World:           w,
 		MaxFramesPerRun: cfg.MaxFramesPerRun,
-		Capture:         cfg.Capture,
+		Capture:         experiment.CaptureNone,
 		Observe:         analysis.Streaming(),
 		Telemetry:       cfg.Telemetry,
 		Scratch:         scratch,

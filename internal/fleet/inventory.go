@@ -76,7 +76,7 @@ func collectInventory(spec HomeSpec, st *experiment.Study, obs *analysis.ExpObs,
 	}
 	for i, s := range st.Stacks {
 		p := st.Profiles[i]
-		pl := st.Plans[i]
+		pl := st.World.Plans[i]
 
 		// Did this device talk v6 to an AAAA-bearing tracker domain? If
 		// so its preferred source address is sitting in tracker logs.

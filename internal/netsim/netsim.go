@@ -50,10 +50,10 @@ func (c *Clock) AdvanceTo(t time.Time) {
 	}
 }
 
-// Tap consumes every frame the switch delivers, in delivery order. A
-// pcapio.Capture is the buffering implementation (record every frame for
-// later re-parsing); the analysis package's streaming Observer is the
-// incremental one (parse at delivery, retain only extracted values). Tap
+// Tap consumes every frame the switch delivers, in delivery order. The
+// analysis package's streaming Observer is the analysis tap (parse at
+// delivery, retain only extracted values); a pcapio.Capture is the
+// buffering one, which pcap artifacts are written from. Tap
 // implementations must not retain data past the call: the bytes live in
 // the switch's frame arena and are recycled on Reset.
 type Tap interface {

@@ -4,17 +4,16 @@ import "fmt"
 
 // Decoder parses frames without allocating: it owns one instance of every
 // layer type plus a single Packet whose Layers slice is backed by a fixed
-// array, and Parse/ParseIP fill those in place. Profiles of the full study
-// showed the package-level Parse — one fresh Packet plus one fresh struct
-// per layer per frame — accounting for over 70% of all allocations, so
-// every steady-state parse site (device stacks, the router, the cloud, the
-// analysis pipeline, the scanner) owns a Decoder instead.
+// array, and Parse/ParseIP fill those in place. It is the package's only
+// layer walk: the package-level Parse/ParseIP wrap a fresh Decoder per
+// call, and every steady-state parse site (device stacks, the router, the
+// cloud, the analysis pipeline, the scanner) owns one instead.
 //
 // The returned *Packet and every layer it points to are overwritten by the
 // next Parse/ParseIP call on the same Decoder, so callers must not retain
 // the Packet or any layer struct across calls. Retaining slices the layers
 // expose (payload views into the frame) is governed by the frame's own
-// lifetime, exactly as with the allocating Parse.
+// lifetime.
 //
 // A Decoder is not safe for concurrent use; give each goroutine-confined
 // owner its own.
@@ -35,12 +34,15 @@ type Decoder struct {
 // NewDecoder returns a ready Decoder.
 func NewDecoder() *Decoder { return &Decoder{} }
 
-// Parse decodes an Ethernet frame in place, mirroring the package-level
-// Parse. The result is valid until the next call on this Decoder.
-func (d *Decoder) Parse(frame []byte) *Packet { return d.parseFrom(frame, LayerTypeEthernet) }
+// Parse decodes an Ethernet frame in place. The result is valid until the
+// next call on this Decoder.
+func (d *Decoder) Parse(frame []byte) *Packet {
+	d.reset()
+	return d.walk(frame, LayerTypeEthernet)
+}
 
-// ParseIP decodes a raw IP packet (no link layer) in place, mirroring the
-// package-level ParseIP. The result is valid until the next call on this
+// ParseIP decodes a raw IP packet (no link layer) in place, dispatching
+// on the version nibble. The result is valid until the next call on this
 // Decoder.
 func (d *Decoder) ParseIP(data []byte) *Packet {
 	d.reset()
@@ -62,14 +64,9 @@ func (d *Decoder) reset() {
 	d.pkt = Packet{Layers: d.layers[:0]}
 }
 
-func (d *Decoder) parseFrom(data []byte, first LayerType) *Packet {
-	d.reset()
-	return d.walk(data, first)
-}
-
-// walk mirrors parseFrom but reuses the Decoder-owned layer structs. Each
-// struct is zeroed before its DecodeFromBytes so no field survives from a
-// previous frame.
+// walk decodes the layer chain from next into the Decoder-owned layer
+// structs. Each struct is zeroed before its DecodeFromBytes so no field
+// survives from a previous frame.
 func (d *Decoder) walk(data []byte, next LayerType) *Packet {
 	p := &d.pkt
 	for next != LayerTypeZero && next != LayerTypePayload {

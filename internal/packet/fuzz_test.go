@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"testing"
 )
 
@@ -47,12 +48,12 @@ func fuzzSeeds() [][]byte {
 
 // FuzzDecoderParse drives the reusable Decoder — the parser on every
 // steady-state hot path, including the streaming analysis tap — over
-// arbitrary bytes. It asserts the two properties the pipeline relies on:
-// no input panics, and a nil Err implies the link layer was decoded
-// (the streaming Observer's skip condition assumes Err==nil ⇒ Ethernet
-// is set). Each input also goes through ParseIP and the corresponding
-// allocating package-level parser, whose outcome must agree with the
-// Decoder's.
+// arbitrary bytes. It asserts the properties the pipeline relies on: no
+// input panics; a nil Err implies the link layer (Parse) or an IP layer
+// (ParseIP) was decoded, which the streaming Observer's skip condition
+// assumes; and a Decoder reused across every input decodes each one to
+// exactly the layer values, payload and error a fresh Decoder (the
+// package-level Parse/ParseIP) does, so no state leaks between frames.
 func FuzzDecoderParse(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -68,16 +69,16 @@ func FuzzDecoderParse(f *testing.F) {
 		if p.Err == nil && p.Ethernet == nil {
 			t.Fatalf("Parse(%x): nil Err but no Ethernet layer", data)
 		}
-		if alloc := Parse(data); (alloc.Err == nil) != (p.Err == nil) {
-			t.Fatalf("Parse(%x): decoder err %v, package-level err %v", data, p.Err, alloc.Err)
+		if fresh := Parse(data); !reflect.DeepEqual(p, fresh) {
+			t.Fatalf("Parse(%x): reused decoder %+v, fresh decoder %+v", data, *p, *fresh)
 		}
 
 		ip := dec.ParseIP(data)
 		if ip.Err == nil && ip.IPv4 == nil && ip.IPv6 == nil {
 			t.Fatalf("ParseIP(%x): nil Err but no IP layer", data)
 		}
-		if alloc := ParseIP(data); (alloc.Err == nil) != (ip.Err == nil) {
-			t.Fatalf("ParseIP(%x): decoder err %v, package-level err %v", data, ip.Err, alloc.Err)
+		if fresh := ParseIP(data); !reflect.DeepEqual(ip, fresh) {
+			t.Fatalf("ParseIP(%x): reused decoder %+v, fresh decoder %+v", data, *ip, *fresh)
 		}
 	})
 }

@@ -108,81 +108,15 @@ type Packet struct {
 
 // ParseIP decodes a raw IP packet (no link layer), dispatching on the
 // version nibble. The router's WAN side and the simulated cloud exchange
-// packets in this form.
-func ParseIP(data []byte) *Packet {
-	if len(data) == 0 {
-		return &Packet{Err: ErrTruncated}
-	}
-	p := &Packet{}
-	switch data[0] >> 4 {
-	case 4:
-		p2 := parseFrom(data, LayerTypeIPv4)
-		return p2
-	case 6:
-		return parseFrom(data, LayerTypeIPv6)
-	}
-	p.Err = fmt.Errorf("packet: unknown IP version %d", data[0]>>4)
-	return p
-}
+// packets in this form. Each call uses a fresh Decoder, so returned
+// Packets never alias; hot paths own a Decoder instead.
+func ParseIP(data []byte) *Packet { return NewDecoder().ParseIP(data) }
 
 // Parse decodes an Ethernet frame into a Packet. Decoding is best-effort:
 // a malformed inner layer sets Packet.Err but outer layers remain usable,
-// mirroring how a capture pipeline must tolerate damaged traffic.
-func Parse(frame []byte) *Packet { return parseFrom(frame, LayerTypeEthernet) }
-
-func parseFrom(data []byte, first LayerType) *Packet {
-	p := &Packet{}
-	next := first
-	for next != LayerTypeZero && next != LayerTypePayload {
-		var dl DecodingLayer
-		switch next {
-		case LayerTypeEthernet:
-			eth := &Ethernet{}
-			p.Ethernet = eth
-			dl = eth
-		case LayerTypeARP:
-			a := &ARP{}
-			p.ARP = a
-			dl = a
-		case LayerTypeIPv4:
-			v4 := &IPv4{}
-			p.IPv4 = v4
-			dl = v4
-		case LayerTypeIPv6:
-			v6 := &IPv6{}
-			p.IPv6 = v6
-			dl = v6
-		case LayerTypeICMPv4:
-			ic := &ICMPv4{}
-			p.ICMPv4 = ic
-			dl = ic
-		case LayerTypeICMPv6:
-			ic := &ICMPv6{}
-			p.ICMPv6 = ic
-			dl = ic
-		case LayerTypeUDP:
-			u := &UDP{}
-			p.UDP = u
-			dl = u
-		case LayerTypeTCP:
-			t := &TCP{}
-			p.TCP = t
-			dl = t
-		default:
-			p.Err = fmt.Errorf("packet: no decoder for %v", next)
-			return p
-		}
-		if err := dl.DecodeFromBytes(data); err != nil {
-			p.Err = fmt.Errorf("decoding %v: %w", next, err)
-			return p
-		}
-		p.Layers = append(p.Layers, dl)
-		data = dl.Payload()
-		next = dl.NextLayerType()
-	}
-	p.AppPayload = data
-	return p
-}
+// mirroring how a capture pipeline must tolerate damaged traffic. Like
+// ParseIP it uses a fresh Decoder per call.
+func Parse(frame []byte) *Packet { return NewDecoder().Parse(frame) }
 
 // SrcIP returns the network-layer source address, or the zero Addr when the
 // packet has no IP layer.

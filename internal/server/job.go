@@ -148,9 +148,8 @@ func runSpec(ctx context.Context, spec JobSpec, sink telemetry.Sink) (*Result, e
 	switch spec.Kind {
 	// Study and firewall jobs serve per-experiment pcap artifacts from the
 	// buffered captures, so they pin CaptureFull explicitly (it is also
-	// the lab default; the pin documents the dependency). Fleet,
-	// resilience, and adversary jobs render aggregates only and keep the
-	// streaming CaptureNone defaults of their drivers.
+	// the lab default; the pin documents the dependency). The fleet,
+	// resilience, and adversary drivers never buffer frames.
 	case KindStudy:
 		parts = []v6lab.RunPart{v6lab.Connectivity()}
 	case KindFirewall:

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"v6lab/internal/device"
+	"v6lab/internal/splitmix"
 )
 
 // Diurnal activity model, shaped after the in-the-wild smart-home traffic
@@ -73,15 +74,15 @@ func shapeFor(c device.Category) categoryShape {
 }
 
 // pickHour draws an hour with probability proportional to the curve.
-func pickHour(r *rng, hours *[24]int) int {
+func pickHour(r *splitmix.Rand, hours *[24]int) int {
 	total := 0
 	for _, w := range hours {
 		total += w
 	}
 	if total == 0 {
-		return r.intn(24)
+		return r.Intn(24)
 	}
-	x := r.intn(total)
+	x := r.Intn(total)
 	for h, w := range hours {
 		x -= w
 		if x < 0 {
@@ -93,33 +94,10 @@ func pickHour(r *rng, hours *[24]int) int {
 
 // durBetween draws a duration uniformly from [lo, hi] at second
 // granularity.
-func durBetween(r *rng, lo, hi time.Duration) time.Duration {
+func durBetween(r *splitmix.Rand, lo, hi time.Duration) time.Duration {
 	if hi <= lo {
 		return lo
 	}
 	span := int((hi - lo) / time.Second)
-	return lo + time.Duration(r.intn(span+1))*time.Second
-}
-
-// rng is the same splitmix64 generator the fleet derives home specs with,
-// seeded independently per (home, device) so event schedules never
-// correlate with population sampling.
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
-func (r *rng) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
+	return lo + time.Duration(r.Intn(span+1))*time.Second
 }

@@ -10,6 +10,7 @@ import (
 	"v6lab/internal/experiment"
 	"v6lab/internal/fleet"
 	"v6lab/internal/router"
+	"v6lab/internal/splitmix"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/world"
 )
@@ -112,8 +113,8 @@ type homeEngine struct {
 
 	asleep  []bool
 	sleptAt []time.Time
-	devRng  []rng
-	homeRng rng
+	devRng  []splitmix.Rand
+	homeRng splitmix.Rand
 
 	rotationIdx   int
 	rotationAt    time.Time
@@ -154,8 +155,8 @@ func runHome(cfg Config, reg []*device.Profile, spec fleet.HomeSpec, scratch *ex
 		res:     &HomeTimeline{Spec: spec},
 		asleep:  make([]bool, len(st.Stacks)),
 		sleptAt: make([]time.Time, len(st.Stacks)),
-		devRng:  make([]rng, len(st.Stacks)),
-		homeRng: rng{s: cfg.Seed ^ (uint64(spec.Index)+1)*0xd1342543de82ef95},
+		devRng:  make([]splitmix.Rand, len(st.Stacks)),
+		homeRng: splitmix.New(cfg.Seed ^ (uint64(spec.Index)+1)*0xd1342543de82ef95),
 	}
 	e.deadline = e.start.Add(cfg.Horizon)
 	days := int((cfg.Horizon + 24*time.Hour - 1) / (24 * time.Hour))
@@ -184,7 +185,7 @@ func (e *homeEngine) schedule() {
 		e.push(e.start.Add(e.cfg.RAInterval), evRA, -1, 0)
 		if e.cfg.RotationEvery > 0 {
 			for k := 1; ; k++ {
-				jitter := time.Duration(e.homeRng.intn(3600))*time.Second - 30*time.Minute
+				jitter := time.Duration(e.homeRng.Intn(3600))*time.Second - 30*time.Minute
 				at := e.start.Add(time.Duration(k)*e.cfg.RotationEvery + jitter)
 				if !at.Before(e.deadline) {
 					break
@@ -196,14 +197,16 @@ func (e *homeEngine) schedule() {
 	day0 := e.start.Truncate(24 * time.Hour)
 	days := int(e.cfg.Horizon/(24*time.Hour)) + 2
 	for i, s := range e.st.Stacks {
+		// Seeded independently per (home, device), so event schedules
+		// never correlate with population sampling.
+		e.devRng[i] = splitmix.New(e.cfg.Seed ^ (uint64(e.res.Spec.Index)+1)*0xa0761d6478bd642f ^ (uint64(i)+1)*0xe7037ed1a0b428db)
 		r := &e.devRng[i]
-		r.s = e.cfg.Seed ^ (uint64(e.res.Spec.Index)+1)*0xa0761d6478bd642f ^ (uint64(i)+1)*0xe7037ed1a0b428db
 		shape := shapeFor(s.Prof.Category)
 		for d := 0; d < days; d++ {
 			base := day0.Add(time.Duration(d) * 24 * time.Hour)
 			for k := 0; k < shape.burstsPerDay; k++ {
 				at := base.Add(time.Duration(pickHour(r, &shape.hours))*time.Hour +
-					time.Duration(r.intn(3600))*time.Second)
+					time.Duration(r.Intn(3600))*time.Second)
 				if at.Before(e.start) {
 					continue
 				}
@@ -215,7 +218,7 @@ func (e *homeEngine) schedule() {
 		}
 		// Renewal timers start one lease-half after boot, staggered so a
 		// home's devices don't all renew in the same instant.
-		stagger := time.Duration(r.intn(600)) * time.Second
+		stagger := time.Duration(r.Intn(600)) * time.Second
 		if e.home.Config.Mode != device.ModeV6Only {
 			e.push(e.start.Add(renewEvery+stagger), evRenew4, i, 0)
 		}

@@ -123,13 +123,11 @@ type options struct {
 // (see WithCapture); re-exported from the experiment package.
 type CapturePolicy = experiment.CapturePolicy
 
-// The capture policies. CaptureDefault is the zero value and keeps each
-// driver's natural behavior: buffered for the lab's connectivity study
-// (pcap artifacts, recorded hashes), streaming for fleet and resilience.
+// The capture policies. CaptureFull is the zero value: the connectivity
+// study buffers its frames for SavePcaps and the recorded pcap hashes.
 const (
-	CaptureDefault = experiment.CaptureDefault
-	CaptureFull    = experiment.CaptureFull
-	CaptureNone    = experiment.CaptureNone
+	CaptureFull = experiment.CaptureFull
+	CaptureNone = experiment.CaptureNone
 )
 
 // Option configures New.
@@ -165,9 +163,8 @@ func WithFaultProfile(p faults.Profile) Option {
 }
 
 // WithWorkers is the lab's single worker-count knob: it sizes the pool
-// for the connectivity experiments, the analysis extraction, the
-// resilience grid's profiles, and — unless their configs say otherwise —
-// the fleet and adversary parts. Output is byte-identical for every n:
+// for the connectivity experiments, the resilience grid's profiles, and —
+// unless their configs say otherwise — the fleet and adversary parts. Output is byte-identical for every n:
 // results merge in config (or home-index) order and pcap timestamps are
 // rebased onto the serial timeline (see the experiment package). 0 or 1
 // means serial for the study engines and GOMAXPROCS for fleet/adversary
@@ -178,13 +175,14 @@ func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
 
-// WithCapture selects the lab's frame-capture policy. The default
-// (CaptureFull) buffers every experiment's frames into an in-memory
-// capture — the source for SavePcaps and the recorded pcap hashes.
-// CaptureNone skips buffering entirely: each frame is parsed exactly once
-// at delivery by a streaming analysis observer, reports stay byte-identical
-// (asserted by TestStreamingEqualsBuffered), memory stays flat, and
-// SavePcaps returns an error since there is nothing to write.
+// WithCapture selects whether the connectivity study buffers its frames
+// for pcap artifacts; it controls buffering only. The default
+// (CaptureFull) keeps every experiment's frames in an in-memory capture,
+// the source for SavePcaps and the recorded pcap hashes. CaptureNone keeps
+// none: memory stays flat and SavePcaps returns an error since there is
+// nothing to write. Analysis streams every frame through the observer at
+// delivery under either policy, so reports are identical. The fleet,
+// resilience, adversary and timeline parts never buffer.
 func WithCapture(p CapturePolicy) Option {
 	return func(o *options) { o.capture = p }
 }
@@ -286,12 +284,10 @@ func (l *Lab) studyOptions() experiment.StudyOptions {
 	so := experiment.StudyOptions{
 		MaxFramesPerRun: l.opts.maxFrames,
 		Capture:         l.opts.capture,
-		// The factory is inert on buffered runs; under CaptureNone it is
-		// what feeds the analysis pipeline.
-		Observe:   analysis.Streaming(),
-		Workers:   l.opts.workers,
-		Telemetry: l.opts.telemetry,
-		Progress:  l.opts.progress,
+		Observe:         analysis.Streaming(),
+		Workers:         l.opts.workers,
+		Telemetry:       l.opts.telemetry,
+		Progress:        l.opts.progress,
 	}
 	// A device-restricted lab simulates a different population than the
 	// shared world holds, so it keeps a private one (see WithEnv).
@@ -427,11 +423,10 @@ func (l *Lab) RunContext(ctx context.Context, parts ...RunPart) error {
 	return nil
 }
 
-// ensure panics helpfully when FullReport, ExportCSV or an ablation
-// accessor is called before Run.
+// ensure panics helpfully when an ablation accessor is called before Run.
 func (l *Lab) ensure() {
 	if l.Data == nil {
-		panic("v6lab: call Run before Report")
+		panic("v6lab: call Run before the ablation accessors")
 	}
 }
 
@@ -465,9 +460,12 @@ func (l *Lab) ReportErr(a Artifact) (string, error) {
 	return renderArtifact(l.resultsView(), a)
 }
 
-// FullReport renders every artifact.
+// FullReport renders every artifact. Before Connectivity has run it
+// renders ErrNotRun's one-line message instead, as Report does.
 func (l *Lab) FullReport() string {
-	l.ensure()
+	if l.Data == nil {
+		return ErrNotRun.Error() + "\n"
+	}
 	out := ""
 	for _, a := range Artifacts {
 		// The resilience grid and adversary study are opt-in: when they
@@ -488,9 +486,12 @@ func (l *Lab) FullReport() string {
 }
 
 // ExportCSV writes plot-ready CSV series (the Figure 2 funnel, Figure 3
-// CDFs, and Figure 4 volume shares) into dir.
+// CDFs, and Figure 4 volume shares) into dir. Before Connectivity has run
+// it returns an error wrapping ErrNotRun.
 func (l *Lab) ExportCSV(dir string) error {
-	l.ensure()
+	if l.Data == nil {
+		return fmt.Errorf("exporting CSV: %w", ErrNotRun)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

@@ -93,6 +93,23 @@ func TestReportBeforeRunErrNotRun(t *testing.T) {
 	}
 }
 
+// TestFullReportAndExportCSVBeforeRun: neither panics before Run.
+// FullReport renders ErrNotRun's message and ExportCSV returns it wrapped,
+// writing nothing.
+func TestFullReportAndExportCSVBeforeRun(t *testing.T) {
+	lab := New()
+	if got, want := lab.FullReport(), ErrNotRun.Error()+"\n"; got != want {
+		t.Errorf("FullReport = %q, want %q", got, want)
+	}
+	dir := filepath.Join(t.TempDir(), "csv")
+	if err := lab.ExportCSV(dir); !errors.Is(err, ErrNotRun) {
+		t.Fatalf("ExportCSV err = %v, want ErrNotRun", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("ExportCSV created %s before Run (stat err %v)", dir, err)
+	}
+}
+
 // TestFullReportLeavesZeroDeviceObs renders every artifact, report.Table10
 // included, then checks that the zero DeviceObs the views return for an
 // unobserved device is still zero.

@@ -11,17 +11,15 @@ import (
 )
 
 // PartOption tunes one composable part without touching the lab's global
-// options: Fleet(64, Capture(CaptureNone), Seed(7)) reads as one
-// population with its own capture policy and seed. Every part resolves
-// its settings the same way — an explicit PartOption wins over a config
-// struct passed via FleetConfig/AdversaryConfig/TimelineConfig, which
-// wins over the lab's WithWorkers/WithCapture/WithSeed defaults.
+// options: Fleet(64, Workers(4), Seed(7)) reads as one population with its
+// own worker pool and seed. Every part resolves its settings the same
+// way — an explicit PartOption wins over a config struct passed via
+// FleetConfig/AdversaryConfig/TimelineConfig, which wins over the lab's
+// WithWorkers/WithSeed defaults.
 type PartOption func(*partConfig)
 
 // partConfig accumulates the shared per-part settings.
 type partConfig struct {
-	capture     CapturePolicy
-	captureSet  bool
 	seed        uint64
 	seedSet     bool
 	workers     int
@@ -38,12 +36,6 @@ func applyParts(opts []PartOption) partConfig {
 		o(&pc)
 	}
 	return pc
-}
-
-// Capture sets the part's frame-capture policy (the timeline part always
-// streams via CaptureNone and ignores it).
-func Capture(p CapturePolicy) PartOption {
-	return func(pc *partConfig) { pc.capture = p; pc.captureSet = true }
 }
 
 // Seed sets the part's derivation seed, independent of the lab's
@@ -117,14 +109,6 @@ func (l *Lab) resolveFleet(cfg *fleet.Config, pc *partConfig) {
 		cfg.Workers = pc.workers
 	} else if cfg.Workers == 0 {
 		cfg.Workers = l.opts.workers
-	}
-	if pc.captureSet {
-		cfg.Capture = pc.capture
-	} else if cfg.Capture == experiment.CaptureDefault {
-		// Inherit an explicit WithCapture choice; a still-default policy
-		// resolves to CaptureNone in the fleet (aggregates only, frames
-		// streamed — never buffered).
-		cfg.Capture = l.opts.capture
 	}
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = l.opts.telemetry
@@ -206,13 +190,6 @@ func Resilience(opts ...PartOption) RunPart {
 		if pc.workersSet {
 			so.Workers = pc.workers
 		}
-		if pc.captureSet {
-			so.Capture = pc.capture
-		}
-		// The grid reads stack and router aggregates, never frames: no
-		// observer, and (unless the capture options say otherwise) no
-		// capture.
-		so.Observe = nil
 		rep, err := experiment.RunResilienceContext(l.runCtx(), so, seeded...)
 		if err != nil {
 			return err
@@ -227,9 +204,9 @@ func Resilience(opts ...PartOption) RunPart {
 // workload bursts, DHCP lease renewals, RA lifetime expiries, sleep/wake
 // and power-cycle churn, and periodic ISP prefix rotations. A zero h
 // falls back to the lab's WithHorizon; having neither is an
-// ErrInvalidHorizon. The part always streams (CaptureNone): a week of
-// simulated time never buffers a week of frames. Results land in TL and
-// the TimelineStudy artifact.
+// ErrInvalidHorizon. The part never buffers frames: a week of simulated
+// time never holds a week of frames. Results land in TL and the
+// TimelineStudy artifact.
 func Timeline(h Horizon, opts ...PartOption) RunPart {
 	pc := applyParts(opts)
 	return func(l *Lab) error {

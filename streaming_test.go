@@ -1,21 +1,33 @@
 package v6lab
 
-// Byte-identity of the streaming analysis path: a lab that never buffers
-// a capture — every frame parsed exactly once at switch-delivery time by
-// the streaming Observer, with DNS/SNI attribution deferred to Finalize —
-// must render exactly the FullReport the buffered two-source path does,
-// on the serial engine and on the worker pool alike. Together with
+// One analysis path: every run streams its frames through the analysis
+// Observer at delivery, and the capture policy decides only whether the
+// frames are also buffered for pcap artifacts. A lab that never buffers
+// must therefore render exactly the FullReport a buffered lab does, on the
+// serial engine and on the worker pool alike. Together with
 // TestParallelStudyByteIdentity (which pins the buffered report to its
-// recorded hash) this transitively pins the streaming report to the same
-// recorded bytes.
+// recorded hash) this pins the unbuffered report to the same bytes. The
+// replay test closes the honest-pipeline loop: the pcaps a lab writes
+// re-derive exactly the observations its live tap streamed.
 
 import (
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"v6lab/internal/analysis"
+	"v6lab/internal/pcapio"
 )
 
 func TestStreamingEqualsBuffered(t *testing.T) {
-	buffered := sharedLab(t).FullReport()
+	shared := sharedLab(t)
+	for _, res := range shared.Study.Results {
+		if got, want := res.Capture.Len(), res.FramesDelivered; got != want {
+			t.Errorf("buffered: %s captured %d frames, delivered %d", res.Config.ID, got, want)
+		}
+	}
+	buffered := shared.FullReport()
 	for _, workers := range []int{1, 8} {
 		lab := New(WithCapture(CaptureNone), WithWorkers(workers))
 		if err := lab.Run(); err != nil {
@@ -43,26 +55,35 @@ func TestStreamingEqualsBuffered(t *testing.T) {
 	}
 }
 
-// TestStreamingFleetEqualsBuffered pins the fleet's default streaming path
-// against a buffered fleet run: same seed, same homes, byte-identical
-// aggregate artifact, same per-home frame counts.
-func TestStreamingFleetEqualsBuffered(t *testing.T) {
-	run := func(p CapturePolicy) *Lab {
-		lab := New(WithWorkers(2))
-		if err := lab.Run(Fleet(8, Seed(1), Capture(p))); err != nil {
+// TestPcapReplayEqualsStreamed reads back every pcap SavePcaps wrote and
+// feeds its records through a fresh Observer: the result must equal the
+// observations the run's live tap streamed, for all six experiments.
+func TestPcapReplayEqualsStreamed(t *testing.T) {
+	lab := New(WithWorkers(2))
+	if err := lab.Run(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := lab.SavePcaps(dir); err != nil {
+		t.Fatal(err)
+	}
+	if len(lab.Study.Results) != 6 {
+		t.Fatalf("lab ran %d experiments, want 6", len(lab.Study.Results))
+	}
+	for i, res := range lab.Study.Results {
+		recs, err := pcapio.ReadFile(filepath.Join(dir, res.Config.ID+".pcap"))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return lab
-	}
-	stream := run(CaptureNone)
-	full := run(CaptureFull)
-	a, b := stream.Report(FleetStudy), full.Report(FleetStudy)
-	if a != b {
-		t.Fatalf("fleet reports differ between CaptureNone and CaptureFull:\n--- streaming ---\n%s\n--- buffered ---\n%s", a, b)
-	}
-	for i, hr := range stream.FleetPop.Homes {
-		if want := full.FleetPop.Homes[i].FramesCaptured; hr.FramesCaptured != want {
-			t.Errorf("home %d: streamed %d frames, buffered %d", i, hr.FramesCaptured, want)
+		if len(recs) != res.FramesDelivered {
+			t.Errorf("%s: pcap holds %d records, run delivered %d", res.Config.ID, len(recs), res.FramesDelivered)
+		}
+		o := analysis.NewObserver(res.Config.ID, res.Config.Mode, lab.Study.World.MACToDevice)
+		for _, rec := range recs {
+			o.Add(rec.Time, rec.Data)
+		}
+		if got := o.Finalize(res.Functional); !reflect.DeepEqual(got, lab.Data.Exps[i]) {
+			t.Errorf("%s: observations replayed from the pcap differ from the streamed ones", res.Config.ID)
 		}
 	}
 }

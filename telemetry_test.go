@@ -115,10 +115,13 @@ func TestTelemetryDeterminismStudy(t *testing.T) {
 	}
 }
 
-// TestTelemetryCapturePolicy: the analysis-path counters split cleanly by
-// capture policy — a buffered study streams nothing and retains capture
-// bytes, a streaming study buffers nothing and retains none — and the
-// streaming counters are themselves worker-count invariant.
+// TestTelemetryCapturePolicy: every connectivity run streams its frames
+// through the analysis observer whatever the capture policy, so
+// frames_streamed_total equals the frames those runs delivered under both
+// policies (the switch's own counter also includes the port scan's
+// frames, which no observer taps); only CaptureFull buffers frames and
+// retains capture bytes; and the streaming counter is itself worker-count
+// invariant.
 func TestTelemetryCapturePolicy(t *testing.T) {
 	run := func(workers int, p CapturePolicy) map[string]int64 {
 		reg := telemetry.NewRegistry()
@@ -131,22 +134,24 @@ func TestTelemetryCapturePolicy(t *testing.T) {
 		for _, pt := range snap.Points {
 			vals[pt.Name] = pt.Value
 		}
+		for _, res := range lab.Study.Results {
+			vals["delivered"] += int64(res.FramesDelivered)
+		}
 		return vals
 	}
 	buffered := run(1, CaptureFull)
-	if buffered["analysis_frames_buffered_total"] == 0 {
-		t.Error("buffered study recorded no buffered frames")
+	streamed := run(1, CaptureNone)
+	for name, vals := range map[string]map[string]int64{"buffered": buffered, "streaming": streamed} {
+		if got, want := vals["analysis_frames_streamed_total"], vals["delivered"]; got != want || got == 0 {
+			t.Errorf("%s study streamed %d frames, its runs delivered %d", name, got, want)
+		}
 	}
-	if buffered["analysis_frames_streamed_total"] != 0 {
-		t.Errorf("buffered study streamed %d frames, want 0", buffered["analysis_frames_streamed_total"])
+	if buffered["analysis_frames_buffered_total"] != buffered["delivered"] {
+		t.Errorf("buffered study buffered %d frames, its runs delivered %d",
+			buffered["analysis_frames_buffered_total"], buffered["delivered"])
 	}
 	if buffered["pcapio_capture_bytes_retained"] == 0 {
 		t.Error("buffered study retains no capture bytes")
-	}
-	streamed := run(1, CaptureNone)
-	if streamed["analysis_frames_streamed_total"] != buffered["analysis_frames_buffered_total"] {
-		t.Errorf("streamed %d frames, buffered run saw %d — same study must observe the same frames",
-			streamed["analysis_frames_streamed_total"], buffered["analysis_frames_buffered_total"])
 	}
 	if streamed["analysis_frames_buffered_total"] != 0 || streamed["pcapio_capture_bytes_retained"] != 0 {
 		t.Errorf("streaming study retained capture state: buffered=%d bytes=%d",
