@@ -1,9 +1,5 @@
 package v6lab
 
-import (
-	"v6lab/internal/analysis"
-)
-
 // Options selects counterfactual mitigations for ablation studies — the
 // remediations the paper recommends (§6): if every stack used RFC 8981
 // privacy extensions, or probed every address per RFC 4862, how would the
@@ -59,16 +55,4 @@ func NewWithOptions(opts Options, extra ...Option) *Lab {
 		}
 	}
 	return l
-}
-
-// EUI64Exposure is a convenience accessor for ablation comparisons.
-func (l *Lab) EUI64Exposure() analysis.EUI64Report {
-	l.ensure()
-	return l.Data.EUI64Exposure()
-}
-
-// DADAudit is a convenience accessor for ablation comparisons.
-func (l *Lab) DADAudit() analysis.DADReport {
-	l.ensure()
-	return l.Data.DADAudit()
 }

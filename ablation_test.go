@@ -28,7 +28,7 @@ func privacyLab(t *testing.T) *Lab {
 // disappears completely.
 func TestPrivacyExtensionAblation(t *testing.T) {
 	lab := privacyLab(t)
-	r := lab.EUI64Exposure()
+	r := lab.Data.EUI64Exposure()
 	if r.Assign != 0 || r.Use != 0 || r.DNS != 0 || r.Data != 0 {
 		t.Errorf("EUI-64 funnel with privacy extensions = %d/%d/%d/%d, want all zero",
 			r.Assign, r.Use, r.DNS, r.Data)
@@ -39,7 +39,7 @@ func TestPrivacyExtensionAblation(t *testing.T) {
 // audit finding.
 func TestForceDADAblation(t *testing.T) {
 	lab := privacyLab(t)
-	a := lab.DADAudit()
+	a := lab.Data.DADAudit()
 	if a.DevicesSkipping != 0 || a.GUAsNoDAD+a.ULAsNoDAD+a.LLAsNoDAD != 0 {
 		t.Errorf("DAD audit with forced compliance: %+v", a)
 	}

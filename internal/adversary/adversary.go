@@ -28,6 +28,8 @@ import (
 	"net/netip"
 	"time"
 
+	"v6lab/internal/device"
+	"v6lab/internal/experiment"
 	"v6lab/internal/fleet"
 	"v6lab/internal/router"
 	"v6lab/internal/telemetry"
@@ -71,8 +73,8 @@ func lanFromWAN(wan netip.Addr) netip.Addr {
 
 // Config parameterizes a full adversary run.
 type Config struct {
-	// Fleet is the population under attack. SkipExposure is forced on:
-	// the campaign provides its own WAN-vantage scan.
+	// Fleet is the population under attack. Its Sweep is replaced: the
+	// campaign is each v6-enabled home's WAN phase.
 	Fleet fleet.Config
 
 	// CampaignSeed seeds the attacker's scheduler: per-home probe-order
@@ -107,13 +109,6 @@ func (c Config) withDefaults() Config {
 		c.LowByteSweep = 256
 	}
 	c.Worm = c.Worm.withDefaults()
-	// The fleet's own per-home exposure scan would duplicate the campaign
-	// at twice the cost; the campaign is the WAN scan here.
-	c.Fleet.SkipExposure = true
-	// The campaign rebuilds every v6 home byte-identically; retained
-	// worlds let it reuse each home's plans and primed cloud registry
-	// instead of re-deriving them from the spec.
-	c.Fleet.RetainWorlds = true
 	c.Fleet.Telemetry = c.Telemetry
 	c.Fleet.Progress = c.Progress
 	return c
@@ -130,7 +125,7 @@ type Report struct {
 	Worm      WormReport
 
 	// Elapsed is total simulated home time consumed by the underlying
-	// fleet run plus the campaign scans.
+	// fleet run, campaign probes included.
 	Elapsed time.Duration
 }
 
@@ -140,10 +135,38 @@ func Run(cfg Config) (*Report, error) {
 	return RunContext(context.Background(), cfg)
 }
 
-// RunContext is Run with cancellation. The fleet and campaign phases
-// check ctx per home; a cancelled run returns ctx.Err() and no Report.
+// RunContext is Run with cancellation. The fleet checks ctx per home; a
+// cancelled run returns ctx.Err() and no Report.
+//
+// Discovery and the campaign run inside the fleet's per-home job: each
+// v6-enabled home is scored against its inventory and then swept through
+// its firewall on the live home the fleet has just booted. IPv4-only homes
+// are scored after the fleet returns and recorded as skipped.
 func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
+	ouis := device.VendorOUIs()
+	ports := CampaignPorts()
+	n := max(cfg.Fleet.Homes, 0)
+	discoveries := make([]*HomeDiscovery, n)
+	camps := make([]*HomeCampaign, n)
+	cfg.Fleet.Sweep = func(h *experiment.Home, hr *fleet.HomeResult) error {
+		i := hr.Spec.Index
+		hd := discoverHome(hr.Inventory, ouis, cfg.LowByteSweep)
+		hc, err := campaignHome(cfg, h, hr, hd, ports)
+		if err != nil {
+			return err
+		}
+		discoveries[i], camps[i] = hd, hc
+		if !hc.Skipped {
+			telemetry.Emit(cfg.Progress, telemetry.Event{
+				Scope:   "adversary",
+				ID:      fmt.Sprintf("campaign %d/%d", i+1, n),
+				Detail:  fmt.Sprintf("%s, %d targets, %d devices reachable", hc.Policy, hc.TargetsProbed, len(hc.Reachable)),
+				Elapsed: hc.Elapsed,
+			})
+		}
+		return nil
+	}
 	pop, err := fleet.RunContext(ctx, cfg.Fleet)
 	if err != nil {
 		return nil, fmt.Errorf("adversary: fleet: %w", err)
@@ -153,21 +176,16 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		CampaignSeed: cfg.CampaignSeed,
 		ProbeBudget:  cfg.ProbeBudget,
 	}
-	for _, hr := range pop.Homes {
+	for i, hr := range pop.Homes {
 		rep.Elapsed += hr.Elapsed
+		if discoveries[i] == nil {
+			discoveries[i] = discoverHome(hr.Inventory, ouis, cfg.LowByteSweep)
+			camps[i] = &HomeCampaign{Index: i, Policy: hr.Spec.Policy, Skipped: true}
+		}
 	}
-
-	discoveries := discoverPopulation(pop, cfg.LowByteSweep)
 	rep.Discovery = summarizeDiscovery(discoveries)
-
-	camp, err := runCampaign(ctx, cfg, pop, discoveries)
-	if err != nil {
-		return nil, err
-	}
-	rep.Campaign = *camp
-	rep.Elapsed += camp.Elapsed
-
-	rep.Worm = runWorm(cfg, pop, camp)
+	rep.Campaign = summarizeCampaign(ports, camps)
+	rep.Worm = runWorm(cfg, pop, &rep.Campaign)
 
 	if cfg.Telemetry != nil {
 		foldMetrics(cfg.Telemetry, rep)

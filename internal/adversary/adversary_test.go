@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"v6lab/internal/addr"
+	"v6lab/internal/device"
 	"v6lab/internal/fleet"
 	"v6lab/internal/telemetry"
 )
@@ -20,13 +21,15 @@ func smallCfg(workers int) Config {
 // finds EUI-64 and low-byte addresses (they are hitlist-predictable) and
 // never finds a privacy address except through the leak harvest.
 func TestDiscoveryScoring(t *testing.T) {
-	cfg := smallCfg(4)
-	cfg.Fleet.SkipExposure = true
-	pop, err := fleet.RunContext(context.Background(), cfg.Fleet)
+	pop, err := fleet.RunContext(context.Background(), smallCfg(4).Fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := discoverPopulation(pop, 256)
+	ouis := device.VendorOUIs()
+	var ds []*HomeDiscovery
+	for _, hr := range pop.Homes {
+		ds = append(ds, discoverHome(hr.Inventory, ouis, 256))
+	}
 
 	// Ground-truth tally to compare the generator against.
 	var wantEUI64, wantLowByte, privacy int
@@ -178,5 +181,36 @@ func TestTelemetryCounters(t *testing.T) {
 	}
 	if rep.Campaign.ProbesSent == 0 {
 		t.Error("campaign sent no probes; counters untestable")
+	}
+}
+
+// TestBootCountedOnce: an adversary run boots each home once, so its
+// telemetry counts exactly the cloud queries a plain fleet run of the same
+// population counts. The campaign's probes issue no DNS.
+func TestBootCountedOnce(t *testing.T) {
+	cloudQueries := func(reg *telemetry.Registry) (n int64) {
+		for _, p := range reg.Snapshot(time.Time{}).Points {
+			if p.Name == "cloud_queries_total" {
+				n += p.Value
+			}
+		}
+		return n
+	}
+	cfg := smallCfg(4)
+	plain := cfg.Fleet
+	plain.Telemetry = telemetry.NewRegistry()
+	if _, err := fleet.Run(plain); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Telemetry = telemetry.NewRegistry()
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := cloudQueries(plain.Telemetry)
+	if want == 0 {
+		t.Fatal("the fleet served no cloud queries; the count is untestable")
+	}
+	if got := cloudQueries(cfg.Telemetry); got != want {
+		t.Errorf("adversary run counted %d cloud queries, the plain fleet %d", got, want)
 	}
 }

@@ -1,28 +1,22 @@
 package adversary
 
 import (
-	"context"
-	"fmt"
 	"net/netip"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"v6lab/internal/device"
 	"v6lab/internal/experiment"
-	"v6lab/internal/firewall"
 	"v6lab/internal/fleet"
 	"v6lab/internal/splitmix"
-	"v6lab/internal/telemetry"
 )
 
-// This file is the campaign scheduler: the discovered population swept
-// through each home's firewall on the simulated clock. Homes run on a
-// bounded worker pool; results merge in home-index order, so the campaign
-// report is byte-identical at any worker count. The campaign seed only
-// shuffles the attacker's per-home probe order — which matters exactly
-// when a probe budget truncates the hitlist.
+// This file is the campaign: the discovered population swept through each
+// home's firewall on the simulated clock. Each home is swept inside the
+// fleet's per-home job, on the live home; results merge in home-index
+// order, so the campaign report is byte-identical at any worker count.
+// The campaign seed only shuffles the attacker's per-home probe order —
+// which matters exactly when a probe budget truncates the hitlist.
 
 // CampaignPorts returns the attacker's probe list: the classic IoT sweep
 // set plus every TCP service port any registry device exposes over IPv6 —
@@ -71,7 +65,7 @@ type HomeCampaign struct {
 	Reachable                 []ReachableDevice
 	// Functional devices under scan (egress must never regress).
 	Functional int
-	// Elapsed is the simulated time the home's scan consumed.
+	// Elapsed is the simulated time the home's probes consumed.
 	Elapsed time.Duration
 }
 
@@ -94,48 +88,24 @@ type CampaignReport struct {
 	// Homes holds every per-home outcome in home-index order (the worm
 	// phase consumes it).
 	Homes []*HomeCampaign
-	// Elapsed is total simulated scan time across homes.
+	// Elapsed is total simulated probe time across homes; it is part of
+	// the fleet homes' own Elapsed, which Report.Elapsed sums.
 	Elapsed time.Duration
 }
 
-// campaignHome rebuilds one home and sweeps its discovered targets
-// through its firewall. The rebuild boots byte-identically to the fleet's
-// original run (same profiles, same connectivity config, same V6Seq), so
-// the addresses discovery scored against are the addresses that answer.
-// The fleet retains each home's immutable world (RetainWorlds), so the
-// rebuild reuses its plans and primed cloud registry outright — only the
-// per-run state (stacks, switch, router) is reconstructed, on the calling
-// worker's recycled scratch.
-func campaignHome(cfg Config, hr *fleet.HomeResult, hd *HomeDiscovery, ports []uint16, scratch *experiment.Scratch) (*HomeCampaign, error) {
-	spec := hr.Spec
-	hc := &HomeCampaign{Index: spec.Index, Policy: spec.Policy}
-	ec, ok := experiment.ConfigByID(spec.ConfigID)
-	if !ok {
-		return nil, fmt.Errorf("unknown connectivity config %q", spec.ConfigID)
-	}
-	if !ec.Router.IPv6 || len(hd.Found) == 0 {
+// campaignHome sweeps one home's discovered targets through its firewall.
+// It runs inside the fleet's per-home job on the live home the fleet has
+// just booted with its policy and run through its workload, so conntrack
+// holds the devices' outbound flows and the addresses discovery scored
+// against are the addresses that answer.
+func campaignHome(cfg Config, h *experiment.Home, hr *fleet.HomeResult, hd *HomeDiscovery, ports []uint16) (*HomeCampaign, error) {
+	index := hr.Spec.Index
+	hc := &HomeCampaign{Index: index, Policy: hr.Spec.Policy}
+	if len(hd.Found) == 0 {
 		hc.Skipped = true
 		return hc, nil
 	}
-
-	st := experiment.NewStudyWith(experiment.StudyOptions{
-		World:           hr.World,
-		MaxFramesPerRun: cfg.Fleet.MaxFramesPerRun,
-		// The campaign scores probe answers, not frames: no capture, no
-		// analysis tap.
-		Capture:   experiment.CaptureNone,
-		Telemetry: cfg.Telemetry,
-		Scratch:   scratch,
-	})
-	began := st.Clock.Now()
-
-	pol, err := firewall.ByName(spec.Policy)
-	if err != nil {
-		return nil, err
-	}
-	if ph, ok := pol.(firewall.Pinhole); ok && len(ph.Rules) == 0 {
-		pol = firewall.Pinhole{Rules: experiment.DefaultPinholes(st.Profiles)}
-	}
+	hc.Functional = hr.Functional
 
 	// The attacker shuffles probe order per home (scan-detection evasion);
 	// under a budget the shuffle decides which targets make the cut.
@@ -143,7 +113,7 @@ func campaignHome(cfg Config, hr *fleet.HomeResult, hd *HomeDiscovery, ports []u
 	for i := range order {
 		order[i] = i
 	}
-	rng := splitmix.New(cfg.CampaignSeed ^ (uint64(spec.Index)+1)*0x9e3779b97f4a7c15)
+	rng := splitmix.New(cfg.CampaignSeed ^ (uint64(index)+1)*0x9e3779b97f4a7c15)
 	for i := len(order) - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
 		order[i], order[j] = order[j], order[i]
@@ -156,21 +126,12 @@ func campaignHome(cfg Config, hr *fleet.HomeResult, hd *HomeDiscovery, ports []u
 		}
 	}
 	targets := make([]experiment.TargetProbe, 0, maxTargets)
-	wanFor := map[netip.Addr]netip.Addr{}
+	byLAN := map[netip.Addr]*Finding{}
 	for _, oi := range order[:maxTargets] {
-		f := hd.Found[oi]
+		f := &hd.Found[oi]
 		targets = append(targets, experiment.TargetProbe{Addr: f.LAN, Ports: ports})
-		wanFor[f.LAN] = f.WAN
+		byLAN[f.LAN] = f
 	}
-
-	te, err := st.RunTargetedExposure(ec, pol, targets)
-	if err != nil {
-		return nil, err
-	}
-	st.FoldCloudMetrics()
-	hc.TargetsProbed = te.AddrsProbed
-	hc.ProbesSent = te.ProbesSent
-	hc.Functional = te.FunctionalDevices
 
 	// Collapse per-address answers to per-device reachability: union of
 	// open ports, lowest answering WAN address, sorted by device name.
@@ -179,97 +140,54 @@ func campaignHome(cfg Config, hr *fleet.HomeResult, hd *HomeDiscovery, ports []u
 		ports map[uint16]bool
 	}
 	byDev := map[string]*devHit{}
-	for lan, openPorts := range te.Open {
-		name := te.Device[lan]
-		if name == "" {
-			continue
+	began := h.Net.Clock.Now()
+	sent, err := h.Probe(targets, func(lan netip.Addr, port uint16) {
+		f := byLAN[lan]
+		if f == nil {
+			return
 		}
-		h := byDev[name]
-		if h == nil {
-			h = &devHit{wan: wanFor[lan], ports: map[uint16]bool{}}
-			byDev[name] = h
+		d := byDev[f.Device]
+		if d == nil {
+			d = &devHit{wan: f.WAN, ports: map[uint16]bool{}}
+			byDev[f.Device] = d
 		}
-		if w := wanFor[lan]; w.Less(h.wan) {
-			h.wan = w
+		if f.WAN.Less(d.wan) {
+			d.wan = f.WAN
 		}
-		for _, p := range openPorts {
-			h.ports[p] = true
-		}
+		d.ports[port] = true
+	})
+	if err != nil {
+		return nil, err
 	}
+	hc.Elapsed = h.Net.Clock.Now().Sub(began)
+	hc.TargetsProbed = len(targets)
+	hc.ProbesSent = sent
+
 	names := make([]string, 0, len(byDev))
 	for name := range byDev {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		h := byDev[name]
-		ps := make([]uint16, 0, len(h.ports))
-		for p := range h.ports {
+		d := byDev[name]
+		ps := make([]uint16, 0, len(d.ports))
+		for p := range d.ports {
 			ps = append(ps, p)
 		}
 		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
 		hc.Reachable = append(hc.Reachable, ReachableDevice{
-			Home: spec.Index, Device: name, WAN: h.wan, OpenPorts: ps,
+			Home: index, Device: name, WAN: d.wan, OpenPorts: ps,
 		})
 	}
-	hc.Elapsed = st.Clock.Now().Sub(began)
 	return hc, nil
 }
 
-// runCampaign sweeps every home on a bounded worker pool and merges the
-// outcomes in home-index order.
-func runCampaign(ctx context.Context, cfg Config, pop *fleet.Population, ds []*HomeDiscovery) (*CampaignReport, error) {
-	ports := CampaignPorts()
-	workers := cfg.Fleet.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pop.Homes) {
-		workers = len(pop.Homes)
-	}
-	results := make([]*HomeCampaign, len(pop.Homes))
-	errs := make([]error, len(pop.Homes))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := experiment.NewScratch()
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i], errs[i] = campaignHome(cfg, pop.Homes[i], ds[i], ports, scratch)
-				if hc := results[i]; hc != nil && !hc.Skipped {
-					telemetry.Emit(cfg.Progress, telemetry.Event{
-						Scope:   "adversary",
-						ID:      fmt.Sprintf("campaign %d/%d", i+1, len(pop.Homes)),
-						Detail:  fmt.Sprintf("%s, %d targets, %d devices reachable", hc.Policy, hc.TargetsProbed, len(hc.Reachable)),
-						Elapsed: hc.Elapsed,
-					})
-				}
-			}
-		}()
-	}
-	for i := range pop.Homes {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("adversary: campaign home %d: %w", i, err)
-		}
-	}
-
-	rep := &CampaignReport{Ports: ports, Homes: results}
+// summarizeCampaign merges the per-home outcomes, already in home-index
+// order, into the population report.
+func summarizeCampaign(ports []uint16, homes []*HomeCampaign) CampaignReport {
+	rep := CampaignReport{Ports: ports, Homes: homes}
 	perPolicy := map[string]*PolicyCampaign{}
-	for _, hc := range results {
+	for _, hc := range homes {
 		pc := perPolicy[hc.Policy]
 		if pc == nil {
 			pc = &PolicyCampaign{Policy: hc.Policy}
@@ -302,5 +220,5 @@ func runCampaign(ctx context.Context, cfg Config, pop *fleet.Population, ds []*H
 	for _, name := range names {
 		rep.PerPolicy = append(rep.PerPolicy, *perPolicy[name])
 	}
-	return rep, nil
+	return rep
 }

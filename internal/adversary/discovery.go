@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"v6lab/internal/addr"
-	"v6lab/internal/device"
 	"v6lab/internal/fleet"
 	"v6lab/internal/packet"
 )
@@ -143,19 +142,6 @@ func discoverHome(inv *fleet.HomeInventory, ouis [][3]byte, lowByteN int) *HomeD
 		}
 	}
 	return hd
-}
-
-// discoverPopulation runs the generator over every home, in index order.
-// Discovery is pure computation over the inventories (hash lookups, no
-// packet simulation), so it runs single-threaded and is trivially
-// deterministic.
-func discoverPopulation(pop *fleet.Population, lowByteN int) []*HomeDiscovery {
-	ouis := device.VendorOUIs()
-	out := make([]*HomeDiscovery, 0, len(pop.Homes))
-	for _, hr := range pop.Homes {
-		out = append(out, discoverHome(hr.Inventory, ouis, lowByteN))
-	}
-	return out
 }
 
 // DiscoveryReport aggregates the generator's population-wide score.

@@ -144,11 +144,11 @@ func (st *Study) runExposure(cfg Config, pol firewall.Policy, ports []uint16) (*
 
 // Sweep probes the booted home from the WAN vantage through its firewall:
 // a SYN to each of ports on every routable GUA in the router's neighbor
-// table, drained target by target. It runs on the live home after its
-// workload, so conntrack holds the devices' outbound flows, and reports
-// what answered under the home's policy. The home must have been built
-// with a policy. Every frame the sweep causes reaches the home's taps;
-// callers whose taps must see only the workload remove them first.
+// table, in address order. It runs on the live home after its workload,
+// so conntrack holds the devices' outbound flows, and reports what
+// answered under the home's policy. The home must have been built with a
+// policy. Every frame the sweep causes reaches the home's taps; callers
+// whose taps must see only the workload remove them first.
 func (h *Home) Sweep(ports []uint16) (*PolicyExposure, error) {
 	st, rt, fw := h.st, h.Router, h.Firewall
 	pol := fw.Policy()
@@ -166,11 +166,7 @@ func (h *Home) Sweep(ports []uint16) (*PolicyExposure, error) {
 
 	// Target list: every routable GUA in the neighbor table, attributed
 	// back to its device, in deterministic address order.
-	type target struct {
-		addr netip.Addr
-		dev  string
-	}
-	var targets []target
+	var targets []TargetProbe
 	addrDev := map[netip.Addr]string{}
 	probedDevs := map[string]bool{}
 	for a, m := range rt.Neighbors {
@@ -181,39 +177,24 @@ func (h *Home) Sweep(ports []uint16) (*PolicyExposure, error) {
 		if prof == nil {
 			continue
 		}
-		targets = append(targets, target{addr: a, dev: prof.Name})
+		targets = append(targets, TargetProbe{Addr: a, Ports: ports})
 		addrDev[a] = prof.Name
 		probedDevs[prof.Name] = true
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].addr.Less(targets[j].addr) })
+	sort.Slice(targets, func(i, j int) bool { return targets[i].Addr.Less(targets[j].Addr) })
 	pe.AddrsProbed = len(targets)
 	pe.DevicesProbed = len(probedDevs)
 
-	// The WAN tap plays the scanner: it consumes packets addressed to the
-	// vantage and records SYN-ACKs as open (device, port) findings.
 	open := map[string]map[uint16]bool{}
-	col := &scan.Collector{Vantage: WANScannerV6, OnSYNACK: func(src netip.Addr, port uint16) {
+	if _, err := h.Probe(targets, func(src netip.Addr, port uint16) {
 		if dev := addrDev[src]; dev != "" {
 			if open[dev] == nil {
 				open[dev] = map[uint16]bool{}
 			}
 			open[dev][port] = true
 		}
-	}}
-	rt.WANv6Tap = col.Tap
-	defer func() { rt.WANv6Tap = nil }()
-
-	for _, tgt := range targets {
-		for i, dport := range ports {
-			raw, err := scan.BuildSYNv6(WANScannerV6, tgt.addr, uint16(40000+i), dport, 9)
-			if err != nil {
-				return nil, err
-			}
-			rt.InjectWANv6(raw)
-		}
-		if err := h.Drain(); err != nil {
-			return nil, err
-		}
+	}); err != nil {
+		return nil, err
 	}
 
 	for dev, set := range open {
@@ -236,4 +217,42 @@ func (h *Home) Sweep(ports []uint16) (*PolicyExposure, error) {
 		st.tm.foldCloud(st.Cloud)
 	}
 	return pe, nil
+}
+
+// TargetProbe is one WAN probe target: an address in the testbed's routed
+// /64 and the TCP ports probed on it.
+type TargetProbe struct {
+	Addr  netip.Addr
+	Ports []uint16
+}
+
+// Probe is the home's one WAN probe loop. It injects a SYN from the WAN
+// vantage at the router for each port of each target, in order, draining
+// the home after each target, and reports every SYN-ACK that makes it back
+// out through the firewall to open. Addresses the home never assigned
+// simply never answer. Source ports cycle from 40000 in probe order
+// (40000 + sent%20000), so the same targets always produce the same
+// frames. It returns the number of SYNs injected.
+func (h *Home) Probe(targets []TargetProbe, open func(src netip.Addr, port uint16)) (sent int, err error) {
+	rt := h.Router
+	// The WAN tap plays the scanner: it consumes packets addressed to the
+	// vantage and reports SYN-ACKs.
+	col := &scan.Collector{Vantage: WANScannerV6, OnSYNACK: open}
+	rt.WANv6Tap = col.Tap
+	defer func() { rt.WANv6Tap = nil }()
+
+	for _, tgt := range targets {
+		for _, dport := range tgt.Ports {
+			raw, err := scan.BuildSYNv6(WANScannerV6, tgt.Addr, uint16(40000+sent%20000), dport, 9)
+			if err != nil {
+				return sent, err
+			}
+			sent++
+			rt.InjectWANv6(raw)
+		}
+		if err := h.Drain(); err != nil {
+			return sent, err
+		}
+	}
+	return sent, nil
 }

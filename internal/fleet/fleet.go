@@ -65,15 +65,11 @@ type Config struct {
 	// MaxFramesPerRun bounds each home experiment's frame deliveries;
 	// 0 means the study default.
 	MaxFramesPerRun int
-	// SkipExposure disables the per-home WAN-vantage inbound scan.
-	SkipExposure bool
-	// RetainWorlds keeps each home's immutable world on its HomeResult, so
-	// downstream phases that rebuild homes (the adversary campaign) skip
-	// re-deriving plans and re-priming the cloud registry. Off by default:
-	// a retained world pins the home's plans and domain registry in memory
-	// for the population's lifetime, which a plain 100k-home fleet run has
-	// no use for.
-	RetainWorlds bool
+	// Sweep, when non-nil, is the WAN phase of every v6-enabled home: it
+	// runs on the live home after its workload, with the analysis taps
+	// removed, and records what it finds on the home's result. Nil sweeps
+	// the home's neighbor table over ProbePorts into HomeResult.Exposure.
+	Sweep func(*experiment.Home, *HomeResult) error
 	// Telemetry, when non-nil, instruments every home's subsystems into
 	// the shared registry. All folds are commuting counter additions, so
 	// the final snapshot is identical for any worker count.
@@ -279,30 +275,24 @@ type HomeResult struct {
 	Elapsed time.Duration
 
 	// Exposure holds the WAN-vantage inbound scan under the home's
-	// policy; nil for IPv4-only homes or when the scan is skipped.
+	// policy; nil for IPv4-only homes or under a Config.Sweep.
 	Exposure *experiment.PolicyExposure
 
 	// Inventory is the home's ground-truth address inventory, snapshotted
 	// right after the connectivity run. The adversary subsystem scores
 	// its hitlists against it and harvests its Leaked records as seeds.
 	Inventory *HomeInventory
-
-	// World is the home's immutable world, retained only under
-	// Config.RetainWorlds; nil otherwise.
-	World *world.World
 }
 
 // runHome builds and runs one fully self-contained home. reg is the fleet
 // run's shared registry snapshot (profiles are read-only during runs);
 // scratch is the calling worker's recycled run infrastructure. A home
 // boots once: a v6-enabled home runs its experiment with its firewall
-// policy already on the router, and the WAN exposure sweep follows on the
-// same live home.
+// policy already on the router, and the WAN phase (the exposure sweep, or
+// cfg.Sweep) follows on the same live home.
 func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, scratch *experiment.Scratch) (*HomeResult, error) {
-	profiles := spec.Profiles(reg)
-	w := world.Build(profiles)
 	st := experiment.NewStudyWith(experiment.StudyOptions{
-		World:           w,
+		World:           world.Build(spec.Profiles(reg)),
 		MaxFramesPerRun: cfg.MaxFramesPerRun,
 		Capture:         experiment.CaptureNone,
 		Observe:         analysis.Streaming(),
@@ -315,7 +305,7 @@ func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, scratch *experime
 		return nil, fmt.Errorf("unknown connectivity config %q", spec.ConfigID)
 	}
 	var pol firewall.Policy
-	if ec.Router.IPv6 && !cfg.SkipExposure {
+	if ec.Router.IPv6 {
 		var err error
 		if pol, err = firewall.ByName(spec.Policy); err != nil {
 			return nil, err
@@ -328,10 +318,34 @@ func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, scratch *experime
 	if err != nil {
 		return nil, err
 	}
+	hr := observeRun(spec, st, res, ec.Router.IPv6)
+	if pol != nil {
+		// The probes are the scanner's traffic, not the home's: the
+		// analysis tap sees only the run above.
+		h.Net.RemoveTaps()
+		if cfg.Sweep != nil {
+			err = cfg.Sweep(h, hr)
+		} else {
+			hr.Exposure, err = h.Sweep(experiment.ProbePorts(st.Profiles))
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	st.Clock.Advance(time.Hour)
+	st.FoldCloudMetrics()
+	hr.Elapsed = st.Clock.Now().Sub(began)
+	return hr, nil
+}
+
+// observeRun folds a home's connectivity run into its HomeResult: the
+// funnel, DAD and EUI-64 counts from the run's streamed observations, and
+// the address inventory (v6 marks a home whose router speaks IPv6).
+func observeRun(spec HomeSpec, st *experiment.Study, res *experiment.RunResult, v6 bool) *HomeResult {
 	st.Results = append(st.Results, res)
 	ds := analysis.FromStudy(st)
 
-	hr := &HomeResult{Spec: spec, Devices: len(profiles), FramesCaptured: res.Frames()}
+	hr := &HomeResult{Spec: spec, Devices: len(st.Profiles), FramesCaptured: res.Frames()}
 	obs := ds.Exps[0]
 	overV6 := true
 	for _, p := range st.Profiles {
@@ -358,29 +372,14 @@ func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, scratch *experime
 			hr.InternetV6++
 		}
 	}
-	hr.Inventory = collectInventory(spec, st, obs, ec.Router.IPv6)
+	hr.Inventory = collectInventory(spec, st, obs, v6)
 	dad := ds.DADAudit()
 	hr.DADSkipping = dad.DevicesSkipping
 	hr.DADNever = dad.DevicesNeverDAD
 	eui := ds.EUI64Exposure()
 	hr.EUI64Assign = eui.Assign
 	hr.EUI64Use = eui.Use
-
-	if pol != nil {
-		// The probes are the scanner's traffic, not the home's: the
-		// analysis tap sees only the run above.
-		h.Net.RemoveTaps()
-		if hr.Exposure, err = h.Sweep(experiment.ProbePorts(st.Profiles)); err != nil {
-			return nil, err
-		}
-	}
-	st.Clock.Advance(time.Hour)
-	st.FoldCloudMetrics()
-	hr.Elapsed = st.Clock.Now().Sub(began)
-	if cfg.RetainWorlds {
-		hr.World = w
-	}
-	return hr, nil
+	return hr
 }
 
 // Population is a completed fleet run: per-home results in home index

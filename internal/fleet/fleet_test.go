@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -232,17 +233,36 @@ func TestRunHomeOutcomes(t *testing.T) {
 	}
 }
 
-// TestSkipExposure: SkipExposure suppresses the WAN scan even on
-// v6-enabled homes.
-func TestSkipExposure(t *testing.T) {
-	cfg := Config{Homes: 1, Workers: 1, Seed: 5, SkipExposure: true,
+// TestSweepReplacesExposure: a Config.Sweep is the WAN phase of every
+// v6-enabled home, in place of the exposure sweep. It runs on the live
+// home with its firewall, and its error fails the fleet.
+func TestSweepReplacesExposure(t *testing.T) {
+	calls := 0
+	cfg := Config{Homes: 1, Workers: 1, Seed: 5,
 		Connectivity: []Share{{Name: "dual-stack", Weight: 1}},
+		Sweep: func(h *experiment.Home, hr *HomeResult) error {
+			calls++
+			if h.Firewall == nil {
+				t.Error("the sweep got a home without its firewall")
+			}
+			if hr.Inventory == nil {
+				t.Error("the sweep ran before the home's run was folded")
+			}
+			return nil
+		},
 	}
 	pop, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if calls != 1 {
+		t.Fatalf("Sweep ran %d times for one dual-stack home", calls)
+	}
 	if pop.Homes[0].Exposure != nil {
-		t.Fatal("SkipExposure home still ran the WAN scan")
+		t.Fatal("the exposure sweep ran alongside Config.Sweep")
+	}
+	cfg.Sweep = func(*experiment.Home, *HomeResult) error { return errors.New("probe failed") }
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "probe failed") {
+		t.Fatalf("Run = %v, want the sweep's error", err)
 	}
 }

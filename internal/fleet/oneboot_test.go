@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"v6lab/internal/analysis"
 	"v6lab/internal/device"
 	"v6lab/internal/experiment"
 	"v6lab/internal/firewall"
@@ -39,6 +40,23 @@ func twoBootExposure(t *testing.T, reg []*device.Profile, spec HomeSpec) *experi
 	return &rep.Policies[0]
 }
 
+// unfirewalled runs the home's experiment with no firewall and no sweep
+// and folds it as the fleet does.
+func unfirewalled(t *testing.T, reg []*device.Profile, spec HomeSpec) *HomeResult {
+	t.Helper()
+	st := experiment.NewStudyWith(experiment.StudyOptions{
+		World:   world.Build(spec.Profiles(reg)),
+		Capture: experiment.CaptureNone,
+		Observe: analysis.Streaming(),
+	})
+	ec, _ := experiment.ConfigByID(spec.ConfigID)
+	res, _, err := st.RunExperimentWith(ec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return observeRun(spec, st, res, ec.Router.IPv6)
+}
+
 // observed is everything a home's run reports apart from its exposure.
 func observed(hr *HomeResult) string {
 	return fmt.Sprintf("devices %d ndp %d addr %d gua %d aaaa %d inet6 %d func %d dad %d/%d eui64 %d/%d frames %d inventory %+v",
@@ -50,9 +68,9 @@ func observed(hr *HomeResult) string {
 // the path from the start and the sweep on the live home, reports exactly
 // what the former two-boot path reported, down to the firewall and
 // conntrack counters (the second boot's firewall saw the same workload).
-// The same fleet without the sweep must observe exactly the same run: the
-// firewall changed no frame the analysis saw, and no probe reached the
-// analysis tap.
+// The same home run with no firewall and no sweep must observe exactly
+// the same run: the firewall changed no frame the analysis saw, and no
+// probe reached the analysis tap.
 func TestOneBootMatchesTwoBoot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three 40-home fleets against a two-boot reference; skipped with -short")
@@ -65,13 +83,8 @@ func TestOneBootMatchesTwoBoot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.SkipExposure = true
-		plain, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i, hr := range pop.Homes {
-			if got, want := observed(hr), observed(plain.Homes[i]); got != want {
+			if got, want := observed(hr), observed(unfirewalled(t, reg, hr.Spec)); got != want {
 				t.Errorf("seed %d home %d: the swept home observed\n%s\nthe unswept one\n%s", seed, i, got, want)
 			}
 			ec, _ := experiment.ConfigByID(hr.Spec.ConfigID)

@@ -1,9 +1,9 @@
 package scan
 
-// This file holds the WAN-side probe primitives shared by the
-// firewall-exposure experiment and the adversary campaign engine:
-// building raw TCP SYN probes for injection at the router's WAN port, and
-// collecting the SYN-ACKs that make it back out to the scanning vantage.
+// This file holds the WAN-side probe primitives the one WAN probe loop,
+// experiment's Home.Probe, is built from: building raw TCP SYN probes for
+// injection at the router's WAN port, and collecting the SYN-ACKs that
+// make it back out to the scanning vantage.
 
 import (
 	"net/netip"

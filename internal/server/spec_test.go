@@ -25,19 +25,21 @@ func TestOptionsHashGolden(t *testing.T) {
 	}
 }
 
+// roundTripSpecs are specs of every shape the JSON round-trip covers.
+var roundTripSpecs = []JobSpec{
+	{Kind: KindStudy},
+	{Kind: KindStudy, Seed: 7, Devices: []string{"Apple TV", "Wyze Cam"}, Fault: "lossy-wifi"},
+	{Kind: KindFirewall, Policies: []string{"deny", "open"}},
+	{Kind: KindFleet, FleetHomes: 20, FleetSeed: 3, Workers: 8},
+	{Kind: KindResilience, Seed: 9, MaxFramesPerRun: 500},
+	{Kind: KindAdversary, FleetHomes: 12, CampaignSeed: 5},
+}
+
 // TestCanonicalJSONRoundTrip: a canonical spec survives a JSON
 // round-trip unchanged — encode, decode, re-canonicalize, same struct
 // and same hash.
 func TestCanonicalJSONRoundTrip(t *testing.T) {
-	specs := []JobSpec{
-		{Kind: KindStudy},
-		{Kind: KindStudy, Seed: 7, Devices: []string{"Apple TV", "Wyze Cam"}, Fault: "lossy-wifi"},
-		{Kind: KindFirewall, Policies: []string{"deny", "open"}},
-		{Kind: KindFleet, FleetHomes: 20, FleetSeed: 3, Workers: 8},
-		{Kind: KindResilience, Seed: 9, MaxFramesPerRun: 500},
-		{Kind: KindAdversary, FleetHomes: 12, CampaignSeed: 5},
-	}
-	for _, spec := range specs {
+	for _, spec := range roundTripSpecs {
 		c := spec.Canonicalize()
 		blob, err := json.Marshal(c)
 		if err != nil {
@@ -56,16 +58,19 @@ func TestCanonicalJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// reorderedDocs describe one experiment with different field and device
+// order.
+var reorderedDocs = []string{
+	`{"kind":"study","seed":5,"devices":["Wyze Cam","Apple TV"],"fault":"lossy-wifi"}`,
+	`{"fault":"lossy-wifi","devices":["Apple TV","Wyze Cam"],"seed":5,"kind":"study"}`,
+}
+
 // TestOptionsHashFieldOrderIndependence: the same experiment described
 // with different JSON field order and different device order hashes
 // identically.
 func TestOptionsHashFieldOrderIndependence(t *testing.T) {
-	docs := []string{
-		`{"kind":"study","seed":5,"devices":["Wyze Cam","Apple TV"],"fault":"lossy-wifi"}`,
-		`{"fault":"lossy-wifi","devices":["Apple TV","Wyze Cam"],"seed":5,"kind":"study"}`,
-	}
 	var keys []Key
-	for _, doc := range docs {
+	for _, doc := range reorderedDocs {
 		var spec JobSpec
 		if err := json.Unmarshal([]byte(doc), &spec); err != nil {
 			t.Fatal(err)
@@ -160,24 +165,36 @@ func TestCanonicalDevicesRegistryOrderAndDedup(t *testing.T) {
 	}
 }
 
+// invalidSpecs are specs Validate must reject, each with a fragment of
+// the error it must return.
+var invalidSpecs = []struct {
+	spec JobSpec
+	want string
+}{
+	{JobSpec{Kind: "espresso"}, "unknown kind"},
+	{JobSpec{Kind: KindStudy, Devices: []string{"Quantum Toaster"}}, "unknown device"},
+	{JobSpec{Kind: KindStudy, Fault: "solar-flare"}, "unknown profile"},
+	{JobSpec{Kind: KindStudy, Policies: []string{"open"}}, "policies only apply"},
+	{JobSpec{Kind: KindFirewall, Policies: []string{"moat"}}, "unknown policy"},
+	{JobSpec{Kind: KindFleet}, "fleet_homes > 0"},
+	{JobSpec{Kind: KindStudy, FleetHomes: 5}, "only apply to kind"},
+	{JobSpec{Kind: KindStudy, MaxFramesPerRun: -1}, "non-negative"},
+	{JobSpec{Kind: KindStudy, Workers: -2}, "non-negative"},
+	{JobSpec{Kind: KindAdversary}, "fleet_homes > 0"},
+	{JobSpec{Kind: KindFleet, FleetHomes: 5, CampaignSeed: 2}, "campaign_seed only applies"},
+}
+
+// validSpecs are specs Validate must accept.
+var validSpecs = []JobSpec{
+	{Kind: KindStudy},
+	{Kind: KindFirewall, Policies: []string{"stateful-default-deny"}},
+	{Kind: KindFleet, FleetHomes: 10, FleetSeed: 2},
+	{Kind: KindResilience, Fault: "clamped-tunnel"},
+	{Kind: KindAdversary, FleetHomes: 8, CampaignSeed: 4},
+}
+
 func TestValidateRejects(t *testing.T) {
-	cases := []struct {
-		spec JobSpec
-		want string
-	}{
-		{JobSpec{Kind: "espresso"}, "unknown kind"},
-		{JobSpec{Kind: KindStudy, Devices: []string{"Quantum Toaster"}}, "unknown device"},
-		{JobSpec{Kind: KindStudy, Fault: "solar-flare"}, "unknown profile"},
-		{JobSpec{Kind: KindStudy, Policies: []string{"open"}}, "policies only apply"},
-		{JobSpec{Kind: KindFirewall, Policies: []string{"moat"}}, "unknown policy"},
-		{JobSpec{Kind: KindFleet}, "fleet_homes > 0"},
-		{JobSpec{Kind: KindStudy, FleetHomes: 5}, "only apply to kind"},
-		{JobSpec{Kind: KindStudy, MaxFramesPerRun: -1}, "non-negative"},
-		{JobSpec{Kind: KindStudy, Workers: -2}, "non-negative"},
-		{JobSpec{Kind: KindAdversary}, "fleet_homes > 0"},
-		{JobSpec{Kind: KindFleet, FleetHomes: 5, CampaignSeed: 2}, "campaign_seed only applies"},
-	}
-	for _, c := range cases {
+	for _, c := range invalidSpecs {
 		err := c.spec.Validate()
 		if err == nil {
 			t.Errorf("Validate(%+v) = nil, want error containing %q", c.spec, c.want)
@@ -187,14 +204,7 @@ func TestValidateRejects(t *testing.T) {
 			t.Errorf("Validate(%+v) = %q, want it to contain %q", c.spec, err, c.want)
 		}
 	}
-	valid := []JobSpec{
-		{Kind: KindStudy},
-		{Kind: KindFirewall, Policies: []string{"stateful-default-deny"}},
-		{Kind: KindFleet, FleetHomes: 10, FleetSeed: 2},
-		{Kind: KindResilience, Fault: "clamped-tunnel"},
-		{Kind: KindAdversary, FleetHomes: 8, CampaignSeed: 4},
-	}
-	for _, spec := range valid {
+	for _, spec := range validSpecs {
 		if err := spec.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", spec, err)
 		}

@@ -423,13 +423,6 @@ func (l *Lab) RunContext(ctx context.Context, parts ...RunPart) error {
 	return nil
 }
 
-// ensure panics helpfully when an ablation accessor is called before Run.
-func (l *Lab) ensure() {
-	if l.Data == nil {
-		panic("v6lab: call Run before the ablation accessors")
-	}
-}
-
 // Report renders one artifact as text, side by side with the paper's
 // published values. An artifact ReportErr rejects renders as the error's
 // one-line message.
