@@ -36,7 +36,7 @@ func main() {
 	frame, err := packet.Serialize(
 		&packet.Ethernet{Dst: addr.MulticastMAC(addr.AllNodesMulticast), Src: packet.MAC{2, 0, 0, 0, 0, 1}, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: 255, Src: routerLLA, Dst: addr.AllNodesMulticast},
-		&packet.ICMPv6{Type: packet.ICMPv6TypeRouterAdvert, Body: ra.MarshalBody(), Src: routerLLA, Dst: addr.AllNodesMulticast},
+		&packet.ICMPv6{Type: packet.ICMPv6TypeRouterAdvert, Body: ra.AppendBody(nil), Src: routerLLA, Dst: addr.AllNodesMulticast},
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -46,8 +46,8 @@ func main() {
 	// 2. A device parses it and SLAACs two addresses: the trackable EUI-64
 	//    form and an RFC 8981 privacy address.
 	parsed := packet.Parse(frame)
-	got, err := ndp.ParseRouterAdvert(parsed.ICMPv6.Body)
-	if err != nil {
+	var got ndp.RouterAdvert
+	if err := ndp.ParseRouterAdvertInto(&got, parsed.ICMPv6.Body); err != nil {
 		log.Fatal(err)
 	}
 	mac := packet.MAC{0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde}

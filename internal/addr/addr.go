@@ -220,10 +220,12 @@ func SolicitedNodeMulticast(a netip.Addr) netip.Addr {
 	})
 }
 
-// Well-known multicast groups and their Ethernet mappings.
+// Well-known multicast groups and their Ethernet mappings, and the IPv4
+// limited-broadcast address DHCPv4 clients send to.
 var (
 	AllNodesMulticast   = netip.MustParseAddr("ff02::1")
 	AllRoutersMulticast = netip.MustParseAddr("ff02::2")
+	IPv4Broadcast       = netip.AddrFrom4([4]byte{255, 255, 255, 255})
 )
 
 // MulticastMAC maps an IPv6 multicast address to its 33:33 Ethernet

@@ -156,7 +156,7 @@ func (o *DeviceObs) markUsed(a netip.Addr, mac packet.MAC) {
 //
 // An Observer is single-threaded, like the run it taps. It retains no
 // frame bytes — only extracted values — so it is safe to feed arena-backed
-// frames that are recycled after the run.
+// frames that the switch recycles as soon as its queue drains.
 type Observer struct {
 	obs    *ExpObs
 	dec    *packet.Decoder

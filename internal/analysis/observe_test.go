@@ -54,13 +54,13 @@ func obs1(t *testing.T, e *ExpObs) *DeviceObs {
 }
 
 func TestObserveDADAttribution(t *testing.T) {
-	ns := &ndp.NeighborSolicit{Target: gua}
+	ns := ndp.NeighborSolicit{Target: gua}
 	dst := addr.SolicitedNodeMulticast(gua)
 	unspec := netip.IPv6Unspecified()
 	e := observeAll(t, frame(t,
 		&packet.Ethernet{Dst: addr.MulticastMAC(dst), Src: obsMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: 255, Src: unspec, Dst: dst},
-		&packet.ICMPv6{Type: packet.ICMPv6TypeNeighborSolicit, Body: ns.MarshalBody(), Src: unspec, Dst: dst}))
+		&packet.ICMPv6{Type: packet.ICMPv6TypeNeighborSolicit, Body: ns.AppendBody(nil), Src: unspec, Dst: dst}))
 	d := obs1(t, e)
 	if !d.NDP {
 		t.Error("NDP not flagged")
@@ -80,12 +80,12 @@ func TestObserveResolutionNSNotAttributedToSender(t *testing.T) {
 	// Address-resolution NS (non-:: source) targets SOMEONE ELSE's
 	// address; it must not be attributed to the sender.
 	other := netip.MustParseAddr("2001:470:8:100::1")
-	ns := &ndp.NeighborSolicit{Target: other, SourceLinkAddr: obsMAC}
+	ns := ndp.NeighborSolicit{Target: other, SourceLinkAddr: obsMAC}
 	dst := addr.SolicitedNodeMulticast(other)
 	e := observeAll(t, frame(t,
 		&packet.Ethernet{Dst: addr.MulticastMAC(dst), Src: obsMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: 255, Src: gua, Dst: dst},
-		&packet.ICMPv6{Type: packet.ICMPv6TypeNeighborSolicit, Body: ns.MarshalBody(), Src: gua, Dst: dst}))
+		&packet.ICMPv6{Type: packet.ICMPv6TypeNeighborSolicit, Body: ns.AppendBody(nil), Src: gua, Dst: dst}))
 	d := obs1(t, e)
 	if _, ok := d.Assigned[other]; ok {
 		t.Error("router's address attributed to the device")
@@ -111,7 +111,7 @@ func TestObserveEUI64DNSExposure(t *testing.T) {
 }
 
 func TestObserveSNIAttribution(t *testing.T) {
-	hello := tlssim.ClientHello("hardcoded.vendor.example", nil)
+	hello := tlssim.AppendClientHello(nil, "hardcoded.vendor.example", nil)
 	e := observeAll(t, frame(t,
 		&packet.Ethernet{Dst: router.RouterMAC, Src: obsMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolTCP, Src: privGUA, Dst: remote},

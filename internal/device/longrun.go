@@ -32,7 +32,7 @@ func (s *Stack) V4Configured() bool { return s.v4Addr.IsValid() }
 func (s *Stack) StatefulConfigured() bool { return s.statefulAddr.IsValid() }
 
 // HasRA reports whether the stack currently has a live default router.
-func (s *Stack) HasRA() bool { return s.raSeen != nil }
+func (s *Stack) HasRA() bool { return s.raSeen }
 
 // HasGUAIn reports whether the stack holds a global address out of the
 // given prefix — the timeline engine's re-addressing probe after a
@@ -99,7 +99,7 @@ func (s *Stack) RenewV6() {
 // LoseRA expires the default router: the device slept past the RA's
 // router lifetime (1800 s) and wakes with v6 connectivity down until the
 // next periodic advertisement re-arms it.
-func (s *Stack) LoseRA() { s.raSeen = nil }
+func (s *Stack) LoseRA() { s.raSeen = false }
 
 // SolicitRouter sends a router solicitation, the recovery step a waking
 // or renumbered device takes instead of waiting out the periodic RA
@@ -136,7 +136,7 @@ func (s *Stack) Renumber(old, new netip.Prefix) {
 	if s.dnsV6.IsValid() && old.Contains(s.dnsV6) {
 		s.dnsV6 = netip.Addr{}
 	}
-	s.raSeen = nil
+	s.raSeen = false
 }
 
 // AbortStaleConns kills live connections sourced from a withdrawn prefix
@@ -210,8 +210,7 @@ func (s *Stack) RunBurst(cl *cloud.Cloud) {
 		if !sp.Essential {
 			continue
 		}
-		delete(s.contacted, sp.Name)
-		delete(s.essOK, sp.Name)
+		s.specs[i] = 0
 		s.startSpec(i, cl)
 	}
 	s.sendNTP()

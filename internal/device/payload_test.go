@@ -18,7 +18,7 @@ import (
 // to the flow's volume, or max(16, bytes) of 0x17 for a tiny flow that
 // may skip the hello.
 func materialisedPayload(name string, bytes int, needSNI bool) []byte {
-	payload := tlssim.ClientHello(name, nil)
+	payload := tlssim.AppendClientHello(nil, name, nil)
 	if bytes >= len(payload) || needSNI {
 		for len(payload) < bytes {
 			payload = append(payload, 0x17)
@@ -90,8 +90,10 @@ func TestSegmentsMatchMaterialisedPayload(t *testing.T) {
 	if idx < 0 {
 		t.Fatal("no PMTUD-capable dual-stack profile")
 	}
-	const name = "api.vendor.example"
-	hello := len(tlssim.ClientHello(name, nil))
+	// The flow runs to the plan's first destination, whose hello the plan
+	// carries.
+	name := plans[idx].Specs[0].Name
+	hello := len(tlssim.AppendClientHello(nil, name, nil))
 	src := netip.MustParseAddr("2001:470:8:100::10")
 	dst := netip.MustParseAddr("2606:4700:10::1")
 	for _, tc := range []struct {
@@ -114,7 +116,7 @@ func TestSegmentsMatchMaterialisedPayload(t *testing.T) {
 
 			const sport = 40001
 			key := connKey{dst: dst, sport: sport}
-			st.conns[key] = &conn{name: name, src: src, dst: dst, dport: 443, bytes: tc.bytes, seq: 1, needSNI: tc.needSNI}
+			st.conns[key] = &conn{specIdx: 0, src: src, dst: dst, dport: 443, bytes: tc.bytes, seq: 1, needSNI: tc.needSNI}
 			synAck, err := packet.Serialize(
 				&packet.Ethernet{Dst: st.MAC, Src: router.RouterMAC, Type: packet.EtherTypeIPv6},
 				&packet.IPv6{NextHeader: packet.IPProtocolTCP, HopLimit: 64, Src: dst, Dst: src},

@@ -6,6 +6,7 @@ import (
 
 	"v6lab/internal/cloud"
 	"v6lab/internal/paper"
+	"v6lab/internal/tlssim"
 )
 
 // Class describes how a destination domain's IP-version usage evolves
@@ -86,6 +87,11 @@ type DomainSpec struct {
 	// ViaEUI64: DNS queries and contacts for this name are sourced from
 	// the device's EUI-64 GUA (Figure 5's exposure accounting).
 	ViaEUI64 bool
+	// Hello is the TLS ClientHello the device opens flows to this name
+	// with. Devices send no client random, so it depends only on Name:
+	// BuildPlans encodes it once and every stack running the plan shares
+	// it read-only.
+	Hello []byte
 }
 
 // Plan is the full workload of one device.
@@ -233,7 +239,26 @@ func BuildPlans(profiles []*Profile) []*Plan {
 	assignTrackers(plans)
 	assignEUI64Exposure(plans)
 	assignVolumes(plans, byCat)
+	for _, pl := range plans {
+		pl.encodeHellos()
+	}
 	return plans
+}
+
+// encodeHellos fills every spec's Hello, all of them in one backing
+// array per plan.
+func (pl *Plan) encodeHellos() {
+	n := 0
+	for i := range pl.Specs {
+		n += 64 + len(pl.Specs[i].Name)
+	}
+	buf := make([]byte, 0, n)
+	for i := range pl.Specs {
+		sp := &pl.Specs[i]
+		start := len(buf)
+		buf = tlssim.AppendClientHello(buf, sp.Name, nil)
+		sp.Hello = buf[start:len(buf):len(buf)]
+	}
 }
 
 // assignAnswerableNames guarantees every device whose AAAA queries succeed

@@ -82,7 +82,7 @@ func (s *Stack) RetryConfig() int {
 		s.sendDHCP4(dhcp4.Discover, netip.Addr{})
 		n++
 	}
-	if s.ndpActive() && s.raSeen == nil {
+	if s.ndpActive() && !s.raSeen {
 		src := netip.IPv6Unspecified()
 		if s.assignsAddr() && s.Prof.LLA && len(s.llas) > 0 {
 			src = s.llas[0]
@@ -90,17 +90,17 @@ func (s *Stack) RetryConfig() int {
 		s.sendRS(src)
 		n++
 	}
-	if s.dhcp6Pending && s.raSeen != nil {
+	if s.dhcp6Pending && s.raSeen {
 		if src := s.dhcp6Source(); src.IsValid() {
 			switch {
-			case s.raSeen.Managed && s.Prof.StatefulDHCPv6 && !s.statefulAddr.IsValid():
+			case s.ra.Managed && s.Prof.StatefulDHCPv6 && !s.statefulAddr.IsValid():
 				s.sendDHCP6(&dhcp6.Message{
 					Type: dhcp6.Solicit, TxID: uint32(100 + s.expSeq), ClientID: dhcp6.DUIDFromMAC(s.MAC),
 					RequestedOptions: []uint16{dhcp6.OptDNSServers},
 					IANA:             &dhcp6.IANA{IAID: 1},
 				}, src)
 				n++
-			case (s.raSeen.OtherConfig || s.raSeen.Managed) && s.Prof.StatelessDHCPv6 && !s.dnsV6.IsValid():
+			case (s.ra.OtherConfig || s.ra.Managed) && s.Prof.StatelessDHCPv6 && !s.dnsV6.IsValid():
 				s.sendDHCP6(&dhcp6.Message{
 					Type: dhcp6.InfoRequest, TxID: uint32(200 + s.expSeq), ClientID: dhcp6.DUIDFromMAC(s.MAC),
 					RequestedOptions: []uint16{dhcp6.OptDNSServers},
@@ -203,7 +203,7 @@ func (s *Stack) FailureStage() string {
 	switch {
 	case !s.ndpActive():
 		return "no-ipv6-support"
-	case s.raSeen == nil:
+	case !s.raSeen:
 		return "no-ra"
 	case !s.hasGUA():
 		return "no-address"

@@ -14,7 +14,6 @@ import (
 	"v6lab/internal/ndp"
 	"v6lab/internal/netsim"
 	"v6lab/internal/packet"
-	"v6lab/internal/tlssim"
 )
 
 // Mode is the stack family configuration of an experiment.
@@ -45,13 +44,13 @@ type Stack struct {
 
 	port  *netsim.Port
 	clock *netsim.Clock
-	// tx is the reusable serialization buffer every send path shares;
-	// the switch copies frames into its arena at enqueue time, so the
-	// buffer is free for the next frame as soon as Send returns.
+	// tx is the serialization buffer every send path uses: the LAN's
+	// shared one (netsim.Network.TxBuffer), free again once Send returns.
 	tx *packet.Buffer
 	// dec parses inbound frames in place. Handlers only retain data that
-	// is independent of the decoder (fresh copies, value types, or slices
-	// into the switch arena), so reuse across frames is safe.
+	// is independent of the frame (fresh copies and value types): the
+	// decoder is reused for the next frame, and the switch recycles the
+	// frame's bytes once its Run drains.
 	dec packet.Decoder
 	// The send path fills these reused layers and DNS buffers instead of
 	// allocating per frame: transmit serializes synchronously and the
@@ -62,10 +61,15 @@ type Stack struct {
 	tcpL     packet.TCP
 	udpL     packet.UDP
 	rawL     packet.Raw
+	icmp6L   packet.ICMPv6
 	segL     tlsSegment
 	dnsQ     [1]dnsmsg.Question
-	dnsWire  []byte
 	dnsReply dnsmsg.Message
+	dhcp4In  dhcp4.Message
+	// wire holds the encoded DNS or DHCPv4 payload of the frame being
+	// sent, and ndBody the body of an outgoing ND message.
+	wire   []byte
+	ndBody []byte
 
 	mode   Mode
 	expSeq int // 0-based index among the device's v6-enabled experiments
@@ -80,9 +84,13 @@ type Stack struct {
 	llas, guas, ulas []netip.Addr
 	tentative        map[netip.Addr]bool
 	statefulAddr     netip.Addr
-	raSeen           *ndp.RouterAdvert
-	dnsV6            netip.Addr
-	dhcp6ServerID    dhcp6.DUID
+	// ra is the advert SLAAC last ran against, decoded in place; it is
+	// meaningful only while raSeen is set, and no later advert is parsed
+	// until raSeen is cleared.
+	ra            ndp.RouterAdvert
+	raSeen        bool
+	dnsV6         netip.Addr
+	dhcp6ServerID dhcp6.DUID
 
 	// Workload state.
 	pendingDNS map[uint16]pendingQuery
@@ -91,9 +99,10 @@ type Stack struct {
 	conns      map[connKey]*conn
 	// connOrder preserves creation order so retry passes under
 	// impairment iterate deterministically (map order would not).
-	connOrder  []connKey
-	contacted  map[string]map[bool]bool // name -> family(v6?) -> contacted
-	essOK      map[string]bool
+	connOrder []connKey
+	// specs holds this run's flags per destination, indexed like
+	// Plan.Specs (whose names are distinct).
+	specs      []specFlags
 	v6ByteEach int
 	v4ByteEach int
 	// dhcp6Pending tracks an in-flight DHCPv6 transaction (for retry
@@ -109,6 +118,18 @@ type Stack struct {
 	dhcp4Acks    uint64
 	dhcp6Replies uint64
 }
+
+// specFlags records what happened to one destination in the current run.
+type specFlags uint8
+
+const (
+	// contactedV4 and contactedV6: a flow was opened over that family;
+	// each destination is contacted at most once per family per run.
+	contactedV4 specFlags = 1 << iota
+	contactedV6
+	// essentialOK: an essential destination exchanged application data.
+	essentialOK
+)
 
 type pendingQuery struct {
 	specIdx int
@@ -127,7 +148,6 @@ type connKey struct {
 
 type conn struct {
 	specIdx int
-	name    string
 	src     netip.Addr
 	dst     netip.Addr
 	dport   uint16
@@ -205,14 +225,21 @@ func NewStack(p *Profile, pl *Plan, idx int, prefixes NetPrefixes) *Stack {
 		MAC:      macFor(p, idx),
 		prefixes: prefixes,
 		v6Exps:   5,
-		tx:       packet.NewBuffer(128),
-		// Sized for any query and any cloud reply, like the maps in Reset.
-		dnsWire: make([]byte, 0, 512),
+		// Sized for any query, cloud reply, router advert and DHCPv4
+		// reply, like the maps in Reset: what a run allocates must not
+		// depend on which runs a pooled stack served before.
+		wire:   make([]byte, 0, 512),
+		ndBody: make([]byte, 0, 64),
 		dnsReply: dnsmsg.Message{
 			Questions: make([]dnsmsg.Question, 0, 1),
 			Answers:   make([]dnsmsg.Record, 0, 1),
 			Authority: make([]dnsmsg.Record, 0, 1),
 		},
+		ra: ndp.RouterAdvert{
+			Prefixes: make([]ndp.PrefixInfo, 0, 2),
+			RDNSS:    []ndp.RDNSS{{Servers: make([]netip.Addr, 0, 1)}}[:0],
+		},
+		dhcp4In: dhcp4.Message{DNS: make([]netip.Addr, 0, 1)},
 	}
 }
 
@@ -234,6 +261,7 @@ func macFor(p *Profile, idx int) packet.MAC {
 func (s *Stack) Attach(n *netsim.Network) {
 	s.clock = n.Clock
 	s.port = n.Attach(s, s.MAC)
+	s.tx = n.TxBuffer()
 }
 
 // hashIID derives a deterministic randomized interface identifier from the
@@ -266,7 +294,7 @@ func (s *Stack) Reset(mode Mode, expSeq int) {
 	s.v4Addr = netip.Addr{}
 	s.llas, s.guas, s.ulas = s.llas[:0], s.guas[:0], s.ulas[:0]
 	s.statefulAddr = netip.Addr{}
-	s.raSeen = nil
+	s.raSeen = false
 	s.dnsV6 = netip.Addr{}
 	s.dhcp6ServerID = nil
 	// Maps are cleared in place rather than reallocated: a stack that is
@@ -279,8 +307,7 @@ func (s *Stack) Reset(mode Mode, expSeq int) {
 		s.tentative = make(map[netip.Addr]bool, 8)
 		s.pendingDNS = make(map[uint16]pendingQuery, n)
 		s.conns = make(map[connKey]*conn, n)
-		s.contacted = make(map[string]map[bool]bool, n)
-		s.essOK = make(map[string]bool, n)
+		s.specs = make([]specFlags, n)
 		s.connOrder = make([]connKey, 0, n)
 		s.llas = make([]netip.Addr, 0, 4)
 		s.guas = make([]netip.Addr, 0, 8)
@@ -289,8 +316,7 @@ func (s *Stack) Reset(mode Mode, expSeq int) {
 		clear(s.tentative)
 		clear(s.pendingDNS)
 		clear(s.conns)
-		clear(s.contacted)
-		clear(s.essOK)
+		clear(s.specs)
 	}
 	s.connOrder = s.connOrder[:0]
 	s.nextDNSID = uint16(1000 + expSeq)
@@ -417,9 +443,9 @@ func (s *Stack) addAddr(a netip.Addr, dad bool) {
 	}
 	if dad {
 		s.tentative[a] = true
-		ns := &ndp.NeighborSolicit{Target: a}
+		s.ndBody = ndp.NeighborSolicit{Target: a}.AppendBody(s.ndBody[:0])
 		dst := addr.SolicitedNodeMulticast(a)
-		s.sendICMPv6(netip.IPv6Unspecified(), dst, packet.ICMPv6TypeNeighborSolicit, ns.MarshalBody())
+		s.sendICMPv6(netip.IPv6Unspecified(), dst, packet.ICMPv6TypeNeighborSolicit, s.ndBody)
 	}
 }
 
@@ -459,12 +485,11 @@ func (s *Stack) scheduleCountN(total int, dualOnly bool, stable int) int {
 	return stable + per
 }
 
-// handleRA performs SLAAC against the received router advertisement.
-func (s *Stack) handleRA(eth *packet.Ethernet, ra *ndp.RouterAdvert) {
-	if s.raSeen != nil || !s.ndpActive() {
-		return
-	}
-	s.raSeen = ra
+// handleRA performs SLAAC against the router advertisement just decoded
+// into s.ra.
+func (s *Stack) handleRA(eth *packet.Ethernet) {
+	ra := &s.ra
+	s.raSeen = true
 	if !ra.SourceLinkAddr.IsZero() {
 		s.routerMAC = ra.SourceLinkAddr
 	} else {
@@ -575,13 +600,13 @@ func (s *Stack) Announce() {
 	}
 	for _, group := range [][]netip.Addr{s.llas, s.ulas, s.guas} {
 		for _, a := range group {
-			na := &ndp.NeighborAdvert{Override: true, Target: a, TargetLinkAddr: s.MAC}
-			s.sendICMPv6(a, addr.AllNodesMulticast, packet.ICMPv6TypeNeighborAdvert, na.MarshalBody())
+			s.ndBody = ndp.NeighborAdvert{Override: true, Target: a, TargetLinkAddr: s.MAC}.AppendBody(s.ndBody[:0])
+			s.sendICMPv6(a, addr.AllNodesMulticast, packet.ICMPv6TypeNeighborAdvert, s.ndBody)
 		}
 	}
 	if s.statefulAddr.IsValid() && s.Prof.UsesStatefulAddr {
-		na := &ndp.NeighborAdvert{Override: true, Target: s.statefulAddr, TargetLinkAddr: s.MAC}
-		s.sendICMPv6(s.statefulAddr, addr.AllNodesMulticast, packet.ICMPv6TypeNeighborAdvert, na.MarshalBody())
+		s.ndBody = ndp.NeighborAdvert{Override: true, Target: s.statefulAddr, TargetLinkAddr: s.MAC}.AppendBody(s.ndBody[:0])
+		s.sendICMPv6(s.statefulAddr, addr.AllNodesMulticast, packet.ICMPv6TypeNeighborAdvert, s.ndBody)
 	}
 }
 
@@ -628,7 +653,7 @@ func (s *Stack) familiesFor(sp *DomainSpec) (v4, v6 bool) {
 	v4up := s.mode != ModeV6Only
 	// A GUA alone is not enough: without a live default router (an RA
 	// within its lifetime) the device has no v6 path off-link.
-	v6up := s.ndpActive() && s.hasGUA() && s.raSeen != nil
+	v6up := s.ndpActive() && s.hasGUA() && s.raSeen
 	switch sp.Class {
 	case ClassV4Stay, ClassV4WithAAAA:
 		v4 = v4up
@@ -679,7 +704,7 @@ func (s *Stack) startSpec(i int, cl *cloud.Cloud) {
 			// Vendor-configured literal endpoint: no resolution, straight
 			// to TCP with SNI.
 			if d := cl.Lookup(sp.Name); d != nil && len(d.V6) > 0 {
-				s.openTCP(i, d.V6[0], sp.Name, true, sp.ViaEUI64)
+				s.openTCP(i, d.V6[0], true, sp.ViaEUI64)
 			}
 		}
 		if wantV4 {
@@ -694,7 +719,7 @@ func (s *Stack) startSpec(i int, cl *cloud.Cloud) {
 func (s *Stack) resolveSpec(i int, wantV4, wantV6 bool) {
 	sp := &s.Plan.Specs[i]
 	v4DNS := s.mode != ModeV6Only && s.v4Addr.IsValid()
-	v6DNS := s.dnsV6.IsValid() && s.hasGUA() && s.raSeen != nil
+	v6DNS := s.dnsV6.IsValid() && s.hasGUA() && s.raSeen
 
 	// A queries: needed for v4 contact; A-only names also probe over v6.
 	if wantV4 && v4DNS {
@@ -773,13 +798,13 @@ func (s *Stack) sendDNSType(i int, t dnsmsg.Type, overV6, viaEUI64 bool) {
 }
 
 // packQuery encodes a standard recursive query for one question into the
-// stack's reused DNS buffer; the bytes are valid until the next query.
+// stack's reused wire buffer; the bytes are valid until the next send.
 func (s *Stack) packQuery(id uint16, name string, t dnsmsg.Type) ([]byte, error) {
 	s.dnsQ[0] = dnsmsg.Question{Name: name, Type: t}
 	q := dnsmsg.Message{ID: id, RecursionDesired: true, Questions: s.dnsQ[:]}
 	var err error
-	s.dnsWire, err = q.AppendPack(s.dnsWire[:0])
-	return s.dnsWire, err
+	s.wire, err = q.AppendPack(s.wire[:0])
+	return s.wire, err
 }
 
 // handleDNSResponse reacts to an answer: v6 addresses trigger TCP over v6,
@@ -802,25 +827,26 @@ func (s *Stack) handleDNSResponse(p *packet.Packet) {
 	for _, rr := range m.Answers {
 		switch {
 		case rr.Type == dnsmsg.TypeA && rr.Addr.Is4() && wantV4:
-			s.openTCP(pq.specIdx, rr.Addr, sp.Name, false, false)
+			s.openTCP(pq.specIdx, rr.Addr, false, false)
 			wantV4 = false
 		case (rr.Type == dnsmsg.TypeAAAA || rr.Type == dnsmsg.TypeHTTPS || rr.Type == dnsmsg.TypeSVCB) &&
 			rr.Addr.Is6() && !rr.Addr.Is4In6() && wantV6:
-			s.openTCP(pq.specIdx, rr.Addr, sp.Name, true, sp.ViaEUI64)
+			s.openTCP(pq.specIdx, rr.Addr, true, sp.ViaEUI64)
 			wantV6 = false
 		}
 	}
 }
 
 // openTCP starts a TCP/TLS exchange toward dst.
-func (s *Stack) openTCP(specIdx int, dst netip.Addr, name string, v6, viaEUI64 bool) {
-	if done := s.contacted[name]; done != nil && done[v6] {
+func (s *Stack) openTCP(specIdx int, dst netip.Addr, v6, viaEUI64 bool) {
+	family := contactedV4
+	if v6 {
+		family = contactedV6
+	}
+	if s.specs[specIdx]&family != 0 {
 		return
 	}
-	if s.contacted[name] == nil {
-		s.contacted[name] = map[bool]bool{}
-	}
-	s.contacted[name][v6] = true
+	s.specs[specIdx] |= family
 
 	var src netip.Addr
 	bytes := s.v4ByteEach
@@ -837,7 +863,7 @@ func (s *Stack) openTCP(specIdx int, dst netip.Addr, name string, v6, viaEUI64 b
 		return
 	}
 	s.nextPort++
-	c := &conn{specIdx: specIdx, name: name, src: src, dst: dst, dport: 443, bytes: bytes, seq: 1,
+	c := &conn{specIdx: specIdx, src: src, dst: dst, dport: 443, bytes: bytes, seq: 1,
 		needSNI: s.Plan.Specs[specIdx].NoDNS}
 	key := connKey{dst: dst, sport: s.nextPort}
 	s.conns[key] = c
@@ -857,7 +883,7 @@ func (s *Stack) handleTCP(p *packet.Packet) {
 			// unless the destination is only attributable via SNI,
 			// keeping the per-family volume budgets faithful.
 			c.seq++
-			c.hello = tlssim.ClientHello(c.name, nil)
+			c.hello = s.Plan.Specs[c.specIdx].Hello
 			if c.bytes >= len(c.hello) || c.needSNI {
 				c.payloadLen = max(c.bytes, len(c.hello))
 			} else {
@@ -897,15 +923,15 @@ func (s *Stack) handleTCP(p *packet.Packet) {
 func (s *Stack) markSuccess(specIdx int) {
 	sp := &s.Plan.Specs[specIdx]
 	if sp.Essential {
-		s.essOK[sp.Name] = true
+		s.specs[specIdx] |= essentialOK
 	}
 }
 
 // Functional reports whether the device's primary function worked in this
 // experiment: every essential destination exchanged application data.
 func (s *Stack) Functional() bool {
-	for _, sp := range s.Plan.EssentialSpecs() {
-		if !s.essOK[sp.Name] {
+	for i := range s.Plan.Specs {
+		if s.Plan.Specs[i].Essential && s.specs[i]&essentialOK == 0 {
 			return false
 		}
 	}
@@ -1115,8 +1141,10 @@ func (s *Stack) handleICMPv6(p *packet.Packet) {
 	ic := p.ICMPv6
 	switch ic.Type {
 	case packet.ICMPv6TypeRouterAdvert:
-		if ra, err := ndp.ParseRouterAdvert(ic.Body); err == nil {
-			s.handleRA(p.Ethernet, ra)
+		// SLAAC runs against the first advert only; the periodic ones that
+		// follow are ignored before they cost a parse.
+		if !s.raSeen && ndp.ParseRouterAdvertInto(&s.ra, ic.Body) == nil {
+			s.handleRA(p.Ethernet)
 		}
 	case packet.ICMPv6TypeNeighborSolicit:
 		ns, err := ndp.ParseNeighborSolicit(ic.Body)
@@ -1124,12 +1152,12 @@ func (s *Stack) handleICMPv6(p *packet.Packet) {
 			return
 		}
 		// Address resolution for one of our addresses.
-		na := &ndp.NeighborAdvert{Solicited: true, Override: true, Target: ns.Target, TargetLinkAddr: s.MAC}
+		s.ndBody = ndp.NeighborAdvert{Solicited: true, Override: true, Target: ns.Target, TargetLinkAddr: s.MAC}.AppendBody(s.ndBody[:0])
 		dst := p.IPv6.Src
 		if !dst.IsValid() || addr.Classify(dst) == addr.KindUnspecified {
 			dst = addr.AllNodesMulticast
 		}
-		s.sendICMPv6(ns.Target, dst, packet.ICMPv6TypeNeighborAdvert, na.MarshalBody())
+		s.sendICMPv6(ns.Target, dst, packet.ICMPv6TypeNeighborAdvert, s.ndBody)
 	case packet.ICMPv6TypePacketTooBig:
 		s.handlePacketTooBig(ic.Body)
 	case packet.ICMPv6TypeEchoRequest:
@@ -1152,8 +1180,8 @@ func (s *Stack) handleDHCP4(p *packet.Packet) {
 	if s.mode == ModeV6Only {
 		return
 	}
-	m, err := dhcp4.Unmarshal(p.UDP.PayloadData)
-	if err != nil || m.ClientMAC != s.MAC {
+	m := &s.dhcp4In
+	if err := dhcp4.UnmarshalInto(m, p.UDP.PayloadData); err != nil || m.ClientMAC != s.MAC {
 		return
 	}
 	switch m.Type {
@@ -1261,11 +1289,10 @@ func (s *Stack) sendICMPv6To(dstMAC packet.MAC, src, dst netip.Addr, typ uint8, 
 	if typ == packet.ICMPv6TypeEchoRequest || typ == packet.ICMPv6TypeEchoReply {
 		hop = 64
 	}
-	s.transmit(
-		&packet.Ethernet{Dst: dstMAC, Src: s.MAC, Type: packet.EtherTypeIPv6},
-		&packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: hop, Src: src, Dst: dst},
-		&packet.ICMPv6{Type: typ, Body: body, Src: src, Dst: dst},
-	)
+	s.ethL = packet.Ethernet{Dst: dstMAC, Src: s.MAC, Type: packet.EtherTypeIPv6}
+	s.ip6L = packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: hop, Src: src, Dst: dst}
+	s.icmp6L = packet.ICMPv6{Type: typ, Body: body, Src: src, Dst: dst}
+	s.transmit(&s.ethL, &s.ip6L, &s.icmp6L)
 }
 
 func (s *Stack) sendICMPv4(dst netip.Addr, typ uint8, body []byte, dstMAC packet.MAC) {
@@ -1277,31 +1304,37 @@ func (s *Stack) sendICMPv4(dst netip.Addr, typ uint8, body []byte, dstMAC packet
 }
 
 func (s *Stack) sendRS(src netip.Addr) {
-	rs := &ndp.RouterSolicit{}
+	var rs ndp.RouterSolicit
 	if addr.Classify(src) != addr.KindUnspecified {
 		rs.SourceLinkAddr = s.MAC
 	}
-	s.sendICMPv6(src, addr.AllRoutersMulticast, packet.ICMPv6TypeRouterSolicit, rs.MarshalBody())
+	s.ndBody = rs.AppendBody(s.ndBody[:0])
+	s.sendICMPv6(src, addr.AllRoutersMulticast, packet.ICMPv6TypeRouterSolicit, s.ndBody)
 }
 
+// Addresses the DHCP send paths use on every call, parsed once.
+var (
+	dhcp4Server  = netip.AddrFrom4([4]byte{192, 168, 1, 1})
+	dhcp6Servers = netip.MustParseAddr(dhcp6.AllRelayAgentsAndServers)
+)
+
 func (s *Stack) sendDHCP4(typ uint8, requested netip.Addr) {
-	m := &dhcp4.Message{Op: 1, XID: s.dhcp4XID, ClientMAC: s.MAC, Type: typ}
+	m := dhcp4.Message{Op: 1, XID: s.dhcp4XID, ClientMAC: s.MAC, Type: typ}
 	if requested.IsValid() {
 		m.Requested = requested
-		m.ServerID = netip.MustParseAddr("192.168.1.1")
+		m.ServerID = dhcp4Server
 	}
-	wire, err := m.Marshal()
+	wire, err := m.AppendMarshal(s.wire[:0])
 	if err != nil {
 		return
 	}
-	zero := netip.MustParseAddr("0.0.0.0")
-	bcast := netip.MustParseAddr("255.255.255.255")
-	s.transmit(
-		&packet.Ethernet{Dst: packet.BroadcastMAC, Src: s.MAC, Type: packet.EtherTypeIPv4},
-		&packet.IPv4{Protocol: packet.IPProtocolUDP, Src: zero, Dst: bcast},
-		&packet.UDP{SrcPort: dhcp4.ClientPort, DstPort: dhcp4.ServerPort, Src: zero, Dst: bcast},
-		packet.Raw(wire),
-	)
+	s.wire = wire
+	zero, bcast := netip.IPv4Unspecified(), addr.IPv4Broadcast
+	s.ethL = packet.Ethernet{Dst: packet.BroadcastMAC, Src: s.MAC, Type: packet.EtherTypeIPv4}
+	s.ip4L = packet.IPv4{Protocol: packet.IPProtocolUDP, Src: zero, Dst: bcast}
+	s.udpL = packet.UDP{SrcPort: dhcp4.ClientPort, DstPort: dhcp4.ServerPort, Src: zero, Dst: bcast}
+	s.rawL = wire
+	s.transmit(&s.ethL, &s.ip4L, &s.udpL, &s.rawL)
 }
 
 func (s *Stack) sendDHCP6(m *dhcp6.Message, src netip.Addr) {
@@ -1312,13 +1345,12 @@ func (s *Stack) sendDHCP6(m *dhcp6.Message, src netip.Addr) {
 	// Every client message opens (or keeps open) a transaction awaiting a
 	// server reply; RetryConfig retransmits while this stays set.
 	s.dhcp6Pending = true
-	dst := netip.MustParseAddr(dhcp6.AllRelayAgentsAndServers)
-	s.transmit(
-		&packet.Ethernet{Dst: addr.MulticastMAC(dst), Src: s.MAC, Type: packet.EtherTypeIPv6},
-		&packet.IPv6{NextHeader: packet.IPProtocolUDP, Src: src, Dst: dst},
-		&packet.UDP{SrcPort: dhcp6.ClientPort, DstPort: dhcp6.ServerPort, Src: src, Dst: dst},
-		packet.Raw(wire),
-	)
+	dst := dhcp6Servers
+	s.ethL = packet.Ethernet{Dst: addr.MulticastMAC(dst), Src: s.MAC, Type: packet.EtherTypeIPv6}
+	s.ip6L = packet.IPv6{NextHeader: packet.IPProtocolUDP, Src: src, Dst: dst}
+	s.udpL = packet.UDP{SrcPort: dhcp6.ClientPort, DstPort: dhcp6.ServerPort, Src: src, Dst: dst}
+	s.rawL = wire
+	s.transmit(&s.ethL, &s.ip6L, &s.udpL, &s.rawL)
 }
 
 func (s *Stack) sendUDP(src, dst netip.Addr, dport uint16, payload []byte) {

@@ -77,37 +77,35 @@ func putAddr4(b []byte, a netip.Addr) {
 	}
 }
 
-// Marshal encodes the message.
-func (m *Message) Marshal() ([]byte, error) {
+// AppendMarshal appends the encoded message to b and returns the extended
+// slice; encoding into a buffer with room allocates nothing. On error b
+// is returned unchanged.
+func (m *Message) AppendMarshal(b []byte) ([]byte, error) {
 	if m.Type == 0 {
-		return nil, errors.New("dhcp4: message type unset")
+		return b, errors.New("dhcp4: message type unset")
 	}
-	b := make([]byte, fixedLen, fixedLen+64)
-	b[0] = m.Op
-	b[1] = 1 // htype ethernet
-	b[2] = 6 // hlen
-	binary.BigEndian.PutUint32(b[4:8], m.XID)
-	putAddr4(b[12:16], m.ClientIP)
-	putAddr4(b[16:20], m.YourIP)
-	putAddr4(b[20:24], m.ServerIP)
-	copy(b[28:34], m.ClientMAC[:])
-	copy(b[236:240], magicCookie[:])
+	start := len(b)
+	b = append(b, make([]byte, fixedLen)...)
+	h := b[start:]
+	h[0] = m.Op
+	h[1] = 1 // htype ethernet
+	h[2] = 6 // hlen
+	binary.BigEndian.PutUint32(h[4:8], m.XID)
+	putAddr4(h[12:16], m.ClientIP)
+	putAddr4(h[16:20], m.YourIP)
+	putAddr4(h[20:24], m.ServerIP)
+	copy(h[28:34], m.ClientMAC[:])
+	copy(h[236:240], magicCookie[:])
 	b = append(b, OptMessageType, 1, m.Type)
-	appendAddr := func(code uint8, a netip.Addr) {
-		if a.Is4() {
-			v := a.As4()
-			b = append(b, code, 4, v[0], v[1], v[2], v[3])
-		}
-	}
-	appendAddr(OptSubnetMask, m.SubnetMask)
-	appendAddr(OptRouter, m.Router)
-	appendAddr(OptRequestedIP, m.Requested)
-	appendAddr(OptServerID, m.ServerID)
+	b = appendAddrOpt(b, OptSubnetMask, m.SubnetMask)
+	b = appendAddrOpt(b, OptRouter, m.Router)
+	b = appendAddrOpt(b, OptRequestedIP, m.Requested)
+	b = appendAddrOpt(b, OptServerID, m.ServerID)
 	if len(m.DNS) > 0 {
 		b = append(b, OptDNSServers, uint8(4*len(m.DNS)))
 		for _, d := range m.DNS {
 			if !d.Is4() {
-				return nil, fmt.Errorf("dhcp4: DNS server %v not IPv4", d)
+				return b[:start], fmt.Errorf("dhcp4: DNS server %v not IPv4", d)
 			}
 			v := d.As4()
 			b = append(b, v[:]...)
@@ -120,15 +118,27 @@ func (m *Message) Marshal() ([]byte, error) {
 	return append(b, OptEnd), nil
 }
 
-// Unmarshal decodes a DHCPv4 message.
-func Unmarshal(data []byte) (*Message, error) {
+// appendAddrOpt appends an IPv4-address option when a is set.
+func appendAddrOpt(b []byte, code uint8, a netip.Addr) []byte {
+	if !a.Is4() {
+		return b
+	}
+	v := a.As4()
+	return append(b, code, 4, v[0], v[1], v[2], v[3])
+}
+
+// UnmarshalInto decodes a DHCPv4 message into m, reusing the backing
+// array of m.DNS, so a receiver that keeps one Message decodes without
+// allocating. On error m's contents are unspecified.
+func UnmarshalInto(m *Message, data []byte) error {
 	if len(data) < fixedLen {
-		return nil, packet.ErrTruncated
+		return packet.ErrTruncated
 	}
 	if [4]byte(data[236:240]) != magicCookie {
-		return nil, errors.New("dhcp4: missing magic cookie")
+		return errors.New("dhcp4: missing magic cookie")
 	}
-	m := &Message{
+	dns := m.DNS[:0]
+	*m = Message{
 		Op:       data[0],
 		XID:      binary.BigEndian.Uint32(data[4:8]),
 		ClientIP: addr4OrUnset(data[12:16]),
@@ -147,7 +157,7 @@ func Unmarshal(data []byte) (*Message, error) {
 			continue
 		}
 		if len(opts) < 2 || len(opts) < 2+int(opts[1]) {
-			return nil, packet.ErrTruncated
+			return packet.ErrTruncated
 		}
 		val := opts[2 : 2+opts[1]]
 		switch code {
@@ -173,7 +183,7 @@ func Unmarshal(data []byte) (*Message, error) {
 			}
 		case OptDNSServers:
 			for p := 0; p+4 <= len(val); p += 4 {
-				m.DNS = append(m.DNS, netip.AddrFrom4([4]byte(val[p:p+4])))
+				dns = append(dns, netip.AddrFrom4([4]byte(val[p:p+4])))
 			}
 		case OptLeaseTime:
 			if len(val) == 4 {
@@ -182,8 +192,9 @@ func Unmarshal(data []byte) (*Message, error) {
 		}
 		opts = opts[2+opts[1]:]
 	}
+	m.DNS = dns
 	if m.Type == 0 {
-		return nil, errors.New("dhcp4: no message type option")
+		return errors.New("dhcp4: no message type option")
 	}
-	return m, nil
+	return nil
 }

@@ -8,14 +8,20 @@ import (
 	"v6lab/internal/packet"
 )
 
+// unmarshal decodes into a fresh Message.
+func unmarshal(data []byte) (*Message, error) {
+	m := &Message{}
+	return m, UnmarshalInto(m, data)
+}
+
 func TestDiscoverOfferRoundTrip(t *testing.T) {
 	mac := packet.MAC{0x02, 0x11, 0x22, 0x33, 0x44, 0x55}
 	disc := &Message{Op: 1, XID: 0xdeadbeef, ClientMAC: mac, Type: Discover}
-	wire, err := disc.Marshal()
+	wire, err := disc.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(wire)
+	got, err := unmarshal(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +39,11 @@ func TestDiscoverOfferRoundTrip(t *testing.T) {
 		DNS:        []netip.Addr{netip.MustParseAddr("8.8.8.8"), netip.MustParseAddr("8.8.4.4")},
 		LeaseSecs:  3600,
 	}
-	wire, err = offer.Marshal()
+	wire, err = offer.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = Unmarshal(wire)
+	got, err = unmarshal(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +58,11 @@ func TestRequestCarriesRequestedIP(t *testing.T) {
 		Requested: netip.MustParseAddr("192.168.1.23"),
 		ServerID:  netip.MustParseAddr("192.168.1.1"),
 	}
-	wire, err := req.Marshal()
+	wire, err := req.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(wire)
+	got, err := unmarshal(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,34 +72,34 @@ func TestRequestCarriesRequestedIP(t *testing.T) {
 }
 
 func TestRejectsMissingCookieAndType(t *testing.T) {
-	if _, err := Unmarshal(make([]byte, fixedLen)); err == nil {
+	if _, err := unmarshal(make([]byte, fixedLen)); err == nil {
 		t.Error("want error for missing cookie")
 	}
 	m := &Message{Op: 1}
-	if _, err := m.Marshal(); err == nil {
+	if _, err := m.AppendMarshal(nil); err == nil {
 		t.Error("want error for unset type")
 	}
-	if _, err := Unmarshal(make([]byte, 10)); err == nil {
+	if _, err := unmarshal(make([]byte, 10)); err == nil {
 		t.Error("want error for truncated message")
 	}
 }
 
 func TestMarshalRejectsIPv6DNS(t *testing.T) {
 	m := &Message{Op: 2, Type: ACK, DNS: []netip.Addr{netip.MustParseAddr("::1")}}
-	if _, err := m.Marshal(); err == nil {
+	if _, err := m.AppendMarshal(nil); err == nil {
 		t.Error("want error for IPv6 DNS in DHCPv4")
 	}
 }
 
 func TestPadOptionSkipped(t *testing.T) {
 	m := &Message{Op: 1, XID: 1, Type: Discover}
-	wire, err := m.Marshal()
+	wire, err := m.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Insert pad bytes before END.
 	wire = append(wire[:len(wire)-1], 0, 0, 0, OptEnd)
-	if _, err := Unmarshal(wire); err != nil {
+	if _, err := unmarshal(wire); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,7 +13,10 @@ import (
 // on: today, the L2 switch with its queue and frame arena. Reusing one
 // Scratch across consecutive runs (the six Table 2 experiments, a fleet
 // worker's homes) means the switch reaches a steady state where delivering
-// a full run's traffic allocates nothing.
+// a full run's traffic allocates nothing. The arena itself lives for one
+// drain — the switch recycles it whenever its queue empties — so it is
+// sized by the largest burst any of those runs delivers, not by a run's
+// total traffic.
 //
 // A Scratch is single-threaded state: it may be handed from study to study
 // but never shared by two concurrent ones.
@@ -24,10 +27,10 @@ type Scratch struct {
 // NewScratch returns an empty Scratch; the switch is built on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// network returns the recycled switch, reset onto the given clock. The
-// reset invalidates every frame the previous run's arena handed out —
-// callers retain only capture copies and value types, which is the
-// Reset contract that makes recycling safe.
+// network returns the recycled switch, reset onto the given clock. No
+// frame of the previous run is still valid by then: each was recycled
+// when the Run delivering it drained the queue, and callers retain only
+// capture copies and value types.
 func (sc *Scratch) network(clock *netsim.Clock) *netsim.Network {
 	if sc.net == nil {
 		sc.net = netsim.NewNetwork(clock)

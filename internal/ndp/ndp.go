@@ -89,29 +89,30 @@ func lifetimeSeconds(d time.Duration) uint32 {
 	return uint32(s)
 }
 
-// MarshalBody encodes the RA into an ICMPv6 body.
-func (ra *RouterAdvert) MarshalBody() []byte {
-	b := make([]byte, 12, 64)
-	b[0] = ra.HopLimit
+// AppendBody appends the RA's ICMPv6 body to b and returns the extended
+// slice. Options are built in fixed-size arrays, so encoding into a
+// buffer with room allocates nothing.
+func (ra *RouterAdvert) AppendBody(b []byte) []byte {
+	var flags uint8
 	if ra.Managed {
-		b[1] |= 0x80
+		flags |= 0x80
 	}
 	if ra.OtherConfig {
-		b[1] |= 0x40
+		flags |= 0x40
 	}
-	binary.BigEndian.PutUint16(b[2:4], uint16(lifetimeSeconds(ra.RouterLifetime)))
+	b = append(b, ra.HopLimit, flags)
+	b = binary.BigEndian.AppendUint16(b, uint16(lifetimeSeconds(ra.RouterLifetime)))
 	// Reachable time and retrans timer left unspecified (0).
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
 	if !ra.SourceLinkAddr.IsZero() {
 		b = appendLinkAddrOpt(b, OptSourceLinkAddr, ra.SourceLinkAddr)
 	}
 	if ra.MTU != 0 {
-		opt := make([]byte, 8)
-		opt[0], opt[1] = OptMTU, 1
-		binary.BigEndian.PutUint32(opt[4:8], ra.MTU)
-		b = append(b, opt...)
+		b = append(b, OptMTU, 1, 0, 0)
+		b = binary.BigEndian.AppendUint32(b, ra.MTU)
 	}
 	for _, p := range ra.Prefixes {
-		opt := make([]byte, 32)
+		var opt [32]byte
 		opt[0], opt[1] = OptPrefixInfo, 4
 		opt[2] = uint8(p.Prefix.Bits())
 		if p.OnLink {
@@ -124,73 +125,86 @@ func (ra *RouterAdvert) MarshalBody() []byte {
 		binary.BigEndian.PutUint32(opt[8:12], lifetimeSeconds(p.PreferredLifetime))
 		a := p.Prefix.Addr().As16()
 		copy(opt[16:32], a[:])
-		b = append(b, opt...)
+		b = append(b, opt[:]...)
 	}
 	for _, r := range ra.RDNSS {
-		opt := make([]byte, 8+16*len(r.Servers))
-		opt[0] = OptRDNSS
-		opt[1] = uint8(1 + 2*len(r.Servers))
-		binary.BigEndian.PutUint32(opt[4:8], lifetimeSeconds(r.Lifetime))
-		for i, s := range r.Servers {
+		b = append(b, OptRDNSS, uint8(1+2*len(r.Servers)), 0, 0)
+		b = binary.BigEndian.AppendUint32(b, lifetimeSeconds(r.Lifetime))
+		for _, s := range r.Servers {
 			a := s.As16()
-			copy(opt[8+16*i:], a[:])
+			b = append(b, a[:]...)
 		}
-		b = append(b, opt...)
 	}
 	return b
 }
 
-// parseOptions walks the TLV options region, invoking fn per option with
-// the full option bytes (type, len, body).
-func parseOptions(b []byte, fn func(typ uint8, opt []byte) error) error {
-	for len(b) > 0 {
-		if len(b) < 2 {
-			return packet.ErrTruncated
-		}
-		olen := int(b[1]) * 8
-		if olen == 0 || olen > len(b) {
-			return fmt.Errorf("ndp: option type %d length %d invalid", b[0], b[1])
-		}
-		if err := fn(b[0], b[:olen]); err != nil {
-			return err
-		}
-		b = b[olen:]
+// nextOption splits the first TLV option (type, length, body) off an
+// options region. A returned option is at least 8 bytes long.
+func nextOption(b []byte) (opt, rest []byte, err error) {
+	if len(b) < 2 {
+		return nil, nil, packet.ErrTruncated
 	}
-	return nil
+	olen := int(b[1]) * 8
+	if olen == 0 || olen > len(b) {
+		return nil, nil, fmt.Errorf("ndp: option type %d length %d invalid", b[0], b[1])
+	}
+	return b[:olen], b[olen:], nil
 }
 
-// ParseRouterAdvert decodes an RA from an ICMPv6 body.
-func ParseRouterAdvert(body []byte) (*RouterAdvert, error) {
-	if len(body) < 12 {
-		return nil, packet.ErrTruncated
+// linkAddrOption returns the address carried by the last option of type
+// typ in an options region, or the zero MAC when there is none.
+func linkAddrOption(b []byte, typ uint8) (packet.MAC, error) {
+	var mac packet.MAC
+	for len(b) > 0 {
+		opt, rest, err := nextOption(b)
+		if err != nil {
+			return packet.MAC{}, err
+		}
+		if opt[0] == typ {
+			copy(mac[:], opt[2:8])
+		}
+		b = rest
 	}
-	ra := &RouterAdvert{
+	return mac, nil
+}
+
+// ParseRouterAdvertInto decodes an RA from an ICMPv6 body into ra,
+// reusing the backing arrays of its Prefixes and RDNSS slices (and of
+// each RDNSS entry's Servers), so a receiver that keeps one RouterAdvert
+// stops allocating once it has held its largest advert. On error ra's
+// contents are unspecified.
+func ParseRouterAdvertInto(ra *RouterAdvert, body []byte) error {
+	if len(body) < 12 {
+		return packet.ErrTruncated
+	}
+	prefixes, rdnss := ra.Prefixes[:0], ra.RDNSS[:0]
+	*ra = RouterAdvert{
 		HopLimit:       body[0],
 		Managed:        body[1]&0x80 != 0,
 		OtherConfig:    body[1]&0x40 != 0,
 		RouterLifetime: time.Duration(binary.BigEndian.Uint16(body[2:4])) * time.Second,
 	}
-	err := parseOptions(body[12:], func(typ uint8, opt []byte) error {
-		switch typ {
+	for b := body[12:]; len(b) > 0; {
+		opt, rest, err := nextOption(b)
+		if err != nil {
+			return err
+		}
+		b = rest
+		switch opt[0] {
 		case OptSourceLinkAddr:
-			if len(opt) >= 8 {
-				copy(ra.SourceLinkAddr[:], opt[2:8])
-			}
+			copy(ra.SourceLinkAddr[:], opt[2:8])
 		case OptMTU:
-			if len(opt) >= 8 {
-				ra.MTU = binary.BigEndian.Uint32(opt[4:8])
-			}
+			ra.MTU = binary.BigEndian.Uint32(opt[4:8])
 		case OptPrefixInfo:
 			if len(opt) < 32 {
 				return packet.ErrTruncated
 			}
-			a := netip.AddrFrom16([16]byte(opt[16:32]))
 			bits := int(opt[2])
 			if bits > 128 {
 				return fmt.Errorf("ndp: prefix length %d", bits)
 			}
-			ra.Prefixes = append(ra.Prefixes, PrefixInfo{
-				Prefix:            netip.PrefixFrom(a, bits),
+			prefixes = append(prefixes, PrefixInfo{
+				Prefix:            netip.PrefixFrom(netip.AddrFrom16([16]byte(opt[16:32])), bits),
 				OnLink:            opt[3]&0x80 != 0,
 				AutonomousFlag:    opt[3]&0x40 != 0,
 				ValidLifetime:     time.Duration(binary.BigEndian.Uint32(opt[4:8])) * time.Second,
@@ -200,23 +214,26 @@ func ParseRouterAdvert(body []byte) (*RouterAdvert, error) {
 			if len(opt) < 8 || (len(opt)-8)%16 != 0 {
 				return packet.ErrTruncated
 			}
-			r := RDNSS{Lifetime: time.Duration(binary.BigEndian.Uint32(opt[4:8])) * time.Second}
-			for p := 8; p < len(opt); p += 16 {
-				r.Servers = append(r.Servers, netip.AddrFrom16([16]byte(opt[p:p+16])))
+			var servers []netip.Addr
+			if len(rdnss) < cap(rdnss) {
+				servers = rdnss[:len(rdnss)+1][len(rdnss)].Servers[:0]
 			}
-			ra.RDNSS = append(ra.RDNSS, r)
+			for p := 8; p < len(opt); p += 16 {
+				servers = append(servers, netip.AddrFrom16([16]byte(opt[p:p+16])))
+			}
+			rdnss = append(rdnss, RDNSS{
+				Lifetime: time.Duration(binary.BigEndian.Uint32(opt[4:8])) * time.Second,
+				Servers:  servers,
+			})
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return ra, nil
+	ra.Prefixes, ra.RDNSS = prefixes, rdnss
+	return nil
 }
 
-// MarshalBody encodes the RS into an ICMPv6 body.
-func (rs *RouterSolicit) MarshalBody() []byte {
-	b := make([]byte, 4)
+// AppendBody appends the RS's ICMPv6 body to b.
+func (rs RouterSolicit) AppendBody(b []byte) []byte {
+	b = append(b, 0, 0, 0, 0)
 	if !rs.SourceLinkAddr.IsZero() {
 		b = appendLinkAddrOpt(b, OptSourceLinkAddr, rs.SourceLinkAddr)
 	}
@@ -224,28 +241,22 @@ func (rs *RouterSolicit) MarshalBody() []byte {
 }
 
 // ParseRouterSolicit decodes an RS from an ICMPv6 body.
-func ParseRouterSolicit(body []byte) (*RouterSolicit, error) {
+func ParseRouterSolicit(body []byte) (RouterSolicit, error) {
 	if len(body) < 4 {
-		return nil, packet.ErrTruncated
+		return RouterSolicit{}, packet.ErrTruncated
 	}
-	rs := &RouterSolicit{}
-	err := parseOptions(body[4:], func(typ uint8, opt []byte) error {
-		if typ == OptSourceLinkAddr && len(opt) >= 8 {
-			copy(rs.SourceLinkAddr[:], opt[2:8])
-		}
-		return nil
-	})
+	mac, err := linkAddrOption(body[4:], OptSourceLinkAddr)
 	if err != nil {
-		return nil, err
+		return RouterSolicit{}, err
 	}
-	return rs, nil
+	return RouterSolicit{SourceLinkAddr: mac}, nil
 }
 
-// MarshalBody encodes the NS into an ICMPv6 body.
-func (ns *NeighborSolicit) MarshalBody() []byte {
-	b := make([]byte, 20)
+// AppendBody appends the NS's ICMPv6 body to b.
+func (ns NeighborSolicit) AppendBody(b []byte) []byte {
 	a := ns.Target.As16()
-	copy(b[4:20], a[:])
+	b = append(b, 0, 0, 0, 0)
+	b = append(b, a[:]...)
 	if !ns.SourceLinkAddr.IsZero() {
 		b = appendLinkAddrOpt(b, OptSourceLinkAddr, ns.SourceLinkAddr)
 	}
@@ -253,37 +264,32 @@ func (ns *NeighborSolicit) MarshalBody() []byte {
 }
 
 // ParseNeighborSolicit decodes an NS from an ICMPv6 body.
-func ParseNeighborSolicit(body []byte) (*NeighborSolicit, error) {
+func ParseNeighborSolicit(body []byte) (NeighborSolicit, error) {
 	if len(body) < 20 {
-		return nil, packet.ErrTruncated
+		return NeighborSolicit{}, packet.ErrTruncated
 	}
-	ns := &NeighborSolicit{Target: netip.AddrFrom16([16]byte(body[4:20]))}
-	err := parseOptions(body[20:], func(typ uint8, opt []byte) error {
-		if typ == OptSourceLinkAddr && len(opt) >= 8 {
-			copy(ns.SourceLinkAddr[:], opt[2:8])
-		}
-		return nil
-	})
+	mac, err := linkAddrOption(body[20:], OptSourceLinkAddr)
 	if err != nil {
-		return nil, err
+		return NeighborSolicit{}, err
 	}
-	return ns, nil
+	return NeighborSolicit{Target: netip.AddrFrom16([16]byte(body[4:20])), SourceLinkAddr: mac}, nil
 }
 
-// MarshalBody encodes the NA into an ICMPv6 body.
-func (na *NeighborAdvert) MarshalBody() []byte {
-	b := make([]byte, 20)
+// AppendBody appends the NA's ICMPv6 body to b.
+func (na NeighborAdvert) AppendBody(b []byte) []byte {
+	var flags uint8
 	if na.Router {
-		b[0] |= 0x80
+		flags |= 0x80
 	}
 	if na.Solicited {
-		b[0] |= 0x40
+		flags |= 0x40
 	}
 	if na.Override {
-		b[0] |= 0x20
+		flags |= 0x20
 	}
 	a := na.Target.As16()
-	copy(b[4:20], a[:])
+	b = append(b, flags, 0, 0, 0)
+	b = append(b, a[:]...)
 	if !na.TargetLinkAddr.IsZero() {
 		b = appendLinkAddrOpt(b, OptTargetLinkAddr, na.TargetLinkAddr)
 	}
@@ -291,26 +297,21 @@ func (na *NeighborAdvert) MarshalBody() []byte {
 }
 
 // ParseNeighborAdvert decodes an NA from an ICMPv6 body.
-func ParseNeighborAdvert(body []byte) (*NeighborAdvert, error) {
+func ParseNeighborAdvert(body []byte) (NeighborAdvert, error) {
 	if len(body) < 20 {
-		return nil, packet.ErrTruncated
+		return NeighborAdvert{}, packet.ErrTruncated
 	}
-	na := &NeighborAdvert{
-		Router:    body[0]&0x80 != 0,
-		Solicited: body[0]&0x40 != 0,
-		Override:  body[0]&0x20 != 0,
-		Target:    netip.AddrFrom16([16]byte(body[4:20])),
-	}
-	err := parseOptions(body[20:], func(typ uint8, opt []byte) error {
-		if typ == OptTargetLinkAddr && len(opt) >= 8 {
-			copy(na.TargetLinkAddr[:], opt[2:8])
-		}
-		return nil
-	})
+	mac, err := linkAddrOption(body[20:], OptTargetLinkAddr)
 	if err != nil {
-		return nil, err
+		return NeighborAdvert{}, err
 	}
-	return na, nil
+	return NeighborAdvert{
+		Router:         body[0]&0x80 != 0,
+		Solicited:      body[0]&0x40 != 0,
+		Override:       body[0]&0x20 != 0,
+		Target:         netip.AddrFrom16([16]byte(body[4:20])),
+		TargetLinkAddr: mac,
+	}, nil
 }
 
 // IsNDPType reports whether an ICMPv6 type is one of the four ND messages,

@@ -34,8 +34,8 @@ func TestRouterAdvertRoundTrip(t *testing.T) {
 			Servers:  []netip.Addr{netip.MustParseAddr("2001:4860:4860::8888")},
 		}},
 	}
-	got, err := ParseRouterAdvert(ra.MarshalBody())
-	if err != nil {
+	got := &RouterAdvert{}
+	if err := ParseRouterAdvertInto(got, ra.AppendBody(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, ra) {
@@ -45,8 +45,8 @@ func TestRouterAdvertRoundTrip(t *testing.T) {
 
 func TestRouterAdvertMinimal(t *testing.T) {
 	ra := &RouterAdvert{RouterLifetime: 0}
-	got, err := ParseRouterAdvert(ra.MarshalBody())
-	if err != nil {
+	got := &RouterAdvert{}
+	if err := ParseRouterAdvertInto(got, ra.AppendBody(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if got.Managed || got.OtherConfig || len(got.Prefixes) != 0 || len(got.RDNSS) != 0 {
@@ -55,8 +55,8 @@ func TestRouterAdvertMinimal(t *testing.T) {
 }
 
 func TestRouterSolicitRoundTrip(t *testing.T) {
-	for _, rs := range []*RouterSolicit{{SourceLinkAddr: testMAC}, {}} {
-		got, err := ParseRouterSolicit(rs.MarshalBody())
+	for _, rs := range []RouterSolicit{{SourceLinkAddr: testMAC}, {}} {
+		got, err := ParseRouterSolicit(rs.AppendBody(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,8 +68,8 @@ func TestRouterSolicitRoundTrip(t *testing.T) {
 
 func TestNeighborSolicitRoundTrip(t *testing.T) {
 	target := netip.MustParseAddr("fe80::42:ff:fe00:7")
-	ns := &NeighborSolicit{Target: target, SourceLinkAddr: testMAC}
-	got, err := ParseNeighborSolicit(ns.MarshalBody())
+	ns := NeighborSolicit{Target: target, SourceLinkAddr: testMAC}
+	got, err := ParseNeighborSolicit(ns.AppendBody(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +77,8 @@ func TestNeighborSolicitRoundTrip(t *testing.T) {
 		t.Errorf("NS: %+v", got)
 	}
 	// DAD probe: unspecified source means no SLLA option (RFC 4861 §4.3).
-	dad := &NeighborSolicit{Target: target}
-	got, err = ParseNeighborSolicit(dad.MarshalBody())
+	dad := NeighborSolicit{Target: target}
+	got, err = ParseNeighborSolicit(dad.AppendBody(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +88,12 @@ func TestNeighborSolicitRoundTrip(t *testing.T) {
 }
 
 func TestNeighborAdvertRoundTrip(t *testing.T) {
-	na := &NeighborAdvert{
+	na := NeighborAdvert{
 		Router: true, Solicited: true, Override: true,
 		Target:         netip.MustParseAddr("2001:470:8:100::1"),
 		TargetLinkAddr: testMAC,
 	}
-	got, err := ParseNeighborAdvert(na.MarshalBody())
+	got, err := ParseNeighborAdvert(na.AppendBody(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestNeighborAdvertRoundTrip(t *testing.T) {
 }
 
 func TestTruncatedBodies(t *testing.T) {
-	if _, err := ParseRouterAdvert(make([]byte, 11)); err == nil {
+	if err := ParseRouterAdvertInto(&RouterAdvert{}, make([]byte, 11)); err == nil {
 		t.Error("RA: want error")
 	}
 	if _, err := ParseNeighborSolicit(make([]byte, 19)); err == nil {
@@ -154,8 +154,8 @@ func TestIsNDPType(t *testing.T) {
 
 func TestLifetimeClamping(t *testing.T) {
 	ra := &RouterAdvert{RouterLifetime: -5 * time.Second}
-	got, err := ParseRouterAdvert(ra.MarshalBody())
-	if err != nil {
+	got := &RouterAdvert{}
+	if err := ParseRouterAdvertInto(got, ra.AppendBody(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if got.RouterLifetime != 0 {

@@ -55,7 +55,8 @@ func (c *Clock) AdvanceTo(t time.Time) {
 // delivery, retain only extracted values); a pcapio.Capture is the
 // buffering one, which pcap artifacts are written from. Tap
 // implementations must not retain data past the call: the bytes live in
-// the switch's frame arena and are recycled on Reset.
+// the switch's frame arena, which is recycled as soon as Run drains the
+// queue.
 type Tap interface {
 	Add(t time.Time, data []byte)
 }
@@ -63,7 +64,9 @@ type Tap interface {
 // Host is anything attached to the network that can receive frames.
 type Host interface {
 	// HandleFrame processes one inbound frame. It may call Port.Send to
-	// transmit in response.
+	// transmit in response. The frame is valid only until the Run call
+	// delivering it returns; a host that needs its bytes later (or any
+	// sub-slice of them) must copy them.
 	HandleFrame(frame []byte)
 }
 
@@ -130,10 +133,14 @@ type Network struct {
 	imp     Impairment
 	dropped int
 	// arena pools the per-frame copies enqueue makes: one chunk
-	// allocation per 64 KiB of traffic instead of one per frame. Chunks
-	// are recycled by Reset, so queued frames (and any sub-slices handlers
-	// retain, e.g. a parsed DUID) stay valid until then.
+	// allocation per MiB of traffic instead of one per frame. It lives
+	// for one drain: Run recycles it whenever the queue empties, so a
+	// delivered frame is valid only until its Run returns, and the arena
+	// is bounded by the largest burst rather than by the run's horizon.
 	arena packet.Arena
+	// tx is the serialization buffer the attached hosts share; see
+	// TxBuffer.
+	tx packet.Buffer
 	// metrics, when set, counts switch activity into pre-resolved
 	// telemetry instruments (plain atomic adds, no allocation).
 	metrics *Metrics
@@ -196,11 +203,10 @@ func (n *Network) Attach(h Host, mac packet.MAC) *Port {
 // Reset returns the network to its just-constructed state — no ports, taps,
 // queued frames, impairment, or counters — while keeping the queue's and
 // frame arena's capacity, so a pooled network reaches a steady state where
-// running a full home allocates nothing in the switch. All frames handed to
-// handlers before the Reset are invalidated (their bytes will be reused);
-// hosts from the previous run must be discarded or Reset themselves. A
-// non-nil clock replaces the network's clock; metrics and PerFrameDelay are
-// retained.
+// running a full home allocates nothing in the switch. Frames still queued
+// (a Run that exhausted its budget leaves some) are discarded; hosts from
+// the previous run must be discarded or Reset themselves. A non-nil clock
+// replaces the network's clock; metrics and PerFrameDelay are retained.
 func (n *Network) Reset(clock *Clock) {
 	n.ports = n.ports[:0]
 	n.taps = n.taps[:0]
@@ -216,6 +222,15 @@ func (n *Network) Reset(clock *Clock) {
 		n.Clock = clock
 	}
 }
+
+// TxBuffer returns the serialization buffer every host on the network
+// shares. Hosts run one at a time and Send copies each frame into the
+// arena, so a host may build a frame in it right before Send and the
+// buffer is free again once Send returns. One buffer per LAN instead of
+// one per host keeps frame-building memory, and the allocations that grow
+// it, independent of how many hosts a run attaches and which of them
+// have sent a large frame before.
+func (n *Network) TxBuffer() *packet.Buffer { return &n.tx }
 
 // AddTap registers a sink that sees every frame on the wire.
 func (n *Network) AddTap(tap Tap) { n.taps = append(n.taps, tap) }
@@ -250,7 +265,10 @@ func (n *Network) enqueue(from int, frame []byte) {
 // Run delivers queued frames (and any frames handlers inject) until the
 // network is quiescent or maxFrames deliveries have occurred. It returns
 // the number of frames delivered and an error if the budget was exhausted,
-// which in practice means a forwarding loop.
+// which in practice means a forwarding loop. Once the queue drains, the
+// frame arena is recycled: every frame Run delivered is invalid after it
+// returns. A Run that exhausts its budget keeps the arena, since frames
+// are still queued in it.
 func (n *Network) Run(maxFrames int) (int, error) {
 	// Unicast frames go straight to their destination port via byMAC; the
 	// exhaustive attach-order scan remains for promiscuous listeners and
@@ -325,10 +343,9 @@ func (n *Network) Run(maxFrames int) (int, error) {
 			}
 		}
 	}
-	if n.qhead == len(n.queue) {
-		n.queue = n.queue[:0]
-		n.qhead = 0
-	}
+	n.queue = n.queue[:0]
+	n.qhead = 0
+	n.arena.Reset()
 	return count, nil
 }
 

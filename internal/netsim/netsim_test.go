@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,4 +157,92 @@ func TestSendCopiesFrame(t *testing.T) {
 	if string(b.received[0][14:]) != "orig" {
 		t.Error("frame aliased sender buffer")
 	}
+}
+
+// TestArenaRecycledAtQuiescence pins the frame lifetime: the arena lives
+// for one drain, so repeated send/Run rounds reuse the first round's
+// chunks; frames an impairment requeues stay intact until delivered; and
+// a Run that exhausts its budget keeps the arena its queued frames live in.
+func TestArenaRecycledAtQuiescence(t *testing.T) {
+	payload := func(round, i int) string {
+		return fmt.Sprintf("r%03d-f%03d-%s", round, i, strings.Repeat("x", 900))
+	}
+	t.Run("bounded", func(t *testing.T) {
+		n, a, b, _ := newTestNet()
+		var first int
+		for round := 0; round < 50; round++ {
+			for i := 0; i < 1500; i++ { // ~1.4 MB: more than one 1 MiB chunk
+				a.port.Send(frameTo(macB, macA, payload(round, i)))
+			}
+			if _, err := n.Run(2000); err != nil {
+				t.Fatal(err)
+			}
+			if round == 0 {
+				first = n.arena.Chunks()
+			}
+		}
+		if first < 2 {
+			t.Fatalf("one round filled %d chunks, want a rollover", first)
+		}
+		if got := n.arena.Chunks(); got != first {
+			t.Errorf("arena holds %d chunks after 50 rounds, %d after the first", got, first)
+		}
+		if len(b.received) != 50*1500 || string(b.received[len(b.received)-1][14:]) != payload(49, 1499) {
+			t.Errorf("b received %d frames", len(b.received))
+		}
+	})
+	t.Run("requeued frames intact", func(t *testing.T) {
+		n, a, b, _ := newTestNet()
+		for round := 0; round < 3; round++ {
+			// Frame 0 is deferred past the rest, frame 1 duplicated; both
+			// sit in the arena while later frames roll it to new chunks.
+			n.SetImpairment(&scriptedImpairment{verdicts: []Verdict{Defer, Duplicate}})
+			b.received = b.received[:0]
+			for i := 0; i < 1500; i++ {
+				a.port.Send(frameTo(macB, macA, payload(round, i)))
+			}
+			if _, err := n.Run(2000); err != nil {
+				t.Fatal(err)
+			}
+			if len(b.received) != 1501 {
+				t.Fatalf("round %d: b received %d frames, want 1501", round, len(b.received))
+			}
+			if got := string(b.received[1499][14:]); got != payload(round, 0) {
+				t.Errorf("round %d: deferred frame delivered as %.12q", round, got)
+			}
+			if got := string(b.received[1500][14:]); got != payload(round, 1) {
+				t.Errorf("round %d: duplicate delivered as %.12q", round, got)
+			}
+		}
+	})
+	t.Run("budget exhausted keeps arena", func(t *testing.T) {
+		n, a, b, _ := newTestNet()
+		for i := 0; i < 5; i++ {
+			a.port.Send(frameTo(macB, macA, payload(0, i)))
+		}
+		if _, err := n.Run(2); err == nil {
+			t.Fatal("want budget-exhausted error")
+		}
+		// Were the arena recycled, these copies would land on the bytes
+		// of the three frames still queued.
+		var want []string
+		for i := 0; i < 5; i++ {
+			want = append(want, payload(0, i))
+		}
+		for i := 0; i < 5; i++ {
+			a.port.Send(frameTo(macB, macA, payload(1, i)))
+			want = append(want, payload(1, i))
+		}
+		if _, err := n.Run(100); err != nil {
+			t.Fatal(err)
+		}
+		if len(b.received) != len(want) {
+			t.Fatalf("b received %d frames, want %d", len(b.received), len(want))
+		}
+		for i, w := range want {
+			if got := string(b.received[i][14:]); got != w {
+				t.Errorf("frame %d = %.12q, want %.12q", i, got, w)
+			}
+		}
+	})
 }

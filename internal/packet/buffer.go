@@ -103,13 +103,14 @@ func SerializeInto(b *Buffer, layers ...SerializableLayer) ([]byte, error) {
 // slice into a large shared chunk and returns a full-capacity-clipped view
 // of the copy. One allocation per chunk replaces one per blob, which is
 // what makes the per-frame paths (switch queue, capture records) cheap.
-// Filled chunks are retained, so returned slices stay valid (and
-// immutable) until Reset; an arena that is Reset between runs reaches a
-// steady state where CopyIn never allocates at all.
+// Returned slices stay valid (and immutable) until the next Reset, which
+// keeps every chunk for reuse: an arena Reset at a steady cadence reaches
+// a state where CopyIn never allocates at all, and its size is bounded by
+// the most it ever held between two Resets.
 type Arena struct {
 	chunks [][]byte
 	cur    int
-	// ChunkSize is the allocation granularity; 0 means 64 KiB.
+	// ChunkSize is the allocation granularity; 0 means 1 MiB.
 	ChunkSize int
 }
 
@@ -120,11 +121,9 @@ func (a *Arena) CopyIn(b []byte) []byte {
 		if a.cur == len(a.chunks) {
 			size := a.ChunkSize
 			if size <= 0 {
-				size = 1 << 16
+				size = 1 << 20
 			}
-			if n > size {
-				size = n
-			}
+			size = max(size, n)
 			a.chunks = append(a.chunks, make([]byte, 0, size))
 		}
 		c := a.chunks[a.cur]
@@ -138,13 +137,22 @@ func (a *Arena) CopyIn(b []byte) []byte {
 	}
 }
 
+// Chunks reports how many chunks the arena holds, used or not.
+func (a *Arena) Chunks() int { return len(a.chunks) }
+
 // Reset rewinds the arena to empty while keeping every chunk's capacity,
 // invalidating all slices previously returned by CopyIn: their bytes will
-// be overwritten by subsequent CopyIns. Callers pooling an arena across
-// runs must ensure nothing from the previous run still references its
-// memory before calling Reset.
+// be overwritten by subsequent CopyIns. Callers must ensure nothing still
+// references the arena's memory before calling Reset. Built with the
+// arenapoison tag, Reset also overwrites the released bytes with 0xA5.
 func (a *Arena) Reset() {
 	for i := range a.chunks {
+		if arenaPoison {
+			c := a.chunks[i]
+			for j := range c {
+				c[j] = 0xA5
+			}
+		}
 		a.chunks[i] = a.chunks[i][:0]
 	}
 	a.cur = 0

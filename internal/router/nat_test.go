@@ -103,7 +103,7 @@ func TestNATSameTupleDifferentProtocols(t *testing.T) {
 func discover(t *testing.T, h *scriptHost, mac packet.MAC, xid uint32) {
 	t.Helper()
 	msg := &dhcp4.Message{Op: 1, XID: xid, ClientMAC: mac, Type: dhcp4.Discover}
-	wire, err := msg.Marshal()
+	wire, err := msg.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,10 @@ import (
 	"v6lab/internal/addr"
 	"v6lab/internal/cloud"
 	"v6lab/internal/conntrack"
+	"v6lab/internal/dhcp4"
 	"v6lab/internal/faults"
 	"v6lab/internal/firewall"
+	"v6lab/internal/ndp"
 	"v6lab/internal/netsim"
 	"v6lab/internal/packet"
 )
@@ -67,26 +69,33 @@ type Router struct {
 
 	port  *netsim.Port
 	clock *netsim.Clock
-	// tx is the reusable serialization buffer for frames the router
-	// originates; the switch copies frames at enqueue time, so the buffer
-	// can be reused immediately after Send.
+	// tx is the serialization buffer for frames the router originates:
+	// the LAN's shared one (netsim.Network.TxBuffer), free again once
+	// Send returns.
 	tx *packet.Buffer
 
 	// dec parses LAN frames; wanDec parses WAN-side replies and injected
 	// probes while a LAN parse may still be live. wanBuf is the reusable
 	// buffer for WAN-bound raw IP packets and lanBuf the one for
-	// forwarded WAN-to-LAN frames; the scratch layer structs below back
-	// the DHCP replies, so no per-packet allocation survives in steady
-	// state. All of it is single-goroutine state, like the router itself.
-	dec    packet.Decoder
-	wanDec packet.Decoder
-	wanBuf []byte
-	lanBuf []byte
-	ethL   packet.Ethernet
-	ip4L   packet.IPv4
-	ip6L   packet.IPv6
-	udpL   packet.UDP
-	rawL   packet.Raw
+	// forwarded WAN-to-LAN frames; the scratch layer structs, messages
+	// and payload buffers below back the DHCP and ND replies, so no
+	// per-packet allocation survives in steady state. All of it is
+	// single-goroutine state, like the router itself.
+	dec     packet.Decoder
+	wanDec  packet.Decoder
+	wanBuf  []byte
+	lanBuf  []byte
+	ethL    packet.Ethernet
+	ip4L    packet.IPv4
+	ip6L    packet.IPv6
+	udpL    packet.UDP
+	icmp6L  packet.ICMPv6
+	rawL    packet.Raw
+	dhcp4In dhcp4.Message
+	ra      ndp.RouterAdvert
+	// wire holds an encoded DHCPv4 reply, ndBody an outgoing ND body.
+	wire   []byte
+	ndBody []byte
 
 	// dhcp4Leases maps client MAC to its assigned private address.
 	dhcp4Leases map[packet.MAC]netip.Addr
@@ -141,7 +150,6 @@ func New(cfg Config, cl *cloud.Cloud) *Router {
 		Cloud:       cl,
 		guaPrefix:   GUAPrefix,
 		routerGUA:   RouterGUA,
-		tx:          packet.NewBuffer(128),
 		dhcp4Leases: make(map[packet.MAC]netip.Addr),
 		dhcp6Leases: make(map[string]netip.Addr),
 		Neighbors:   make(map[netip.Addr]packet.MAC),
@@ -157,6 +165,7 @@ func New(cfg Config, cl *cloud.Cloud) *Router {
 func (r *Router) Attach(n *netsim.Network) {
 	r.clock = n.Clock
 	r.port = n.Attach(r, RouterMAC)
+	r.tx = n.TxBuffer()
 	if r.FW == nil {
 		r.FW = firewall.New(firewall.Open{}, n.Clock, conntrack.DefaultConfig())
 	}
@@ -276,7 +285,7 @@ func (r *Router) handleIPv4(p *packet.Packet) {
 		return
 	}
 	dst := p.IPv4.Dst
-	if dst == RouterV4 || dst.IsMulticast() || dst == netip.MustParseAddr("255.255.255.255") {
+	if dst == RouterV4 || dst.IsMulticast() || dst == addr.IPv4Broadcast {
 		return // local traffic for the router itself; nothing else to do
 	}
 	if LANv4Prefix.Contains(dst) {

@@ -16,13 +16,15 @@ import (
 )
 
 // scriptHost is a minimal LAN client that records everything it receives.
+// It keeps the parsed packets past Run, so it parses a copy of each frame:
+// the switch recycles frame bytes once Run drains its queue.
 type scriptHost struct {
 	port *netsim.Port
 	rx   []*packet.Packet
 }
 
 func (h *scriptHost) HandleFrame(frame []byte) {
-	h.rx = append(h.rx, packet.Parse(frame))
+	h.rx = append(h.rx, packet.Parse(append([]byte(nil), frame...)))
 }
 
 func (h *scriptHost) last() *packet.Packet {
@@ -76,7 +78,7 @@ func TestARPReply(t *testing.T) {
 func TestDHCPv4Exchange(t *testing.T) {
 	n, r, h, _ := setup(t, Config{IPv4: true})
 	disc := &dhcp4.Message{Op: 1, XID: 42, ClientMAC: devMAC, Type: dhcp4.Discover}
-	wire, _ := disc.Marshal()
+	wire, _ := disc.AppendMarshal(nil)
 	bc := netip.MustParseAddr("255.255.255.255")
 	zero := netip.MustParseAddr("0.0.0.0")
 	send(t, h,
@@ -89,8 +91,8 @@ func TestDHCPv4Exchange(t *testing.T) {
 	if p == nil || p.UDP == nil {
 		t.Fatal("no offer")
 	}
-	offer, err := dhcp4.Unmarshal(p.UDP.PayloadData)
-	if err != nil || offer.Type != dhcp4.Offer {
+	offer := &dhcp4.Message{}
+	if err := dhcp4.UnmarshalInto(offer, p.UDP.PayloadData); err != nil || offer.Type != dhcp4.Offer {
 		t.Fatalf("offer: %+v err=%v", offer, err)
 	}
 	if !LANv4Prefix.Contains(offer.YourIP) || offer.DNS[0] != cloud.DNSv4 {
@@ -98,15 +100,15 @@ func TestDHCPv4Exchange(t *testing.T) {
 	}
 	// REQUEST -> ACK with the same lease.
 	req := &dhcp4.Message{Op: 1, XID: 43, ClientMAC: devMAC, Type: dhcp4.Request, Requested: offer.YourIP, ServerID: RouterV4}
-	wire, _ = req.Marshal()
+	wire, _ = req.AppendMarshal(nil)
 	send(t, h,
 		&packet.Ethernet{Dst: packet.BroadcastMAC, Src: devMAC, Type: packet.EtherTypeIPv4},
 		&packet.IPv4{Protocol: packet.IPProtocolUDP, Src: zero, Dst: bc},
 		&packet.UDP{SrcPort: dhcp4.ClientPort, DstPort: dhcp4.ServerPort, Src: zero, Dst: bc},
 		packet.Raw(wire))
 	run(t, n)
-	ack, err := dhcp4.Unmarshal(h.last().UDP.PayloadData)
-	if err != nil || ack.Type != dhcp4.ACK || ack.YourIP != offer.YourIP {
+	ack := &dhcp4.Message{}
+	if err := dhcp4.UnmarshalInto(ack, h.last().UDP.PayloadData); err != nil || ack.Type != dhcp4.ACK || ack.YourIP != offer.YourIP {
 		t.Fatalf("ack: %+v err=%v", ack, err)
 	}
 	if lease, ok := r.LeaseFor(devMAC); !ok || lease != offer.YourIP {
@@ -117,7 +119,7 @@ func TestDHCPv4Exchange(t *testing.T) {
 func TestDHCPv4DisabledWithoutIPv4(t *testing.T) {
 	n, _, h, _ := setup(t, Config{IPv6: true})
 	disc := &dhcp4.Message{Op: 1, XID: 1, ClientMAC: devMAC, Type: dhcp4.Discover}
-	wire, _ := disc.Marshal()
+	wire, _ := disc.AppendMarshal(nil)
 	bc := netip.MustParseAddr("255.255.255.255")
 	zero := netip.MustParseAddr("0.0.0.0")
 	send(t, h,
@@ -133,20 +135,20 @@ func TestDHCPv4DisabledWithoutIPv4(t *testing.T) {
 
 func sendRS(t *testing.T, h *scriptHost) {
 	lla := addr.LinkLocalEUI64(devMAC)
-	rs := &ndp.RouterSolicit{SourceLinkAddr: devMAC}
+	rs := ndp.RouterSolicit{SourceLinkAddr: devMAC}
 	dst := addr.AllRoutersMulticast
 	send(t, h,
 		&packet.Ethernet{Dst: addr.MulticastMAC(dst), Src: devMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: 255, Src: lla, Dst: dst},
-		&packet.ICMPv6{Type: packet.ICMPv6TypeRouterSolicit, Body: rs.MarshalBody(), Src: lla, Dst: dst})
+		&packet.ICMPv6{Type: packet.ICMPv6TypeRouterSolicit, Body: rs.AppendBody(nil), Src: lla, Dst: dst})
 }
 
 func findRA(t *testing.T, h *scriptHost) *ndp.RouterAdvert {
 	t.Helper()
 	for _, p := range h.rx {
 		if p.ICMPv6 != nil && p.ICMPv6.Type == packet.ICMPv6TypeRouterAdvert {
-			ra, err := ndp.ParseRouterAdvert(p.ICMPv6.Body)
-			if err != nil {
+			ra := &ndp.RouterAdvert{}
+			if err := ndp.ParseRouterAdvertInto(ra, p.ICMPv6.Body); err != nil {
 				t.Fatal(err)
 			}
 			return ra
@@ -205,20 +207,21 @@ func TestRouterAdvertisementModes(t *testing.T) {
 func TestNeighborSolicitForRouter(t *testing.T) {
 	n, r, h, _ := setup(t, Config{IPv6: true})
 	lla := addr.LinkLocalEUI64(devMAC)
-	ns := &ndp.NeighborSolicit{Target: RouterLLA, SourceLinkAddr: devMAC}
+	ns := ndp.NeighborSolicit{Target: RouterLLA, SourceLinkAddr: devMAC}
 	dst := addr.SolicitedNodeMulticast(RouterLLA)
 	send(t, h,
 		&packet.Ethernet{Dst: addr.MulticastMAC(dst), Src: devMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: 255, Src: lla, Dst: dst},
-		&packet.ICMPv6{Type: packet.ICMPv6TypeNeighborSolicit, Body: ns.MarshalBody(), Src: lla, Dst: dst})
+		&packet.ICMPv6{Type: packet.ICMPv6TypeNeighborSolicit, Body: ns.AppendBody(nil), Src: lla, Dst: dst})
 	run(t, n)
-	var na *ndp.NeighborAdvert
+	var na ndp.NeighborAdvert
+	var err error
 	for _, p := range h.rx {
 		if p.ICMPv6 != nil && p.ICMPv6.Type == packet.ICMPv6TypeNeighborAdvert {
-			na, _ = ndp.ParseNeighborAdvert(p.ICMPv6.Body)
+			na, err = ndp.ParseNeighborAdvert(p.ICMPv6.Body)
 		}
 	}
-	if na == nil || na.Target != RouterLLA || na.TargetLinkAddr != RouterMAC || !na.Router {
+	if err != nil || na.Target != RouterLLA || na.TargetLinkAddr != RouterMAC || !na.Router {
 		t.Fatalf("NA: %+v", na)
 	}
 	if r.Neighbors[lla] != devMAC {
@@ -320,12 +323,12 @@ func TestIPv6ForwardingRoundTrip(t *testing.T) {
 	gua := addr.EUI64Addr(GUAPrefix, devMAC)
 	// The router must know the device's neighbor entry to deliver replies.
 	lla := addr.LinkLocalEUI64(devMAC)
-	na := &ndp.NeighborAdvert{Target: gua, TargetLinkAddr: devMAC, Override: true}
+	na := ndp.NeighborAdvert{Target: gua, TargetLinkAddr: devMAC, Override: true}
 	dst := addr.AllNodesMulticast
 	send(t, h,
 		&packet.Ethernet{Dst: addr.MulticastMAC(dst), Src: devMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: 255, Src: lla, Dst: dst},
-		&packet.ICMPv6{Type: packet.ICMPv6TypeNeighborAdvert, Body: na.MarshalBody(), Src: lla, Dst: dst})
+		&packet.ICMPv6{Type: packet.ICMPv6TypeNeighborAdvert, Body: na.AppendBody(nil), Src: lla, Dst: dst})
 	send(t, h,
 		&packet.Ethernet{Dst: RouterMAC, Src: devMAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolTCP, Src: gua, Dst: d.V6[0]},

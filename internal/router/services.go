@@ -13,14 +13,23 @@ import (
 	"v6lab/internal/packet"
 )
 
+// Values every DHCPv4 reply and RA carries, built once: the LAN's subnet
+// mask and the resolvers handed out. Replies share the server lists
+// read-only.
+var (
+	lanMask      = netip.AddrFrom4([4]byte{255, 255, 255, 0})
+	dnsV4Servers = []netip.Addr{cloud.DNSv4}
+	dnsV6Servers = []netip.Addr{cloud.DNSv6}
+)
+
 // handleDHCPv4 implements the dnsmasq DHCPv4 server: DISCOVER→OFFER,
 // REQUEST→ACK, with router, mask, DNS, and lease options.
 func (r *Router) handleDHCPv4(p *packet.Packet) {
 	if r.Faults != nil && r.Faults.Blackout() {
 		return
 	}
-	msg, err := dhcp4.Unmarshal(p.UDP.PayloadData)
-	if err != nil {
+	msg := &r.dhcp4In
+	if err := dhcp4.UnmarshalInto(msg, p.UDP.PayloadData); err != nil {
 		return
 	}
 	lease, ok := r.dhcp4Leases[msg.ClientMAC]
@@ -38,18 +47,19 @@ func (r *Router) handleDHCPv4(p *packet.Packet) {
 	default:
 		return
 	}
-	reply := &dhcp4.Message{
+	reply := dhcp4.Message{
 		Op: 2, XID: msg.XID, ClientMAC: msg.ClientMAC, Type: replyType,
 		YourIP: lease, ServerIP: RouterV4, ServerID: RouterV4,
-		SubnetMask: netip.MustParseAddr("255.255.255.0"),
+		SubnetMask: lanMask,
 		Router:     RouterV4,
-		DNS:        []netip.Addr{cloud.DNSv4},
+		DNS:        dnsV4Servers,
 		LeaseSecs:  3600,
 	}
-	wire, err := reply.Marshal()
+	wire, err := reply.AppendMarshal(r.wire[:0])
 	if err != nil {
 		return
 	}
+	r.wire = wire
 	r.ARPTable[lease] = msg.ClientMAC
 	r.transmitUDP(msg.ClientMAC, RouterV4, lease, dhcp4.ServerPort, dhcp4.ClientPort, wire)
 }
@@ -103,29 +113,35 @@ func (r *Router) SendRouterAdvert() {
 	if r.Faults != nil && r.Faults.DropRA() {
 		return
 	}
-	ra := &ndp.RouterAdvert{
+	ra := &r.ra
+	*ra = ndp.RouterAdvert{
 		HopLimit:       64,
 		Managed:        r.Cfg.StatefulDHCPv6,
 		OtherConfig:    r.Cfg.StatelessDHCPv6,
 		RouterLifetime: 1800 * time.Second,
 		MTU:            1500,
 		SourceLinkAddr: RouterMAC,
-		Prefixes: []ndp.PrefixInfo{
-			{Prefix: r.guaPrefix, OnLink: true, AutonomousFlag: true,
+		Prefixes: append(ra.Prefixes[:0],
+			ndp.PrefixInfo{Prefix: r.guaPrefix, OnLink: true, AutonomousFlag: true,
 				ValidLifetime: 86400 * time.Second, PreferredLifetime: 14400 * time.Second},
-			{Prefix: ULAPrefix, OnLink: true, AutonomousFlag: true,
-				ValidLifetime: 86400 * time.Second, PreferredLifetime: 86400 * time.Second},
-		},
+			ndp.PrefixInfo{Prefix: ULAPrefix, OnLink: true, AutonomousFlag: true,
+				ValidLifetime: 86400 * time.Second, PreferredLifetime: 86400 * time.Second}),
+		RDNSS: ra.RDNSS[:0],
 	}
 	if r.Cfg.RDNSS() {
-		ra.RDNSS = []ndp.RDNSS{{Lifetime: 1800 * time.Second, Servers: []netip.Addr{cloud.DNSv6}}}
+		ra.RDNSS = append(ra.RDNSS, ndp.RDNSS{Lifetime: 1800 * time.Second, Servers: dnsV6Servers})
 	}
-	dst := addr.AllNodesMulticast
-	r.transmit(
-		&packet.Ethernet{Dst: addr.MulticastMAC(dst), Src: RouterMAC, Type: packet.EtherTypeIPv6},
-		&packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: 255, Src: RouterLLA, Dst: dst},
-		&packet.ICMPv6{Type: packet.ICMPv6TypeRouterAdvert, Body: ra.MarshalBody(), Src: RouterLLA, Dst: dst},
-	)
+	r.ndBody = ra.AppendBody(r.ndBody[:0])
+	r.sendND(addr.MulticastMAC(addr.AllNodesMulticast), addr.AllNodesMulticast, packet.ICMPv6TypeRouterAdvert)
+}
+
+// sendND sends the ND message in r.ndBody from the router's link-local
+// address through its reused layers.
+func (r *Router) sendND(dstMAC packet.MAC, dst netip.Addr, typ uint8) {
+	r.ethL = packet.Ethernet{Dst: dstMAC, Src: RouterMAC, Type: packet.EtherTypeIPv6}
+	r.ip6L = packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: 255, Src: RouterLLA, Dst: dst}
+	r.icmp6L = packet.ICMPv6{Type: typ, Body: r.ndBody, Src: RouterLLA, Dst: dst}
+	r.transmit(&r.ethL, &r.ip6L, &r.icmp6L)
 }
 
 func (r *Router) sendNA(dstMAC packet.MAC, dstIP, target netip.Addr) {
@@ -134,12 +150,9 @@ func (r *Router) sendNA(dstMAC packet.MAC, dstIP, target netip.Addr) {
 		dstIP = addr.AllNodesMulticast
 		dstMAC = addr.MulticastMAC(dstIP)
 	}
-	na := &ndp.NeighborAdvert{Router: true, Solicited: true, Override: true, Target: target, TargetLinkAddr: RouterMAC}
-	r.transmit(
-		&packet.Ethernet{Dst: dstMAC, Src: RouterMAC, Type: packet.EtherTypeIPv6},
-		&packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: 255, Src: RouterLLA, Dst: dstIP},
-		&packet.ICMPv6{Type: packet.ICMPv6TypeNeighborAdvert, Body: na.MarshalBody(), Src: RouterLLA, Dst: dstIP},
-	)
+	na := ndp.NeighborAdvert{Router: true, Solicited: true, Override: true, Target: target, TargetLinkAddr: RouterMAC}
+	r.ndBody = na.AppendBody(r.ndBody[:0])
+	r.sendND(dstMAC, dstIP, packet.ICMPv6TypeNeighborAdvert)
 }
 
 // handleDHCPv6 implements the dnsmasq DHCPv6 server in the modes Table 2
@@ -163,7 +176,7 @@ func (r *Router) handleDHCPv6(p *packet.Packet) {
 		}
 		reply.Type = dhcp6.Reply
 		if msg.WantsDNS() {
-			reply.DNS = []netip.Addr{cloud.DNSv6}
+			reply.DNS = dnsV6Servers
 		}
 	case dhcp6.Solicit, dhcp6.Request, dhcp6.Renew:
 		if !r.Cfg.StatefulDHCPv6 || msg.IANA == nil {
@@ -182,7 +195,7 @@ func (r *Router) handleDHCPv6(p *packet.Packet) {
 			Addr: lease, PreferredLifetime: 3600, ValidLifetime: 7200,
 		}}}
 		if msg.WantsDNS() {
-			reply.DNS = []netip.Addr{cloud.DNSv6}
+			reply.DNS = dnsV6Servers
 		}
 	default:
 		return

@@ -31,8 +31,8 @@ type Scanner struct {
 	// quoted inside ICMP unreachable bodies while dec's result is live.
 	dec      packet.Decoder
 	innerDec packet.Decoder
-	// tx is the reusable probe serialization buffer (the switch copies
-	// frames at enqueue time).
+	// tx is the probe serialization buffer: the LAN's shared one
+	// (netsim.Network.TxBuffer).
 	tx *packet.Buffer
 }
 
@@ -42,13 +42,13 @@ func New() *Scanner {
 		MAC: packet.MAC{0x02, 0x5c, 0xa9, 0x00, 0x00, 0xfe},
 		V4:  netip.MustParseAddr("192.168.1.250"),
 		LLA: netip.MustParseAddr("fe80::5ca9"),
-		tx:  packet.NewBuffer(128),
 	}
 }
 
 // Attach connects the scanner to the LAN.
 func (sc *Scanner) Attach(n *netsim.Network) {
 	sc.port = n.Attach(sc, sc.MAC)
+	sc.tx = n.TxBuffer()
 	sc.found = map[netip.Addr]packet.MAC{}
 }
 

@@ -24,55 +24,43 @@ const (
 // ErrNotClientHello is returned when a payload is not a TLS ClientHello.
 var ErrNotClientHello = errors.New("tlssim: not a client hello")
 
-// ClientHello serializes a minimal TLS record containing a ClientHello
-// whose SNI names host. rng randomizes the client random; it may be nil
-// for a zero random.
-func ClientHello(host string, rng *rand.Rand) []byte {
-	// Extensions: server_name only.
-	nameBytes := []byte(host)
-	sniEntry := make([]byte, 3+len(nameBytes))
-	sniEntry[0] = sniHostNameType
-	binary.BigEndian.PutUint16(sniEntry[1:3], uint16(len(nameBytes)))
-	copy(sniEntry[3:], nameBytes)
-	sniList := make([]byte, 2+len(sniEntry))
-	binary.BigEndian.PutUint16(sniList[0:2], uint16(len(sniEntry)))
-	copy(sniList[2:], sniEntry)
-	ext := make([]byte, 4+len(sniList))
-	binary.BigEndian.PutUint16(ext[0:2], extensionServerName)
-	binary.BigEndian.PutUint16(ext[2:4], uint16(len(sniList)))
-	copy(ext[4:], sniList)
+// AppendClientHello appends a minimal TLS record containing a
+// ClientHello whose SNI names host to b and returns the extended slice.
+// rng randomizes the client random; it may be nil for a zero random, in
+// which case the record depends only on host.
+func AppendClientHello(b []byte, host string, rng *rand.Rand) []byte {
+	n := len(host)
+	// server_name extension data: list length, then one host_name entry.
+	sniLen := 2 + 3 + n
+	extLen := 4 + sniLen
+	// version, random, session id, one cipher suite, null compression,
+	// extensions length, extensions.
+	bodyLen := 2 + 32 + 1 + 4 + 2 + 2 + extLen
 
-	// ClientHello body.
-	body := make([]byte, 0, 64+len(ext))
-	body = binary.BigEndian.AppendUint16(body, versionTLS12)
-	random := make([]byte, 32)
+	b = append(b, recordTypeHandshake)
+	b = binary.BigEndian.AppendUint16(b, versionTLS12)
+	b = binary.BigEndian.AppendUint16(b, uint16(4+bodyLen))
+	b = append(b, handshakeClientHello, byte(bodyLen>>16), byte(bodyLen>>8), byte(bodyLen))
+
+	b = binary.BigEndian.AppendUint16(b, versionTLS12)
+	random := len(b)
+	b = append(b, make([]byte, 32)...)
 	if rng != nil {
-		for i := range random {
-			random[i] = byte(rng.Intn(256))
+		for i := random; i < random+32; i++ {
+			b[i] = byte(rng.Intn(256))
 		}
 	}
-	body = append(body, random...)
-	body = append(body, 0)                                       // session id length
-	body = append(body, 0, 2, 0x13, 0x01)                        // one cipher suite: TLS_AES_128_GCM_SHA256
-	body = append(body, 1, 0)                                    // compression: null
-	body = binary.BigEndian.AppendUint16(body, uint16(len(ext))) // extensions length
-	body = append(body, ext...)
+	b = append(b, 0)                // session id length
+	b = append(b, 0, 2, 0x13, 0x01) // one cipher suite: TLS_AES_128_GCM_SHA256
+	b = append(b, 1, 0)             // compression: null
+	b = binary.BigEndian.AppendUint16(b, uint16(extLen))
 
-	// Handshake header.
-	hs := make([]byte, 4+len(body))
-	hs[0] = handshakeClientHello
-	hs[1] = byte(len(body) >> 16)
-	hs[2] = byte(len(body) >> 8)
-	hs[3] = byte(len(body))
-	copy(hs[4:], body)
-
-	// Record header.
-	rec := make([]byte, 5+len(hs))
-	rec[0] = recordTypeHandshake
-	binary.BigEndian.PutUint16(rec[1:3], versionTLS12)
-	binary.BigEndian.PutUint16(rec[3:5], uint16(len(hs)))
-	copy(rec[5:], hs)
-	return rec
+	b = binary.BigEndian.AppendUint16(b, extensionServerName)
+	b = binary.BigEndian.AppendUint16(b, uint16(sniLen))
+	b = binary.BigEndian.AppendUint16(b, uint16(3+n))
+	b = append(b, sniHostNameType)
+	b = binary.BigEndian.AppendUint16(b, uint16(n))
+	return append(b, host...)
 }
 
 // SNI extracts the server name from a TLS ClientHello record, returning

@@ -1,6 +1,7 @@
 package tlssim
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 func TestClientHelloSNIRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, host := range []string{"api.nest.example", "a2.tuyaus.com", "x", strings.Repeat("a", 63) + ".example"} {
-		rec := ClientHello(host, rng)
+		rec := AppendClientHello(nil, host, rng)
 		got, err := SNI(rec)
 		if err != nil {
 			t.Fatalf("%s: %v", host, err)
@@ -22,7 +23,7 @@ func TestClientHelloSNIRoundTrip(t *testing.T) {
 }
 
 func TestClientHelloNilRNG(t *testing.T) {
-	rec := ClientHello("example.com", nil)
+	rec := AppendClientHello(nil, "example.com", nil)
 	got, err := SNI(rec)
 	if err != nil || got != "example.com" {
 		t.Fatalf("got %q, %v", got, err)
@@ -44,7 +45,7 @@ func TestSNIRejectsNonHello(t *testing.T) {
 }
 
 func TestSNITruncationsRejectedOrEmpty(t *testing.T) {
-	rec := ClientHello("truncate.example", nil)
+	rec := AppendClientHello(nil, "truncate.example", nil)
 	for cut := 1; cut < len(rec); cut++ {
 		name, err := SNI(rec[:cut])
 		if err == nil && name == "truncate.example" {
@@ -66,10 +67,34 @@ func TestQuickSNIRoundTrip(t *testing.T) {
 		if host == "" || len(host) > 200 {
 			return true
 		}
-		got, err := SNI(ClientHello(host, rng))
+		got, err := SNI(AppendClientHello(nil, host, rng))
 		return err == nil && got == host
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAppendClientHelloMatchesOracle: appending behind any prefix writes
+// exactly the original encoder's record, with and without a client
+// random, and a warm buffer takes it without allocating.
+func TestAppendClientHelloMatchesOracle(t *testing.T) {
+	for _, host := range []string{"", "x", "api.nest.example", strings.Repeat("a", 63) + ".example"} {
+		for _, seed := range []int64{0, 7} {
+			var rng, orng *rand.Rand
+			if seed != 0 {
+				rng, orng = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			}
+			prefix := []byte{0xde, 0xad}
+			got := AppendClientHello(append([]byte(nil), prefix...), host, rng)
+			want := append(append([]byte(nil), prefix...), oracleClientHello(host, orng)...)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%q seed %d: got %x, want %x", host, seed, got, want)
+			}
+		}
+	}
+	buf := make([]byte, 0, 256)
+	if allocs := testing.AllocsPerRun(100, func() { buf = AppendClientHello(buf[:0], "api.nest.example", nil) }); allocs != 0 {
+		t.Errorf("AppendClientHello into a warm buffer: %v allocs, want 0", allocs)
 	}
 }
