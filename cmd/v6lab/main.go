@@ -6,13 +6,14 @@
 //	v6lab [-artifact table3] [-pcap-dir captures/] [-firewall compare]
 //	      [-fleet 100 -fleet-seed 1] [-resilience] [-fault lossy-wifi]
 //	      [-adversary 200 -campaign-seed 3] [-horizon 7d]
-//	      [-capture full|none] [-seed 1] [-workers 6]
+//	      [-seed 1] [-workers 6]
 //	      [-metrics metrics.json] [-progress]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-list]
 //
 // -workers sizes every engine's worker pool (connectivity experiments,
-// fleet homes, adversary campaign, resilience profiles); output is
-// byte-identical for any value.
+// fleet homes, adversary campaign, resilience profiles, timeline homes);
+// output is byte-identical for any value. Frames are buffered for pcaps
+// only when -pcap-dir asks for them.
 //
 // Without -artifact, every artifact is printed in report order. The
 // command takes no positional arguments; unknown flags or arguments exit
@@ -58,14 +59,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	aaaaEverywhere := fs.Bool("aaaa-everywhere", false, "ablation: publish AAAA records for every destination")
 	fwPolicy := fs.String("firewall", "", "re-run the §5.4.2 scan from a WAN vantage under an inbound-IPv6 policy: open|stateful|pinhole, or compare for all three")
 	fleetN := fs.Int("fleet", 0, "simulate a population of N independent homes and render the fleet artifact")
-	workers := fs.Int("workers", 0, "worker-pool size for every engine (connectivity, analysis, fleet, adversary, resilience); 0 = engine default; output is byte-identical for any value")
+	workers := fs.Int("workers", 0, "worker-pool size for every engine (connectivity, fleet, adversary, resilience, timeline); 0 = engine default; output is byte-identical for any value")
 	fleetSeed := fs.Uint64("fleet-seed", 1, "fleet population seed; identical seeds reproduce the population exactly")
 	adversaryN := fs.Int("adversary", 0, "attack a population of N homes: address discovery, campaign sweep, worm propagation; renders the adversary artifact")
 	campaignSeed := fs.Uint64("campaign-seed", 1, "adversary campaign seed; identical seeds reproduce the attack exactly")
 	resilience := fs.Bool("resilience", false, "re-run the connectivity grid under the impairment profiles and render the resilience artifact")
 	horizonStr := fs.String("horizon", "", "run the long-horizon timeline over this much simulated time (e.g. 7d, 2w, 36h) and render the timeline artifact; -fleet N sizes the population (default 100)")
 	faultName := fs.String("fault", "", "run the whole lab under one impairment profile: clean|lossy-wifi|clamped-tunnel|flaky-dnsmasq")
-	capture := fs.String("capture", "", "pcap buffering for the single-home study: full keeps every frame for pcap artifacts (default; required by -pcap-dir), none keeps no frames (memory stays flat); analysis streams every frame either way, so reports are byte-identical")
 	seed := fs.Uint64("seed", 1, "impairment seed for -fault and -resilience; identical seeds reproduce runs byte-for-byte")
 	devices := fs.String("devices", "", "comma-separated device names restricting the testbed (default: the full registry)")
 	metricsPath := fs.String("metrics", "", "write the deterministic telemetry snapshot to this file after the run (.prom/.txt = Prometheus text format, otherwise JSON)")
@@ -168,18 +168,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		labOpts = append(labOpts, v6lab.WithFaultProfile(p))
 	}
-	switch strings.ToLower(*capture) {
-	case "", "full":
-		// Default: buffered captures (pcap artifacts stay available).
-	case "none":
-		if *pcapDir != "" {
-			fmt.Fprintln(stderr, "v6lab: -capture none retains no frames; it cannot be combined with -pcap-dir")
-			return 2
-		}
+	// Only pcap artifacts read buffered frames; analysis streams every
+	// frame either way, so the report is the same without them.
+	if *pcapDir == "" {
 		labOpts = append(labOpts, v6lab.WithCapture(v6lab.CaptureNone))
-	default:
-		fmt.Fprintf(stderr, "v6lab: unknown capture policy %q (want full|none)\n", *capture)
-		return 2
 	}
 	if *workers < 0 {
 		fmt.Fprintf(stderr, "v6lab: -workers wants a non-negative worker count\n")

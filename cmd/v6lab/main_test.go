@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -281,5 +282,58 @@ func TestHorizonFlag(t *testing.T) {
 	}
 	if strings.Contains(stdout, "Fleet —") {
 		t.Errorf("-horizon with -fleet ran a separate fleet study:\n%s", stdout)
+	}
+}
+
+// TestCaptureFollowsPcapDir: frames are buffered for pcaps only when
+// -pcap-dir asks for them; there is no -capture flag. The report reads
+// the streamed analysis either way, so it does not change.
+func TestCaptureFollowsPcapDir(t *testing.T) {
+	if code, _, _ := runCmd("-capture", "none"); code != 2 {
+		t.Fatalf("-capture none: exit code = %d, want 2", code)
+	}
+	buffered := func(args ...string) (uint64, string) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "m.json")
+		code, stdout, stderr := runCmd(append([]string{"-devices", "Wyze Cam", "-metrics", path}, args...)...)
+		if code != 0 {
+			t.Fatalf("exit code = %d, stderr:\n%s", code, stderr)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Metrics []struct {
+				Name  string
+				Value uint64
+			}
+		}
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range snap.Metrics {
+			if m.Name == "analysis_frames_buffered_total" {
+				return m.Value, stdout
+			}
+		}
+		t.Fatal("snapshot has no analysis_frames_buffered_total")
+		return 0, ""
+	}
+	n, streamed := buffered()
+	if n != 0 {
+		t.Errorf("without -pcap-dir %d frames were buffered, want 0", n)
+	}
+	dir := t.TempDir()
+	n, captured := buffered("-pcap-dir", dir)
+	if n == 0 {
+		t.Error("-pcap-dir buffered no frames")
+	}
+	pcaps, err := filepath.Glob(filepath.Join(dir, "*.pcap"))
+	if err != nil || len(pcaps) != 6 {
+		t.Errorf("-pcap-dir wrote %d pcaps (%v), want 6", len(pcaps), err)
+	}
+	if streamed != captured {
+		t.Error("the report changed with -pcap-dir")
 	}
 }

@@ -42,6 +42,33 @@ func TestRunContextCancelMidFleet(t *testing.T) {
 	}
 }
 
+// TestRunContextCancelMidStudy cancels from the progress sink after the
+// first experiment finishes: on the serial engine and the parallel one
+// alike the study returns context.Canceled with no partial results.
+func TestRunContextCancelMidStudy(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var once sync.Once
+		sink := telemetry.FuncSink(func(ev telemetry.Event) {
+			if ev.Scope == "experiment" {
+				once.Do(cancel)
+			}
+		})
+		lab := New(WithDevices("Wyze Cam", "Apple TV"), WithWorkers(workers), WithProgress(sink))
+		err := lab.RunContext(ctx)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
+		}
+		if lab.Data != nil {
+			t.Errorf("workers %d: cancelled study must not populate Data", workers)
+		}
+		if n := len(lab.Study.Results); n != 0 {
+			t.Errorf("workers %d: cancelled study kept %d partial results", workers, n)
+		}
+	}
+}
+
 // TestRunContextCancelBetweenParts: a part that cancels during its run
 // stops the next part from starting.
 func TestRunContextCancelBetweenParts(t *testing.T) {

@@ -469,28 +469,6 @@ func (o *DeviceObs) EUI64GUAFromAssigned() bool {
 	return false
 }
 
-// V6DestDomains returns the set of domains contacted over IPv6.
-func (o *DeviceObs) V6DestDomains() map[string]bool {
-	out := map[string]bool{}
-	for fk := range o.InternetFlows {
-		if fk.V6 {
-			out[fk.Domain] = true
-		}
-	}
-	return out
-}
-
-// V4DestDomains returns the set of domains contacted over IPv4.
-func (o *DeviceObs) V4DestDomains() map[string]bool {
-	out := map[string]bool{}
-	for fk := range o.InternetFlows {
-		if !fk.V6 {
-			out[fk.Domain] = true
-		}
-	}
-	return out
-}
-
 // AllDNSNames returns every non-local name the device queried (the Table 7
 // domain universe together with contacted destinations).
 func (o *DeviceObs) AllDNSNames() map[string]bool {

@@ -148,13 +148,6 @@ func (c *Cloud) Clone() *Cloud {
 	}
 }
 
-// MergeQueries folds a clone's query counters back into this cloud.
-func (c *Cloud) MergeQueries(from *Cloud) {
-	for t, n := range from.Queries {
-		c.Queries[t] += n
-	}
-}
-
 // AddDomain registers a destination, allocating deterministic endpoint
 // addresses: every domain gets one A record; AAAA-ready domains also get
 // one AAAA record.

@@ -36,13 +36,30 @@ func TestInfoRequestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStatefulExchangeRoundTrip(t *testing.T) {
-	sol := &Message{
+// testSolicit is a client's SOLICIT asking for an address and DNS servers.
+func testSolicit() *Message {
+	return &Message{
 		Type: Solicit, TxID: 1, ClientID: DUIDFromMAC(mac),
 		RequestedOptions: []uint16{OptDNSServers},
 		IANA:             &IANA{IAID: 42},
 	}
-	wire, err := sol.Marshal()
+}
+
+// testReply is the server's REPLY binding one address with one DNS server.
+func testReply() *Message {
+	return &Message{
+		Type: Reply, TxID: 1,
+		ClientID: DUIDFromMAC(mac),
+		ServerID: DUIDFromMAC(packet.MAC{0x02, 0xff, 0, 0, 0, 1}),
+		IANA: &IANA{IAID: 42, Addrs: []IAAddr{{
+			Addr: netip.MustParseAddr("2001:470:8:100::1001"), PreferredLifetime: 3600, ValidLifetime: 7200,
+		}}},
+		DNS: []netip.Addr{netip.MustParseAddr("2001:4860:4860::8888")},
+	}
+}
+
+func TestStatefulExchangeRoundTrip(t *testing.T) {
+	wire, err := testSolicit().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,16 +71,7 @@ func TestStatefulExchangeRoundTrip(t *testing.T) {
 		t.Errorf("solicit IA_NA: %+v", got.IANA)
 	}
 
-	reply := &Message{
-		Type: Reply, TxID: 1,
-		ClientID: DUIDFromMAC(mac),
-		ServerID: DUIDFromMAC(packet.MAC{0x02, 0xff, 0, 0, 0, 1}),
-		IANA: &IANA{IAID: 42, Addrs: []IAAddr{{
-			Addr: netip.MustParseAddr("2001:470:8:100::1001"), PreferredLifetime: 3600, ValidLifetime: 7200,
-		}}},
-		DNS: []netip.Addr{netip.MustParseAddr("2001:4860:4860::8888")},
-	}
-	wire, err = reply.Marshal()
+	wire, err = testReply().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -361,6 +361,9 @@ func (st *Study) runConnectivity(ctx context.Context) error {
 	if st.Workers > 1 && st.Faults == nil {
 		return st.runConnectivityParallel(ctx, st.Workers)
 	}
+	// The runs join st.Results only once all six finish, as on the
+	// parallel engine: a cancelled study keeps no partial results.
+	results := make([]*RunResult, 0, len(Configs))
 	for _, cfg := range Configs {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -369,8 +372,9 @@ func (st *Study) runConnectivity(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", cfg.ID, err)
 		}
-		st.Results = append(st.Results, res)
+		results = append(results, res)
 	}
+	st.Results = append(st.Results, results...)
 	return nil
 }
 
@@ -512,9 +516,4 @@ func (st *Study) Result(id string) *RunResult {
 		}
 	}
 	return nil
-}
-
-// DeviceByName finds a profile.
-func (st *Study) DeviceByName(name string) *device.Profile {
-	return device.Find(st.Profiles, name)
 }

@@ -2,13 +2,12 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"v6lab/internal/device"
 	"v6lab/internal/dnsmsg"
+	"v6lab/internal/pool"
 )
 
 // The parallel study engine.
@@ -51,52 +50,34 @@ func (st *Study) runConnectivityParallel(ctx context.Context, workers int) error
 		res     *RunResult
 		queries map[dnsmsg.Type]int
 		elapsed time.Duration
-		err     error
 	}
 	outcomes := make([]outcome, len(Configs))
-	if workers > len(Configs) {
-		workers = len(Configs)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One environment per worker, reused across its jobs (and —
-			// via the pool — across studies). beginRun's absolute clock
-			// and XID seeding is what makes the reuse byte-invisible.
-			env := st.acquireEnv(start)
-			defer st.releaseEnv(env)
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					outcomes[i] = outcome{err: err}
-					continue
-				}
-				env.beginRun(start, Configs[:i])
-				res, err := env.RunExperiment(Configs[i])
-				outcomes[i] = outcome{
-					res: res, queries: env.takeQueries(),
-					elapsed: env.Clock.Now().Sub(start), err: err,
-				}
+	// Run starts exactly min(workers, len(Configs)) workers, so every slot
+	// holds an environment once it returns.
+	envs := make([]*Study, min(workers, len(Configs)))
+	err := pool.Run(ctx, len(Configs), workers, func(w int) func(int) error {
+		// One environment per worker, reused across its jobs (and — via
+		// the pool — across studies). beginRun's absolute clock and XID
+		// seeding is what makes the reuse byte-invisible.
+		env := st.acquireEnv(start)
+		envs[w] = env
+		return func(i int) error {
+			env.beginRun(start, Configs[:i])
+			res, err := env.RunExperiment(Configs[i])
+			if err != nil {
+				return fmt.Errorf("experiment %s: %w", Configs[i].ID, err)
 			}
-		}()
-	}
-	for i := range Configs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Scan for failures before touching st.Results: a cancelled or failed
-	// pool leaves the study with no partial results appended.
-	for i := range Configs {
-		if err := outcomes[i].err; err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return err
-			}
-			return fmt.Errorf("experiment %s: %w", Configs[i].ID, err)
+			outcomes[i] = outcome{res: res, queries: env.takeQueries(), elapsed: env.Clock.Now().Sub(start)}
+			return nil
 		}
+	})
+	for _, env := range envs {
+		st.releaseEnv(env)
+	}
+	// A cancelled or failed pool leaves the study with no partial results
+	// appended.
+	if err != nil {
+		return err
 	}
 	var offset time.Duration
 	for i := range Configs {

@@ -3,9 +3,9 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"v6lab/internal/faults"
+	"v6lab/internal/pool"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/world"
 )
@@ -66,10 +66,10 @@ func (r *ResilienceReport) Config(profile, id string) *ResilienceConfig {
 // study built from opts, so impairment in one profile cannot leak state
 // into another; the whole experiment is deterministic in (opts, profiles).
 //
-// When opts.Workers > 1, profiles run concurrently on a bounded pool —
-// each profile's study is already fully isolated, so the grid is
+// Profiles run on a pool of opts.Workers workers (one when unset) — each
+// profile's study is already fully isolated, so the grid is
 // embarrassingly parallel at the profile level — and the report lists
-// them in the order given, identical to the serial run. (Within a
+// them in the order given, identical for any worker count. (Within a
 // profile the experiments stay serial: faults make the DHCPv4 XID chain
 // order-dependent; see runConnectivity.)
 func RunResilience(opts StudyOptions, profiles ...faults.Profile) (*ResilienceReport, error) {
@@ -92,69 +92,29 @@ func RunResilienceContext(ctx context.Context, opts StudyOptions, profiles ...fa
 	if opts.World == nil {
 		opts.World = world.Build(nil)
 	}
-	rep := &ResilienceReport{Profiles: make([]*ResilienceProfile, len(profiles))}
-	workers := opts.Workers
-	if workers > len(profiles) {
-		workers = len(profiles)
+	rep := &ResilienceReport{
+		Devices:  len(opts.World.Profiles),
+		Profiles: make([]*ResilienceProfile, len(profiles)),
 	}
-	if workers <= 1 {
-		if opts.Scratch == nil {
-			opts.Scratch = NewScratch()
+	err := pool.Run(ctx, len(profiles), opts.Workers, func(int) func(int) error {
+		// Scratch is single-threaded: each worker gets its own, whatever
+		// the caller passed in opts.
+		wopts := opts
+		wopts.Scratch = NewScratch()
+		return func(i int) (err error) {
+			rep.Profiles[i], err = runResilienceProfile(wopts, profiles[i])
+			return err
 		}
-		for i, p := range profiles {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			po, devices, err := runResilienceProfile(opts, p)
-			if err != nil {
-				return nil, err
-			}
-			rep.Profiles[i] = po
-			rep.Devices = devices
-		}
-		return rep, nil
-	}
-	errs := make([]error, len(profiles))
-	devices := make([]int, len(profiles))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Scratch is single-threaded: each worker gets its own,
-			// whatever the caller passed in opts.
-			wopts := opts
-			wopts.Scratch = NewScratch()
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				rep.Profiles[i], devices[i], errs[i] = runResilienceProfile(wopts, profiles[i])
-			}
-		}()
-	}
-	for i := range profiles {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	})
+	if err != nil {
 		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		rep.Devices = devices[i]
 	}
 	return rep, nil
 }
 
 // runResilienceProfile runs the full Table 2 grid under one fault profile
 // on a study of its own.
-func runResilienceProfile(opts StudyOptions, p faults.Profile) (*ResilienceProfile, int, error) {
+func runResilienceProfile(opts StudyOptions, p faults.Profile) (*ResilienceProfile, error) {
 	o := opts
 	fp := p
 	o.Faults = &fp
@@ -164,7 +124,7 @@ func runResilienceProfile(opts StudyOptions, p faults.Profile) (*ResilienceProfi
 	for _, cfg := range Configs {
 		res, err := st.RunExperiment(cfg)
 		if err != nil {
-			return nil, 0, fmt.Errorf("resilience %s/%s: %w", p.Name, cfg.ID, err)
+			return nil, fmt.Errorf("resilience %s/%s: %w", p.Name, cfg.ID, err)
 		}
 		rc := ResilienceConfig{
 			ID:              cfg.ID,
@@ -196,5 +156,5 @@ func runResilienceProfile(opts StudyOptions, p faults.Profile) (*ResilienceProfi
 		Detail:  fmt.Sprintf("%d/%d device-runs functional", po.FunctionalTotal, len(st.Stacks)*len(Configs)),
 		Elapsed: st.Clock.Now().Sub(began),
 	})
-	return po, len(st.Stacks), nil
+	return po, nil
 }

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"v6lab/internal/addr"
@@ -22,6 +21,7 @@ import (
 	"v6lab/internal/device"
 	"v6lab/internal/experiment"
 	"v6lab/internal/firewall"
+	"v6lab/internal/pool"
 	"v6lab/internal/splitmix"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/world"
@@ -180,22 +180,11 @@ func pick(r *splitmix.Rand, shares []Share) string {
 	return shares[pickIndex(r, weights)].Name
 }
 
-// SpecFor derives home i's spec from the fleet seed alone; it never looks
-// at other homes, so specs can be produced in any order.
-func (c Config) SpecFor(i int) HomeSpec {
-	return c.specFor(device.Registry(), i)
-}
-
-// SpecForIn is SpecFor against a caller-held registry snapshot, so drivers
-// deriving many specs (the timeline engine) reuse one registry copy
-// instead of re-deriving it per home.
+// SpecForIn derives home i's spec from the fleet seed alone, drawing
+// devices from registry (a caller-held snapshot, so drivers deriving many
+// specs reuse one registry copy). It never looks at other homes, so specs
+// can be produced in any order.
 func (c Config) SpecForIn(registry []*device.Profile, i int) HomeSpec {
-	return c.specFor(registry, i)
-}
-
-// specFor is SpecFor against a caller-held registry snapshot, so the fleet
-// loop derives all N specs from one registry copy instead of N.
-func (c Config) specFor(registry []*device.Profile, i int) HomeSpec {
 	c = c.withDefaults()
 	r := splitmix.New(c.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
 
@@ -420,55 +409,33 @@ func RunContext(ctx context.Context, cfg Config) (*Population, error) {
 	// copy instead of deep-copying the registry twice per home.
 	reg := device.Registry()
 	results := make([]*HomeResult, cfg.Homes)
-	errs := make([]error, cfg.Homes)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := cfg.Workers
-	if workers > cfg.Homes {
-		workers = cfg.Homes
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker recycled scratch: each home's switch traffic runs
-			// in the same arena, so a long fleet allocates frame storage
-			// once per worker, not once per home.
-			scratch := experiment.NewScratch()
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i], errs[i] = runHome(cfg, reg, cfg.specFor(reg, i), scratch)
-				if hr := results[i]; hr != nil {
-					if homesDone != nil {
-						homesDone.Inc()
-					}
-					telemetry.Emit(cfg.Progress, telemetry.Event{
-						Scope:   "fleet",
-						ID:      fmt.Sprintf("home %d/%d", i+1, cfg.Homes),
-						Detail:  fmt.Sprintf("%s, %d devices, %d/%d functional", hr.Spec.ConfigID, hr.Devices, hr.Functional, hr.Devices),
-						Elapsed: hr.Elapsed,
-					})
-				}
-			}
-		}()
-	}
-	for i := 0; i < cfg.Homes; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 	// A cancelled fleet registers nothing: the ctx error wins over any
 	// per-home results already computed.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("fleet: home %d: %w", i, err)
+	err := pool.Run(ctx, cfg.Homes, cfg.Workers, func(int) func(int) error {
+		// Per-worker recycled scratch: each home's switch traffic runs in
+		// the same arena, so a long fleet allocates frame storage once per
+		// worker, not once per home.
+		scratch := experiment.NewScratch()
+		return func(i int) error {
+			hr, err := runHome(cfg, reg, cfg.SpecForIn(reg, i), scratch)
+			if err != nil {
+				return fmt.Errorf("fleet: home %d: %w", i, err)
+			}
+			results[i] = hr
+			if homesDone != nil {
+				homesDone.Inc()
+			}
+			telemetry.Emit(cfg.Progress, telemetry.Event{
+				Scope:   "fleet",
+				ID:      fmt.Sprintf("home %d/%d", i+1, cfg.Homes),
+				Detail:  fmt.Sprintf("%s, %d devices, %d/%d functional", hr.Spec.ConfigID, hr.Devices, hr.Functional, hr.Devices),
+				Elapsed: hr.Elapsed,
+			})
+			return nil
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Population{Cfg: cfg, Homes: results}, nil
 }

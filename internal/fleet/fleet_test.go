@@ -14,16 +14,16 @@ import (
 func TestSpecForDeterministic(t *testing.T) {
 	cfg := Config{Homes: 20, Seed: 42}
 	for i := 0; i < 20; i++ {
-		a, b := cfg.SpecFor(i), cfg.SpecFor(i)
+		a, b := cfg.SpecForIn(device.Registry(), i), cfg.SpecForIn(device.Registry(), i)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("home %d: SpecFor not deterministic:\n%+v\n%+v", i, a, b)
+			t.Fatalf("home %d: SpecForIn not deterministic:\n%+v\n%+v", i, a, b)
 		}
 	}
 	// A different seed must produce a different population.
 	other := Config{Homes: 20, Seed: 43}
 	same := true
 	for i := 0; i < 20; i++ {
-		if !reflect.DeepEqual(cfg.SpecFor(i), other.SpecFor(i)) {
+		if !reflect.DeepEqual(cfg.SpecForIn(device.Registry(), i), other.SpecForIn(device.Registry(), i)) {
 			same = false
 			break
 		}
@@ -52,7 +52,7 @@ func TestSpecForShape(t *testing.T) {
 		policies[s.Name] = true
 	}
 	for i := 0; i < 50; i++ {
-		sp := cfg.SpecFor(i)
+		sp := cfg.SpecForIn(device.Registry(), i)
 		if sp.Index != i {
 			t.Fatalf("home %d: spec.Index = %d", i, sp.Index)
 		}

@@ -54,15 +54,6 @@ type HomeInventory struct {
 	Devices []DeviceInventory
 }
 
-// AddrCount returns the total global addresses across the home's devices.
-func (h *HomeInventory) AddrCount() int {
-	n := 0
-	for _, d := range h.Devices {
-		n += len(d.Addrs)
-	}
-	return n
-}
-
 // collectInventory snapshots the home's address ground truth right after
 // its connectivity run, while the stacks still hold their assigned
 // addresses and before any exposure re-run resets them.

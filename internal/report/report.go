@@ -4,7 +4,6 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"v6lab/internal/addr"
@@ -425,12 +424,4 @@ func percentile(sorted []int, p int) int {
 	}
 	idx := p * (len(sorted) - 1) / 100
 	return sorted[idx]
-}
-
-// SortedCopy returns a sorted copy of xs (test helper re-exported for
-// examples).
-func SortedCopy(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	return out
 }

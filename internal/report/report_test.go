@@ -95,9 +95,6 @@ func TestPercentileAndHelpers(t *testing.T) {
 	if maxInt(xs) != 100 || sumInts(xs) != 110 {
 		t.Error("max/sum wrong")
 	}
-	if got := SortedCopy([]int{3, 1, 2}); got[0] != 1 || got[2] != 3 {
-		t.Errorf("SortedCopy = %v", got)
-	}
 	if abbrev("AAAA Request (v4 or v6)") == "" {
 		t.Error("abbrev empty")
 	}

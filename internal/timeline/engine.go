@@ -3,12 +3,12 @@ package timeline
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"v6lab/internal/device"
 	"v6lab/internal/experiment"
 	"v6lab/internal/fleet"
+	"v6lab/internal/pool"
 	"v6lab/internal/router"
 	"v6lab/internal/splitmix"
 	"v6lab/internal/telemetry"
@@ -470,8 +470,8 @@ func Run(cfg Config) (*Report, error) {
 // RunContext runs Homes independent simulated homes over the horizon on a
 // bounded worker pool. Results merge in home index order, so the Report
 // is byte-identical for any worker count. ctx is checked before each home
-// starts and periodically inside each home's event loop; a cancelled
-// timeline returns ctx.Err() with no Report — never a partial one.
+// starts; a cancelled timeline returns ctx.Err() with no Report — never a
+// partial one.
 func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Horizon <= 0 {
@@ -488,56 +488,34 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	fc := cfg.fleetCfg()
 	reg := device.Registry()
 	results := make([]*HomeTimeline, cfg.Homes)
-	errs := make([]error, cfg.Homes)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := cfg.Workers
-	if workers > cfg.Homes {
-		workers = cfg.Homes
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := experiment.NewScratch()
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i], errs[i] = runHome(cfg, reg, fc.SpecForIn(reg, i), scratch)
-				if hr := results[i]; hr != nil {
-					if homesDone != nil {
-						homesDone.Inc()
-					}
-					if burstsDone != nil {
-						n := 0
-						for _, d := range hr.Days {
-							n += d.BurstsAttempted
-						}
-						burstsDone.Add(uint64(n))
-					}
-					telemetry.Emit(cfg.Progress, telemetry.Event{
-						Scope:  "timeline",
-						ID:     fmt.Sprintf("home %d/%d", i+1, cfg.Homes),
-						Detail: fmt.Sprintf("%s, %d devices, %d frames", hr.Spec.ConfigID, len(hr.Spec.DeviceIndexes), hr.FramesDelivered),
-					})
-				}
+	err := pool.Run(ctx, cfg.Homes, cfg.Workers, func(int) func(int) error {
+		scratch := experiment.NewScratch()
+		return func(i int) error {
+			hr, err := runHome(cfg, reg, fc.SpecForIn(reg, i), scratch)
+			if err != nil {
+				return fmt.Errorf("timeline: home %d: %w", i, err)
 			}
-		}()
-	}
-	for i := 0; i < cfg.Homes; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("timeline: home %d: %w", i, err)
+			results[i] = hr
+			if homesDone != nil {
+				homesDone.Inc()
+			}
+			if burstsDone != nil {
+				n := 0
+				for _, d := range hr.Days {
+					n += d.BurstsAttempted
+				}
+				burstsDone.Add(uint64(n))
+			}
+			telemetry.Emit(cfg.Progress, telemetry.Event{
+				Scope:  "timeline",
+				ID:     fmt.Sprintf("home %d/%d", i+1, cfg.Homes),
+				Detail: fmt.Sprintf("%s, %d devices, %d frames", hr.Spec.ConfigID, len(hr.Spec.DeviceIndexes), hr.FramesDelivered),
+			})
+			return nil
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Report{Cfg: cfg, Homes: results}, nil
 }

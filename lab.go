@@ -164,13 +164,14 @@ func WithFaultProfile(p faults.Profile) Option {
 
 // WithWorkers is the lab's single worker-count knob: it sizes the pool
 // for the connectivity experiments, the resilience grid's profiles, and —
-// unless their configs say otherwise — the fleet and adversary parts. Output is byte-identical for every n:
-// results merge in config (or home-index) order and pcap timestamps are
-// rebased onto the serial timeline (see the experiment package). 0 or 1
-// means serial for the study engines and GOMAXPROCS for fleet/adversary
-// pools; n > 1 with an active fault profile falls back to serial for the
-// connectivity study (the fault path is order-dependent) while the
-// resilience grid still parallelizes across profiles.
+// unless their configs say otherwise — the fleet, adversary and timeline
+// parts. Output is byte-identical for every n: results merge in config (or
+// home-index) order and pcap timestamps are rebased onto the serial
+// timeline (see the experiment package). 0 or 1 means serial for the study
+// engines and GOMAXPROCS for the fleet, adversary and timeline pools; n > 1
+// with an active fault profile falls back to serial for the connectivity
+// study (the fault path is order-dependent) while the resilience grid
+// still parallelizes across profiles.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
