@@ -9,26 +9,34 @@ package v6lab
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"v6lab/internal/analysis"
+	"v6lab/internal/experiment"
+	"v6lab/internal/telemetry"
 )
 
 var (
 	benchOnce sync.Once
 	benchLab  *Lab
-	benchErr  error
-	printed   sync.Map
+	// benchPcaps holds the pcaps the shared lab wrote.
+	benchPcaps *pcapSink
+	benchErr   error
+	printed    sync.Map
 )
 
-func benchSetup(b *testing.B) *Lab {
-	b.Helper()
+// sharedLab runs, once, the serial study that the package's tests and
+// benchmarks share, writing its pcaps into benchPcaps.
+func sharedLab(tb testing.TB) *Lab {
+	tb.Helper()
 	benchOnce.Do(func() {
-		benchLab = New()
+		benchPcaps = newPcapSink()
+		benchLab = New(WithPcaps(benchPcaps.open))
 		benchErr = benchLab.Run()
 	})
 	if benchErr != nil {
-		b.Fatal(benchErr)
+		tb.Fatal(benchErr)
 	}
 	return benchLab
 }
@@ -36,7 +44,7 @@ func benchSetup(b *testing.B) *Lab {
 // benchArtifact times the derivation+rendering of one artifact and prints
 // it once so the bench run doubles as the paper-regeneration harness.
 func benchArtifact(b *testing.B, a Artifact) {
-	lab := benchSetup(b)
+	lab := sharedLab(b)
 	if _, done := printed.LoadOrStore(a, true); !done {
 		fmt.Printf("\n%s\n", lab.Report(a))
 	}
@@ -66,7 +74,7 @@ var benchReport string
 // observations and building the experiment-group views) and rendering
 // every artifact.
 func BenchmarkAnalyzeAndReport(b *testing.B) {
-	view := *benchSetup(b)
+	view := *sharedLab(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,17 +87,14 @@ func BenchmarkAnalyzeAndReport(b *testing.B) {
 // at several worker counts, each over a shared Env with a warm environment
 // pool — the steady state a study server or fleet reaches after its first
 // run. workers=1 is the serial engine; the work per iteration is identical
-// — and byte-identical — at every count. The warm-up run before the timer
-// builds the pool's environments once, so the measured rows show what
-// pooling saves: allocs/op must not grow with the worker count.
+// — and byte-identical — at every count. warmEnvPool fills the pool
+// before the timer, so the measured rows show what pooling saves:
+// allocs/op must not grow with the worker count.
 func BenchmarkStudyParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 6} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			env := NewEnv()
-			warm := New(WithEnv(env), WithWorkers(workers))
-			if err := warm.Run(); err != nil {
-				b.Fatal(err)
-			}
+			warmEnvPool(b, env, workers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -134,24 +139,55 @@ func BenchmarkResilience(b *testing.B) {
 }
 
 // BenchmarkObserveStreaming measures the analysis extraction: the largest
-// experiment's frames fed one by one through a fresh streaming Observer,
-// the per-frame tap cost every run pays at delivery, then Finalize.
+// experiment's frames, read back from its pcap, fed one by one through a
+// fresh streaming Observer, the per-frame tap cost every run pays at
+// delivery, then Finalize.
 func BenchmarkObserveStreaming(b *testing.B) {
-	lab := benchSetup(b)
+	lab := sharedLab(b)
 	biggest := lab.Study.Results[0]
 	for _, r := range lab.Study.Results {
-		if r.Capture.Len() > biggest.Capture.Len() {
+		if r.FramesDelivered > biggest.FramesDelivered {
 			biggest = r
 		}
 	}
-	b.SetBytes(int64(biggest.Capture.Bytes()))
+	recs := benchPcaps.records(b, biggest.Config.ID)
+	size := 0
+	for _, rec := range recs {
+		size += len(rec.Data)
+	}
+	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o := analysis.NewObserver(biggest.Config.ID, biggest.Config.Mode, lab.Study.World.MACToDevice)
-		for _, rec := range biggest.Capture.Records {
+		for _, rec := range recs {
 			o.Add(rec.Time, rec.Data)
 		}
 		o.Finalize(biggest.Functional)
+	}
+}
+
+// warmEnvPool runs one study over env per Table 2 config, and in each
+// holds every worker after its first experiment until all have finished
+// one. So no pooled environment sits a study out, and each has served a
+// grid's worth of experiments before the timed runs: one that never ran
+// would grow its maps and switch arena inside the timer.
+func warmEnvPool(b *testing.B, env *Env, workers int) {
+	envs := min(workers, len(experiment.Configs))
+	for range experiment.Configs {
+		var firsts sync.WaitGroup
+		firsts.Add(envs)
+		var done atomic.Int64
+		hold := telemetry.FuncSink(func(ev telemetry.Event) {
+			// A held worker emits nothing more, so the first envs
+			// experiment events come from distinct workers.
+			if ev.Scope == "experiment" && done.Add(1) <= int64(envs) {
+				firsts.Done()
+				firsts.Wait()
+			}
+		})
+		if err := New(WithEnv(env), WithWorkers(workers), WithProgress(hold)).Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -168,10 +168,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		labOpts = append(labOpts, v6lab.WithFaultProfile(p))
 	}
-	// Only pcap artifacts read buffered frames; analysis streams every
-	// frame either way, so the report is the same without them.
-	if *pcapDir == "" {
-		labOpts = append(labOpts, v6lab.WithCapture(v6lab.CaptureNone))
+	// Only pcaps need buffered frames; analysis streams every frame
+	// either way, so the report is the same without them.
+	if *pcapDir != "" {
+		labOpts = append(labOpts, v6lab.WithPcaps(v6lab.PcapDir(*pcapDir)))
 	}
 	if *workers < 0 {
 		fmt.Fprintf(stderr, "v6lab: -workers wants a non-negative worker count\n")
@@ -351,6 +351,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, res := range lab.Study.Results {
 		fmt.Fprintf(stderr, "  %-22s %6d frames captured\n", res.Config.ID, res.Frames())
 	}
+	if *pcapDir != "" {
+		fmt.Fprintf(stderr, "pcaps written to %s\n", *pcapDir)
+	}
 	if *fwPolicy != "" {
 		fmt.Fprintln(stderr, "running the WAN-vantage firewall policy comparison...")
 		if err := lab.Run(v6lab.FirewallComparison(fwPolicies...)); err != nil {
@@ -359,13 +362,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *pcapDir != "" {
-		if err := lab.SavePcaps(*pcapDir); err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "pcaps written to %s\n", *pcapDir)
-	}
 	if *csvDir != "" {
 		if err := lab.ExportCSV(*csvDir); err != nil {
 			fmt.Fprintln(stderr, "error:", err)

@@ -12,11 +12,12 @@ import "testing"
 func TestWarmEnvPoolByteIdentity(t *testing.T) {
 	env := NewEnv()
 
-	cold := New(WithEnv(env), WithWorkers(6))
+	coldPcaps := newPcapSink()
+	cold := New(WithEnv(env), WithWorkers(6), WithPcaps(coldPcaps.open))
 	if err := cold.Run(); err != nil {
 		t.Fatal(err)
 	}
-	coldHashes := labHashes(t, cold)
+	coldHashes := labHashes(t, cold, coldPcaps)
 	for key, want := range studyHashes {
 		if coldHashes[key] != want {
 			t.Errorf("cold %s = %s, recorded baseline %s", key, coldHashes[key], want)
@@ -26,11 +27,12 @@ func TestWarmEnvPoolByteIdentity(t *testing.T) {
 		t.Fatal("pool holds no environments after the first parallel run")
 	}
 
-	warm := New(WithEnv(env), WithWorkers(6))
+	warmPcaps := newPcapSink()
+	warm := New(WithEnv(env), WithWorkers(6), WithPcaps(warmPcaps.open))
 	if err := warm.Run(); err != nil {
 		t.Fatal(err)
 	}
-	warmHashes := labHashes(t, warm)
+	warmHashes := labHashes(t, warm, warmPcaps)
 	for key, want := range studyHashes {
 		if warmHashes[key] != want {
 			t.Errorf("warm %s = %s, recorded baseline %s", key, warmHashes[key], want)

@@ -13,7 +13,11 @@ import (
 )
 
 func main() {
-	lab := v6lab.New()
+	dir := "captures"
+	if len(os.Args) > 1 {
+		dir = os.Args[1]
+	}
+	lab := v6lab.New(v6lab.WithPcaps(v6lab.PcapDir(dir)))
 	if err := lab.Run(); err != nil {
 		log.Fatal(err)
 	}
@@ -23,13 +27,5 @@ func main() {
 	fmt.Print(lab.Report(v6lab.Table9))
 	fmt.Println()
 	fmt.Print(lab.Report(v6lab.Figure4))
-
-	dir := "captures"
-	if len(os.Args) > 1 {
-		dir = os.Args[1]
-	}
-	if err := lab.SavePcaps(dir); err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("\nper-experiment pcaps written to %s/ (readable with tcpdump/wireshark)\n", dir)
 }

@@ -183,28 +183,7 @@ func (s *Stack) RunBurst(cl *cloud.Cloud) {
 	}
 	// Byte budgets as RunWorkload computes them, so burst flows look like
 	// the bounded-transaction flows the analysis already understands.
-	nV4, nV6 := 0, 0
-	for i := range s.Plan.Specs {
-		v4, v6 := s.familiesFor(&s.Plan.Specs[i])
-		if v4 {
-			nV4++
-		}
-		if v6 {
-			nV6++
-		}
-	}
-	s.v4ByteEach, s.v6ByteEach = 800, 800
-	if s.mode == ModeDual {
-		if nV4 > 0 {
-			s.v4ByteEach = max(16, s.Plan.V4Bytes/nV4)
-		}
-		if nV6 > 0 {
-			s.v6ByteEach = max(16, s.Plan.V6Bytes/nV6)
-		}
-	} else if n := nV4 + nV6; n > 0 {
-		each := max(16, s.Plan.TotalBytes/n)
-		s.v4ByteEach, s.v6ByteEach = each, each
-	}
+	s.setByteBudgets()
 	for i := range s.Plan.Specs {
 		sp := &s.Plan.Specs[i]
 		if !sp.Essential {

@@ -614,7 +614,20 @@ func (s *Stack) Announce() {
 // TCP/TLS exchanges, NTP, hardcoded-endpoint contacts, local-protocol
 // chatter, and the EUI-64 probes.
 func (s *Stack) RunWorkload(cl *cloud.Cloud) {
-	// Per-contact byte budgets.
+	s.setByteBudgets()
+	for i := range s.Plan.Specs {
+		s.startSpec(i, cl)
+	}
+	s.sendNTP()
+	s.sendStatefulDNS()
+	s.sendLocalData()
+	s.sendEUI64Probe()
+}
+
+// setByteBudgets splits the plan's byte totals evenly over the contacts
+// the device will make in the current mode: per family in dual-stack,
+// over every contact otherwise.
+func (s *Stack) setByteBudgets() {
 	nV4, nV6 := 0, 0
 	for i := range s.Plan.Specs {
 		v4, v6 := s.familiesFor(&s.Plan.Specs[i])
@@ -637,14 +650,6 @@ func (s *Stack) RunWorkload(cl *cloud.Cloud) {
 		each := max(16, s.Plan.TotalBytes/n)
 		s.v4ByteEach, s.v6ByteEach = each, each
 	}
-
-	for i := range s.Plan.Specs {
-		s.startSpec(i, cl)
-	}
-	s.sendNTP()
-	s.sendStatefulDNS()
-	s.sendLocalData()
-	s.sendEUI64Probe()
 }
 
 // familiesFor evaluates which families the device will contact a spec over

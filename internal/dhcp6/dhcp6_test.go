@@ -1,6 +1,7 @@
 package dhcp6
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -109,20 +110,25 @@ func TestMarshalRejectsIPv4Addresses(t *testing.T) {
 	}
 }
 
+// TestTruncatedRejected cuts marshalled messages at every length: a cut
+// must parse exactly when it ends the 4-byte header or a top-level option,
+// and fail anywhere else, including inside the nested IA_NA.
 func TestTruncatedRejected(t *testing.T) {
-	if _, err := Unmarshal([]byte{1, 2}); err == nil {
-		t.Error("short header")
-	}
-	m := &Message{Type: Solicit, TxID: 5, ClientID: DUIDFromMAC(mac)}
-	wire, err := m.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 5; cut < len(wire); cut++ {
-		if _, err := Unmarshal(wire[:cut]); err == nil {
-			// Cuts that land exactly on option boundaries legitimately parse;
-			// lopping ElapsedTime off entirely is valid wire format.
-			continue
+	for _, m := range []*Message{testSolicit(), testReply()} {
+		wire, err := m.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		boundary := map[int]bool{4: true}
+		for off := 4; off < len(wire); {
+			off += 4 + int(binary.BigEndian.Uint16(wire[off+2:off+4]))
+			boundary[off] = true
+		}
+		for cut := 0; cut <= len(wire); cut++ {
+			_, err := Unmarshal(wire[:cut])
+			if got, want := err != nil, !boundary[cut]; got != want {
+				t.Errorf("%s cut at %d of %d: err = %v, want error %v", TypeName(m.Type), cut, len(wire), err, want)
+			}
 		}
 	}
 }

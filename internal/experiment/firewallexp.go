@@ -95,6 +95,20 @@ func DefaultFirewallPolicies(profiles []*device.Profile) []firewall.Policy {
 	}
 }
 
+// PolicyByName resolves a firewall policy name ("open", "stateful",
+// "pinhole"); a pinhole policy without rules gets the testbed's default
+// holes for profiles.
+func PolicyByName(name string, profiles []*device.Profile) (firewall.Policy, error) {
+	p, err := firewall.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if ph, ok := p.(firewall.Pinhole); ok && len(ph.Rules) == 0 {
+		p = firewall.Pinhole{Rules: DefaultPinholes(profiles)}
+	}
+	return p, nil
+}
+
 // RunFirewallExposure re-runs the §5.4.2 port scan from a WAN vantage
 // under each policy: every probe must traverse the router's inbound
 // firewall instead of being switched on-LAN. Each policy gets a fresh

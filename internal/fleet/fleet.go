@@ -296,11 +296,8 @@ func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, scratch *experime
 	var pol firewall.Policy
 	if ec.Router.IPv6 {
 		var err error
-		if pol, err = firewall.ByName(spec.Policy); err != nil {
+		if pol, err = experiment.PolicyByName(spec.Policy, st.Profiles); err != nil {
 			return nil, err
-		}
-		if ph, ok := pol.(firewall.Pinhole); ok && len(ph.Rules) == 0 {
-			pol = firewall.Pinhole{Rules: experiment.DefaultPinholes(st.Profiles)}
 		}
 	}
 	res, h, err := st.RunExperimentWith(ec, pol)

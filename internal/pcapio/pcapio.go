@@ -182,20 +182,24 @@ func (r *Reader) ReadAll() ([]Record, error) {
 	}
 }
 
+// Write emits records as one pcap stream to w.
+func Write(w io.Writer, recs []Record) error {
+	pw := NewWriter(w)
+	for _, rec := range recs {
+		if err := pw.WriteRecord(rec); err != nil {
+			return err
+		}
+	}
+	return pw.Flush()
+}
+
 // WriteFile stores records as a pcap file at path.
 func WriteFile(path string, recs []Record) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	w := NewWriter(f)
-	for _, rec := range recs {
-		if err := w.WriteRecord(rec); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if err := Write(f, recs); err != nil {
 		f.Close()
 		return err
 	}
@@ -287,6 +291,3 @@ func (c *Capture) Reset() {
 	c.arena.reset()
 	c.bytes = 0
 }
-
-// Save writes the capture to a pcap file.
-func (c *Capture) Save(path string) error { return WriteFile(path, c.Records) }

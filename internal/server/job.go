@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"io"
 	"sync"
 	"time"
 
@@ -10,7 +11,6 @@ import (
 	"v6lab/internal/adversary"
 	"v6lab/internal/faults"
 	"v6lab/internal/fleet"
-	"v6lab/internal/pcapio"
 	"v6lab/internal/report"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/timeline"
@@ -139,17 +139,20 @@ func runSpec(ctx context.Context, spec JobSpec, sink telemetry.Sink) (*Result, e
 	if spec.Workers > 0 {
 		opts = append(opts, v6lab.WithWorkers(spec.Workers))
 	}
+	// Study and firewall jobs serve one pcap artifact per experiment: the
+	// lab writes each into its own in-memory buffer.
+	pcaps := make(map[string]*bytes.Buffer)
 	if spec.Kind == KindStudy || spec.Kind == KindFirewall {
-		opts = append(opts, v6lab.WithCapture(v6lab.CaptureFull))
+		opts = append(opts, v6lab.WithPcaps(func(id string) (io.WriteCloser, error) {
+			b := new(bytes.Buffer)
+			pcaps[id] = b
+			return nopCloser{b}, nil
+		}))
 	}
 	lab := v6lab.New(opts...)
 
 	var parts []v6lab.RunPart
 	switch spec.Kind {
-	// Study and firewall jobs serve per-experiment pcap artifacts from the
-	// buffered captures, so they pin CaptureFull explicitly (it is also
-	// the lab default; the pin documents the dependency). The fleet,
-	// resilience, and adversary drivers never buffer frames.
 	case KindStudy:
 		parts = []v6lab.RunPart{v6lab.Connectivity()}
 	case KindFirewall:
@@ -185,26 +188,27 @@ func runSpec(ctx context.Context, spec JobSpec, sink telemetry.Sink) (*Result, e
 	if err := lab.RunContext(ctx, parts...); err != nil {
 		return nil, err
 	}
-	return collectArtifacts(lab, spec)
+	return collectArtifacts(lab, spec, pcaps)
 }
 
+// nopCloser makes an in-memory buffer a pcap sink's writer.
+type nopCloser struct{ io.Writer }
+
+func (nopCloser) Close() error { return nil }
+
 // collectArtifacts renders a completed lab into the immutable byte
-// artifacts a result serves: the full report, one pcap per connectivity
-// experiment, the plot-ready CSV series, and the deterministic telemetry
+// artifacts a result serves: the full report, the pcaps the lab wrote
+// (one per connectivity experiment), the plot-ready CSV series, and the deterministic telemetry
 // snapshot in both exposition formats. Everything here is
 // byte-deterministic in (seed, canonical options), which is what lets a
 // cache hit serve these bytes as if it had run the study.
-func collectArtifacts(lab *v6lab.Lab, spec JobSpec) (*Result, error) {
+func collectArtifacts(lab *v6lab.Lab, spec JobSpec, pcaps map[string]*bytes.Buffer) (*Result, error) {
 	arts := make(map[string][]byte)
 	switch spec.Kind {
 	case KindStudy, KindFirewall:
 		arts["fullreport"] = []byte(lab.FullReport())
-		for _, res := range lab.Study.Results {
-			b, err := pcapBytes(res.Capture.Records)
-			if err != nil {
-				return nil, err
-			}
-			arts[res.Config.ID+".pcap"] = b
+		for id, b := range pcaps {
+			arts[id+".pcap"] = b.Bytes()
 		}
 		cdfs := lab.Data.Figure3()
 		arts["funnel.csv"] = []byte(report.CSVFunnel(lab.Data.Table3()))
@@ -229,19 +233,4 @@ func collectArtifacts(lab *v6lab.Lab, spec JobSpec) (*Result, error) {
 		arts["telemetry.json"] = j
 	}
 	return &Result{Spec: spec, Artifacts: arts}, nil
-}
-
-// pcapBytes serializes capture records into an in-memory pcap file.
-func pcapBytes(recs []pcapio.Record) ([]byte, error) {
-	var buf bytes.Buffer
-	w := pcapio.NewWriter(&buf)
-	for _, r := range recs {
-		if err := w.WriteRecord(r); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

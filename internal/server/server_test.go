@@ -9,10 +9,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"v6lab"
 )
 
 // testSpec is a small, fast study: two devices keep a full run around
@@ -462,5 +466,33 @@ func TestFleetAndResilienceKinds(t *testing.T) {
 	dup := postJob(t, ts.URL, `{"kind":"fleet","fleet_homes":3,"workers":8}`)
 	if !dup.Cached {
 		t.Error("fleet resubmission with different workers missed the cache")
+	}
+}
+
+// TestStudyPcapArtifactsMatchPcapDir: a study job's six <id>.pcap
+// artifacts are the bytes v6lab.PcapDir writes for the same devices.
+func TestStudyPcapArtifactsMatchPcapDir(t *testing.T) {
+	devices := []string{"Wyze Cam", "Apple TV"}
+	res, err := runSpec(context.Background(), JobSpec{Kind: KindStudy, Seed: 1, Devices: devices}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := v6lab.New(v6lab.WithDevices(devices...), v6lab.WithPcaps(v6lab.PcapDir(dir))).Run(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.pcap"))
+	if err != nil || len(files) != 6 {
+		t.Fatalf("PcapDir wrote %d pcaps (%v), want 6", len(files), err)
+	}
+	for _, path := range files {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Base(path)
+		if got, ok := res.Artifacts[name]; !ok || !bytes.Equal(got, want) {
+			t.Errorf("artifact %s (present %v, %d bytes) differs from PcapDir's %d bytes", name, ok, len(got), len(want))
+		}
 	}
 }

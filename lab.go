@@ -12,8 +12,8 @@
 //	fmt.Print(lab.Report(v6lab.Table3))
 //
 // New takes functional options (WithDevices, WithSeed, WithFaultProfile,
-// WithMaxFramesPerRun) and Run composes parts: Run() alone performs the
-// connectivity study, Run(Resilience()) the impairment grid,
+// WithMaxFramesPerRun, WithPcaps) and Run composes parts: Run() alone
+// performs the connectivity study, Run(Resilience()) the impairment grid,
 // Run(Connectivity(), FirewallComparison(), Fleet(16)) all three.
 package v6lab
 
@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,6 +33,7 @@ import (
 	"v6lab/internal/faults"
 	"v6lab/internal/firewall"
 	"v6lab/internal/fleet"
+	"v6lab/internal/pcapio"
 	"v6lab/internal/report"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/timeline"
@@ -111,24 +113,13 @@ type options struct {
 	maxFrames   int
 	fault       *faults.Profile
 	workers     int
-	capture     CapturePolicy
+	pcaps       func(experimentID string) (io.WriteCloser, error)
 	telemetry   *telemetry.Registry
 	progress    telemetry.Sink
 	env         *Env
 	horizon     Horizon
 	horizonSet  bool
 }
-
-// CapturePolicy selects whether the lab's experiments buffer their frames
-// (see WithCapture); re-exported from the experiment package.
-type CapturePolicy = experiment.CapturePolicy
-
-// The capture policies. CaptureFull is the zero value: the connectivity
-// study buffers its frames for SavePcaps and the recorded pcap hashes.
-const (
-	CaptureFull = experiment.CaptureFull
-	CaptureNone = experiment.CaptureNone
-)
 
 // Option configures New.
 type Option func(*options)
@@ -176,16 +167,26 @@ func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
 
-// WithCapture selects whether the connectivity study buffers its frames
-// for pcap artifacts; it controls buffering only. The default
-// (CaptureFull) keeps every experiment's frames in an in-memory capture,
-// the source for SavePcaps and the recorded pcap hashes. CaptureNone keeps
-// none: memory stays flat and SavePcaps returns an error since there is
-// nothing to write. Analysis streams every frame through the observer at
-// delivery under either policy, so reports are identical. The fleet,
-// resilience, adversary and timeline parts never buffer.
-func WithCapture(p CapturePolicy) Option {
-	return func(o *options) { o.capture = p }
+// WithPcaps writes one pcap file per connectivity experiment through
+// sink: once the six runs finish, Connectivity opens sink(experimentID)
+// for each in config order, writes the run's frames, and closes it. Only
+// a lab with a sink buffers frames, and it drops them once written, so a
+// lab holds no frame after Run either way. Analysis streams every frame
+// at delivery, so reports are the same with or without a sink. The
+// fleet, resilience, adversary and timeline parts never buffer.
+func WithPcaps(sink func(experimentID string) (io.WriteCloser, error)) Option {
+	return func(o *options) { o.pcaps = sink }
+}
+
+// PcapDir is the WithPcaps sink that writes dir/<experimentID>.pcap,
+// creating dir as needed.
+func PcapDir(dir string) func(experimentID string) (io.WriteCloser, error) {
+	return func(id string) (io.WriteCloser, error) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
+		return os.Create(filepath.Join(dir, id+".pcap"))
+	}
 }
 
 // WithTelemetry instruments every subsystem the lab touches — the L2
@@ -268,6 +269,9 @@ func New(opts ...Option) *Lab {
 		}
 	}
 	so := l.studyOptions()
+	if o.pcaps == nil {
+		so.Capture = experiment.CaptureNone
+	}
 	if o.fault != nil && o.fault.Active() {
 		fp := *o.fault
 		if fp.Seed == 0 {
@@ -284,7 +288,6 @@ func New(opts ...Option) *Lab {
 func (l *Lab) studyOptions() experiment.StudyOptions {
 	so := experiment.StudyOptions{
 		MaxFramesPerRun: l.opts.maxFrames,
-		Capture:         l.opts.capture,
 		Observe:         analysis.Streaming(),
 		Workers:         l.opts.workers,
 		Telemetry:       l.opts.telemetry,
@@ -346,16 +349,53 @@ func resolveDevices(names []string) ([]*device.Profile, error) {
 type RunPart func(*Lab) error
 
 // Connectivity is the core study: the six Table 2 experiments, the active
-// DNS queries, the port scans, and the analysis pipeline over the
-// captures. Run() with no parts is equivalent to Run(Connectivity()).
+// DNS queries, the port scans, the pcaps WithPcaps asks for, and the
+// analysis pipeline over the streamed frames. Run() with no parts is
+// equivalent to Run(Connectivity()).
 func Connectivity() RunPart {
 	return func(l *Lab) error {
 		if err := l.Study.RunAllContext(l.runCtx()); err != nil {
 			return err
 		}
+		if err := l.writePcaps(); err != nil {
+			return err
+		}
 		l.Data = analysis.FromStudy(l.Study)
 		return nil
 	}
+}
+
+// writePcaps writes each buffered run through the lab's pcap sink, in
+// config order, and drops the buffer whether or not the write succeeded.
+// Runs without a buffer (a lab without a sink) have nothing to write.
+func (l *Lab) writePcaps() error {
+	var err error
+	for _, res := range l.Study.Results {
+		if res.Capture == nil {
+			continue
+		}
+		if err == nil {
+			if werr := writePcap(l.opts.pcaps, res.Config.ID, res.Capture.Records); werr != nil {
+				err = fmt.Errorf("writing %s pcap: %w", res.Config.ID, werr)
+			}
+		}
+		res.Capture = nil
+	}
+	return err
+}
+
+// writePcap writes one experiment's records through sink and closes the
+// writer it opened exactly once.
+func writePcap(sink func(string) (io.WriteCloser, error), id string, recs []pcapio.Record) error {
+	w, err := sink(id)
+	if err != nil {
+		return err
+	}
+	if err := pcapio.Write(w, recs); err != nil {
+		w.Close()
+		return err
+	}
+	return w.Close()
 }
 
 // FirewallComparison re-runs the §5.4.2 scan from a WAN vantage under the
@@ -370,12 +410,9 @@ func FirewallComparison(policyNames ...string) RunPart {
 			policies = experiment.DefaultFirewallPolicies(l.Study.Profiles)
 		} else {
 			for _, name := range policyNames {
-				p, err := firewall.ByName(name)
+				p, err := experiment.PolicyByName(name, l.Study.Profiles)
 				if err != nil {
 					return err
-				}
-				if ph, ok := p.(firewall.Pinhole); ok && len(ph.Rules) == 0 {
-					p = firewall.Pinhole{Rules: experiment.DefaultPinholes(l.Study.Profiles)}
 				}
 				policies = append(policies, p)
 			}
@@ -499,25 +536,6 @@ func (l *Lab) ExportCSV(dir string) error {
 	for name, content := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// SavePcaps writes one pcap file per connectivity experiment into dir.
-// Labs built with WithCapture(CaptureNone) retain no frames and return an
-// error here.
-func (l *Lab) SavePcaps(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, res := range l.Study.Results {
-		if res.Capture == nil {
-			return fmt.Errorf("saving %s: lab ran without capture buffering (WithCapture(CaptureNone)); no frames retained", res.Config.ID)
-		}
-		path := filepath.Join(dir, res.Config.ID+".pcap")
-		if err := res.Capture.Save(path); err != nil {
-			return fmt.Errorf("saving %s: %w", path, err)
 		}
 	}
 	return nil

@@ -14,18 +14,6 @@ import (
 	"v6lab/internal/paper"
 )
 
-func sharedLab(t *testing.T) *Lab {
-	t.Helper()
-	benchOnce.Do(func() {
-		benchLab = New()
-		benchErr = benchLab.Run()
-	})
-	if benchErr != nil {
-		t.Fatal(benchErr)
-	}
-	return benchLab
-}
-
 func TestEveryArtifactRenders(t *testing.T) {
 	lab := sharedLab(t)
 	for _, a := range Artifacts {
@@ -64,21 +52,6 @@ func TestHeadlineNumbers(t *testing.T) {
 	r := lab.Data.EUI64Exposure()
 	if got := math.Round(1000*float64(r.Use)/93) / 10; math.Abs(got-paper.Headline.PctEUI64) > 0.5 {
 		t.Errorf("EUI-64 use = %.1f%%, want %.1f%%", got, paper.Headline.PctEUI64)
-	}
-}
-
-func TestSavePcaps(t *testing.T) {
-	lab := sharedLab(t)
-	dir := t.TempDir()
-	if err := lab.SavePcaps(dir); err != nil {
-		t.Fatal(err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "*.pcap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 6 {
-		t.Fatalf("pcap files = %d, want 6", len(matches))
 	}
 }
 
@@ -126,7 +99,8 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Skip("second full run in -short mode")
 	}
 	a := sharedLab(t)
-	b := New()
+	pcapsB := newPcapSink()
+	b := New(WithPcaps(pcapsB.open))
 	if err := b.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,32 +119,13 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 			i, ra[lo:min(i+100, len(ra))], rb[lo:min(i+100, len(rb))])
 	}
 	// The raw captures too: one pcap per experiment, byte-identical.
-	dirA, dirB := t.TempDir(), t.TempDir()
-	if err := a.SavePcaps(dirA); err != nil {
-		t.Fatal(err)
+	if len(pcapsB.files) != 6 {
+		t.Fatalf("pcap files = %d, want 6", len(pcapsB.files))
 	}
-	if err := b.SavePcaps(dirB); err != nil {
-		t.Fatal(err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dirA, "*.pcap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 6 {
-		t.Fatalf("pcap files = %d, want 6", len(matches))
-	}
-	for _, pa := range matches {
-		name := filepath.Base(pa)
-		da, err := os.ReadFile(pa)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := os.ReadFile(filepath.Join(dirB, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(da, db) {
-			t.Errorf("%s differs between runs (%d vs %d bytes)", name, len(da), len(db))
+	for id, fb := range pcapsB.files {
+		fa := benchPcaps.files[id]
+		if fa == nil || !bytes.Equal(fa.Bytes(), fb.Bytes()) {
+			t.Errorf("%s.pcap differs between runs", id)
 		}
 	}
 }

@@ -8,8 +8,6 @@ package v6lab
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"v6lab/internal/faults"
@@ -31,22 +29,19 @@ var studyHashes = map[string]string{
 	"dual-stack-stateful": "645bc9c9824eaa1aae98da865e34fe47c459bd51371b27562a83649a22d3e887",
 }
 
-// labHashes computes the sha256 of the full report and of each pcap.
-func labHashes(t *testing.T, lab *Lab) map[string]string {
+// labHashes computes the sha256 of the full report and of each pcap the
+// lab wrote into pcaps.
+func labHashes(t *testing.T, lab *Lab, pcaps *pcapSink) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	sum := sha256.Sum256([]byte(lab.FullReport()))
 	out["fullreport"] = hex.EncodeToString(sum[:])
-	dir := t.TempDir()
-	if err := lab.SavePcaps(dir); err != nil {
-		t.Fatal(err)
-	}
 	for _, res := range lab.Study.Results {
-		b, err := os.ReadFile(filepath.Join(dir, res.Config.ID+".pcap"))
-		if err != nil {
-			t.Fatal(err)
+		f := pcaps.files[res.Config.ID]
+		if f == nil {
+			t.Fatalf("no pcap was written for %s", res.Config.ID)
 		}
-		s := sha256.Sum256(b)
+		s := sha256.Sum256(f.Bytes())
 		out[res.Config.ID] = hex.EncodeToString(s[:])
 	}
 	return out
@@ -56,12 +51,13 @@ func labHashes(t *testing.T, lab *Lab) map[string]string {
 // every output hash against the recorded serial baselines (the serial
 // engine itself is pinned to the same baselines by the shared lab).
 func TestParallelStudyByteIdentity(t *testing.T) {
-	par := New(WithWorkers(6))
+	pcaps := newPcapSink()
+	par := New(WithWorkers(6), WithPcaps(pcaps.open))
 	if err := par.Run(); err != nil {
 		t.Fatal(err)
 	}
-	got := labHashes(t, par)
-	serial := labHashes(t, sharedLab(t))
+	got := labHashes(t, par, pcaps)
+	serial := labHashes(t, sharedLab(t), benchPcaps)
 	for key, want := range studyHashes {
 		if serial[key] != want {
 			t.Errorf("serial %s = %s, recorded baseline %s", key, serial[key], want)

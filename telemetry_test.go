@@ -116,16 +116,16 @@ func TestTelemetryDeterminismStudy(t *testing.T) {
 }
 
 // TestTelemetryCapturePolicy: every connectivity run streams its frames
-// through the analysis observer whatever the capture policy, so
-// frames_streamed_total equals the frames those runs delivered under both
-// policies (the switch's own counter also includes the port scan's
-// frames, which no observer taps); only CaptureFull buffers frames and
-// retains capture bytes; and the streaming counter is itself worker-count
-// invariant.
+// through the analysis observer with or without a pcap sink, so
+// frames_streamed_total equals the frames those runs delivered either way
+// (the switch's own counter also includes the port scan's frames, which
+// no observer taps); only a lab with a sink buffers frames, and one
+// without retains no capture bytes; and the streaming counter is itself
+// worker-count invariant.
 func TestTelemetryCapturePolicy(t *testing.T) {
-	run := func(workers int, p CapturePolicy) map[string]int64 {
+	run := func(workers int, opts ...Option) map[string]int64 {
 		reg := telemetry.NewRegistry()
-		lab := New(WithWorkers(workers), WithTelemetry(reg), WithCapture(p))
+		lab := New(append([]Option{WithWorkers(workers), WithTelemetry(reg)}, opts...)...)
 		if err := lab.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -139,25 +139,22 @@ func TestTelemetryCapturePolicy(t *testing.T) {
 		}
 		return vals
 	}
-	buffered := run(1, CaptureFull)
-	streamed := run(1, CaptureNone)
+	buffered := run(1, WithPcaps(newPcapSink().open))
+	streamed := run(1)
 	for name, vals := range map[string]map[string]int64{"buffered": buffered, "streaming": streamed} {
 		if got, want := vals["analysis_frames_streamed_total"], vals["delivered"]; got != want || got == 0 {
 			t.Errorf("%s study streamed %d frames, its runs delivered %d", name, got, want)
 		}
 	}
 	if buffered["analysis_frames_buffered_total"] != buffered["delivered"] {
-		t.Errorf("buffered study buffered %d frames, its runs delivered %d",
+		t.Errorf("study with a sink buffered %d frames, its runs delivered %d",
 			buffered["analysis_frames_buffered_total"], buffered["delivered"])
 	}
-	if buffered["pcapio_capture_bytes_retained"] == 0 {
-		t.Error("buffered study retains no capture bytes")
-	}
 	if streamed["analysis_frames_buffered_total"] != 0 || streamed["pcapio_capture_bytes_retained"] != 0 {
-		t.Errorf("streaming study retained capture state: buffered=%d bytes=%d",
+		t.Errorf("study without a sink retained capture state: buffered=%d bytes=%d",
 			streamed["analysis_frames_buffered_total"], streamed["pcapio_capture_bytes_retained"])
 	}
-	if par := run(6, CaptureNone); par["analysis_frames_streamed_total"] != streamed["analysis_frames_streamed_total"] {
+	if par := run(6); par["analysis_frames_streamed_total"] != streamed["analysis_frames_streamed_total"] {
 		t.Errorf("frames_streamed_total differs across workers: 1→%d, 6→%d",
 			streamed["analysis_frames_streamed_total"], par["analysis_frames_streamed_total"])
 	}
