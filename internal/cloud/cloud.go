@@ -86,9 +86,9 @@ type Cloud struct {
 	// decoder and serializes every reply through reusable layer structs
 	// into one reusable buffer, so returned reply slices are only valid
 	// until the next HandleIP call on this cloud. The router consumes
-	// replies synchronously (the switch copies frames at enqueue), which
-	// is what makes the reuse safe. Each Clone carries its own scratch,
-	// keeping concurrent experiment environments independent.
+	// replies synchronously (it frames them into the switch's arena),
+	// which is what makes the reuse safe. Each Clone carries its own
+	// scratch, keeping concurrent experiment environments independent.
 	dec    packet.Decoder
 	tx     packet.Buffer
 	ip4L   packet.IPv4
@@ -98,11 +98,9 @@ type Cloud struct {
 	ic4L   packet.ICMPv4
 	ic6L   packet.ICMPv6
 	rawL   packet.Raw
+	fillL  packet.Fill
 	layers [3]packet.SerializableLayer
-	// fill holds 0x17 bytes (TLS application data) for TCP replies; it is
-	// refilled only when it grows. ntp is the NTP reply body, zero past
-	// its mode byte.
-	fill  []byte
+	// ntp is the NTP reply body, zero past its mode byte.
 	ntp   [48]byte
 	reply [1][]byte
 	// dnsQ and dnsR are the decoded query and the reply being built, and
@@ -225,7 +223,11 @@ func (c *Cloud) Resolve(name string, qtype dnsmsg.Type) ([]dnsmsg.Record, dnsmsg
 }
 
 // HandleIP processes one raw IP packet arriving from the router's WAN side
-// and returns zero or more raw IP reply packets.
+// and returns zero or more raw IP reply packets. raw is read synchronously
+// and none of it is kept, so it may be a frame the switch recycles after
+// the call. The replies live in the cloud's scratch buffer: they are
+// valid until the next HandleIP call, and until then the caller may
+// rewrite them in place (the router's NAT44 does).
 func (c *Cloud) HandleIP(raw []byte) [][]byte {
 	p := c.dec.ParseIP(raw)
 	if p.Err != nil {
@@ -260,13 +262,14 @@ func (c *Cloud) reachable(dst netip.Addr) bool {
 
 func (c *Cloud) replyUDP(p *packet.Packet, payload []byte) [][]byte {
 	c.udpL = packet.UDP{SrcPort: p.UDP.DstPort, DstPort: p.UDP.SrcPort, Src: p.DstIP(), Dst: p.SrcIP()}
-	return c.serializeReply(p.DstIP(), p.SrcIP(), &c.udpL, payload)
+	c.rawL = payload
+	return c.serializeReply(p.DstIP(), p.SrcIP(), &c.udpL, &c.rawL)
 }
 
 // serializeReply builds one raw IP reply (src → dst wrapping l4 and an
-// optional payload) into the cloud's reusable buffer and returns it as the
-// reply set. The bytes are valid until the next HandleIP call.
-func (c *Cloud) serializeReply(src, dst netip.Addr, l4 packet.SerializableLayer, payload []byte) [][]byte {
+// optional payload layer) into the cloud's reusable buffer and returns it
+// as the reply set. The bytes are valid until the next HandleIP call.
+func (c *Cloud) serializeReply(src, dst netip.Addr, l4, payload packet.SerializableLayer) [][]byte {
 	proto := protoOf(l4)
 	var ipLayer packet.SerializableLayer
 	if src.Is4() {
@@ -277,9 +280,8 @@ func (c *Cloud) serializeReply(src, dst netip.Addr, l4 packet.SerializableLayer,
 		ipLayer = &c.ip6L
 	}
 	ls := append(c.layers[:0], ipLayer, l4)
-	if len(payload) > 0 {
-		c.rawL = payload
-		ls = append(ls, &c.rawL)
+	if payload != nil {
+		ls = append(ls, payload)
 	}
 	out, err := packet.SerializeInto(&c.tx, ls...)
 	if err != nil {
@@ -287,18 +289,6 @@ func (c *Cloud) serializeReply(src, dst netip.Addr, l4 packet.SerializableLayer,
 	}
 	c.reply[0] = out
 	return c.reply[:1]
-}
-
-// appData returns n bytes of 0x17 — what TLS application data looks like
-// on the wire — from a buffer reused across replies.
-func (c *Cloud) appData(n int) []byte {
-	if len(c.fill) < n {
-		c.fill = make([]byte, n)
-		for i := range c.fill {
-			c.fill[i] = 0x17
-		}
-	}
-	return c.fill[:n]
 }
 
 func (c *Cloud) handleDNS(p *packet.Packet) [][]byte {
@@ -347,7 +337,7 @@ func (c *Cloud) handleNTP(p *packet.Packet) [][]byte {
 // data, and FIN-ACK teardown.
 func (c *Cloud) handleTCP(p *packet.Packet) [][]byte {
 	t := p.TCP
-	mk := func(flags uint8, seq, ack uint32, payload []byte) [][]byte {
+	mk := func(flags uint8, seq, ack uint32, payload packet.SerializableLayer) [][]byte {
 		c.tcpL = packet.TCP{
 			SrcPort: t.DstPort, DstPort: t.SrcPort, Seq: seq, Ack: ack,
 			Flags: flags, Src: p.DstIP(), Dst: p.SrcIP(),
@@ -369,10 +359,12 @@ func (c *Cloud) handleTCP(p *packet.Packet) [][]byte {
 	case t.HasFlag(packet.TCPFlagFIN):
 		return mk(packet.TCPFlagFIN|packet.TCPFlagACK, t.Ack, t.Seq+1, nil)
 	case len(t.PayloadData) > 0:
-		// Acknowledge and answer with an equal-sized application payload,
-		// keeping per-destination volume proportional to what the device
-		// sent (Table 6's volume fractions count both directions).
-		return mk(packet.TCPFlagPSH|packet.TCPFlagACK, t.Ack, t.Seq+uint32(len(t.PayloadData)), c.appData(len(t.PayloadData)))
+		// Acknowledge and answer with an equal-sized payload of 0x17 —
+		// what TLS application data looks like on the wire — keeping
+		// per-destination volume proportional to what the device sent
+		// (Table 6's volume fractions count both directions).
+		c.fillL = packet.Fill{Byte: 0x17, N: len(t.PayloadData)}
+		return mk(packet.TCPFlagPSH|packet.TCPFlagACK, t.Ack, t.Seq+uint32(len(t.PayloadData)), &c.fillL)
 	}
 	return nil
 }

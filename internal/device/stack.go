@@ -44,17 +44,14 @@ type Stack struct {
 
 	port  *netsim.Port
 	clock *netsim.Clock
-	// tx is the serialization buffer every send path uses: the LAN's
-	// shared one (netsim.Network.TxBuffer), free again once Send returns.
-	tx *packet.Buffer
 	// dec parses inbound frames in place. Handlers only retain data that
 	// is independent of the frame (fresh copies and value types): the
 	// decoder is reused for the next frame, and the switch recycles the
 	// frame's bytes once its Run drains.
 	dec packet.Decoder
 	// The send path fills these reused layers and DNS buffers instead of
-	// allocating per frame: transmit serializes synchronously and the
-	// switch copies the frame, so they are free again once it returns.
+	// allocating per frame: transmit builds the frame in the switch's
+	// arena before it returns, so they are free again once it has.
 	ethL     packet.Ethernet
 	ip4L     packet.IPv4
 	ip6L     packet.IPv6
@@ -62,7 +59,7 @@ type Stack struct {
 	udpL     packet.UDP
 	rawL     packet.Raw
 	icmp6L   packet.ICMPv6
-	segL     tlsSegment
+	fillL    packet.Fill
 	dnsQ     [1]dnsmsg.Question
 	dnsReply dnsmsg.Message
 	dhcp4In  dhcp4.Message
@@ -187,33 +184,23 @@ func (c *conn) segLimit() int {
 }
 
 // tlsSegment is the window [off, end) of a connection's application
-// payload: the TLS hello bytes, then 0x17 application-data fill. It
-// serializes straight into the stack's tx buffer, so a bulk flow never
-// materialises its payload. The zero value is an empty payload.
+// payload: the TLS hello bytes, then 0x17 application-data fill. It is
+// sent as a packet.Fill, so a bulk flow never materialises its payload
+// and its checksum never reads the fill back. The zero value is an empty
+// payload.
 type tlsSegment struct {
 	hello    []byte
 	off, end int
 }
 
-// LayerType implements packet.Layer.
-func (*tlsSegment) LayerType() packet.LayerType { return packet.LayerTypePayload }
-
-// SerializeTo implements packet.SerializableLayer.
-func (sg *tlsSegment) SerializeTo(b *packet.Buffer) error {
-	region := b.Prepend(sg.end - sg.off)
-	n := 0
+// fill returns the segment as a Fill: the part of the hello it covers,
+// then 0x17 up to its end.
+func (sg tlsSegment) fill() packet.Fill {
+	var prefix []byte
 	if sg.off < len(sg.hello) {
-		n = copy(region, sg.hello[sg.off:min(sg.end, len(sg.hello))])
+		prefix = sg.hello[sg.off:min(sg.end, len(sg.hello))]
 	}
-	fill := region[n:]
-	if len(fill) > 0 {
-		// Doubling copies fill at memmove speed.
-		fill[0] = 0x17
-		for k := 1; k < len(fill); k *= 2 {
-			copy(fill[k:], fill[:k])
-		}
-	}
-	return nil
+	return packet.Fill{Prefix: prefix, Byte: 0x17, N: sg.end - sg.off - len(prefix)}
 }
 
 // NewStack builds a device stack; idx gives the device a unique MAC with a
@@ -261,7 +248,6 @@ func macFor(p *Profile, idx int) packet.MAC {
 func (s *Stack) Attach(n *netsim.Network) {
 	s.clock = n.Clock
 	s.port = n.Attach(s, s.MAC)
-	s.tx = n.TxBuffer()
 }
 
 // hashIID derives a deterministic randomized interface identifier from the
@@ -1263,14 +1249,11 @@ func (s *Stack) handleUDPProbe(p *packet.Packet) {
 
 // --- send helpers ---
 
-// transmit serializes layers into the stack's reusable tx buffer and puts
-// the frame on the wire. Serialization failures drop the frame, the same
-// policy every call site applied individually.
+// transmit builds the frame in the switch's arena and puts it on the
+// wire. Serialization failures drop the frame, the same policy every call
+// site applied individually.
 func (s *Stack) transmit(layers ...packet.SerializableLayer) {
-	frame, err := packet.SerializeInto(s.tx, layers...)
-	if err == nil {
-		s.port.Send(frame)
-	}
+	s.port.Transmit(layers...)
 }
 
 func (s *Stack) etherDstV6(dst netip.Addr) packet.MAC {
@@ -1416,6 +1399,6 @@ func (s *Stack) sendTCPTo(dstMAC packet.MAC, src, dst netip.Addr, sport, dport u
 		s.transmit(&s.ethL, ip, &s.tcpL)
 		return
 	}
-	s.segL = payload
-	s.transmit(&s.ethL, ip, &s.tcpL, &s.segL)
+	s.fillL = payload.fill()
+	s.transmit(&s.ethL, ip, &s.tcpL, &s.fillL)
 }

@@ -508,6 +508,18 @@ func (st *Study) FoldCloudMetrics() {
 	}
 }
 
+// DropCapture releases res's pcap buffer once it has been written (or
+// will never be), taking its bytes off the retained-capture gauge.
+func (st *Study) DropCapture(res *RunResult) {
+	if res.Capture == nil {
+		return
+	}
+	if st.tm != nil {
+		st.tm.captureBytes.Add(-int64(res.Capture.Bytes()))
+	}
+	res.Capture = nil
+}
+
 // Result returns the RunResult for an experiment ID, or nil.
 func (st *Study) Result(id string) *RunResult {
 	for _, r := range st.Results {

@@ -5,6 +5,9 @@
 //
 // Frames are delivered synchronously from a FIFO queue; handlers may inject
 // more frames, and Run drains the queue until the network is quiescent.
+// Hosts build each frame they send in place in the switch's frame arena
+// (Port.Transmit), so a frame's bytes are written once, on the way into
+// the queue, and read where they lie by every receiver and tap.
 // Determinism (fixed attach order, fixed queue order, simulated time) makes
 // every study run byte-for-byte reproducible.
 package netsim
@@ -63,10 +66,12 @@ type Tap interface {
 
 // Host is anything attached to the network that can receive frames.
 type Host interface {
-	// HandleFrame processes one inbound frame. It may call Port.Send to
-	// transmit in response. The frame is valid only until the Run call
-	// delivering it returns; a host that needs its bytes later (or any
-	// sub-slice of them) must copy them.
+	// HandleFrame processes one inbound frame. It may call Port.Transmit
+	// (or Port.Send) to transmit in response; the new frame is built in
+	// the arena beside the one being handled, which stays intact. The
+	// frame is valid only until the Run call delivering it returns; a host
+	// that needs its bytes later (or any sub-slice of them) must copy
+	// them.
 	HandleFrame(frame []byte)
 }
 
@@ -107,8 +112,33 @@ type Port struct {
 	index       int
 }
 
-// Send transmits a frame from this port onto the network.
-func (p *Port) Send(frame []byte) { p.net.enqueue(p.index, frame) }
+// Transmit builds the frame layers describe (layers[0] outermost, as in
+// packet.SerializeLayers) in place in the switch's frame arena and queues
+// it from this port. The layers may reference any bytes, including a
+// frame being delivered; they are read once, while the frame is built. A
+// serialization error queues nothing.
+func (p *Port) Transmit(layers ...packet.SerializableLayer) error {
+	n := p.net
+	frame, err := n.arena.Serialize(layers...)
+	if err != nil {
+		return err
+	}
+	n.queue = append(n.queue, queued{from: p.index, frame: frame})
+	if n.metrics != nil {
+		n.metrics.ArenaBytes.Add(uint64(len(frame)))
+	}
+	return nil
+}
+
+// Send transmits a copy of a ready-made frame from this port: a Transmit
+// of the frame as one Raw layer, so the caller may reuse frame as soon as
+// Send returns.
+func (p *Port) Send(frame []byte) {
+	n := p.net
+	n.send = frame
+	p.Transmit(&n.send) // a Raw layer cannot fail
+	n.send = nil
+}
 
 // Network is a single L2 broadcast domain with MAC-based delivery.
 type Network struct {
@@ -132,15 +162,14 @@ type Network struct {
 	// reordering). dropped counts frames it swallowed.
 	imp     Impairment
 	dropped int
-	// arena pools the per-frame copies enqueue makes: one chunk
+	// arena holds every queued frame, built in it by Transmit: one chunk
 	// allocation per MiB of traffic instead of one per frame. It lives
 	// for one drain: Run recycles it whenever the queue empties, so a
 	// delivered frame is valid only until its Run returns, and the arena
 	// is bounded by the largest burst rather than by the run's horizon.
 	arena packet.Arena
-	// tx is the serialization buffer the attached hosts share; see
-	// TxBuffer.
-	tx packet.Buffer
+	// send is the Raw layer Send transmits a ready-made frame through.
+	send packet.Raw
 	// metrics, when set, counts switch activity into pre-resolved
 	// telemetry instruments (plain atomic adds, no allocation).
 	metrics *Metrics
@@ -156,7 +185,7 @@ type Metrics struct {
 	Dropped *telemetry.Counter
 	// Impaired counts non-Deliver verdicts (drop, defer, duplicate).
 	Impaired *telemetry.Counter
-	// ArenaBytes counts bytes copied into the frame arena by enqueue.
+	// ArenaBytes counts the bytes of every frame built in the arena.
 	ArenaBytes *telemetry.Counter
 	// FrameBytes is the per-delivered-frame size distribution.
 	FrameBytes *telemetry.Histogram
@@ -168,7 +197,7 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		Switched:   r.Counter("netsim", "frames_switched_total", "Frames delivered by the L2 switch."),
 		Dropped:    r.Counter("netsim", "frames_dropped_total", "Frames swallowed by impairment verdicts."),
 		Impaired:   r.Counter("netsim", "frames_impaired_total", "Frames given a non-deliver impairment verdict (drop, defer, duplicate)."),
-		ArenaBytes: r.Counter("netsim", "arena_bytes_total", "Bytes copied into the zero-copy frame arena."),
+		ArenaBytes: r.Counter("netsim", "arena_bytes_total", "Bytes of the frames built in the switch's frame arena."),
 		FrameBytes: r.Histogram("netsim", "frame_bytes", "Per-delivered-frame sizes in bytes.", []uint64{64, 128, 256, 512, 1280, 1500}),
 	}
 }
@@ -223,15 +252,6 @@ func (n *Network) Reset(clock *Clock) {
 	}
 }
 
-// TxBuffer returns the serialization buffer every host on the network
-// shares. Hosts run one at a time and Send copies each frame into the
-// arena, so a host may build a frame in it right before Send and the
-// buffer is free again once Send returns. One buffer per LAN instead of
-// one per host keeps frame-building memory, and the allocations that grow
-// it, independent of how many hosts a run attaches and which of them
-// have sent a large frame before.
-func (n *Network) TxBuffer() *packet.Buffer { return &n.tx }
-
 // AddTap registers a sink that sees every frame on the wire.
 func (n *Network) AddTap(tap Tap) { n.taps = append(n.taps, tap) }
 
@@ -252,15 +272,6 @@ func (n *Network) Dropped() int { return n.dropped }
 // SetMetrics installs pre-resolved telemetry instruments on the switch;
 // nil disables instrumentation (the default).
 func (n *Network) SetMetrics(m *Metrics) { n.metrics = m }
-
-func (n *Network) enqueue(from int, frame []byte) {
-	// Copy: senders reuse their serialization buffers. The copy lands in
-	// the network's frame arena, not a fresh heap slice per frame.
-	n.queue = append(n.queue, queued{from: from, frame: n.arena.CopyIn(frame)})
-	if n.metrics != nil {
-		n.metrics.ArenaBytes.Add(uint64(len(frame)))
-	}
-}
 
 // Run delivers queued frames (and any frames handlers inject) until the
 // network is quiescent or maxFrames deliveries have occurred. It returns

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"bytes"
 	"fmt"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -245,4 +247,77 @@ func TestArenaRecycledAtQuiescence(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestTransmitBuildsInArena: Transmit builds each frame in place in the
+// switch's arena. With a small chunk size, frames stay intact across later
+// Transmits and across a chunk spill, each is cap-clipped, Send copies its
+// source, and a 32,000-byte segment costs no allocation per drain once the
+// arena has grown.
+func TestTransmitBuildsInArena(t *testing.T) {
+	n, a, b, _ := newTestNet()
+	n.arena.ChunkSize = 256
+	src, dst := netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("2001:db8::2")
+	segment := func(seq uint32, size int) []packet.SerializableLayer {
+		return []packet.SerializableLayer{
+			&packet.Ethernet{Dst: macB, Src: macA, Type: packet.EtherTypeIPv6},
+			&packet.IPv6{NextHeader: packet.IPProtocolTCP, Src: src, Dst: dst},
+			&packet.TCP{SrcPort: 40000, DstPort: 443, Seq: seq, Flags: packet.TCPFlagACK, Src: src, Dst: dst},
+			&packet.Fill{Prefix: []byte("hello"), Byte: 0x17, N: size},
+		}
+	}
+	var want [][]byte
+	for i, size := range []int{10, 100, 60, 1000, 5} { // the 1000-byte one spills
+		layers := segment(uint32(i), size)
+		w, err := packet.Serialize(layers...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, w)
+		if err := a.port.Transmit(layers...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent := []byte("copied by Send")
+	a.port.Send(frameTo(macB, macA, string(sent)))
+	want = append(want, frameTo(macB, macA, string(sent)))
+	if n.arena.Chunks() < 2 {
+		t.Fatalf("arena holds %d chunks, want a spill", n.arena.Chunks())
+	}
+	for i, q := range n.queue {
+		if !bytes.Equal(q.frame, want[i]) {
+			t.Errorf("queued frame %d differs from Serialize:\n got %x\nwant %x", i, q.frame, want[i])
+		}
+		if cap(q.frame) != len(q.frame) {
+			t.Errorf("queued frame %d has cap %d beyond its %d bytes", i, cap(q.frame), len(q.frame))
+		}
+	}
+	f := frameTo(macB, macA, "orig")
+	a.port.Send(f)
+	f[14] = 'X'
+	if _, err := n.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.received[len(b.received)-1]; string(got[14:]) != "orig" {
+		t.Errorf("Send aliased its source: %q", got[14:])
+	}
+
+	bulk := segment(0, 32000)
+	sink := &sinkHost{}
+	macD := packet.MAC{2, 0, 0, 0, 0, 4}
+	n.Attach(sink, macD)
+	bulk[0] = &packet.Ethernet{Dst: macD, Src: macA, Type: packet.EtherTypeIPv6}
+	round := func() {
+		a.port.Transmit(bulk...)
+		if _, err := n.Run(10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("a 32,000-byte segment allocates %.1f times per drain, want 0", allocs)
+	}
+	if sink.n != 22 { // AllocsPerRun adds a warm-up round
+		t.Errorf("sink received %d bulk segments, want 22", sink.n)
+	}
 }

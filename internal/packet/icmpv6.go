@@ -62,11 +62,11 @@ func (ic *ICMPv6) SerializeTo(b *Buffer) error {
 	if !ic.Src.IsValid() || !ic.Dst.IsValid() {
 		return fmt.Errorf("icmpv6: Src/Dst required for checksum")
 	}
-	b.Prepend(len(ic.Body))
-	copy(b.Bytes()[:len(ic.Body)], ic.Body)
+	copy(b.Prepend(len(ic.Body)), ic.Body)
 	hdr := b.Prepend(4)
 	hdr[0] = ic.Type
 	hdr[1] = ic.Code
+	hdr[2], hdr[3] = 0, 0
 	seg := b.Bytes()
 	binary.BigEndian.PutUint16(seg[2:4], TransportChecksum(ic.Src, ic.Dst, uint8(IPProtocolICMPv6), seg))
 	return nil
@@ -119,11 +119,11 @@ func (*ICMPv4) Payload() []byte { return nil }
 
 // SerializeTo implements SerializableLayer.
 func (ic *ICMPv4) SerializeTo(b *Buffer) error {
-	b.Prepend(len(ic.Body))
-	copy(b.Bytes()[:len(ic.Body)], ic.Body)
+	copy(b.Prepend(len(ic.Body)), ic.Body)
 	hdr := b.Prepend(4)
 	hdr[0] = ic.Type
 	hdr[1] = ic.Code
+	hdr[2], hdr[3] = 0, 0
 	binary.BigEndian.PutUint16(hdr[2:4], Checksum(b.Bytes()))
 	return nil
 }

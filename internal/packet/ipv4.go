@@ -130,6 +130,7 @@ func (ip *IPv4) SerializeTo(b *Buffer) error {
 	s, d := ip.Src.As4(), ip.Dst.As4()
 	copy(hdr[12:16], s[:])
 	copy(hdr[16:20], d[:])
+	hdr[10], hdr[11] = 0, 0
 	binary.BigEndian.PutUint16(hdr[10:12], Checksum(hdr))
 	return nil
 }

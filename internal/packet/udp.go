@@ -49,16 +49,17 @@ func (u *UDP) SerializeTo(b *Buffer) error {
 	if !u.Src.IsValid() || !u.Dst.IsValid() {
 		return fmt.Errorf("udp: Src/Dst required for checksum")
 	}
+	segLen, paySum := udpHeaderLen+b.Len(), b.contentSum()
 	hdr := b.Prepend(udpHeaderLen)
 	binary.BigEndian.PutUint16(hdr[0:2], u.SrcPort)
 	binary.BigEndian.PutUint16(hdr[2:4], u.DstPort)
-	seg := b.Bytes()
-	binary.BigEndian.PutUint16(seg[4:6], uint16(len(seg)))
-	sum := TransportChecksum(u.Src, u.Dst, uint8(IPProtocolUDP), seg)
+	binary.BigEndian.PutUint16(hdr[4:6], uint16(segLen))
+	hdr[6], hdr[7] = 0, 0
+	sum := foldChecksum(sum16(pseudoHeaderSum(u.Src, u.Dst, uint8(IPProtocolUDP), segLen), hdr) + paySum)
 	if sum == 0 {
 		sum = 0xffff
 	}
-	binary.BigEndian.PutUint16(seg[6:8], sum)
+	binary.BigEndian.PutUint16(hdr[6:8], sum)
 	return nil
 }
 
@@ -127,6 +128,7 @@ func (t *TCP) SerializeTo(b *Buffer) error {
 		return fmt.Errorf("tcp: Src/Dst required for checksum")
 	}
 	optLen := (len(t.Options) + 3) &^ 3
+	segLen, paySum := tcpHeaderLen+optLen+b.Len(), b.contentSum()
 	hdr := b.Prepend(tcpHeaderLen + optLen)
 	binary.BigEndian.PutUint16(hdr[0:2], t.SrcPort)
 	binary.BigEndian.PutUint16(hdr[2:4], t.DstPort)
@@ -139,8 +141,10 @@ func (t *TCP) SerializeTo(b *Buffer) error {
 		win = 65535
 	}
 	binary.BigEndian.PutUint16(hdr[14:16], win)
-	copy(hdr[tcpHeaderLen:], t.Options)
-	seg := b.Bytes()
-	binary.BigEndian.PutUint16(seg[16:18], TransportChecksum(t.Src, t.Dst, uint8(IPProtocolTCP), seg))
+	hdr[16], hdr[17] = 0, 0 // checksum, summed below
+	hdr[18], hdr[19] = 0, 0 // urgent pointer
+	clear(hdr[tcpHeaderLen+copy(hdr[tcpHeaderLen:], t.Options):])
+	sum := sum16(pseudoHeaderSum(t.Src, t.Dst, uint8(IPProtocolTCP), segLen), hdr) + paySum
+	binary.BigEndian.PutUint16(hdr[16:18], foldChecksum(sum))
 	return nil
 }

@@ -281,16 +281,16 @@ func TestNAT44MatchesReserialized(t *testing.T) {
 		{name: "udp-ntp", frame: func(t *testing.T, _ netip.Addr, _ uint16) []byte {
 			ntp := make([]byte, 48)
 			ntp[0] = 0x1b
-			return lanFrame(t, &packet.IPv4{Protocol: packet.IPProtocolUDP, Src: natDevIP, Dst: cloud.NTPv4},
+			return deviceFrame(t, &packet.IPv4{Protocol: packet.IPProtocolUDP, Src: natDevIP, Dst: cloud.NTPv4},
 				&packet.UDP{SrcPort: 5000, DstPort: 123, Src: natDevIP, Dst: cloud.NTPv4}, packet.Raw(ntp))
 		}},
 		{name: "udp-zero-fold", wanCk: 0xffff, frame: func(t *testing.T, _ netip.Addr, natPort uint16) []byte {
 			ntp := zeroFoldPayload(t, WANv4, cloud.NTPv4, natPort, 123)
-			return lanFrame(t, &packet.IPv4{Protocol: packet.IPProtocolUDP, Src: natDevIP, Dst: cloud.NTPv4},
+			return deviceFrame(t, &packet.IPv4{Protocol: packet.IPProtocolUDP, Src: natDevIP, Dst: cloud.NTPv4},
 				&packet.UDP{SrcPort: 5000, DstPort: 123, Src: natDevIP, Dst: cloud.NTPv4}, packet.Raw(ntp))
 		}},
 		{name: "icmpv4-echo", frame: func(t *testing.T, svc netip.Addr, _ uint16) []byte {
-			return lanFrame(t, &packet.IPv4{Protocol: packet.IPProtocolICMPv4, Src: natDevIP, Dst: svc},
+			return deviceFrame(t, &packet.IPv4{Protocol: packet.IPProtocolICMPv4, Src: natDevIP, Dst: svc},
 				&packet.ICMPv4{Type: packet.ICMPv4TypeEchoRequest, Body: []byte{0, 1, 0, 7, 'p', 'i', 'n', 'g', '!'}})
 		}},
 	}
@@ -323,8 +323,8 @@ func TestNAT44MatchesReserialized(t *testing.T) {
 				devPort = lan.TCP.SrcPort
 			}
 			wantLAN := ethFrame(t, reserialized(t, replies[0], natDst, natDevIP, devPort))
-			if !bytes.Equal(r.lanBuf, wantLAN) {
-				t.Fatalf("LAN reply differs from the reserialized reference:\n got %x\nwant %x", head(r.lanBuf), head(wantLAN))
+			if !bytes.Equal(h.raw, wantLAN) {
+				t.Fatalf("LAN reply differs from the reserialized reference:\n got %x\nwant %x", head(h.raw), head(wantLAN))
 			}
 			if p := h.last(); p == nil || p.IPv4 == nil || p.IPv4.Dst != natDevIP {
 				t.Fatalf("reply not delivered to the device: %+v", p)
@@ -335,8 +335,8 @@ func TestNAT44MatchesReserialized(t *testing.T) {
 	// A reply whose translated checksum folds to zero: the inbound
 	// rewrite must also send it as 0xffff.
 	t.Run("udp-zero-fold-reply", func(t *testing.T) {
-		_, r, _, _, _ := natSetup(t)
-		r.nat[natKey{proto: packet.IPProtocolUDP, natPort: 20001}] = natEntry{proto: packet.IPProtocolUDP, devIP: natDevIP, devPort: 5000}
+		n, r, h, _, _ := natSetup(t)
+		r.nat[natKey(packet.IPProtocolUDP, 20001)] = natEntry{devIP: natDevIP, devPort: 5000}
 		reply, err := packet.Serialize(
 			&packet.IPv4{Protocol: packet.IPProtocolUDP, Src: cloud.NTPv4, Dst: WANv4},
 			&packet.UDP{SrcPort: 123, DstPort: 20001, Src: cloud.NTPv4, Dst: WANv4},
@@ -344,19 +344,21 @@ func TestNAT44MatchesReserialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.deliverWANReplyV4(reply, devMAC, natDevIP)
+		// The reference comes first: delivery rewrites the reply in place.
 		wantLAN := ethFrame(t, reserialized(t, reply, natDst, natDevIP, 5000))
-		if !bytes.Equal(r.lanBuf, wantLAN) {
-			t.Fatalf("LAN reply differs from the reserialized reference:\n got %x\nwant %x", r.lanBuf, wantLAN)
+		r.deliverWANReplyV4(reply, devMAC, natDevIP)
+		run(t, n)
+		if !bytes.Equal(h.raw, wantLAN) {
+			t.Fatalf("LAN reply differs from the reserialized reference:\n got %x\nwant %x", h.raw, wantLAN)
 		}
-		if ck := binary.BigEndian.Uint16(r.lanBuf[14+26:]); ck != 0xffff {
+		if ck := binary.BigEndian.Uint16(h.raw[14+26:]); ck != 0xffff {
 			t.Fatalf("LAN UDP checksum = %#04x, want 0xffff", ck)
 		}
 	})
 }
 
-// lanFrame serializes an IPv4 packet from the test device to the router.
-func lanFrame(t *testing.T, layers ...packet.SerializableLayer) []byte {
+// deviceFrame serializes an IPv4 packet from the test device to the router.
+func deviceFrame(t *testing.T, layers ...packet.SerializableLayer) []byte {
 	t.Helper()
 	frame, err := packet.Serialize(append([]packet.SerializableLayer{
 		&packet.Ethernet{Dst: RouterMAC, Src: devMAC, Type: packet.EtherTypeIPv4}}, layers...)...)
@@ -379,35 +381,53 @@ func ethFrame(t *testing.T, ip []byte) []byte {
 // head trims a packet for a failure message.
 func head(b []byte) []byte { return b[:min(len(b), 80)] }
 
-// bulkNAT44 returns a router with a cloud service on its WAN, and the LAN
-// frame of a device's 32,000-byte TCP segment to that service.
-func bulkNAT44(tb testing.TB) (*netsim.Network, *Router, []byte) {
+// lastFrame is a LAN host that keeps a copy of the last frame it
+// received in a buffer it reuses.
+type lastFrame struct{ frame []byte }
+
+func (h *lastFrame) HandleFrame(frame []byte) { h.frame = append(h.frame[:0], frame...) }
+
+// bulkNAT44 returns a router with a cloud service on its WAN, the device
+// host the router's replies reach, and the LAN frame of a device's
+// 32,000-byte TCP segment to that service.
+func bulkNAT44(tb testing.TB) (*netsim.Network, *Router, *lastFrame, []byte) {
 	cl := cloud.New()
 	n := netsim.NewNetwork(netsim.NewClock(time.Date(2024, 4, 5, 0, 0, 0, 0, time.UTC)))
 	r := New(Config{IPv4: true}, cl)
 	r.Attach(n)
+	dev := &lastFrame{}
+	n.Attach(dev, devMAC)
 	svc := cl.AddDomain("svc.example", cloud.PartyFirst, false, false).V4[0]
-	return n, r, bulkSegment(tb, svc)
+	return n, r, dev, bulkSegment(tb, svc)
 }
 
-// forwardBulk hands the router one bulk segment and, once the segment and
-// its reply have crossed the NAT, recycles the switch's queue and frame
-// arena so that only the router's and cloud's work is measured.
-func forwardBulk(n *netsim.Network, r *Router, frame []byte) {
+// forwardBulk hands the router one bulk segment and delivers the reply
+// the router translated back onto the LAN; the drain recycles the
+// switch's frame arena.
+func forwardBulk(tb testing.TB, n *netsim.Network, r *Router, frame []byte) {
 	r.HandleFrame(frame)
-	n.Reset(nil)
+	if _, err := n.Run(10); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // TestNAT44BulkForwardAllocs: once the flow is mapped and the buffers have
 // grown, forwarding a 32,000-byte TCP segment and translating its reply
-// allocates nothing.
+// onto the LAN allocates nothing, and the device receives the reply the
+// reference translation builds.
 func TestNAT44BulkForwardAllocs(t *testing.T) {
-	n, r, frame := bulkNAT44(t)
-	forwardBulk(n, r, frame)
-	if len(r.lanBuf) < 32000 {
-		t.Fatalf("no bulk reply translated: %d-byte LAN frame", len(r.lanBuf))
+	n, r, dev, frame := bulkNAT44(t)
+	forwardBulk(t, n, r, frame)
+	if len(dev.frame) < 32000 {
+		t.Fatalf("no bulk reply translated: %d-byte LAN frame", len(dev.frame))
 	}
-	if allocs := testing.AllocsPerRun(50, func() { forwardBulk(n, r, frame) }); allocs != 0 {
+	lan := packet.Parse(frame)
+	replies := r.Cloud.HandleIP(reserialized(t, lan.Ethernet.PayloadData, natSrc, WANv4, r.natNext))
+	wantLAN := ethFrame(t, reserialized(t, replies[0], natDst, natDevIP, lan.TCP.SrcPort))
+	if !bytes.Equal(dev.frame, wantLAN) {
+		t.Fatalf("LAN reply differs from the reserialized reference:\n got %x\nwant %x", head(dev.frame), head(wantLAN))
+	}
+	if allocs := testing.AllocsPerRun(50, func() { forwardBulk(t, n, r, frame) }); allocs != 0 {
 		t.Fatalf("NAT44 bulk round trip allocates %.0f times, want 0", allocs)
 	}
 }
@@ -416,12 +436,12 @@ func TestNAT44BulkForwardAllocs(t *testing.T) {
 // the device's 32,000-byte segment out to the cloud and the equal-sized
 // reply back toward the LAN.
 func BenchmarkNAT44Forward(b *testing.B) {
-	n, r, frame := bulkNAT44(b)
-	forwardBulk(n, r, frame)
+	n, r, _, frame := bulkNAT44(b)
+	forwardBulk(b, n, r, frame)
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		forwardBulk(n, r, frame)
+		forwardBulk(b, n, r, frame)
 	}
 }

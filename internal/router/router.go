@@ -34,13 +34,21 @@ var (
 	RouterMAC   = packet.MAC{0x02, 0x00, 0x5e, 0x00, 0x00, 0x01}
 )
 
-type natKey struct {
-	proto   packet.IPProtocol
-	natPort uint16
+// natKey packs a NAT44 mapping's protocol and translated port into the
+// key of Router.nat.
+func natKey(proto packet.IPProtocol, natPort uint16) uint32 {
+	return uint32(proto)<<16 | uint32(natPort)
 }
 
+// flowKey packs a device flow's IPv4 address, source port and protocol
+// into the key of Router.natBack.
+func flowKey(devIP netip.Addr, devPort uint16, proto packet.IPProtocol) uint64 {
+	a := devIP.As4()
+	return uint64(binary.BigEndian.Uint32(a[:]))<<24 | uint64(devPort)<<8 | uint64(proto)
+}
+
+// natEntry is the device side of a NAT44 mapping.
 type natEntry struct {
-	proto   packet.IPProtocol
 	devIP   netip.Addr
 	devPort uint16
 }
@@ -69,22 +77,17 @@ type Router struct {
 
 	port  *netsim.Port
 	clock *netsim.Clock
-	// tx is the serialization buffer for frames the router originates:
-	// the LAN's shared one (netsim.Network.TxBuffer), free again once
-	// Send returns.
-	tx *packet.Buffer
 
 	// dec parses LAN frames; wanDec parses WAN-side replies and injected
 	// probes while a LAN parse may still be live. wanBuf is the reusable
-	// buffer for WAN-bound raw IP packets and lanBuf the one for
-	// forwarded WAN-to-LAN frames; the scratch layer structs, messages
-	// and payload buffers below back the DHCP and ND replies, so no
-	// per-packet allocation survives in steady state. All of it is
-	// single-goroutine state, like the router itself.
+	// buffer NAT44 translates WAN-bound IPv4 packets in; the scratch
+	// layer structs, messages and payload buffers below back the relayed
+	// WAN replies and the DHCP and ND replies, so no per-packet
+	// allocation survives in steady state. All of it is single-goroutine
+	// state, like the router itself.
 	dec     packet.Decoder
 	wanDec  packet.Decoder
 	wanBuf  []byte
-	lanBuf  []byte
 	ethL    packet.Ethernet
 	ip4L    packet.IPv4
 	ip6L    packet.IPv6
@@ -111,8 +114,10 @@ type Router struct {
 	// ARPTable is the IPv4 equivalent.
 	ARPTable map[netip.Addr]packet.MAC
 
-	nat     map[natKey]natEntry
-	natBack map[natEntry]uint16
+	// nat maps natKey(proto, translated port) to the device flow, and
+	// natBack maps flowKey(device flow) to its translated port.
+	nat     map[uint32]natEntry
+	natBack map[uint64]uint16
 	natNext uint16
 
 	// FW filters the IPv6 forwarding path: outbound packets establish
@@ -125,7 +130,9 @@ type Router struct {
 	// WANv6Tap, when set, observes every raw IPv6 packet the router
 	// forwards to the WAN. Returning true consumes the packet (it is not
 	// handed to the cloud) — the firewall-exposure experiment uses this
-	// to play the remote scanning vantage.
+	// to play the remote scanning vantage. raw is the IP part of the LAN
+	// frame being delivered, so the tap must read it synchronously and
+	// keep none of it.
 	WANv6Tap func(raw []byte) bool
 
 	// Faults, when set, impairs the router's own services: RA / DHCPv6 /
@@ -154,8 +161,8 @@ func New(cfg Config, cl *cloud.Cloud) *Router {
 		dhcp6Leases: make(map[string]netip.Addr),
 		Neighbors:   make(map[netip.Addr]packet.MAC),
 		ARPTable:    make(map[netip.Addr]packet.MAC),
-		nat:         make(map[natKey]natEntry),
-		natBack:     make(map[natEntry]uint16),
+		nat:         make(map[uint32]natEntry),
+		natBack:     make(map[uint64]uint16),
 		natNext:     20000,
 	}
 }
@@ -165,7 +172,6 @@ func New(cfg Config, cl *cloud.Cloud) *Router {
 func (r *Router) Attach(n *netsim.Network) {
 	r.clock = n.Clock
 	r.port = n.Attach(r, RouterMAC)
-	r.tx = n.TxBuffer()
 	if r.FW == nil {
 		r.FW = firewall.New(firewall.Open{}, n.Clock, conntrack.DefaultConfig())
 	}
@@ -247,15 +253,10 @@ func (r *Router) handleARP(p *packet.Packet) {
 		})
 }
 
-// transmit serializes layers through the router's reusable tx buffer and
-// sends the frame onto the LAN. It reports whether a frame went out.
+// transmit builds a frame in the switch's arena and sends it onto the
+// LAN. It reports whether a frame went out.
 func (r *Router) transmit(layers ...packet.SerializableLayer) bool {
-	frame, err := packet.SerializeInto(r.tx, layers...)
-	if err != nil {
-		return false
-	}
-	r.port.Send(frame)
-	return true
+	return r.port.Transmit(layers...) == nil
 }
 
 // transmitUDP wraps a UDP payload in the right IP version and Ethernet
@@ -322,9 +323,10 @@ func (r *Router) handleIPv6(p *packet.Packet) {
 }
 
 // forwardV4 NATs a LAN packet to the WAN address, hands it to the cloud,
-// and translates any replies back to the device. Translation rewrites a
-// copy of the packet in place, as a NAT does (RFC 3022 §4.2), rather than
-// rebuilding it from layers.
+// and translates any replies back to the device. Translation rewrites the
+// packet in place, as a NAT does (RFC 3022 §4.2), rather than rebuilding
+// it from layers — but in a copy: the delivered frame must stay as it
+// was, because an impairment's Duplicate delivers the same bytes again.
 func (r *Router) forwardV4(p *packet.Packet) {
 	devIP := p.IPv4.Src
 	devMAC := p.Ethernet.Src
@@ -340,15 +342,15 @@ func (r *Router) forwardV4(p *packet.Packet) {
 	default:
 		return
 	}
-	entry := natEntry{proto: proto, devIP: devIP, devPort: devPort}
+	flow := flowKey(devIP, devPort, proto)
 	var ok bool
-	if natPort, ok = r.natBack[entry]; !ok {
+	if natPort, ok = r.natBack[flow]; !ok {
 		r.natNext++
 		natPort = r.natNext
-		r.natBack[entry] = natPort
+		r.natBack[flow] = natPort
 		// Full-cone mapping: replies from any remote endpoint on the
 		// translated port reach the device.
-		r.nat[natKey{proto: proto, natPort: natPort}] = entry
+		r.nat[natKey(proto, natPort)] = natEntry{devIP: devIP, devPort: devPort}
 		r.NATTranslations++
 	}
 	ip := p.Ethernet.PayloadData
@@ -361,8 +363,9 @@ func (r *Router) forwardV4(p *packet.Packet) {
 }
 
 // deliverWANReplyV4 translates one cloud reply back to the LAN device that
-// owns its NAT port. ICMPv4 has no port, so echo replies go to devIP, the
-// source of the request being answered.
+// owns its NAT port, rewriting the reply in place in the cloud's scratch
+// buffer (Cloud.HandleIP allows it). ICMPv4 has no port, so echo replies
+// go to devIP, the source of the request being answered.
 func (r *Router) deliverWANReplyV4(raw []byte, devMAC packet.MAC, devIP netip.Addr) {
 	rp := r.wanDec.ParseIP(raw)
 	if rp.Err != nil || rp.IPv4 == nil {
@@ -377,9 +380,9 @@ func (r *Router) deliverWANReplyV4(raw []byte, devMAC packet.MAC, devIP netip.Ad
 	entry, ok := natEntry{devIP: devIP}, false
 	switch {
 	case rp.UDP != nil:
-		entry, ok = r.nat[natKey{proto: packet.IPProtocolUDP, natPort: rp.UDP.DstPort}]
+		entry, ok = r.nat[natKey(packet.IPProtocolUDP, rp.UDP.DstPort)]
 	case rp.TCP != nil:
-		entry, ok = r.nat[natKey{proto: packet.IPProtocolTCP, natPort: rp.TCP.DstPort}]
+		entry, ok = r.nat[natKey(packet.IPProtocolTCP, rp.TCP.DstPort)]
 	case rp.ICMPv4 != nil:
 		ok = true
 	}
@@ -390,9 +393,9 @@ func (r *Router) deliverWANReplyV4(raw []byte, devMAC packet.MAC, devIP netip.Ad
 	if mac.IsZero() {
 		mac = devMAC
 	}
-	frame := r.lanFrame(mac, packet.EtherTypeIPv4, raw[:ipv4HeaderLen(raw)+len(rp.IPv4.PayloadData)])
-	natRewrite(frame[14:], natDst, entry.devIP, entry.devPort)
-	r.port.Send(frame)
+	ip := raw[:ipv4HeaderLen(raw)+len(rp.IPv4.PayloadData)]
+	natRewrite(ip, natDst, entry.devIP, entry.devPort)
+	r.relay(mac, packet.EtherTypeIPv4, ip)
 }
 
 // forwardV6 routes a LAN packet to the cloud unchanged (the paper's LAN is
@@ -403,7 +406,9 @@ func (r *Router) forwardV6(p *packet.Packet) {
 	if !r.guaPrefix.Contains(p.IPv6.Src) {
 		return // sources outside the delegated prefix are not routable
 	}
-	raw := r.reserializeIPv6(p)
+	// The cloud and the WAN tap read the delivered frame's IP bytes in
+	// place; neither keeps them.
+	raw := p.Ethernet.PayloadData
 	if r.Faults != nil {
 		if mtu := r.Faults.TunnelMTU(); mtu > 0 && len(raw) > mtu {
 			r.sendPacketTooBig(p, mtu, raw)
@@ -445,7 +450,16 @@ func (r *Router) deliverWANv6(raw []byte) {
 	if !ok {
 		return
 	}
-	r.port.Send(r.lanFrame(mac, packet.EtherTypeIPv6, raw))
+	r.relay(mac, packet.EtherTypeIPv6, raw)
+}
+
+// relay frames a WAN packet for the LAN device at dst: the packet's bytes
+// are written once, straight into the switch's arena behind the router's
+// Ethernet header.
+func (r *Router) relay(dst packet.MAC, typ packet.EtherType, ip []byte) {
+	r.ethL = packet.Ethernet{Dst: dst, Src: RouterMAC, Type: typ}
+	r.rawL = ip
+	r.transmit(&r.ethL, &r.rawL)
 }
 
 // InjectWANv6 delivers an unsolicited raw IPv6 packet arriving from the
@@ -472,26 +486,6 @@ func (r *Router) sendPacketTooBig(p *packet.Packet, mtu int, raw []byte) {
 	) {
 		r.PTBSent++
 	}
-}
-
-// reserializeIPv6 strips the Ethernet header, copying the raw IP packet
-// into the router's reusable WAN buffer. The result is valid until the
-// next forwardV6; the cloud, the WAN tap, and the tunnel-clamp path all
-// consume it synchronously.
-func (r *Router) reserializeIPv6(p *packet.Packet) []byte {
-	r.wanBuf = append(r.wanBuf[:0], p.Ethernet.PayloadData...)
-	return r.wanBuf
-}
-
-// lanFrame writes a router-sourced Ethernet header for dst followed by a
-// copy of the IP packet into the router's reusable LAN buffer. The frame
-// is valid until the next lanFrame; the switch copies it at Send.
-func (r *Router) lanFrame(dst packet.MAC, typ packet.EtherType, ip []byte) []byte {
-	f := append(r.lanBuf[:0], dst[:]...)
-	f = append(f, RouterMAC[:]...)
-	f = binary.BigEndian.AppendUint16(f, uint16(typ))
-	r.lanBuf = append(f, ip...)
-	return r.lanBuf
 }
 
 // ipv4HeaderLen returns the header length (IHL) of a decoded IPv4 packet.

@@ -21,10 +21,13 @@ import (
 type scriptHost struct {
 	port *netsim.Port
 	rx   []*packet.Packet
+	// raw holds the copy of the last frame received.
+	raw []byte
 }
 
 func (h *scriptHost) HandleFrame(frame []byte) {
-	h.rx = append(h.rx, packet.Parse(append([]byte(nil), frame...)))
+	h.raw = append([]byte(nil), frame...)
+	h.rx = append(h.rx, packet.Parse(h.raw))
 }
 
 func (h *scriptHost) last() *packet.Packet {

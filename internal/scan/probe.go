@@ -12,9 +12,11 @@ import (
 )
 
 // BuildSYNv6 serializes one raw IPv6 TCP SYN probe from the scanning
-// vantage src to dst, suitable for router.InjectWANv6.
-func BuildSYNv6(src, dst netip.Addr, sport, dport uint16, seq uint32) ([]byte, error) {
-	return packet.Serialize(
+// vantage src to dst into b, suitable for router.InjectWANv6, which copies
+// it into the switch's arena before it returns: a probe loop reuses one
+// buffer for every probe. The result is valid until b is reused.
+func BuildSYNv6(b *packet.Buffer, src, dst netip.Addr, sport, dport uint16, seq uint32) ([]byte, error) {
+	return packet.SerializeInto(b,
 		&packet.IPv6{NextHeader: packet.IPProtocolTCP, HopLimit: 64, Src: src, Dst: dst},
 		&packet.TCP{SrcPort: sport, DstPort: dport, Seq: seq, Flags: packet.TCPFlagSYN, Src: src, Dst: dst})
 }

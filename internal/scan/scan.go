@@ -31,9 +31,6 @@ type Scanner struct {
 	// quoted inside ICMP unreachable bodies while dec's result is live.
 	dec      packet.Decoder
 	innerDec packet.Decoder
-	// tx is the probe serialization buffer: the LAN's shared one
-	// (netsim.Network.TxBuffer).
-	tx *packet.Buffer
 }
 
 // New creates a scanner with testbed-reserved addresses.
@@ -48,7 +45,6 @@ func New() *Scanner {
 // Attach connects the scanner to the LAN.
 func (sc *Scanner) Attach(n *netsim.Network) {
 	sc.port = n.Attach(sc, sc.MAC)
-	sc.tx = n.TxBuffer()
 	sc.found = map[netip.Addr]packet.MAC{}
 }
 
@@ -90,7 +86,7 @@ func (sc *Scanner) HandleFrame(frame []byte) {
 func (sc *Scanner) DiscoverV6(n *netsim.Network) (map[netip.Addr]packet.MAC, error) {
 	sc.found = map[netip.Addr]packet.MAC{}
 	dst := addr.AllNodesMulticast
-	frame, err := packet.SerializeInto(sc.tx,
+	err := sc.port.Transmit(
 		&packet.Ethernet{Dst: addr.MulticastMAC(dst), Src: sc.MAC, Type: packet.EtherTypeIPv6},
 		&packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: 64, Src: sc.LLA, Dst: dst},
 		&packet.ICMPv6{Type: packet.ICMPv6TypeEchoRequest, Body: []byte{0, 7, 0, 1}, Src: sc.LLA, Dst: dst},
@@ -98,7 +94,6 @@ func (sc *Scanner) DiscoverV6(n *netsim.Network) (map[netip.Addr]packet.MAC, err
 	if err != nil {
 		return nil, err
 	}
-	sc.port.Send(frame)
 	if _, err := n.Run(1 << 20); err != nil {
 		return nil, err
 	}
@@ -127,7 +122,7 @@ func (sc *Scanner) TCPScan(n *netsim.Network, target netip.Addr, mac packet.MAC,
 		} else {
 			ipLayer = &packet.IPv6{NextHeader: packet.IPProtocolTCP, Src: src, Dst: target}
 		}
-		frame, err := packet.SerializeInto(sc.tx,
+		err := sc.port.Transmit(
 			&packet.Ethernet{Dst: mac, Src: sc.MAC, Type: typ},
 			ipLayer,
 			&packet.TCP{SrcPort: uint16(50000 + i), DstPort: dport, Seq: 7, Flags: packet.TCPFlagSYN, Src: src, Dst: target},
@@ -135,7 +130,6 @@ func (sc *Scanner) TCPScan(n *netsim.Network, target netip.Addr, mac packet.MAC,
 		if err != nil {
 			return nil, err
 		}
-		sc.port.Send(frame)
 	}
 	if _, err := n.Run(1 << 20); err != nil {
 		return nil, err
@@ -166,7 +160,7 @@ func (sc *Scanner) UDPScan(n *netsim.Network, target netip.Addr, mac packet.MAC,
 		} else {
 			ipLayer = &packet.IPv6{NextHeader: packet.IPProtocolUDP, Src: src, Dst: target}
 		}
-		frame, err := packet.SerializeInto(sc.tx,
+		err := sc.port.Transmit(
 			&packet.Ethernet{Dst: mac, Src: sc.MAC, Type: typ},
 			ipLayer,
 			&packet.UDP{SrcPort: uint16(51000 + i), DstPort: dport, Src: src, Dst: target},
@@ -175,7 +169,6 @@ func (sc *Scanner) UDPScan(n *netsim.Network, target netip.Addr, mac packet.MAC,
 		if err != nil {
 			return nil, err
 		}
-		sc.port.Send(frame)
 	}
 	if _, err := n.Run(1 << 20); err != nil {
 		return nil, err

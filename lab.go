@@ -379,7 +379,7 @@ func (l *Lab) writePcaps() error {
 				err = fmt.Errorf("writing %s pcap: %w", res.Config.ID, werr)
 			}
 		}
-		res.Capture = nil
+		l.Study.DropCapture(res)
 	}
 	return err
 }

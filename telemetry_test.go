@@ -150,6 +150,10 @@ func TestTelemetryCapturePolicy(t *testing.T) {
 		t.Errorf("study with a sink buffered %d frames, its runs delivered %d",
 			buffered["analysis_frames_buffered_total"], buffered["delivered"])
 	}
+	// The sink lab wrote and dropped every capture during Run.
+	if got := buffered["pcapio_capture_bytes_retained"]; got != 0 {
+		t.Errorf("study with a sink still reports %d capture bytes retained after Run", got)
+	}
 	if streamed["analysis_frames_buffered_total"] != 0 || streamed["pcapio_capture_bytes_retained"] != 0 {
 		t.Errorf("study without a sink retained capture state: buffered=%d bytes=%d",
 			streamed["analysis_frames_buffered_total"], streamed["pcapio_capture_bytes_retained"])
