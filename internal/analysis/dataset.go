@@ -9,8 +9,10 @@ import (
 // StudyOptions.Observe: one streaming Observer per run, feeding this
 // package's extraction core at frame-delivery time.
 func Streaming() experiment.ObserverFactory {
-	return func(cfg experiment.Config, st *experiment.Study) netsim.Tap {
-		return NewObserver(cfg.ID, cfg.Mode, st.World.MACToDevice)
+	return func(cfg experiment.Config, st *experiment.Study, net *netsim.Network) netsim.Tap {
+		o := NewObserver(cfg.ID, cfg.Mode, st.World.MACToDevice)
+		o.net = net
+		return o
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"v6lab/internal/dhcp6"
 	"v6lab/internal/dnsmsg"
 	"v6lab/internal/ndp"
+	"v6lab/internal/netsim"
 	"v6lab/internal/packet"
 	"v6lab/internal/router"
 	"v6lab/internal/tlssim"
@@ -147,19 +148,22 @@ func (o *DeviceObs) markUsed(a netip.Addr, mac packet.MAC) {
 // Observer is the streaming extraction engine: it consumes frames one at
 // a time — at switch-delivery time through the netsim.Tap interface, or
 // replayed from a pcap file in the same order — parses each frame exactly
-// once through its private decoder, and accumulates the per-device
-// observations online. DNS/SNI attribution is deferred: Internet contacts
-// made before the name mapping is complete are parked per device and
-// resolved against the final IPToName map at Finalize, which reproduces
-// the two-pass semantics exactly (attribution only labels flows, it never
-// filters them; see DESIGN.md).
+// once, and accumulates the per-device observations online. DNS/SNI
+// attribution is deferred: Internet contacts made before the name mapping
+// is complete are parked per device and resolved against the final
+// IPToName map at Finalize, which reproduces the two-pass semantics
+// exactly (attribution only labels flows, it never filters them; see
+// DESIGN.md).
 //
 // An Observer is single-threaded, like the run it taps. It retains no
 // frame bytes — only extracted values — so it is safe to feed arena-backed
 // frames that the switch recycles as soon as its queue drains.
 type Observer struct {
-	obs    *ExpObs
-	dec    *packet.Decoder
+	obs *ExpObs
+	// net, when set, is the switch the observer taps, and frames are read
+	// through its shared per-delivery view; otherwise dec walks them.
+	net    *netsim.Network
+	dec    packet.Decoder
 	macMap map[packet.MAC]*device.Profile
 	final  bool
 	// answer and query are the DNS messages frames decode into, reused
@@ -167,7 +171,8 @@ type Observer struct {
 	answer, query dnsmsg.Message
 }
 
-// NewObserver returns a streaming observer for one experiment run.
+// NewObserver returns a streaming observer for one experiment run that
+// decodes every frame it is fed itself, as a pcap replay needs.
 func NewObserver(id string, mode device.Mode, macMap map[packet.MAC]*device.Profile) *Observer {
 	return &Observer{
 		obs: &ExpObs{
@@ -175,7 +180,6 @@ func NewObserver(id string, mode device.Mode, macMap map[packet.MAC]*device.Prof
 			Devices:  map[string]*DeviceObs{},
 			IPToName: map[netip.Addr]string{},
 		},
-		dec:    packet.NewDecoder(),
 		macMap: macMap,
 	}
 }
@@ -197,7 +201,12 @@ func (o *Observer) devFor(mac packet.MAC) *DeviceObs {
 // is parsed once; the timestamp is unused — analysis never reads capture
 // times — but kept for Tap compatibility.
 func (o *Observer) Add(_ time.Time, frame []byte) {
-	p := o.dec.Parse(frame)
+	var p *packet.Packet
+	if o.net != nil {
+		p = o.net.Decode(frame)
+	} else {
+		p = o.dec.Parse(frame)
+	}
 	if p.Err != nil || p.Ethernet == nil {
 		return
 	}

@@ -44,11 +44,6 @@ type Stack struct {
 
 	port  *netsim.Port
 	clock *netsim.Clock
-	// dec parses inbound frames in place. Handlers only retain data that
-	// is independent of the frame (fresh copies and value types): the
-	// decoder is reused for the next frame, and the switch recycles the
-	// frame's bytes once its Run drains.
-	dec packet.Decoder
 	// The send path fills these reused layers and DNS buffers instead of
 	// allocating per frame: transmit builds the frame in the switch's
 	// arena before it returns, so they are free again once it has.
@@ -1066,7 +1061,7 @@ func (s *Stack) HandleFrame(frame []byte) {
 	if s.asleep {
 		return
 	}
-	p := s.dec.Parse(frame)
+	p := s.port.Decode(frame)
 	if p.Ethernet == nil || p.Err != nil {
 		return
 	}

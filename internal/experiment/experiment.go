@@ -105,13 +105,14 @@ const (
 	CaptureNone
 )
 
-// ObserverFactory builds one streaming analysis tap per experiment run.
-// Factories must return taps that are independent across calls: each run
-// gets its own (runs on different workers are concurrent). The analysis
-// package owns the concrete type and its Finalize; experiment only wires
-// it onto the switch, which keeps the import direction analysis →
-// experiment.
-type ObserverFactory func(cfg Config, st *Study) netsim.Tap
+// ObserverFactory builds one streaming analysis tap per experiment run,
+// for the home network net it is attached to; the tap may decode frames
+// through net's shared per-delivery view (Network.Decode). Factories must
+// return taps that are independent across calls: each run gets its own
+// (runs on different workers are concurrent). The analysis package owns
+// the concrete type and its Finalize; experiment only wires it onto the
+// switch, which keeps the import direction analysis → experiment.
+type ObserverFactory func(cfg Config, st *Study, net *netsim.Network) netsim.Tap
 
 // RunResult captures everything one experiment produced.
 type RunResult struct {
@@ -406,7 +407,7 @@ func (st *Study) RunExperimentWith(cfg Config, pol firewall.Policy) (*RunResult,
 	// from.
 	var obs netsim.Tap
 	if st.Observe != nil {
-		obs = st.Observe(cfg, st)
+		obs = st.Observe(cfg, st, h.Net)
 		h.Net.AddTap(obs)
 	}
 	var cap *pcapio.Capture

@@ -255,10 +255,10 @@ func (h *Home) Probe(targets []TargetProbe, open func(src netip.Addr, port uint1
 	rt.WANv6Tap = col.Tap
 	defer func() { rt.WANv6Tap = nil }()
 
-	var probe packet.Buffer
+	var syn scan.SYNv6
 	for _, tgt := range targets {
 		for _, dport := range tgt.Ports {
-			raw, err := scan.BuildSYNv6(&probe, WANScannerV6, tgt.Addr, uint16(40000+sent%20000), dport, 9)
+			raw, err := syn.Build(WANScannerV6, tgt.Addr, uint16(40000+sent%20000), dport, 9)
 			if err != nil {
 				return sent, err
 			}

@@ -56,22 +56,24 @@ func (c *Clock) AdvanceTo(t time.Time) {
 // Tap consumes every frame the switch delivers, in delivery order. The
 // analysis package's streaming Observer is the analysis tap (parse at
 // delivery, retain only extracted values); a pcapio.Capture is the
-// buffering one, which pcap artifacts are written from. Tap
-// implementations must not retain data past the call: the bytes live in
-// the switch's frame arena, which is recycled as soon as Run drains the
-// queue.
+// buffering one, which pcap artifacts are written from. The frame, and
+// the decoded view Network.Decode returns for it, are read-only and live
+// only for the call: the bytes sit in the switch's frame arena, which is
+// recycled as soon as Run drains the queue, and the view is shared with
+// every other tap and host the frame reaches.
 type Tap interface {
 	Add(t time.Time, data []byte)
 }
 
 // Host is anything attached to the network that can receive frames.
 type Host interface {
-	// HandleFrame processes one inbound frame. It may call Port.Transmit
-	// (or Port.Send) to transmit in response; the new frame is built in
-	// the arena beside the one being handled, which stays intact. The
-	// frame is valid only until the Run call delivering it returns; a host
-	// that needs its bytes later (or any sub-slice of them) must copy
-	// them.
+	// HandleFrame processes one inbound frame. It decodes the frame
+	// through Port.Decode, which walks it once per delivery for every tap
+	// and host it reaches, and may call Port.Transmit (or Port.Send) to
+	// respond; the new frame is built in the arena beside the one being
+	// handled, which stays intact. The frame and its decoded view are
+	// read-only and live only for the delivery: a host must not write
+	// either, and one that needs their contents later must copy them.
 	HandleFrame(frame []byte)
 }
 
@@ -130,6 +132,9 @@ func (p *Port) Transmit(layers ...packet.SerializableLayer) error {
 	return nil
 }
 
+// Decode returns the decoded view of frame; see Network.Decode.
+func (p *Port) Decode(frame []byte) *packet.Packet { return p.net.Decode(frame) }
+
 // Send transmits a copy of a ready-made frame from this port: a Transmit
 // of the frame as one Raw layer, so the caller may reuse frame as soon as
 // Send returns.
@@ -149,10 +154,11 @@ type Network struct {
 	// instead of re-slicing so the backing array survives Reset.
 	queue []queued
 	qhead int
-	// byMAC indexes ports by hardware address for O(1) unicast delivery.
-	// dupMAC flips when two live ports share a MAC, forcing the delivery
-	// loop back to the exhaustive scan so both still receive.
-	byMAC  map[packet.MAC]*Port
+	// byMAC indexes ports by hardware address, packed by macKey, for
+	// O(1) unicast delivery. dupMAC flips when two live ports share a
+	// MAC, forcing the delivery loop back to the exhaustive scan so both
+	// still receive.
+	byMAC  map[uint64]*Port
 	dupMAC bool
 	// PerFrameDelay is how far the clock advances per delivered frame.
 	PerFrameDelay time.Duration
@@ -170,6 +176,15 @@ type Network struct {
 	arena packet.Arena
 	// send is the Raw layer Send transmits a ready-made frame through.
 	send packet.Raw
+	// cur is the frame Run is delivering (nil outside a delivery) and
+	// view its decoded form, walked by dec for the first tap or host
+	// that asks (nil until then). fresh walks any other slice.
+	cur        []byte
+	view       *packet.Packet
+	dec, fresh packet.Decoder
+	// check verifies, under the arenapoison build tag, that no tap or
+	// host writes into a frame or its decoded view.
+	check frameCheck
 	// metrics, when set, counts switch activity into pre-resolved
 	// telemetry instruments (plain atomic adds, no allocation).
 	metrics *Metrics
@@ -220,13 +235,19 @@ func (n *Network) Attach(h Host, mac packet.MAC) *Port {
 	p := &Port{net: n, host: h, MAC: mac, index: len(n.ports)}
 	n.ports = append(n.ports, p)
 	if n.byMAC == nil {
-		n.byMAC = make(map[packet.MAC]*Port)
+		n.byMAC = make(map[uint64]*Port)
 	}
-	if _, taken := n.byMAC[mac]; taken {
+	if _, taken := n.byMAC[macKey(mac)]; taken {
 		n.dupMAC = true
 	}
-	n.byMAC[mac] = p
+	n.byMAC[macKey(mac)] = p
 	return p
+}
+
+// macKey packs a MAC into the low 48 bits of a uint64, a map key the
+// runtime hashes without the variable-length path a [6]byte takes.
+func macKey(m packet.MAC) uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 | uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
 }
 
 // Reset returns the network to its just-constructed state — no ports, taps,
@@ -269,6 +290,23 @@ func (n *Network) SetImpairment(imp Impairment) { n.imp = imp }
 // Dropped reports how many frames the installed impairment swallowed.
 func (n *Network) Dropped() int { return n.dropped }
 
+// Decode returns the decoded view of frame. The frame Run is delivering
+// is walked at most once, by the first tap or host that asks; every later
+// caller in the same delivery gets the same *packet.Packet, and a host
+// that returns before decoding costs nothing. Any other slice (a frame
+// handed to HandleFrame outside Run, say) is walked fresh, never touching
+// the shared view, and its result is valid until the next such call. The
+// view is read-only and lives only for the delivery, like the frame.
+func (n *Network) Decode(frame []byte) *packet.Packet {
+	if len(frame) == 0 || len(frame) != len(n.cur) || &frame[0] != &n.cur[0] {
+		return n.fresh.Parse(frame)
+	}
+	if n.view == nil {
+		n.view = n.dec.Parse(frame)
+	}
+	return n.view
+}
+
 // SetMetrics installs pre-resolved telemetry instruments on the switch;
 // nil disables instrumentation (the default).
 func (n *Network) SetMetrics(m *Metrics) { n.metrics = m }
@@ -293,6 +331,7 @@ func (n *Network) Run(maxFrames int) (int, error) {
 	count := 0
 	for n.qhead < len(n.queue) {
 		if count >= maxFrames {
+			n.cur, n.view = nil, nil
 			return count, fmt.Errorf("netsim: frame budget %d exhausted (forwarding loop?)", maxFrames)
 		}
 		q := n.queue[n.qhead]
@@ -328,8 +367,11 @@ func (n *Network) Run(maxFrames int) (int, error) {
 			n.metrics.Switched.Inc()
 			n.metrics.FrameBytes.Observe(uint64(len(q.frame)))
 		}
+		n.cur, n.view = q.frame, nil
+		n.checkBegin(q.frame)
 		for _, tap := range n.taps {
 			tap.Add(n.Clock.Now(), q.frame)
+			n.checkTap(q.frame, tap)
 		}
 		dst := frameDst(q.frame)
 		switch {
@@ -340,20 +382,25 @@ func (n *Network) Run(maxFrames int) (int, error) {
 				}
 				if p.Promiscuous || dst == p.MAC || dst.IsMulticast() || dst == packet.BroadcastMAC {
 					p.host.HandleFrame(q.frame)
+					n.checkHost(q.frame, p)
 				}
 			}
 		case dst.IsMulticast() || dst == packet.BroadcastMAC:
 			for _, p := range n.ports {
 				if p.index != q.from {
 					p.host.HandleFrame(q.frame)
+					n.checkHost(q.frame, p)
 				}
 			}
 		default:
-			if p := n.byMAC[dst]; p != nil && p.index != q.from {
+			if p := n.byMAC[macKey(dst)]; p != nil && p.index != q.from {
 				p.host.HandleFrame(q.frame)
+				n.checkHost(q.frame, p)
 			}
 		}
+		n.checkDelivery(q.frame, q.from)
 	}
+	n.cur, n.view = nil, nil
 	n.queue = n.queue[:0]
 	n.qhead = 0
 	n.arena.Reset()

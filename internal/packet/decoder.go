@@ -6,14 +6,17 @@ import "fmt"
 // layer type plus a single Packet whose Layers slice is backed by a fixed
 // array, and Parse/ParseIP fill those in place. It is the package's only
 // layer walk: the package-level Parse/ParseIP wrap a fresh Decoder per
-// call, and every steady-state parse site (device stacks, the router, the
-// cloud, the analysis pipeline, the scanner) owns one instead.
+// call. On the LAN the switch owns the one Decoder every delivered frame
+// is walked by, and shares the result with each tap and host the frame
+// reaches (netsim.Network.Decode); the sites that parse other bytes (the
+// router's WAN side, the cloud, the scanner's quoted packets, a pcap
+// replay) own one each.
 //
 // The returned *Packet and every layer it points to are overwritten by the
 // next Parse/ParseIP call on the same Decoder, so callers must not retain
-// the Packet or any layer struct across calls. Retaining slices the layers
-// expose (payload views into the frame) is governed by the frame's own
-// lifetime.
+// the Packet or any layer struct across calls; a shared result is also
+// read-only. Retaining slices the layers expose (payload views into the
+// frame) is governed by the frame's own lifetime.
 //
 // A Decoder is not safe for concurrent use; give each goroutine-confined
 // owner its own.

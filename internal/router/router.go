@@ -78,14 +78,13 @@ type Router struct {
 	port  *netsim.Port
 	clock *netsim.Clock
 
-	// dec parses LAN frames; wanDec parses WAN-side replies and injected
-	// probes while a LAN parse may still be live. wanBuf is the reusable
-	// buffer NAT44 translates WAN-bound IPv4 packets in; the scratch
-	// layer structs, messages and payload buffers below back the relayed
-	// WAN replies and the DHCP and ND replies, so no per-packet
-	// allocation survives in steady state. All of it is single-goroutine
-	// state, like the router itself.
-	dec     packet.Decoder
+	// LAN frames are decoded through the port; wanDec parses WAN-side
+	// replies and injected probes while a LAN view may still be live.
+	// wanBuf is the reusable buffer NAT44 translates WAN-bound IPv4
+	// packets in; the scratch layer structs, messages and payload
+	// buffers below back the relayed WAN replies and the DHCP and ND
+	// replies, so no per-packet allocation survives in steady state. All
+	// of it is single-goroutine state, like the router itself.
 	wanDec  packet.Decoder
 	wanBuf  []byte
 	ethL    packet.Ethernet
@@ -210,7 +209,7 @@ func (r *Router) Renumber(p netip.Prefix) {
 
 // HandleFrame implements netsim.Host.
 func (r *Router) HandleFrame(frame []byte) {
-	p := r.dec.Parse(frame)
+	p := r.port.Decode(frame)
 	if p.Ethernet == nil {
 		return
 	}

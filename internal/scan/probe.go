@@ -11,14 +11,22 @@ import (
 	"v6lab/internal/packet"
 )
 
-// BuildSYNv6 serializes one raw IPv6 TCP SYN probe from the scanning
-// vantage src to dst into b, suitable for router.InjectWANv6, which copies
-// it into the switch's arena before it returns: a probe loop reuses one
-// buffer for every probe. The result is valid until b is reused.
-func BuildSYNv6(b *packet.Buffer, src, dst netip.Addr, sport, dport uint16, seq uint32) ([]byte, error) {
-	return packet.SerializeInto(b,
-		&packet.IPv6{NextHeader: packet.IPProtocolTCP, HopLimit: 64, Src: src, Dst: dst},
-		&packet.TCP{SrcPort: sport, DstPort: dport, Seq: seq, Flags: packet.TCPFlagSYN, Src: src, Dst: dst})
+// SYNv6 builds raw IPv6 TCP SYN probes. It keeps the layer structs and the
+// buffer every probe is serialized from, so a probe loop allocates nothing
+// per probe.
+type SYNv6 struct {
+	buf packet.Buffer
+	ip  packet.IPv6
+	tcp packet.TCP
+}
+
+// Build serializes one probe from the scanning vantage src to dst,
+// suitable for router.InjectWANv6, which copies it into the switch's arena
+// before it returns. The result is valid until the next Build.
+func (s *SYNv6) Build(src, dst netip.Addr, sport, dport uint16, seq uint32) ([]byte, error) {
+	s.ip = packet.IPv6{NextHeader: packet.IPProtocolTCP, HopLimit: 64, Src: src, Dst: dst}
+	s.tcp = packet.TCP{SrcPort: sport, DstPort: dport, Seq: seq, Flags: packet.TCPFlagSYN, Src: src, Dst: dst}
+	return packet.SerializeInto(&s.buf, &s.ip, &s.tcp)
 }
 
 // Collector plays the scanner's WAN endpoint. Wire Tap as the router's

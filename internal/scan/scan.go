@@ -27,9 +27,8 @@ type Scanner struct {
 	rst    map[uint16]bool
 	icmpUn map[uint16]bool
 
-	// dec parses inbound frames; innerDec parses the invoking packet
-	// quoted inside ICMP unreachable bodies while dec's result is live.
-	dec      packet.Decoder
+	// innerDec parses the invoking packet quoted inside ICMP unreachable
+	// bodies while the port's view of the frame is live.
 	innerDec packet.Decoder
 }
 
@@ -50,7 +49,7 @@ func (sc *Scanner) Attach(n *netsim.Network) {
 
 // HandleFrame implements netsim.Host.
 func (sc *Scanner) HandleFrame(frame []byte) {
-	p := sc.dec.Parse(frame)
+	p := sc.port.Decode(frame)
 	if p.Err != nil || p.Ethernet == nil {
 		return
 	}

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 	"time"
@@ -146,5 +147,35 @@ func TestScanEmptyNetwork(t *testing.T) {
 	}
 	if len(open) != 0 {
 		t.Errorf("open ports on absent host: %v", open)
+	}
+}
+
+// TestSYNv6 builds the same bytes as serializing the probe's layers afresh,
+// and a probe loop's builder allocates nothing per SYN.
+func TestSYNv6(t *testing.T) {
+	src, dst := netip.MustParseAddr("2001:db8:ffff::5ca9"), netip.MustParseAddr("2001:db8::42")
+	var syn SYNv6
+	for i, dport := range []uint16{22, 443, 8080} {
+		got, err := syn.Build(src, dst, uint16(40000+i), dport, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := packet.Serialize(
+			&packet.IPv6{NextHeader: packet.IPProtocolTCP, HopLimit: 64, Src: src, Dst: dst},
+			&packet.TCP{SrcPort: uint16(40000 + i), DstPort: dport, Seq: 9, Flags: packet.TCPFlagSYN, Src: src, Dst: dst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("probe %d:\n got %x\nwant %x", i, got, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := syn.Build(src, dst, 40000, 443, 9); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Build allocates %.1f times per SYN, want 0", allocs)
 	}
 }
