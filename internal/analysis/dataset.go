@@ -16,6 +16,16 @@ func Streaming() experiment.ObserverFactory {
 	}
 }
 
+// Finalize returns the finished observations of the observer a run
+// streamed its frames into (see Observer.Finalize).
+func Finalize(res *experiment.RunResult) *ExpObs {
+	o, ok := res.Observed.(*Observer)
+	if !ok {
+		panic("analysis: experiment " + res.Config.ID + " ran without an observer; build the study with StudyOptions.Observe = analysis.Streaming()")
+	}
+	return o.Finalize(res.Functional)
+}
+
 // FromStudy finalizes the observer every experiment of a Study streamed
 // its frames into and assembles the Dataset the table derivations
 // consume, including each experiment group's per-device union (see
@@ -29,11 +39,7 @@ func FromStudy(st *experiment.Study) *Dataset {
 		Exps:       make([]*ExpObs, len(st.Results)),
 	}
 	for i, res := range st.Results {
-		o, ok := res.Observed.(*Observer)
-		if !ok {
-			panic("analysis: experiment " + res.Config.ID + " ran without an observer; build the study with StudyOptions.Observe = analysis.Streaming()")
-		}
-		ds.Exps[i] = o.Finalize(res.Functional)
+		ds.Exps[i] = Finalize(res)
 	}
 	for name, r := range st.ActiveDNS {
 		ds.ActiveAAAA[name] = r.HasAAAA

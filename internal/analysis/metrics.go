@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"maps"
 	"slices"
 	"sort"
 
@@ -28,6 +29,9 @@ type Dataset struct {
 	// views holds each group's per-device union, indexed by Group. Groups
 	// that select the same experiments share one map.
 	views [AllRuns + 1]map[string]*DeviceObs
+	// names is the dataset's name table: the first experiment's, extended
+	// by the names the others add. The views' name sets index it.
+	names []string
 	// cat maps a device name to its column in paper.CategoryOrder.
 	cat map[string]int
 }
@@ -45,8 +49,7 @@ const (
 	AllRuns         = V4Only | V6Enabled
 )
 
-// zeroObs is what a device no run of a group observed reads as; its nil
-// maps read as empty.
+// zeroObs is what a device no run of a group observed reads as.
 var zeroObs DeviceObs
 
 // Device returns the device's observations unioned over the group's
@@ -59,35 +62,44 @@ func (ds *Dataset) Device(g Group, name string) *DeviceObs {
 	return &zeroObs
 }
 
-// buildViews fills ds.views and ds.cat. A group's view is folded under
-// the modes it shares with the dataset's experiments, so groups that
-// select the same experiments fold one union: in a one-experiment fleet
-// home, every group holding that experiment's mode reads the same map.
+// halves splits the two-mode groups, the lower mode first.
+var halves = map[Group][2]Group{V6Enabled: {V6Only, DualStack}, AllRuns: {V4Only, V6Enabled}}
+
+// buildViews fills ds.names, ds.views and ds.cat. A group's view is folded
+// under the modes it shares with the dataset's experiments, so groups that
+// select the same experiments fold one union. The first experiment's
+// observations are read in place, since its IDs are the dataset's; every
+// other experiment is moved onto the dataset's name table once. A view of
+// one mode folds its experiments in order, and a view of one experiment is
+// that experiment's observations, so a one-experiment fleet home folds
+// nothing. A two-mode group merges its halves' views: for experiments in
+// mode order, as Exps holds them, that is the fold in experiment order.
 func (ds *Dataset) buildViews() {
 	var present Group
 	for _, e := range ds.Exps {
 		present |= 1 << e.Mode
 	}
+	exps := ds.remap()
 	for _, g := range []Group{V4Only, V6Only, DualStack, V6Enabled, AllRuns} {
 		key := g & present
-		if ds.views[key] == nil {
-			v := map[string]*DeviceObs{}
-			for _, e := range ds.Exps {
-				if key&(1<<e.Mode) == 0 {
-					continue
-				}
-				for name, d := range e.Devices {
-					out := v[name]
-					if out == nil {
-						out = newDeviceObs(&device.Profile{Name: d.Name, Category: d.Category}, d.MAC)
-						v[name] = out
-					}
-					out.union(d)
+		if ds.views[key] != nil {
+			ds.views[g] = ds.views[key]
+			continue
+		}
+		var v map[string]*DeviceObs
+		if h, ok := halves[g]; ok {
+			v = mergeViews(ds.views[h[0]], ds.views[h[1]])
+		} else {
+			for i, e := range ds.Exps {
+				if key&(1<<e.Mode) != 0 {
+					v = mergeViews(v, exps[i])
 				}
 			}
-			ds.views[key] = v
 		}
-		ds.views[g] = ds.views[key]
+		if v == nil {
+			v = map[string]*DeviceObs{}
+		}
+		ds.views[key], ds.views[g] = v, v
 	}
 	ds.cat = make(map[string]int, len(ds.Profiles))
 	for _, p := range ds.Profiles {
@@ -95,48 +107,98 @@ func (ds *Dataset) buildViews() {
 	}
 }
 
-// union folds one experiment's observations of the device into o. Folded
-// in experiment order, the first experiment's MAC wins (o is created with
-// it), the last valid stateful lease wins, and byte counts sum.
-func (o *DeviceObs) union(d *DeviceObs) {
-	o.NDP = o.NDP || d.NDP
-	for a, k := range d.Assigned {
-		o.Assigned[a] = k
+// remap builds ds.names, the first experiment's table extended by the
+// names the others add, and returns every experiment's observations over
+// it: the first experiment's as they are, the others' with their name
+// sets moved onto the dataset's IDs.
+func (ds *Dataset) remap() []map[string]*DeviceObs {
+	out := make([]map[string]*DeviceObs, len(ds.Exps))
+	if len(ds.Exps) == 0 {
+		return out
 	}
-	for a := range d.Used {
-		o.Used[a] = true
+	out[0] = ds.Exps[0].Devices
+	ds.names = slices.Clip(ds.Exps[0].names) // appends must not reach the experiment's table
+	index := make(map[string]uint32, len(ds.names))
+	for i, n := range ds.names {
+		index[n] = uint32(i)
 	}
-	for a := range d.DADProbed {
-		o.DADProbed[a] = true
+	for i, e := range ds.Exps[1:] {
+		ids := make([]uint32, len(e.names))
+		for j, n := range e.names {
+			id, ok := index[n]
+			if !ok {
+				id = uint32(len(ds.names))
+				index[n] = id
+				ds.names = append(ds.names, n)
+			}
+			ids[j] = id
+		}
+		v := make(map[string]*DeviceObs, len(e.Devices))
+		for name, d := range e.Devices {
+			m := *d
+			for _, set := range []*[]key{&m.queries, &m.responses, &m.flows, &m.eui64DNS, &m.eui64Data} {
+				*set = remapped(*set, ids)
+			}
+			v[name] = &m
+		}
+		out[i+1] = v
 	}
+	return out
+}
+
+// remapped moves a set's names onto another table; ids maps the IDs.
+func remapped(set []key, ids []uint32) []key {
+	out := make([]key, len(set))
+	for i, k := range set {
+		out[i] = mkkey(ids[k.name()], k.typ(), k.v6())
+	}
+	return sorted(out)
+}
+
+// mergeViews returns the per-device union of two views, a's experiments
+// running before b's. A device only one side saw is that side's
+// observations, read in place; a nil a yields b itself.
+func mergeViews(a, b map[string]*DeviceObs) map[string]*DeviceObs {
+	if a == nil {
+		return b
+	}
+	v := maps.Clone(a)
+	for name, d := range b {
+		if o := v[name]; o != nil {
+			d = o.merge(d)
+		}
+		v[name] = d
+	}
+	return v
+}
+
+// merge returns the union of two observations of a device, o's
+// experiments running before d's: o's MAC wins, d's stateful lease wins
+// when valid, byte counts sum, and every set is the union of both.
+func (o *DeviceObs) merge(d *DeviceObs) *DeviceObs {
+	m := *o
+	m.NDP = o.NDP || d.NDP
 	if d.StatefulLease.IsValid() {
-		o.StatefulLease = d.StatefulLease
+		m.StatefulLease = d.StatefulLease
 	}
-	o.StatelessDHCPv6 = o.StatelessDHCPv6 || d.StatelessDHCPv6
-	o.StatefulDHCPv6 = o.StatefulDHCPv6 || d.StatefulDHCPv6
-	for k := range d.Queries {
-		o.Queries[k] = true
-	}
-	for k := range d.Responses {
-		o.Responses[k] = true
-	}
-	for k := range d.InternetFlows {
-		o.InternetFlows[k] = true
-	}
-	o.LocalV6Data = o.LocalV6Data || d.LocalV6Data
-	o.InternetV6 = o.InternetV6 || d.InternetV6
-	o.InternetV4 = o.InternetV4 || d.InternetV4
-	o.BytesV4 += d.BytesV4
-	o.BytesV6 += d.BytesV6
-	o.EUI64DNS = o.EUI64DNS || d.EUI64DNS
-	o.EUI64Data = o.EUI64Data || d.EUI64Data
-	o.EUI64GUAUsed = o.EUI64GUAUsed || d.EUI64GUAUsed
-	for n := range d.EUI64DNSNames {
-		o.EUI64DNSNames[n] = true
-	}
-	for n := range d.EUI64DataDomains {
-		o.EUI64DataDomains[n] = true
-	}
+	m.StatelessDHCPv6 = o.StatelessDHCPv6 || d.StatelessDHCPv6
+	m.StatefulDHCPv6 = o.StatefulDHCPv6 || d.StatefulDHCPv6
+	m.LocalV6Data = o.LocalV6Data || d.LocalV6Data
+	m.InternetV6 = o.InternetV6 || d.InternetV6
+	m.InternetV4 = o.InternetV4 || d.InternetV4
+	m.BytesV4 += d.BytesV4
+	m.BytesV6 += d.BytesV6
+	m.EUI64DNS = o.EUI64DNS || d.EUI64DNS
+	m.EUI64Data = o.EUI64Data || d.EUI64Data
+	m.EUI64GUAUsed = o.EUI64GUAUsed || d.EUI64GUAUsed
+	m.queries, m.responses, m.flows = union(o.queries, d.queries), union(o.responses, d.responses), union(o.flows, d.flows)
+	m.eui64DNS, m.eui64Data = union(o.eui64DNS, d.eui64DNS), union(o.eui64Data, d.eui64Data)
+	m.Assigned = unionFunc(o.Assigned, d.Assigned, func(x, y AddrObs) int { return x.Addr.Compare(y.Addr) },
+		func(x, y AddrObs) AddrObs {
+			x.Used, x.Probed = x.Used || y.Used, x.Probed || y.Probed
+			return x
+		})
+	return &m
 }
 
 // BaselineV6Only returns the first IPv6-only run (the functionality
@@ -225,12 +287,10 @@ func (ds *Dataset) Table4() Delta {
 		return out
 	}
 	return Delta{
-		NDP:  diff(func(d *DeviceObs) bool { return d.NDP }),
-		Addr: diff(func(d *DeviceObs) bool { return len(d.Assigned) > 0 }),
-		GUA:  diff(func(d *DeviceObs) bool { return d.HasAddr(addr.KindGUA) }),
-		AAAAReq: diff(func(d *DeviceObs) bool {
-			return d.QueriedAAAA(nil)
-		}),
+		NDP:          diff(func(d *DeviceObs) bool { return d.NDP }),
+		Addr:         diff(func(d *DeviceObs) bool { return len(d.Assigned) > 0 }),
+		GUA:          diff(func(d *DeviceObs) bool { return d.HasAddr(addr.KindGUA) }),
+		AAAAReq:      diff(func(d *DeviceObs) bool { return d.QueriedAAAA(nil) }),
 		AAAAResp:     diff(func(d *DeviceObs) bool { return d.GotAAAAResponse(nil) }),
 		InternetData: diff(func(d *DeviceObs) bool { return d.InternetV6 }),
 	}
@@ -245,17 +305,17 @@ type Features struct {
 	V6Trans, InternetTrans, LocalTrans paper.Vec
 }
 
-// featurePreds lists the Table 5 rows as named predicates over the
-// v6-enabled view (also reused by the Table 8/12 groupings).
-func featurePreds() []struct {
+// feature is a Table 5 row: a named predicate over the v6-enabled view.
+type feature struct {
 	Name string
 	Pred func(*DeviceObs) bool
-} {
+}
+
+// featurePreds lists the Table 5 rows (also reused by the Table 8/12
+// groupings).
+func featurePreds() []feature {
 	no := false
-	return []struct {
-		Name string
-		Pred func(*DeviceObs) bool
-	}{
+	return []feature{
 		{"IPv6 Addr", func(d *DeviceObs) bool { return len(d.Assigned) > 0 }},
 		{"Stateful DHCPv6", func(d *DeviceObs) bool { return d.StatefulDHCPv6 }},
 		{"GUA", func(d *DeviceObs) bool { return d.HasAddr(addr.KindGUA) }},
@@ -291,39 +351,32 @@ func (ds *Dataset) Table5() Features {
 }
 
 func hasEUI64Addr(d *DeviceObs) bool {
-	for a := range d.Assigned {
-		if addr.EUI64MatchesMAC(a, d.MAC) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(d.Assigned, func(a AddrObs) bool { return addr.EUI64MatchesMAC(a.Addr, d.MAC) })
 }
 
 // aOnlyInV6: the device queried some name with only A (never AAAA) over
 // the v6 resolver.
-func aOnlyInV6(d *DeviceObs) bool {
-	for k := range d.Queries {
-		if k.OverV6 && k.Type == dnsmsg.TypeA {
-			if !d.Queries[QueryKey{Name: k.Name, Type: dnsmsg.TypeAAAA, OverV6: true}] {
-				return true
-			}
-		}
-	}
-	return false
+func aOnlyInV6(d *DeviceObs) bool { return slices.ContainsFunc(d.queries, d.aOnlyV6) }
+
+// aOnlyV6 reports an A question over the v6 resolver for a name the
+// device never asked AAAA for over it.
+func (d *DeviceObs) aOnlyV6(k key) bool {
+	return k.v6() && k.typ() == dnsmsg.TypeA && !has(d.queries, mkkey(k.name(), dnsmsg.TypeAAAA, true))
 }
 
+// v4OnlyAAAA reports an AAAA question for a name the device never asked
+// AAAA for over the v6 resolver.
+func (d *DeviceObs) v4OnlyAAAA(k key) bool {
+	return isAAAA(k) && !has(d.queries, mkkey(k.name(), dnsmsg.TypeAAAA, true))
+}
+
+func isAAAA(k key) bool { return k.typ() == dnsmsg.TypeAAAA }
+
 func aaaaReqNoRes(d *DeviceObs) bool {
-	for k := range d.Queries {
-		if k.Type != dnsmsg.TypeAAAA {
-			continue
-		}
-		answered := d.Responses[QueryKey{Name: k.Name, Type: dnsmsg.TypeAAAA, OverV6: true}] ||
-			d.Responses[QueryKey{Name: k.Name, Type: dnsmsg.TypeAAAA, OverV6: false}]
-		if !answered {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(d.queries, func(k key) bool {
+		return isAAAA(k) && !has(d.responses, mkkey(k.name(), dnsmsg.TypeAAAA, true)) &&
+			!has(d.responses, mkkey(k.name(), dnsmsg.TypeAAAA, false))
+	})
 }
 
 // --- Table 6: inventories ---
@@ -344,46 +397,15 @@ func (ds *Dataset) Table6() Inventory {
 	for _, p := range ds.Profiles {
 		ci := ds.cat[p.Name]
 		d := ds.Device(V6Enabled, p.Name)
-		for a, k := range d.Assigned {
-			if a == d.StatefulLease {
-				continue // IA_NA leases are server-assigned, not SLAAC
-			}
-			switch k {
-			case addr.KindGUA:
-				inv.GUAs[ci]++
-			case addr.KindULA:
-				inv.ULAs[ci]++
-			case addr.KindLLA:
-				inv.LLAs[ci]++
-			}
-			inv.Addrs[ci]++
-		}
-		names := map[string]bool{}
-		aOnly := map[string]bool{}
-		v4Only := map[string]bool{}
-		res := map[string]bool{}
-		for k := range d.Queries {
-			switch k.Type {
-			case dnsmsg.TypeAAAA:
-				names[k.Name] = true
-				if !d.Queries[QueryKey{Name: k.Name, Type: dnsmsg.TypeAAAA, OverV6: true}] {
-					v4Only[k.Name] = true
-				}
-			case dnsmsg.TypeA:
-				if k.OverV6 && !d.Queries[QueryKey{Name: k.Name, Type: dnsmsg.TypeAAAA, OverV6: true}] {
-					aOnly[k.Name] = true
-				}
-			}
-		}
-		for k := range d.Responses {
-			if k.Type == dnsmsg.TypeAAAA {
-				res[k.Name] = true
-			}
-		}
-		inv.AAAAReqNames[ci] += len(names)
-		inv.AOnlyV6Names[ci] += len(aOnly)
-		inv.V4OnlyAAAANames[ci] += len(v4Only)
-		inv.AAAARes[ci] += len(res)
+		n, total := d.slaac()
+		inv.GUAs[ci] += n[addr.KindGUA]
+		inv.ULAs[ci] += n[addr.KindULA]
+		inv.LLAs[ci] += n[addr.KindLLA]
+		inv.Addrs[ci] += total
+		inv.AAAAReqNames[ci] += countNames(d.queries, isAAAA)
+		inv.AOnlyV6Names[ci] += countNames(d.queries, d.aOnlyV6)
+		inv.V4OnlyAAAANames[ci] += countNames(d.queries, d.v4OnlyAAAA)
+		inv.AAAARes[ci] += countNames(d.responses, isAAAA)
 	}
 	// Volume fractions from the dual-stack runs.
 	var v6, all [paper.NumCategories]float64
@@ -420,21 +442,11 @@ func (ds *Dataset) Figure3() CDFs {
 	var out CDFs
 	for _, p := range ds.Profiles {
 		d := ds.Device(V6Enabled, p.Name)
-		n := len(d.Assigned)
-		if _, ok := d.Assigned[d.StatefulLease]; ok {
-			n-- // server-assigned lease, outside the SLAAC inventory
-		}
-		if n > 0 {
+		if _, n := d.slaac(); n > 0 {
 			out.AddrsPerDevice = append(out.AddrsPerDevice, n)
 		}
-		names := map[string]bool{}
-		for k := range d.Queries {
-			if k.Type == dnsmsg.TypeAAAA {
-				names[k.Name] = true
-			}
-		}
-		if len(names) > 0 {
-			out.AAAANamesPerDevice = append(out.AAAANamesPerDevice, len(names))
+		if names := countNames(d.queries, isAAAA); names > 0 {
+			out.AAAANamesPerDevice = append(out.AAAANamesPerDevice, names)
 		}
 	}
 	sort.Ints(out.AddrsPerDevice)

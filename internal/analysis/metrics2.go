@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"sort"
+	"strconv"
+	"strings"
 
 	"v6lab/internal/addr"
 	"v6lab/internal/cloud"
@@ -28,15 +30,19 @@ func (r Readiness) Pct() float64 {
 	return 100 * float64(r.AAAA) / float64(r.Domains)
 }
 
-// deviceDomains returns every destination name a device used across all
-// experiments (DNS queries plus contacted destinations).
-func (ds *Dataset) deviceDomains(name string) map[string]bool {
-	d := ds.Device(AllRuns, name)
-	out := d.AllDNSNames()
-	for fk := range d.InternetFlows {
-		out[fk.Domain] = true
+// domains returns the sorted IDs of every destination name d shows: its
+// non-local DNS questions and its contacted destinations.
+func (ds *Dataset) domains(d *DeviceObs) []uint32 {
+	var out []uint32
+	for _, k := range d.queries {
+		if !strings.HasSuffix(ds.names[k.name()], ".local") {
+			out = append(out, k.name())
+		}
 	}
-	return out
+	for _, f := range d.flows {
+		out = append(out, f.name())
+	}
+	return sorted(out)
 }
 
 // Table7 computes AAAA readiness by category, split functional versus
@@ -44,62 +50,47 @@ func (ds *Dataset) deviceDomains(name string) map[string]bool {
 // minDevices devices.
 func (ds *Dataset) Table7(minDevices int) (funcRows, nonFuncRows []Readiness, mfrFunc, mfrNonFunc []Readiness) {
 	base := ds.BaselineV6Only()
-	type agg struct{ devices, domains, aaaa int }
-	catAgg := map[string]map[bool]*agg{}
-	mfrAgg := map[string]map[bool]*agg{}
-	get := func(m map[string]map[bool]*agg, key string, functional bool) *agg {
-		if m[key] == nil {
-			m[key] = map[bool]*agg{true: {}, false: {}}
-		}
-		return m[key][functional]
+	type group struct {
+		name       string
+		functional bool
 	}
+	cats, mfrs := map[group]*Readiness{}, map[group]*Readiness{}
+	add := func(m map[group]*Readiness, g group, domains, aaaa int) {
+		if m[g] == nil {
+			m[g] = &Readiness{Group: g.name}
+		}
+		m[g].Devices++
+		m[g].Domains += domains
+		m[g].AAAA += aaaa
+	}
+	var names []string
 	for _, p := range ds.Profiles {
 		functional := base != nil && base.Functional[p.Name]
-		domains := ds.deviceDomains(p.Name)
+		domains := ds.domains(ds.Device(AllRuns, p.Name))
 		na := 0
-		for n := range domains {
-			if ds.ActiveAAAA[n] {
+		for _, id := range domains {
+			if ds.ActiveAAAA[ds.names[id]] {
 				na++
 			}
 		}
-		for _, a := range []*agg{get(catAgg, string(p.Category), functional), get(mfrAgg, p.Manufacturer, functional)} {
-			a.devices++
-			a.domains += len(domains)
-			a.aaaa += na
-		}
+		add(cats, group{string(p.Category), functional}, len(domains), na)
+		add(mfrs, group{p.Manufacturer, functional}, len(domains), na)
+		names = append(names, p.Manufacturer)
 	}
 	for _, c := range paper.CategoryOrder {
-		for _, functional := range []bool{true, false} {
-			a := get(catAgg, c, functional)
-			if a.devices == 0 {
-				continue
-			}
-			row := Readiness{Group: c, Devices: a.devices, Domains: a.domains, AAAA: a.aaaa}
-			if functional {
-				funcRows = append(funcRows, row)
-			} else {
-				nonFuncRows = append(nonFuncRows, row)
-			}
+		if r := cats[group{c, true}]; r != nil {
+			funcRows = append(funcRows, *r)
+		}
+		if r := cats[group{c, false}]; r != nil {
+			nonFuncRows = append(nonFuncRows, *r)
 		}
 	}
-	var mfrs []string
-	for m := range mfrAgg {
-		mfrs = append(mfrs, m)
-	}
-	sort.Strings(mfrs)
-	for _, m := range mfrs {
-		for _, functional := range []bool{true, false} {
-			a := get(mfrAgg, m, functional)
-			if a.devices == 0 {
-				continue
-			}
-			row := Readiness{Group: m, Devices: a.devices, Domains: a.domains, AAAA: a.aaaa}
-			switch {
-			case functional:
-				mfrFunc = append(mfrFunc, row)
-			case a.devices >= minDevices:
-				mfrNonFunc = append(mfrNonFunc, row)
-			}
+	for _, m := range sorted(names) {
+		if r := mfrs[group{m, true}]; r != nil {
+			mfrFunc = append(mfrFunc, *r)
+		}
+		if r := mfrs[group{m, false}]; r != nil && r.Devices >= minDevices {
+			mfrNonFunc = append(mfrNonFunc, *r)
 		}
 	}
 	return funcRows, nonFuncRows, mfrFunc, mfrNonFunc
@@ -126,13 +117,13 @@ func (ds *Dataset) Table9() Switching {
 		v6only := ds.Device(V6Only, p.Name)
 		dual := ds.Device(DualStack, p.Name)
 		// Universe: every name seen from this device (queries + contacts).
-		universe := ds.deviceDomains(p.Name)
+		universe := ds.domains(ds.Device(AllRuns, p.Name))
 		sw.TotalDest[ci] += len(universe)
 
-		contacted := func(o *DeviceObs, name string, v6 bool) bool {
-			return o.InternetFlows[FlowKey{Domain: name, V6: v6}]
+		contacted := func(o *DeviceObs, name uint32, v6 bool) bool {
+			return has(o.flows, mkkey(name, 0, v6))
 		}
-		for name := range universe {
+		for _, name := range universe {
 			everV6 := contacted(v6only, name, true) || contacted(dual, name, true) || contacted(v4only, name, true)
 			everV4 := contacted(v4only, name, false) || contacted(dual, name, false) || contacted(v6only, name, false)
 			if everV6 {
@@ -168,7 +159,7 @@ func (ds *Dataset) Table9() Switching {
 			// IPv4-only destinations in dual-stack with AAAA records —
 			// excluding destinations the device reached over v6 in other
 			// runs (those are the "fully switching" rows above).
-			if inDualV4 && !inDualV6 && !everV6 && ds.ActiveAAAA[name] {
+			if inDualV4 && !inDualV6 && !everV6 && ds.ActiveAAAA[ds.names[name]] {
 				sw.V4OnlyWithAAAA[ci]++
 			}
 		}
@@ -191,10 +182,19 @@ type EUI64Report struct {
 
 // EUI64Exposure computes the funnel over the union of v6-enabled runs.
 func (ds *Dataset) EUI64Exposure() EUI64Report {
+	return eui64Exposure(ds.Profiles, ds.views[V6Enabled], ds.names, ds.Cloud)
+}
+
+// EUI64Exposure computes the funnel over this run's observations alone.
+func (e *ExpObs) EUI64Exposure(profiles []*device.Profile, cl *cloud.Cloud) EUI64Report {
+	return eui64Exposure(profiles, e.Devices, e.names, cl)
+}
+
+func eui64Exposure(profiles []*device.Profile, devs map[string]*DeviceObs, names []string, cl *cloud.Cloud) EUI64Report {
 	var r EUI64Report
-	countParties := func(names map[string]bool, first, third, support *int) {
-		for n := range names {
-			party, _ := DomainParty(ds.Cloud, n)
+	countParties := func(set []key, first, third, support *int) {
+		for _, k := range set {
+			party, _ := DomainParty(cl, names[k.name()])
 			switch party {
 			case cloud.PartyFirst:
 				*first++
@@ -205,9 +205,9 @@ func (ds *Dataset) EUI64Exposure() EUI64Report {
 			}
 		}
 	}
-	for _, p := range ds.Profiles {
-		d := ds.Device(V6Enabled, p.Name)
-		if !d.EUI64GUAFromAssigned() {
+	for _, p := range profiles {
+		d := devs[p.Name]
+		if d == nil || !d.EUI64GUAFromAssigned() {
 			continue
 		}
 		r.Assign++
@@ -219,13 +219,13 @@ func (ds *Dataset) EUI64Exposure() EUI64Report {
 			r.DNS++ // the data devices also expose via DNS
 			r.Data++
 			r.DataDevices = append(r.DataDevices, p.Name)
-			r.DataDomains += len(d.EUI64DataDomains)
-			countParties(d.EUI64DataDomains, &r.DataFirst, &r.DataThird, &r.DataSupport)
+			r.DataDomains += len(d.eui64Data)
+			countParties(d.eui64Data, &r.DataFirst, &r.DataThird, &r.DataSupport)
 		case d.EUI64DNS:
 			r.DNS++
 			r.DNSOnlyDevices = append(r.DNSOnlyDevices, p.Name)
-			r.DNSNames += len(d.EUI64DNSNames)
-			countParties(d.EUI64DNSNames, &r.DNSFirst, &r.DNSThird, &r.DNSSupport)
+			r.DNSNames += len(d.eui64DNS)
+			countParties(d.eui64DNS, &r.DNSFirst, &r.DNSThird, &r.DNSSupport)
 		}
 	}
 	return r
@@ -243,30 +243,36 @@ type DADReport struct {
 
 // DADAudit checks every SLAAC address's first use against prior DAD
 // probes, over the union of v6-enabled runs.
-func (ds *Dataset) DADAudit() DADReport {
+func (ds *Dataset) DADAudit() DADReport { return dadAudit(ds.Profiles, ds.views[V6Enabled]) }
+
+// DADAudit runs the audit over this run's observations alone.
+func (e *ExpObs) DADAudit(profiles []*device.Profile) DADReport {
+	return dadAudit(profiles, e.Devices)
+}
+
+func dadAudit(profiles []*device.Profile, devs map[string]*DeviceObs) DADReport {
 	var r DADReport
-	for _, p := range ds.Profiles {
-		d := ds.Device(V6Enabled, p.Name)
-		if len(d.Assigned) == 0 {
+	for _, p := range profiles {
+		d := devs[p.Name]
+		if d == nil {
 			continue
 		}
 		skipped, probed := 0, 0
-		for a, k := range d.Assigned {
-			if a == d.StatefulLease {
-				continue // server-assigned, outside the SLAAC audit
-			}
-			if d.DADProbed[a] {
+		for _, a := range d.Assigned {
+			switch {
+			case a.Addr == d.StatefulLease: // server-assigned, outside the SLAAC audit
+			case a.Probed:
 				probed++
-				continue
-			}
-			skipped++
-			switch k {
-			case addr.KindGUA:
-				r.GUAsNoDAD++
-			case addr.KindULA:
-				r.ULAsNoDAD++
-			case addr.KindLLA:
-				r.LLAsNoDAD++
+			default:
+				skipped++
+				switch a.Kind {
+				case addr.KindGUA:
+					r.GUAsNoDAD++
+				case addr.KindULA:
+					r.ULAsNoDAD++
+				case addr.KindLLA:
+					r.LLAsNoDAD++
+				}
 			}
 		}
 		if skipped > 0 {
@@ -303,19 +309,16 @@ func (ds *Dataset) Tracking() TrackingReport {
 		if base == nil || !base.Functional[p.Name] {
 			continue
 		}
-		dv6 := ds.Device(V6Only, p.Name)
-		v6Names := dv6.AllDNSNames()
-		for fk := range dv6.InternetFlows {
-			v6Names[fk.Domain] = true
-		}
-		for fk := range ds.Device(V4Only, p.Name).InternetFlows {
-			if v6Names[fk.Domain] {
+		v6Names := ds.domains(ds.Device(V6Only, p.Name))
+		for _, f := range ds.Device(V4Only, p.Name).flows {
+			if has(v6Names, f.name()) {
 				continue
 			}
 			r.V4OnlyDomains++
-			sld := dnsmsg.SLD(fk.Domain)
+			name := ds.names[f.name()]
+			sld := dnsmsg.SLD(name)
 			slds[sld] = true
-			if party, tracker := DomainParty(ds.Cloud, fk.Domain); party == cloud.PartyThird || tracker {
+			if party, tracker := DomainParty(ds.Cloud, name); party == cloud.PartyThird || tracker {
 				thirdSLDs[sld] = true
 			}
 		}
@@ -375,27 +378,12 @@ func (ds *Dataset) GroupBy(dim string, minSize int) []GroupRow {
 		if base != nil && base.Functional[p.Name] {
 			row.FunctionalV6++
 		}
-		names := map[string]bool{}
-		for k := range d.Queries {
-			if k.Type == dnsmsg.TypeAAAA {
-				names[k.Name] = true
-			}
-		}
-		row.AAAANames += len(names)
-		for a, k := range d.Assigned {
-			if a == d.StatefulLease {
-				continue
-			}
-			row.Addrs++
-			switch k {
-			case addr.KindGUA:
-				row.GUAs++
-			case addr.KindULA:
-				row.ULAs++
-			case addr.KindLLA:
-				row.LLAs++
-			}
-		}
+		row.AAAANames += countNames(d.queries, isAAAA)
+		n, total := d.slaac()
+		row.Addrs += total
+		row.GUAs += n[addr.KindGUA]
+		row.ULAs += n[addr.KindULA]
+		row.LLAs += n[addr.KindLLA]
 	}
 	var out []GroupRow
 	for _, row := range rowsByGroup {
@@ -413,25 +401,8 @@ func (ds *Dataset) GroupBy(dim string, minSize int) []GroupRow {
 }
 
 func yearLabel(y int) string {
-	return []string{"?", "2017", "2018", "2019", "2021", "2022", "2023", "2024"}[yearIdx(y)]
-}
-
-func yearIdx(y int) int {
-	switch y {
-	case 2017:
-		return 1
-	case 2018:
-		return 2
-	case 2019:
-		return 3
-	case 2021:
-		return 4
-	case 2022:
-		return 5
-	case 2023:
-		return 6
-	case 2024:
-		return 7
+	if y >= 2017 && y <= 2024 && y != 2020 {
+		return strconv.Itoa(y)
 	}
-	return 0
+	return "?"
 }

@@ -8,7 +8,7 @@ package analysis
 
 import (
 	"net/netip"
-	"strings"
+	"slices"
 	"time"
 
 	"v6lab/internal/addr"
@@ -27,19 +27,6 @@ import (
 // classifier does not re-parse a constant per frame.
 var v4Broadcast = netip.MustParseAddr("255.255.255.255")
 
-// QueryKey identifies a distinct DNS question as the paper counts them.
-type QueryKey struct {
-	Name   string
-	Type   dnsmsg.Type
-	OverV6 bool
-}
-
-// FlowKey identifies a device's contact with a destination over a family.
-type FlowKey struct {
-	Domain string
-	V6     bool
-}
-
 // DeviceObs is everything the pipeline extracted about one device in one
 // experiment.
 type DeviceObs struct {
@@ -49,28 +36,17 @@ type DeviceObs struct {
 
 	NDP bool
 	// Assigned holds every IPv6 address attributed to the device (DAD
-	// targets, NA announcements, DHCPv6 leases, traffic sources).
-	Assigned map[netip.Addr]addr.Kind
-	// Used holds addresses that sourced non-ND traffic.
-	Used map[netip.Addr]bool
-	// DADProbed holds addresses probed with duplicate address detection.
-	DADProbed map[netip.Addr]bool
+	// targets, NA announcements, DHCPv6 leases, traffic sources), sorted.
+	Assigned []AddrObs
 	// StatefulLease is the IA_NA address, if any.
 	StatefulLease netip.Addr
 
 	StatelessDHCPv6 bool
 	StatefulDHCPv6  bool
 
-	// Queries and positive responses observed, keyed by (name, type,
-	// transport family).
-	Queries   map[QueryKey]bool
-	Responses map[QueryKey]bool
-
-	// InternetFlows / LocalFlows: data contacts (non-DNS, non-DHCP).
-	InternetFlows map[FlowKey]bool
-	LocalV6Data   bool
-	// InternetV6 / InternetV4: any global data over the family.
-	InternetV6, InternetV4 bool
+	// LocalV6Data: data to LAN-local IPv6 destinations. InternetV6 /
+	// InternetV4: any global data over the family.
+	LocalV6Data, InternetV6, InternetV4 bool
 	// BytesV4 / BytesV6: application payload bytes the device sent to
 	// Internet destinations.
 	BytesV4, BytesV6 int
@@ -79,41 +55,28 @@ type DeviceObs struct {
 	EUI64GUAUsed bool
 	EUI64DNS     bool
 	EUI64Data    bool
-	// EUI64DNSNames / EUI64DataDomains: names and destinations the EUI-64
-	// source address was exposed to.
-	EUI64DNSNames    map[string]bool
-	EUI64DataDomains map[string]bool
 
-	// Deferred attribution state: Internet destinations contacted before
-	// the DNS/SNI mapping is complete. Attribution only labels flows — it
-	// never changes which frames count — so parking the destination and
-	// resolving it against the final IPToName map at Finalize reproduces
-	// the two-pass result exactly. Cleared by Finalize.
-	pendingFlows map[pendingFlow]bool
-	pendingEUI64 map[netip.Addr]bool
+	// The sorted name sets, over the IDs of the experiment's name table
+	// (the dataset's in a group view): the DNS questions and positive
+	// responses seen; the attributed Internet contacts; and the names and
+	// destinations the EUI-64 source address was exposed to (type 0 keys).
+	queries, responses, flows, eui64DNS, eui64Data []key
+
+	// Deferred attribution state, cleared by Finalize: the Internet
+	// destinations contacted, sorted, which Finalize names from the final
+	// mapping; and the last destination and source address seen, which a
+	// flow's frames repeat.
+	pending, pendingEUI64 []netip.Addr
+	lastDst, lastSrc      netip.Addr
 }
 
-// pendingFlow is an unattributed Internet contact: the destination address
-// and the family it was reached over.
-type pendingFlow struct {
-	Dst netip.Addr
-	V6  bool
-}
-
-func newDeviceObs(p *device.Profile, mac packet.MAC) *DeviceObs {
-	return &DeviceObs{
-		Name: p.Name, Category: p.Category, MAC: mac,
-		Assigned:         map[netip.Addr]addr.Kind{},
-		Used:             map[netip.Addr]bool{},
-		DADProbed:        map[netip.Addr]bool{},
-		Queries:          map[QueryKey]bool{},
-		Responses:        map[QueryKey]bool{},
-		InternetFlows:    map[FlowKey]bool{},
-		EUI64DNSNames:    map[string]bool{},
-		EUI64DataDomains: map[string]bool{},
-		pendingFlows:     map[pendingFlow]bool{},
-		pendingEUI64:     map[netip.Addr]bool{},
-	}
+// AddrObs is one IPv6 address attributed to a device.
+type AddrObs struct {
+	Addr netip.Addr
+	Kind addr.Kind
+	// Used: the address sourced non-ND traffic. Probed: the device probed
+	// it with duplicate address detection.
+	Used, Probed bool
 }
 
 // ExpObs is one experiment's observations.
@@ -122,24 +85,37 @@ type ExpObs struct {
 	Mode       device.Mode
 	Devices    map[string]*DeviceObs
 	Functional map[string]bool
-	// IPToName is the DNS/SNI-derived mapping used for attribution.
-	IPToName map[netip.Addr]string
+	// names is the canonical name of each ID the device sets hold.
+	names []string
 }
 
-// addrAttribution records an address as assigned to a device.
-func (o *DeviceObs) assign(a netip.Addr) {
-	k := addr.Classify(a)
-	switch k {
-	case addr.KindGUA, addr.KindULA, addr.KindLLA:
-		o.Assigned[a] = k
+// find returns a's index in the sorted Assigned, and whether it is there.
+func (o *DeviceObs) find(a netip.Addr) (int, bool) {
+	return slices.BinarySearchFunc(o.Assigned, a, func(e AddrObs, a netip.Addr) int { return e.Addr.Compare(a) })
+}
+
+// attribute returns the device's entry for a, adding it when a is of a
+// kind the paper attributes (GUA, ULA, LLA); nil otherwise.
+func (o *DeviceObs) attribute(a netip.Addr) *AddrObs {
+	i, ok := o.find(a)
+	if !ok {
+		k := addr.Classify(a)
+		if k != addr.KindGUA && k != addr.KindULA && k != addr.KindLLA {
+			return nil
+		}
+		o.Assigned = slices.Insert(o.Assigned, i, AddrObs{Addr: a, Kind: k})
 	}
+	return &o.Assigned[i]
 }
 
-func (o *DeviceObs) markUsed(a netip.Addr, mac packet.MAC) {
-	if k := addr.Classify(a); k == addr.KindGUA || k == addr.KindULA || k == addr.KindLLA {
-		o.Assigned[a] = k
-		o.Used[a] = true
-		if k == addr.KindGUA && addr.EUI64MatchesMAC(a, mac) {
+func (o *DeviceObs) markUsed(a netip.Addr) {
+	if a == o.lastSrc {
+		return
+	}
+	o.lastSrc = a
+	if e := o.attribute(a); e != nil && !e.Used {
+		e.Used = true
+		if e.Kind == addr.KindGUA && addr.EUI64MatchesMAC(a, o.MAC) {
 			o.EUI64GUAUsed = true
 		}
 	}
@@ -165,36 +141,75 @@ type Observer struct {
 	net    *netsim.Network
 	dec    packet.Decoder
 	macMap map[packet.MAC]*device.Profile
-	final  bool
+	// devs resolves a packed MAC to its device (nil for no device's), and
+	// near caches the last two: a reply swaps its request's MACs.
+	devs  map[uint64]*DeviceObs
+	near  [2]macDev
+	syms  symtab
+	final bool
+	// ipName holds the ID of the name the last DNS answer or TLS server
+	// name gave each address.
+	ipName map[netip.Addr]uint32
 	// answer and query are the DNS messages frames decode into, reused
-	// frame after frame; only their decoded strings are retained.
+	// frame after frame; their names are interned in syms.
 	answer, query dnsmsg.Message
 }
 
 // NewObserver returns a streaming observer for one experiment run that
 // decodes every frame it is fed itself, as a pcap replay needs.
 func NewObserver(id string, mode device.Mode, macMap map[packet.MAC]*device.Profile) *Observer {
-	return &Observer{
-		obs: &ExpObs{
-			ID: id, Mode: mode,
-			Devices:  map[string]*DeviceObs{},
-			IPToName: map[netip.Addr]string{},
-		},
+	o := &Observer{
+		obs:    &ExpObs{ID: id, Mode: mode, Devices: map[string]*DeviceObs{}},
 		macMap: macMap,
+		devs:   map[uint64]*DeviceObs{},
+		ipName: map[netip.Addr]uint32{},
+		syms:   symtab{ids: map[string]sym{}},
 	}
+	o.answer.Names, o.query.Names = &o.syms, &o.syms
+	return o
+}
+
+// macDev is a resolved MAC, packed with bit 48 set so no key is zero.
+type macDev struct {
+	k uint64
+	d *DeviceObs
 }
 
 func (o *Observer) devFor(mac packet.MAC) *DeviceObs {
-	p, ok := o.macMap[mac]
-	if !ok {
-		return nil
+	if mac[0]&1 != 0 {
+		return nil // multicast: no device's
 	}
-	d, ok := o.obs.Devices[p.Name]
-	if !ok {
-		d = newDeviceObs(p, mac)
-		o.obs.Devices[p.Name] = d
+	k := 1<<48 | uint64(mac[0])<<40 | uint64(mac[1])<<32 | uint64(mac[2])<<24 | uint64(mac[3])<<16 | uint64(mac[4])<<8 | uint64(mac[5])
+	for _, m := range o.near {
+		if m.k == k {
+			return m.d
+		}
 	}
+	d, ok := o.devs[k]
+	if !ok {
+		if p := o.macMap[mac]; p != nil {
+			d = &DeviceObs{Name: p.Name, Category: p.Category, MAC: mac}
+			o.obs.Devices[p.Name] = d
+		}
+		o.devs[k] = d
+	}
+	o.near[1], o.near[0] = o.near[0], macDev{k, d}
 	return d
+}
+
+// park records an Internet contact for attribution at Finalize.
+func (d *DeviceObs) park(dst netip.Addr) {
+	if dst != d.lastDst {
+		d.lastDst = dst
+		d.pending = insertAddr(d.pending, dst)
+	}
+}
+
+func insertAddr(s []netip.Addr, a netip.Addr) []netip.Addr {
+	if i, ok := slices.BinarySearchFunc(s, a, netip.Addr.Compare); !ok {
+		s = slices.Insert(s, i, a)
+	}
+	return s
 }
 
 // Add consumes one delivered frame (the netsim.Tap contract). The frame
@@ -210,7 +225,6 @@ func (o *Observer) Add(_ time.Time, frame []byte) {
 	if p.Err != nil || p.Ethernet == nil {
 		return
 	}
-	obs := o.obs
 
 	// Attribution sources, exactly the two §5.2.2 names: DNS answers and
 	// TLS SNI. The DNS message is unpacked once and shared with the
@@ -220,30 +234,30 @@ func (o *Observer) Add(_ time.Time, frame []byte) {
 		if m := &o.answer; dnsmsg.UnpackInto(m, p.UDP.PayloadData) == nil && m.Response {
 			for _, rr := range m.Answers {
 				if rr.Addr.IsValid() {
-					obs.IPToName[rr.Addr] = dnsmsg.CanonicalName(rr.Name)
+					o.ipName[rr.Addr] = o.syms.id(rr.Name)
 				}
 			}
 			dnsAnswer = m
 		}
 	}
 	if p.TCP != nil && len(p.TCP.PayloadData) > 0 {
-		if sni, err := tlssim.SNI(p.TCP.PayloadData); err == nil && sni != "" {
-			obs.IPToName[p.DstIP()] = dnsmsg.CanonicalName(sni)
+		if sni, err := tlssim.SNI(p.TCP.PayloadData); err == nil && len(sni) > 0 {
+			o.ipName[p.DstIP()] = o.syms.lookup(sni).id
 		}
 	}
 
 	// Per-device feature extraction.
 	if d := o.devFor(p.Ethernet.Src); d != nil {
-		observeOutbound(d, p, &o.query)
+		o.outbound(d, p)
 	}
 	// Inbound: DNS responses and DHCPv6 replies addressed to devices.
-	if dst := o.devFor(p.Ethernet.Dst); dst != nil {
-		observeInbound(dst, p, dnsAnswer)
+	if d := o.devFor(p.Ethernet.Dst); d != nil {
+		o.inbound(d, p, dnsAnswer)
 	}
 }
 
 // Finalize resolves the deferred attribution against the completed
-// IPToName map, attaches the functionality outcomes, and returns the
+// name mapping, attaches the functionality outcomes, and returns the
 // finished observations. Call it after the last Add; repeated calls
 // return the same finished observations (FromStudy may assemble several
 // datasets over one study), and further Adds are a caller bug.
@@ -254,27 +268,28 @@ func (o *Observer) Finalize(functional map[string]bool) *ExpObs {
 	o.final = true
 	obs := o.obs
 	obs.Functional = functional
+	obs.names = o.syms.names
 	for _, d := range obs.Devices {
-		for pf := range d.pendingFlows {
-			if name := obs.IPToName[pf.Dst]; name != "" {
-				d.InternetFlows[FlowKey{Domain: name, V6: pf.V6}] = true
+		for _, a := range d.pending {
+			if id, ok := o.ipName[a]; ok && o.syms.names[id] != "" {
+				d.flows = append(d.flows, mkkey(id, 0, a.Is6()))
 			}
 		}
-		for a := range d.pendingEUI64 {
-			if name := obs.IPToName[a]; name != "" {
-				d.EUI64DataDomains[name] = true
+		for _, a := range d.pendingEUI64 {
+			if id, ok := o.ipName[a]; ok && o.syms.names[id] != "" {
+				d.eui64Data = append(d.eui64Data, mkkey(id, 0, false))
 			}
 		}
-		d.pendingFlows, d.pendingEUI64 = nil, nil
+		d.flows, d.eui64Data = sorted(d.flows), sorted(d.eui64Data)
+		d.pending, d.pendingEUI64, d.lastDst, d.lastSrc = nil, nil, netip.Addr{}, netip.Addr{}
 	}
 	return obs
 }
 
-// observeOutbound extracts what a device's own frame shows; dns is the
-// message a DNS query decodes into.
-func observeOutbound(d *DeviceObs, p *packet.Packet, dns *dnsmsg.Message) {
+// outbound extracts what a device's own frame shows.
+func (o *Observer) outbound(d *DeviceObs, p *packet.Packet) {
 	if p.IPv6 == nil {
-		observeOutboundV4(d, p, dns)
+		o.outboundV4(d, p)
 		return
 	}
 	src := p.IPv6.Src
@@ -285,30 +300,23 @@ func observeOutbound(d *DeviceObs, p *packet.Packet, dns *dnsmsg.Message) {
 		}
 		switch t {
 		case packet.ICMPv6TypeNeighborSolicit:
-			if ns, err := ndp.ParseNeighborSolicit(p.ICMPv6.Body); err == nil {
-				if addr.Classify(src) == addr.KindUnspecified {
-					// DAD probe: the sender is claiming the target.
-					d.DADProbed[ns.Target] = true
-					d.assign(ns.Target)
+			// A DAD probe (from ::) claims the target for the sender.
+			if ns, err := ndp.ParseNeighborSolicit(p.ICMPv6.Body); err == nil && addr.Classify(src) == addr.KindUnspecified {
+				if e := d.attribute(ns.Target); e != nil {
+					e.Probed = true
 				}
 			}
-			return
 		case packet.ICMPv6TypeNeighborAdvert:
 			if na, err := ndp.ParseNeighborAdvert(p.ICMPv6.Body); err == nil {
-				d.assign(na.Target)
+				d.attribute(na.Target)
 			}
-			return
-		case packet.ICMPv6TypeRouterSolicit, packet.ICMPv6TypeRouterAdvert:
-			return
 		case packet.ICMPv6TypeEchoRequest:
 			// Echo probes count as address *use* but not data transmission.
-			d.markUsed(src, d.MAC)
-			return
-		default:
-			return
+			d.markUsed(src)
 		}
+		return
 	}
-	d.markUsed(src, d.MAC)
+	d.markUsed(src)
 	switch {
 	case p.UDP != nil && p.UDP.DstPort == dhcp6.ServerPort:
 		if m, err := dhcp6.Unmarshal(p.UDP.PayloadData); err == nil {
@@ -320,42 +328,44 @@ func observeOutbound(d *DeviceObs, p *packet.Packet, dns *dnsmsg.Message) {
 			}
 		}
 	case p.UDP != nil && p.UDP.DstPort == 53:
-		observeQuery(d, p, dns, true, src)
+		o.observeQuery(d, p, true, src)
 	default:
-		observeData(d, p, true, src)
+		o.observeData(d, p, true, src)
 	}
 }
 
-func observeOutboundV4(d *DeviceObs, p *packet.Packet, dns *dnsmsg.Message) {
+func (o *Observer) outboundV4(d *DeviceObs, p *packet.Packet) {
 	if p.IPv4 == nil {
 		return
 	}
 	switch {
 	case p.UDP != nil && (p.UDP.DstPort == 67 || p.UDP.DstPort == 68):
 	case p.UDP != nil && p.UDP.DstPort == 53:
-		observeQuery(d, p, dns, false, p.IPv4.Src)
+		o.observeQuery(d, p, false, p.IPv4.Src)
 	case p.ICMPv4 != nil:
 	default:
-		observeData(d, p, false, p.IPv4.Src)
+		o.observeData(d, p, false, p.IPv4.Src)
 	}
 }
 
-func observeQuery(d *DeviceObs, p *packet.Packet, m *dnsmsg.Message, overV6 bool, src netip.Addr) {
+func (o *Observer) observeQuery(d *DeviceObs, p *packet.Packet, overV6 bool, src netip.Addr) {
+	m := &o.query
 	if err := dnsmsg.UnpackInto(m, p.UDP.PayloadData); err != nil || m.Response || len(m.Questions) == 0 {
 		return
 	}
 	q := m.Questions[0]
-	d.Queries[QueryKey{Name: dnsmsg.CanonicalName(q.Name), Type: q.Type, OverV6: overV6}] = true
+	id := o.syms.id(q.Name)
+	d.queries = insert(d.queries, mkkey(id, q.Type, overV6))
 	if overV6 && addr.EUI64MatchesMAC(src, d.MAC) {
 		d.EUI64DNS = true
-		d.EUI64DNSNames[dnsmsg.CanonicalName(q.Name)] = true
+		d.eui64DNS = insert(d.eui64DNS, mkkey(id, 0, false))
 	}
 }
 
 // observeData classifies a non-DNS, non-DHCP TCP/UDP transmission.
 // Destination-name attribution is deferred: the destination is parked on
-// the device and resolved against the completed IPToName map at Finalize.
-func observeData(d *DeviceObs, p *packet.Packet, v6 bool, src netip.Addr) {
+// the device and resolved against the completed mapping at Finalize.
+func (o *Observer) observeData(d *DeviceObs, p *packet.Packet, v6 bool, src netip.Addr) {
 	if p.TCP == nil && p.UDP == nil {
 		return
 	}
@@ -371,10 +381,10 @@ func observeData(d *DeviceObs, p *packet.Packet, v6 bool, src netip.Addr) {
 			}
 			d.InternetV6 = true
 			d.BytesV6 += payload
-			d.pendingFlows[pendingFlow{Dst: dst, V6: true}] = true
+			d.park(dst)
 			if addr.EUI64MatchesMAC(src, d.MAC) {
 				d.EUI64Data = true
-				d.pendingEUI64[dst] = true
+				d.pendingEUI64 = insertAddr(d.pendingEUI64, dst)
 			}
 		case addr.KindULA, addr.KindLLA, addr.KindMulticast:
 			d.LocalV6Data = true
@@ -387,30 +397,26 @@ func observeData(d *DeviceObs, p *packet.Packet, v6 bool, src netip.Addr) {
 		dst != v4Broadcast {
 		d.InternetV4 = true
 		d.BytesV4 += payload
-		d.pendingFlows[pendingFlow{Dst: dst, V6: false}] = true
+		d.park(dst)
 	}
 }
 
-// observeInbound extracts device-addressed DNS responses and DHCPv6
-// replies. dns is the frame's already-unpacked DNS answer (nil when the
-// frame is not a valid response from port 53), shared with the attribution
-// pass so the message is decoded exactly once per frame.
-func observeInbound(d *DeviceObs, p *packet.Packet, dns *dnsmsg.Message) {
+// inbound extracts device-addressed DNS responses and DHCPv6 replies. dns
+// is the frame's already-unpacked DNS answer (nil when the frame is not a
+// valid response from port 53), shared with the attribution pass so the
+// message is decoded exactly once per frame.
+func (o *Observer) inbound(d *DeviceObs, p *packet.Packet, dns *dnsmsg.Message) {
 	switch {
 	case p.UDP != nil && p.UDP.SrcPort == 53:
 		if dns == nil || len(dns.Questions) == 0 {
 			return
 		}
-		m := *dns
-		q := m.Questions[0]
-		positive := false
-		for _, rr := range m.Answers {
+		q := dns.Questions[0]
+		for _, rr := range dns.Answers {
 			if rr.Type == q.Type && (rr.Addr.IsValid() || rr.Target != "") {
-				positive = true
+				d.responses = insert(d.responses, mkkey(o.syms.id(q.Name), q.Type, p.IsIPv6()))
+				return
 			}
-		}
-		if positive {
-			d.Responses[QueryKey{Name: dnsmsg.CanonicalName(q.Name), Type: q.Type, OverV6: p.IsIPv6()}] = true
 		}
 	case p.UDP != nil && p.UDP.SrcPort == dhcp6.ServerPort:
 		m, err := dhcp6.Unmarshal(p.UDP.PayloadData)
@@ -425,69 +431,44 @@ func observeInbound(d *DeviceObs, p *packet.Packet, dns *dnsmsg.Message) {
 	}
 }
 
-// Post-extraction helpers.
-
 // HasAddr reports whether the device assigned any address of the kind.
 func (o *DeviceObs) HasAddr(k addr.Kind) bool {
-	for _, kind := range o.Assigned {
-		if kind == k {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(o.Assigned, func(a AddrObs) bool { return a.Kind == k })
 }
 
 // QueriedAAAA reports whether any AAAA query was seen, optionally
 // restricted by transport.
-func (o *DeviceObs) QueriedAAAA(overV6 *bool) bool {
-	for k := range o.Queries {
-		if k.Type == dnsmsg.TypeAAAA && (overV6 == nil || k.OverV6 == *overV6) {
-			return true
-		}
-	}
-	return false
-}
+func (o *DeviceObs) QueriedAAAA(overV6 *bool) bool { return anyAAAA(o.queries, overV6) }
 
 // GotAAAAResponse reports positive AAAA answers, optionally by transport.
-func (o *DeviceObs) GotAAAAResponse(overV6 *bool) bool {
-	for k := range o.Responses {
-		if k.Type == dnsmsg.TypeAAAA && (overV6 == nil || k.OverV6 == *overV6) {
-			return true
-		}
-	}
-	return false
+func (o *DeviceObs) GotAAAAResponse(overV6 *bool) bool { return anyAAAA(o.responses, overV6) }
+
+func anyAAAA(set []key, overV6 *bool) bool {
+	return slices.ContainsFunc(set, func(k key) bool {
+		return k.typ() == dnsmsg.TypeAAAA && (overV6 == nil || k.v6() == *overV6)
+	})
 }
 
 // DNSOverV6 reports whether the device used the IPv6 resolver at all.
-func (o *DeviceObs) DNSOverV6() bool {
-	for k := range o.Queries {
-		if k.OverV6 {
-			return true
-		}
-	}
-	return false
-}
+func (o *DeviceObs) DNSOverV6() bool { return slices.ContainsFunc(o.queries, key.v6) }
 
 // EUI64GUAFromAssigned recomputes EUI-64 assignment from the address set.
 func (o *DeviceObs) EUI64GUAFromAssigned() bool {
-	for a, k := range o.Assigned {
-		if k == addr.KindGUA && addr.EUI64MatchesMAC(a, o.MAC) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(o.Assigned, func(a AddrObs) bool {
+		return a.Kind == addr.KindGUA && addr.EUI64MatchesMAC(a.Addr, o.MAC)
+	})
 }
 
-// AllDNSNames returns every non-local name the device queried (the Table 7
-// domain universe together with contacted destinations).
-func (o *DeviceObs) AllDNSNames() map[string]bool {
-	out := map[string]bool{}
-	for k := range o.Queries {
-		if !strings.HasSuffix(k.Name, ".local") {
-			out[k.Name] = true
+// slaac counts the assigned addresses by kind, leaving out the IA_NA
+// lease: it is server-assigned, outside the paper's SLAAC inventory.
+func (o *DeviceObs) slaac() (n [addr.KindMulticast]int, total int) {
+	for _, a := range o.Assigned {
+		if a.Addr != o.StatefulLease {
+			n[a.Kind]++
+			total++
 		}
 	}
-	return out
+	return n, total
 }
 
 // DomainParty returns a domain's party label using the cloud registry (the

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,6 +45,20 @@ func frame(t *testing.T, layers ...packet.SerializableLayer) []byte {
 	return f
 }
 
+// addrOf returns the device's entry for a.
+func addrOf(d *DeviceObs, a netip.Addr) (AddrObs, bool) {
+	if i, ok := d.find(a); ok {
+		return d.Assigned[i], true
+	}
+	return AddrObs{}, false
+}
+
+// queried reports whether e's device asked the question.
+func queried(e *ExpObs, d *DeviceObs, name string, t dnsmsg.Type, v6 bool) bool {
+	id := slices.Index(e.names, name)
+	return id >= 0 && has(d.queries, mkkey(uint32(id), t, v6))
+}
+
 func obs1(t *testing.T, e *ExpObs) *DeviceObs {
 	t.Helper()
 	d := e.Devices["testdev"]
@@ -65,13 +80,14 @@ func TestObserveDADAttribution(t *testing.T) {
 	if !d.NDP {
 		t.Error("NDP not flagged")
 	}
-	if !d.DADProbed[gua] {
+	a, ok := addrOf(d, gua)
+	if !a.Probed {
 		t.Error("DAD probe not attributed")
 	}
-	if d.Assigned[gua] != addr.KindGUA {
+	if !ok || a.Kind != addr.KindGUA {
 		t.Error("probed address not assigned")
 	}
-	if d.Used[gua] {
+	if a.Used {
 		t.Error("DAD probe should not mark use")
 	}
 }
@@ -87,7 +103,7 @@ func TestObserveResolutionNSNotAttributedToSender(t *testing.T) {
 		&packet.IPv6{NextHeader: packet.IPProtocolICMPv6, HopLimit: 255, Src: gua, Dst: dst},
 		&packet.ICMPv6{Type: packet.ICMPv6TypeNeighborSolicit, Body: ns.AppendBody(nil), Src: gua, Dst: dst}))
 	d := obs1(t, e)
-	if _, ok := d.Assigned[other]; ok {
+	if _, ok := addrOf(d, other); ok {
 		t.Error("router's address attributed to the device")
 	}
 }
@@ -102,10 +118,10 @@ func TestObserveEUI64DNSExposure(t *testing.T) {
 		&packet.UDP{SrcPort: 9999, DstPort: 53, Src: gua, Dst: dns6},
 		packet.Raw(wire)))
 	d := obs1(t, e)
-	if !d.EUI64DNS || !d.EUI64DNSNames["secret.vendor.example"] {
-		t.Errorf("EUI-64 DNS exposure missed: %+v", d.EUI64DNSNames)
+	if !d.EUI64DNS || len(d.eui64DNS) != 1 || e.names[d.eui64DNS[0].name()] != "secret.vendor.example" {
+		t.Errorf("EUI-64 DNS exposure missed: %v", d.eui64DNS)
 	}
-	if !d.Queries[QueryKey{Name: "secret.vendor.example", Type: dnsmsg.TypeAAAA, OverV6: true}] {
+	if !queried(e, d, "secret.vendor.example", dnsmsg.TypeAAAA, true) {
 		t.Error("query not recorded")
 	}
 }
@@ -121,8 +137,8 @@ func TestObserveSNIAttribution(t *testing.T) {
 	if !d.InternetV6 {
 		t.Error("Internet v6 data missed")
 	}
-	if !d.InternetFlows[FlowKey{Domain: "hardcoded.vendor.example", V6: true}] {
-		t.Errorf("SNI attribution failed: %+v", d.InternetFlows)
+	if len(d.flows) != 1 || e.names[d.flows[0].name()] != "hardcoded.vendor.example" || !d.flows[0].v6() {
+		t.Errorf("SNI attribution failed: %v", d.flows)
 	}
 	if d.BytesV6 != len(hello) {
 		t.Errorf("bytes = %d, want %d", d.BytesV6, len(hello))
@@ -189,8 +205,14 @@ func TestObservePositiveResponse(t *testing.T) {
 	if d == nil || !d.GotAAAAResponse(nil) {
 		t.Fatal("positive AAAA response missed")
 	}
-	if e.IPToName[remote] != "ok.example" {
-		t.Error("answer did not feed the IP->name map")
+	// The answer names remote: data sent there is attributed to ok.example.
+	e = observeAll(t, frame(t,
+		&packet.Ethernet{Dst: obsMAC, Src: router.RouterMAC, Type: packet.EtherTypeIPv6},
+		&packet.IPv6{NextHeader: packet.IPProtocolUDP, Src: dns6, Dst: gua},
+		&packet.UDP{SrcPort: 53, DstPort: 9999, Src: dns6, Dst: gua},
+		packet.Raw(wire)), dataTo(t, remote))
+	if d := obs1(t, e); len(d.flows) != 1 || e.names[d.flows[0].name()] != "ok.example" {
+		t.Errorf("answer did not attribute the flow: %v", d.flows)
 	}
 }
 
@@ -203,4 +225,13 @@ func TestObserveIgnoresUnknownMACs(t *testing.T) {
 	if len(e.Devices) != 1 { // only the inbound side (testdev) materializes
 		t.Errorf("devices = %d", len(e.Devices))
 	}
+}
+
+// dataTo is one UDP datagram from the test device to dst.
+func dataTo(t *testing.T, dst netip.Addr) []byte {
+	return frame(t,
+		&packet.Ethernet{Dst: router.RouterMAC, Src: obsMAC, Type: packet.EtherTypeIPv6},
+		&packet.IPv6{NextHeader: packet.IPProtocolUDP, Src: privGUA, Dst: dst},
+		&packet.UDP{SrcPort: 7, DstPort: 8883, Src: privGUA, Dst: dst},
+		packet.Raw([]byte("telemetry")))
 }

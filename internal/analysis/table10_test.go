@@ -54,7 +54,8 @@ func TestStatefulAddressUsers(t *testing.T) {
 	}
 	for _, p := range ds.Profiles {
 		d := ds.Device(V6Enabled, p.Name)
-		uses := d.StatefulLease.IsValid() && d.Used[d.StatefulLease]
+		a, _ := addrOf(d, d.StatefulLease)
+		uses := d.StatefulLease.IsValid() && a.Used
 		if uses != want[p.Name] {
 			t.Errorf("%s: uses stateful lease = %v, want %v", p.Name, uses, want[p.Name])
 		}
@@ -73,8 +74,8 @@ func TestLLARotators(t *testing.T) {
 	for _, p := range ds.Profiles {
 		d := ds.Device(V6Enabled, p.Name)
 		llas := 0
-		for _, k := range d.Assigned {
-			if k == addr.KindLLA {
+		for _, a := range d.Assigned {
+			if a.Kind == addr.KindLLA {
 				llas++
 			}
 		}

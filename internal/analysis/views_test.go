@@ -1,65 +1,134 @@
 package analysis
 
 import (
+	"fmt"
+	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 
+	"v6lab/internal/addr"
 	"v6lab/internal/device"
+	"v6lab/internal/packet"
 )
 
-// merged is the reference the group views are checked against: a fresh
-// union of a device's observations across exps, nil when no run saw the
-// device.
-func merged(exps []*ExpObs, name string) *DeviceObs {
-	var out *DeviceObs
+// named is a DeviceObs in name space: every set as sorted names (a key
+// spelled name/type/family) and sorted addresses, so two observations
+// compare equal whatever IDs their name tables gave the names.
+type named struct {
+	Name                                               string
+	Category                                           device.Category
+	MAC                                                packet.MAC
+	NDP, StatelessDHCPv6, StatefulDHCPv6               bool
+	LocalV6Data, InternetV6, InternetV4                bool
+	EUI64GUAUsed, EUI64DNS, EUI64Data                  bool
+	BytesV4, BytesV6                                   int
+	StatefulLease                                      netip.Addr
+	GUAs, ULAs, LLAs, Used, Probed                     []netip.Addr
+	Queries, Responses, Flows, DNSExposed, DataExposed []string
+}
+
+// inNames projects d onto names, the table its IDs index.
+func inNames(d *DeviceObs, names []string) named {
+	n := named{
+		Name: d.Name, Category: d.Category, MAC: d.MAC,
+		NDP: d.NDP, StatelessDHCPv6: d.StatelessDHCPv6, StatefulDHCPv6: d.StatefulDHCPv6,
+		LocalV6Data: d.LocalV6Data, InternetV6: d.InternetV6, InternetV4: d.InternetV4,
+		EUI64GUAUsed: d.EUI64GUAUsed, EUI64DNS: d.EUI64DNS, EUI64Data: d.EUI64Data,
+		BytesV4: d.BytesV4, BytesV6: d.BytesV6, StatefulLease: d.StatefulLease,
+	}
+	for _, a := range d.Assigned {
+		switch a.Kind {
+		case addr.KindGUA:
+			n.GUAs = append(n.GUAs, a.Addr)
+		case addr.KindULA:
+			n.ULAs = append(n.ULAs, a.Addr)
+		case addr.KindLLA:
+			n.LLAs = append(n.LLAs, a.Addr)
+		}
+		if a.Used {
+			n.Used = append(n.Used, a.Addr)
+		}
+		if a.Probed {
+			n.Probed = append(n.Probed, a.Addr)
+		}
+	}
+	keys := func(set []key) (out []string) {
+		for _, k := range set {
+			out = append(out, fmt.Sprintf("%s/%v/%v", names[k.name()], k.typ(), k.v6()))
+		}
+		return out
+	}
+	ids := func(set []key) (out []string) {
+		for _, k := range set {
+			out = append(out, names[k.name()])
+		}
+		return out
+	}
+	n.Queries, n.Responses, n.Flows = keys(d.queries), keys(d.responses), keys(d.flows)
+	n.DNSExposed, n.DataExposed = ids(d.eui64DNS), ids(d.eui64Data)
+	return n.normal()
+}
+
+// normal sorts and deduplicates every set; empty sets read as nil.
+func (n named) normal() named {
+	for _, s := range []*[]netip.Addr{&n.GUAs, &n.ULAs, &n.LLAs, &n.Used, &n.Probed} {
+		slices.SortFunc(*s, netip.Addr.Compare)
+		if *s = slices.Compact(*s); len(*s) == 0 {
+			*s = nil
+		}
+	}
+	for _, s := range []*[]string{&n.Queries, &n.Responses, &n.Flows, &n.DNSExposed, &n.DataExposed} {
+		slices.Sort(*s)
+		if *s = slices.Compact(*s); len(*s) == 0 {
+			*s = nil
+		}
+	}
+	return n
+}
+
+// merged is the reference the group views are checked against: the
+// union of a device's observations across exps, built in name space from
+// each experiment's own table; the zero named when no run saw the device.
+func merged(exps []*ExpObs, name string) named {
+	var out named
+	seen := false
 	for _, e := range exps {
 		d, ok := e.Devices[name]
 		if !ok {
 			continue
 		}
-		if out == nil {
-			out = newDeviceObs(&device.Profile{Name: d.Name, Category: d.Category}, d.MAC)
+		n := inNames(d, e.names)
+		if !seen {
+			out.Name, out.Category, out.MAC = n.Name, n.Category, n.MAC
+			seen = true
 		}
-		out.NDP = out.NDP || d.NDP
-		for a, k := range d.Assigned {
-			out.Assigned[a] = k
+		out.NDP = out.NDP || n.NDP
+		out.StatelessDHCPv6 = out.StatelessDHCPv6 || n.StatelessDHCPv6
+		out.StatefulDHCPv6 = out.StatefulDHCPv6 || n.StatefulDHCPv6
+		out.LocalV6Data = out.LocalV6Data || n.LocalV6Data
+		out.InternetV6 = out.InternetV6 || n.InternetV6
+		out.InternetV4 = out.InternetV4 || n.InternetV4
+		out.EUI64GUAUsed = out.EUI64GUAUsed || n.EUI64GUAUsed
+		out.EUI64DNS = out.EUI64DNS || n.EUI64DNS
+		out.EUI64Data = out.EUI64Data || n.EUI64Data
+		out.BytesV4 += n.BytesV4
+		out.BytesV6 += n.BytesV6
+		if n.StatefulLease.IsValid() {
+			out.StatefulLease = n.StatefulLease
 		}
-		for a := range d.Used {
-			out.Used[a] = true
-		}
-		for a := range d.DADProbed {
-			out.DADProbed[a] = true
-		}
-		if d.StatefulLease.IsValid() {
-			out.StatefulLease = d.StatefulLease
-		}
-		out.StatelessDHCPv6 = out.StatelessDHCPv6 || d.StatelessDHCPv6
-		out.StatefulDHCPv6 = out.StatefulDHCPv6 || d.StatefulDHCPv6
-		for k := range d.Queries {
-			out.Queries[k] = true
-		}
-		for k := range d.Responses {
-			out.Responses[k] = true
-		}
-		for k := range d.InternetFlows {
-			out.InternetFlows[k] = true
-		}
-		out.LocalV6Data = out.LocalV6Data || d.LocalV6Data
-		out.InternetV6 = out.InternetV6 || d.InternetV6
-		out.InternetV4 = out.InternetV4 || d.InternetV4
-		out.BytesV4 += d.BytesV4
-		out.BytesV6 += d.BytesV6
-		out.EUI64DNS = out.EUI64DNS || d.EUI64DNS
-		out.EUI64Data = out.EUI64Data || d.EUI64Data
-		out.EUI64GUAUsed = out.EUI64GUAUsed || d.EUI64GUAUsed
-		for n := range d.EUI64DNSNames {
-			out.EUI64DNSNames[n] = true
-		}
-		for n := range d.EUI64DataDomains {
-			out.EUI64DataDomains[n] = true
-		}
+		out.GUAs = append(out.GUAs, n.GUAs...)
+		out.ULAs = append(out.ULAs, n.ULAs...)
+		out.LLAs = append(out.LLAs, n.LLAs...)
+		out.Used = append(out.Used, n.Used...)
+		out.Probed = append(out.Probed, n.Probed...)
+		out.Queries = append(out.Queries, n.Queries...)
+		out.Responses = append(out.Responses, n.Responses...)
+		out.Flows = append(out.Flows, n.Flows...)
+		out.DNSExposed = append(out.DNSExposed, n.DNSExposed...)
+		out.DataExposed = append(out.DataExposed, n.DataExposed...)
 	}
-	return out
+	return out.normal()
 }
 
 // groupExps selects a group's experiments by the mode predicates the
@@ -70,17 +139,6 @@ var groupExps = map[Group]func(*ExpObs) bool{
 	DualStack: func(e *ExpObs) bool { return e.Mode == device.ModeDual },
 	V6Enabled: func(e *ExpObs) bool { return e.Mode != device.ModeV4Only },
 	AllRuns:   func(e *ExpObs) bool { return true },
-}
-
-// exported returns the device's exported fields; the zero value when d
-// is nil.
-func exported(d *DeviceObs) DeviceObs {
-	if d == nil {
-		return DeviceObs{}
-	}
-	c := *d
-	c.pendingFlows, c.pendingEUI64 = nil, nil
-	return c
 }
 
 func TestGroupViewsMatchUnion(t *testing.T) {
@@ -99,8 +157,8 @@ func TestGroupViewsMatchUnion(t *testing.T) {
 			t.Fatalf("group %03b selects no experiment", g)
 		}
 		for _, p := range ds.Profiles {
-			want := exported(merged(exps, p.Name))
-			if got := exported(ds.Device(g, p.Name)); !reflect.DeepEqual(got, want) {
+			want := merged(exps, p.Name)
+			if got := inNames(ds.Device(g, p.Name), ds.names); !reflect.DeepEqual(got, want) {
 				t.Errorf("group %03b, %s: view differs from the union\n got %+v\nwant %+v", g, p.Name, got, want)
 			}
 		}
@@ -116,8 +174,11 @@ func TestGroupViewsMatchUnion(t *testing.T) {
 	if !same(V6Only, V6Enabled) || !same(V6Only, AllRuns) || !same(V4Only, DualStack) || same(V4Only, V6Only) {
 		t.Errorf("one-experiment views are not shared per experiment set")
 	}
+	if one.views[V6Only]["Nest Camera"] != ds.Exps[1].Devices["Nest Camera"] {
+		t.Errorf("a one-experiment view is not the experiment's observations")
+	}
 	for _, p := range one.Profiles {
-		if got, want := exported(one.Device(AllRuns, p.Name)), exported(merged(one.Exps, p.Name)); !reflect.DeepEqual(got, want) {
+		if got, want := inNames(one.Device(AllRuns, p.Name), one.names), merged(one.Exps, p.Name); !reflect.DeepEqual(got, want) {
 			t.Errorf("one-experiment view of %s differs from the union", p.Name)
 		}
 	}

@@ -112,6 +112,13 @@ type Record struct {
 	Port uint16
 }
 
+// An Interner hands out the string for a decoded name's bytes. A caller
+// that decodes the same names message after message can keep one string
+// per spelling, so a repeated name costs no allocation.
+type Interner interface {
+	Intern(name []byte) string
+}
+
 // Message is a DNS message.
 type Message struct {
 	ID                 uint16
@@ -124,6 +131,13 @@ type Message struct {
 	Answers            []Record
 	Authority          []Record
 	Additional         []Record
+
+	// Names, when set, interns every decoded name other than the root.
+	// UnpackInto keeps it; packing ignores it.
+	Names Interner
+	// nameBuf holds each name handed to Names: a name built on the
+	// decoder's stack would escape through the interface call.
+	nameBuf []byte
 }
 
 // errors returned by the decoder.
@@ -191,10 +205,11 @@ func appendName(b []byte, name string) ([]byte, error) {
 
 // decoder decodes the names of one message. It remembers the last few
 // names it produced, so a name repeated across sections (an owner name
-// compressed against the question, say) costs one string, not one per
-// occurrence.
+// compressed against the question, say) costs one string, or one
+// Interner call, not one per occurrence.
 type decoder struct {
 	msg   []byte
+	m     *Message
 	names [4]string
 	n     int
 }
@@ -252,7 +267,8 @@ func (d *decoder) name(off int) (string, int, error) {
 }
 
 // intern returns the decoded name as a string: "." for the root, a
-// recently decoded string when the bytes repeat it, a new one otherwise.
+// recently decoded string when the bytes repeat it, else the Interner's
+// string when there is one, a new one otherwise.
 func (d *decoder) intern(b []byte) string {
 	if len(b) == 0 {
 		return "."
@@ -262,7 +278,13 @@ func (d *decoder) intern(b []byte) string {
 			return s
 		}
 	}
-	s := string(b)
+	var s string
+	if m := d.m; m.Names != nil {
+		m.nameBuf = append(m.nameBuf[:0], b...)
+		s = m.Names.Intern(m.nameBuf)
+	} else {
+		s = string(b)
+	}
 	d.names[d.n%len(d.names)] = s
 	d.n++
 	return s
@@ -431,12 +453,14 @@ func UnpackInto(m *Message, data []byte) error {
 		Answers:            m.Answers[:0],
 		Authority:          m.Authority[:0],
 		Additional:         m.Additional[:0],
+		Names:              m.Names,
+		nameBuf:            m.nameBuf,
 	}
 	qd := int(binary.BigEndian.Uint16(data[4:6]))
 	an := int(binary.BigEndian.Uint16(data[6:8]))
 	ns := int(binary.BigEndian.Uint16(data[8:10]))
 	ar := int(binary.BigEndian.Uint16(data[10:12]))
-	d := decoder{msg: data}
+	d := decoder{msg: data, m: m}
 	off := 12
 	for i := 0; i < qd; i++ {
 		name, next, err := d.name(off)

@@ -72,6 +72,7 @@ func sameSections(a, b *Message) bool {
 		if len(m.Additional) == 0 {
 			m.Additional = nil
 		}
+		m.Names, m.nameBuf = nil, nil // decoding state, not message content
 		return m
 	}
 	return reflect.DeepEqual(norm(*a), norm(*b))
@@ -185,6 +186,53 @@ func TestUnpackIntoAllocs(t *testing.T) {
 	}
 	if want := float64(len(names)); allocs != want {
 		t.Errorf("UnpackInto an A+AAAA reply: %v allocs, want %v (one per distinct name)", allocs, want)
+	}
+	if !sameSections(&m, r) {
+		t.Errorf("UnpackInto = %+v, want %+v", m, *r)
+	}
+}
+
+// spellings is an Interner keeping one string per spelling.
+type spellings map[string]string
+
+func (s spellings) Intern(b []byte) string {
+	if v, ok := s[string(b)]; ok {
+		return v
+	}
+	v := string(b)
+	s[v] = v
+	return v
+}
+
+// TestUnpackIntoInterner: with an Interner that has seen the reply's
+// names, decoding it again allocates nothing, and every name still reads
+// as it did on the wire.
+func TestUnpackIntoInterner(t *testing.T) {
+	r := &Message{ID: 9, Response: true,
+		Questions: []Question{{Name: "Cam.Vendor.example", Type: TypeAAAA}},
+		Answers: []Record{
+			{Name: "Cam.Vendor.example", Type: TypeCNAME, TTL: 300, Target: "edge.cdn.example"},
+			{Name: "edge.cdn.example", Type: TypeAAAA, TTL: 300, Addr: netip.MustParseAddr("2606:4700:10::42")},
+		}}
+	wire, err := r.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := spellings{}
+	m := Message{Names: names}
+	if err := UnpackInto(&m, wire); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := UnpackInto(&m, wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("UnpackInto with a warm Interner: %v allocs, want 0", allocs)
+	}
+	if len(names) != 2 || m.Names == nil {
+		t.Errorf("interned %v (Names kept: %v), want the two spellings", names, m.Names != nil)
 	}
 	if !sameSections(&m, r) {
 		t.Errorf("UnpackInto = %+v, want %+v", m, *r)

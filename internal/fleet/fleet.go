@@ -328,11 +328,9 @@ func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, scratch *experime
 // funnel, DAD and EUI-64 counts from the run's streamed observations, and
 // the address inventory (v6 marks a home whose router speaks IPv6).
 func observeRun(spec HomeSpec, st *experiment.Study, res *experiment.RunResult, v6 bool) *HomeResult {
-	st.Results = append(st.Results, res)
-	ds := analysis.FromStudy(st)
+	obs := analysis.Finalize(res)
 
 	hr := &HomeResult{Spec: spec, Devices: len(st.Profiles), FramesCaptured: res.Frames()}
-	obs := ds.Exps[0]
 	overV6 := true
 	for _, p := range st.Profiles {
 		if res.Functional[p.Name] {
@@ -359,12 +357,15 @@ func observeRun(spec HomeSpec, st *experiment.Study, res *experiment.RunResult, 
 		}
 	}
 	hr.Inventory = collectInventory(spec, st, obs, v6)
-	dad := ds.DADAudit()
-	hr.DADSkipping = dad.DevicesSkipping
-	hr.DADNever = dad.DevicesNeverDAD
-	eui := ds.EUI64Exposure()
-	hr.EUI64Assign = eui.Assign
-	hr.EUI64Use = eui.Use
+	if obs.Mode != device.ModeV4Only {
+		// The DAD and EUI-64 audits read the IPv6-enabled runs only.
+		dad := obs.DADAudit(st.Profiles)
+		hr.DADSkipping = dad.DevicesSkipping
+		hr.DADNever = dad.DevicesNeverDAD
+		eui := obs.EUI64Exposure(st.Profiles, st.Cloud)
+		hr.EUI64Assign = eui.Assign
+		hr.EUI64Use = eui.Use
+	}
 	return hr
 }
 

@@ -3,10 +3,9 @@ package packet
 import "fmt"
 
 // Decoder parses frames without allocating: it owns one instance of every
-// layer type plus a single Packet whose Layers slice is backed by a fixed
-// array, and Parse/ParseIP fill those in place. It is the package's only
-// layer walk: the package-level Parse/ParseIP wrap a fresh Decoder per
-// call. On the LAN the switch owns the one Decoder every delivered frame
+// layer type plus a single Packet, and Parse/ParseIP fill those in place.
+// It is the package's only layer walk: the package-level Parse/ParseIP
+// wrap a fresh Decoder per call. On the LAN the switch owns the one Decoder every delivered frame
 // is walked by, and shares the result with each tap and host the frame
 // reaches (netsim.Network.Decode); the sites that parse other bytes (the
 // router's WAN side, the cloud, the scanner's quoted packets, a pcap
@@ -21,8 +20,7 @@ import "fmt"
 // A Decoder is not safe for concurrent use; give each goroutine-confined
 // owner its own.
 type Decoder struct {
-	pkt    Packet
-	layers [4]Layer
+	pkt Packet
 
 	eth Ethernet
 	arp ARP
@@ -64,7 +62,7 @@ func (d *Decoder) ParseIP(data []byte) *Packet {
 }
 
 func (d *Decoder) reset() {
-	d.pkt = Packet{Layers: d.layers[:0]}
+	d.pkt = Packet{}
 }
 
 // walk decodes the layer chain from next into the Decoder-owned layer
@@ -115,7 +113,6 @@ func (d *Decoder) walk(data []byte, next LayerType) *Packet {
 			p.Err = fmt.Errorf("decoding %v: %w", next, err)
 			return p
 		}
-		p.Layers = append(p.Layers, dl)
 		data = dl.Payload()
 		next = dl.NextLayerType()
 	}

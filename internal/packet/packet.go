@@ -83,12 +83,9 @@ type DecodingLayer interface {
 // fixed header requires.
 var ErrTruncated = errors.New("packet: truncated")
 
-// Packet is the result of parsing a frame: the typed layers found, in
-// order, plus convenience pointers to each well-known layer.
+// Packet is the result of parsing a frame: a pointer to each well-known
+// layer found, nil for the layers the frame does not carry.
 type Packet struct {
-	// Layers lists every decoded layer outermost first.
-	Layers []Layer
-
 	Ethernet *Ethernet
 	ARP      *ARP
 	IPv4     *IPv4

@@ -63,75 +63,75 @@ func AppendClientHello(b []byte, host string, rng *rand.Rand) []byte {
 	return append(b, host...)
 }
 
-// SNI extracts the server name from a TLS ClientHello record, returning
-// ErrNotClientHello for payloads that are not hellos and "" (no error) for
-// hellos without the extension.
-func SNI(payload []byte) (string, error) {
+// SNI extracts the server name from a TLS ClientHello record as a view
+// into payload, returning ErrNotClientHello for payloads that are not
+// hellos and nil (no error) for hellos without the extension.
+func SNI(payload []byte) ([]byte, error) {
 	if len(payload) < 5 || payload[0] != recordTypeHandshake {
-		return "", ErrNotClientHello
+		return nil, ErrNotClientHello
 	}
 	recLen := int(binary.BigEndian.Uint16(payload[3:5]))
 	if len(payload) < 5+recLen {
-		return "", ErrNotClientHello
+		return nil, ErrNotClientHello
 	}
 	hs := payload[5 : 5+recLen]
 	if len(hs) < 4 || hs[0] != handshakeClientHello {
-		return "", ErrNotClientHello
+		return nil, ErrNotClientHello
 	}
 	hsLen := int(hs[1])<<16 | int(hs[2])<<8 | int(hs[3])
 	if len(hs) < 4+hsLen {
-		return "", ErrNotClientHello
+		return nil, ErrNotClientHello
 	}
 	b := hs[4 : 4+hsLen]
 	if len(b) < clientHelloHeaderSkip+1 {
-		return "", ErrNotClientHello
+		return nil, ErrNotClientHello
 	}
 	p := clientHelloHeaderSkip
 	sessLen := int(b[p])
 	p += 1 + sessLen
 	if len(b) < p+2 {
-		return "", ErrNotClientHello
+		return nil, ErrNotClientHello
 	}
 	csLen := int(binary.BigEndian.Uint16(b[p : p+2]))
 	p += 2 + csLen
 	if len(b) < p+1 {
-		return "", ErrNotClientHello
+		return nil, ErrNotClientHello
 	}
 	compLen := int(b[p])
 	p += 1 + compLen
 	if len(b) < p+2 {
-		return "", nil // no extensions block: legal, no SNI
+		return nil, nil // no extensions block: legal, no SNI
 	}
 	extLen := int(binary.BigEndian.Uint16(b[p : p+2]))
 	p += 2
 	if len(b) < p+extLen {
-		return "", ErrNotClientHello
+		return nil, ErrNotClientHello
 	}
 	exts := b[p : p+extLen]
 	for len(exts) >= 4 {
 		typ := binary.BigEndian.Uint16(exts[0:2])
 		l := int(binary.BigEndian.Uint16(exts[2:4]))
 		if len(exts) < 4+l {
-			return "", ErrNotClientHello
+			return nil, ErrNotClientHello
 		}
 		if typ == extensionServerName {
 			v := exts[4 : 4+l]
 			if len(v) < 2 {
-				return "", ErrNotClientHello
+				return nil, ErrNotClientHello
 			}
 			list := v[2:]
 			for len(list) >= 3 {
 				nameLen := int(binary.BigEndian.Uint16(list[1:3]))
 				if len(list) < 3+nameLen {
-					return "", ErrNotClientHello
+					return nil, ErrNotClientHello
 				}
 				if list[0] == sniHostNameType {
-					return string(list[3 : 3+nameLen]), nil
+					return list[3 : 3+nameLen], nil
 				}
 				list = list[3+nameLen:]
 			}
 		}
 		exts = exts[4+l:]
 	}
-	return "", nil
+	return nil, nil
 }

@@ -16,7 +16,7 @@ func TestClientHelloSNIRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", host, err)
 		}
-		if got != host {
+		if string(got) != host {
 			t.Errorf("SNI = %q, want %q", got, host)
 		}
 	}
@@ -25,7 +25,7 @@ func TestClientHelloSNIRoundTrip(t *testing.T) {
 func TestClientHelloNilRNG(t *testing.T) {
 	rec := AppendClientHello(nil, "example.com", nil)
 	got, err := SNI(rec)
-	if err != nil || got != "example.com" {
+	if err != nil || string(got) != "example.com" {
 		t.Fatalf("got %q, %v", got, err)
 	}
 }
@@ -48,7 +48,7 @@ func TestSNITruncationsRejectedOrEmpty(t *testing.T) {
 	rec := AppendClientHello(nil, "truncate.example", nil)
 	for cut := 1; cut < len(rec); cut++ {
 		name, err := SNI(rec[:cut])
-		if err == nil && name == "truncate.example" {
+		if err == nil && string(name) == "truncate.example" {
 			t.Fatalf("full SNI recovered from %d-byte truncation", cut)
 		}
 	}
@@ -68,7 +68,7 @@ func TestQuickSNIRoundTrip(t *testing.T) {
 			return true
 		}
 		got, err := SNI(AppendClientHello(nil, host, rng))
-		return err == nil && got == host
+		return err == nil && string(got) == host
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
