@@ -35,8 +35,8 @@ import (
 	"v6lab/internal/adversary"
 	"v6lab/internal/device"
 	"v6lab/internal/faults"
-	"v6lab/internal/fleet"
 	"v6lab/internal/telemetry"
+	"v6lab/internal/timeline"
 )
 
 func main() {
@@ -273,7 +273,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "simulating %d homes over a %s horizon (seed %d, workers %d)...\n",
 			homes, horizon, *fleetSeed, *workers)
 		part := v6lab.Timeline(horizon,
-			v6lab.FleetConfig(fleet.Config{Homes: homes, Seed: *fleetSeed}))
+			v6lab.TimelineConfig(timeline.Config{Homes: homes, Seed: *fleetSeed}))
 		if err := lab.Run(part); err != nil {
 			fmt.Fprintln(stderr, "error:", err)
 			return 1

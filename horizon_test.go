@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"v6lab/internal/fleet"
 	"v6lab/internal/timeline"
 )
 
@@ -73,8 +72,7 @@ func TestTimelinePartAndArtifact(t *testing.T) {
 	lab := New(WithHorizon(Days(1)))
 	// Rotate every 8h so even a one-day horizon exercises renumbering.
 	part := Timeline(Horizon{},
-		FleetConfig(fleet.Config{Homes: 4, Seed: 3}),
-		TimelineConfig(timeline.Config{RotationEvery: 8 * time.Hour}),
+		TimelineConfig(timeline.Config{Homes: 4, Seed: 3, RotationEvery: 8 * time.Hour}),
 		Workers(2))
 	if err := lab.Run(part); err != nil {
 		t.Fatal(err)

@@ -74,7 +74,10 @@ func lanFromWAN(wan netip.Addr) netip.Addr {
 // Config parameterizes a full adversary run.
 type Config struct {
 	// Fleet is the population under attack. Its Sweep is replaced: the
-	// campaign is each v6-enabled home's WAN phase.
+	// campaign is each v6-enabled home's WAN phase. Its Telemetry also
+	// receives the adversary counters (folded on the single deterministic
+	// path after each worker pool drains, in home-index order), and its
+	// Progress one event per campaign home.
 	Fleet fleet.Config
 
 	// CampaignSeed seeds the attacker's scheduler: per-home probe-order
@@ -92,13 +95,6 @@ type Config struct {
 	// Worm parameterizes the propagation phase; zero values take the
 	// defaults documented on WormConfig.
 	Worm WormConfig
-
-	// Telemetry, when non-nil, receives adversary counters. All folds
-	// happen on the single deterministic path after each worker pool
-	// drains, in home-index order.
-	Telemetry *telemetry.Registry
-	// Progress, when non-nil, receives one event per campaign home.
-	Progress telemetry.Sink
 }
 
 func (c Config) withDefaults() Config {
@@ -109,8 +105,6 @@ func (c Config) withDefaults() Config {
 		c.LowByteSweep = 256
 	}
 	c.Worm = c.Worm.withDefaults()
-	c.Fleet.Telemetry = c.Telemetry
-	c.Fleet.Progress = c.Progress
 	return c
 }
 
@@ -158,7 +152,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		}
 		discoveries[i], camps[i] = hd, hc
 		if !hc.Skipped {
-			telemetry.Emit(cfg.Progress, telemetry.Event{
+			telemetry.Emit(cfg.Fleet.Progress, telemetry.Event{
 				Scope:   "adversary",
 				ID:      fmt.Sprintf("campaign %d/%d", i+1, n),
 				Detail:  fmt.Sprintf("%s, %d targets, %d devices reachable", hc.Policy, hc.TargetsProbed, len(hc.Reachable)),
@@ -187,8 +181,8 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	rep.Campaign = summarizeCampaign(ports, camps)
 	rep.Worm = runWorm(cfg, pop, &rep.Campaign)
 
-	if cfg.Telemetry != nil {
-		foldMetrics(cfg.Telemetry, rep)
+	if cfg.Fleet.Telemetry != nil {
+		foldMetrics(cfg.Fleet.Telemetry, rep)
 	}
 	return rep, nil
 }

@@ -164,7 +164,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestTelemetryCounters(t *testing.T) {
 	cfg := smallCfg(4)
 	reg := telemetry.NewRegistry()
-	cfg.Telemetry = reg
+	cfg.Fleet.Telemetry = reg
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestBootCountedOnce(t *testing.T) {
 	if _, err := fleet.Run(plain); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Telemetry = telemetry.NewRegistry()
+	cfg.Fleet.Telemetry = telemetry.NewRegistry()
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestBootCountedOnce(t *testing.T) {
 	if want == 0 {
 		t.Fatal("the fleet served no cloud queries; the count is untestable")
 	}
-	if got := cloudQueries(cfg.Telemetry); got != want {
+	if got := cloudQueries(cfg.Fleet.Telemetry); got != want {
 		t.Errorf("adversary run counted %d cloud queries, the plain fleet %d", got, want)
 	}
 }

@@ -100,14 +100,9 @@ func (p *EnvPool) Idle() int {
 // telemetry wiring — but keeps its own stacks, clock, switch, and query
 // counters.
 func (st *Study) acquireEnv(base time.Time) *Study {
-	if st.pool != nil {
-		if env := st.pool.get(st.World); env != nil {
-			env.MaxFramesPerRun = st.MaxFramesPerRun
-			env.Capture = st.Capture
-			env.Observe = st.Observe
-			env.Telemetry = st.Telemetry
-			env.Progress = st.Progress
-			env.tm = st.tm
+	if st.opts.Pool != nil {
+		if env := st.opts.Pool.get(st.World); env != nil {
+			env.opts, env.tm = st.opts, st.tm
 			clear(env.Cloud.Queries)
 			return env
 		}
@@ -118,8 +113,8 @@ func (st *Study) acquireEnv(base time.Time) *Study {
 // releaseEnv parks a worker's environment for reuse by later studies (or
 // drops it when the study has no pool).
 func (st *Study) releaseEnv(env *Study) {
-	if st.pool != nil {
-		st.pool.put(env)
+	if st.opts.Pool != nil {
+		st.opts.Pool.put(env)
 	}
 }
 

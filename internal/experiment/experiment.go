@@ -7,7 +7,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"net/netip"
 	"time"
 
 	"v6lab/internal/cloud"
@@ -16,7 +15,6 @@ import (
 	"v6lab/internal/faults"
 	"v6lab/internal/firewall"
 	"v6lab/internal/netsim"
-	"v6lab/internal/packet"
 	"v6lab/internal/pcapio"
 	"v6lab/internal/router"
 	"v6lab/internal/telemetry"
@@ -127,11 +125,6 @@ type RunResult struct {
 	// Functional maps device name to the outcome of its functionality
 	// test in this experiment.
 	Functional map[string]bool
-	// Neighbors is the router's IPv6 neighbor table at the end of the run
-	// (the port-scan address source, §4.3).
-	Neighbors map[netip.Addr]packet.MAC
-	// Leases4 maps device MACs to their DHCPv4 addresses.
-	Leases4 map[packet.MAC]netip.Addr
 	// FramesDelivered counts L2 deliveries (a capacity diagnostic).
 	FramesDelivered int
 	// FramesDropped counts frames the installed impairment swallowed
@@ -177,47 +170,19 @@ type Study struct {
 	// Scan holds the port-scan findings.
 	Scan *ScanReport
 
-	// MaxFramesPerRun bounds each experiment's frame deliveries.
-	MaxFramesPerRun int
-
-	// Capture selects whether each run buffers its frames for pcap
-	// artifacts. It never changes what analysis sees.
-	Capture CapturePolicy
-	// Observe, when non-nil, builds the streaming analysis sink each run
-	// feeds at delivery time. Without one no analysis tap is attached
-	// (aggregate-only runs read stack and router state, not frames).
-	Observe ObserverFactory
-
-	// Workers bounds the worker pool the connectivity experiments run on.
-	// 0 or 1 means serial. See parallel.go for the byte-identity guarantee
-	// and the fault-path fallback.
-	Workers int
-
-	// Faults, when non-nil, impairs every experiment: the link model is
-	// installed on the switch and the service-fault schedule on the
-	// router, and the retry passes run between phases. Nil (the default)
-	// is the perfect network and leaves every run byte-identical to a
-	// study built without fault support.
-	Faults *faults.Profile
-
-	// Telemetry, when non-nil, is the registry every subsystem counts
-	// into; nil (the default) runs fully uninstrumented.
-	Telemetry *telemetry.Registry
-	// Progress, when non-nil, receives a completion event per experiment
-	// (and per firewall policy). The event stream is completion-ordered —
-	// a live view, deliberately outside the deterministic snapshot.
-	Progress telemetry.Sink
+	// opts holds the study's resolved settings (see StudyOptions): the
+	// frame budget defaulted, Faults nil unless active and seeded, and no
+	// Scratch — the study's own lives in scratch. Parallel environments
+	// adopt a parent's settings by copying this one field.
+	opts StudyOptions
 
 	// tm caches the registry's pre-resolved instruments; nil when
-	// Telemetry is nil.
+	// opts.Telemetry is nil.
 	tm *studyMetrics
 
 	// scratch holds the study's recycled run infrastructure (the switch
 	// and its frame arena); never nil after construction.
 	scratch *Scratch
-	// pool, when non-nil, recycles whole isolated environments across
-	// parallel runs and across studies over the same World.
-	pool *EnvPool
 }
 
 // StudyOptions parameterizes testbed construction over a World. The zero
@@ -257,8 +222,9 @@ type StudyOptions struct {
 	// Capture selects pcap buffering per run; the zero value is
 	// CaptureFull.
 	Capture CapturePolicy
-	// Observe builds each run's streaming analysis sink; see
-	// Study.Observe.
+	// Observe, when non-nil, builds the streaming analysis sink each run
+	// feeds at delivery time. Without one no analysis tap is attached
+	// (aggregate-only runs read stack and router state, not frames).
 	Observe ObserverFactory
 	// Workers bounds the pool the six connectivity experiments run on;
 	// 0 or 1 means the serial engine. Results are byte-identical either
@@ -268,7 +234,9 @@ type StudyOptions struct {
 	// touches into the given registry. Studies sharing a registry (fleet
 	// homes, resilience profiles) accumulate into the same counters.
 	Telemetry *telemetry.Registry
-	// Progress, when non-nil, receives per-unit completion events.
+	// Progress, when non-nil, receives a completion event per experiment
+	// (and per firewall policy). The event stream is completion-ordered —
+	// a live view, deliberately outside the deterministic snapshot.
 	Progress telemetry.Sink
 }
 
@@ -282,48 +250,48 @@ func NewStudy() *Study {
 // zero-value defaults. The study serves traffic through a Clone of the
 // world's cloud: private query counters over the shared domain registry.
 func NewStudyWith(opts StudyOptions) *Study {
-	start := opts.Start
-	if start.IsZero() {
-		start = time.Date(2024, 4, 5, 9, 0, 0, 0, time.UTC)
+	if opts.Start.IsZero() {
+		opts.Start = time.Date(2024, 4, 5, 9, 0, 0, 0, time.UTC)
 	}
-	maxFrames := opts.MaxFramesPerRun
-	if maxFrames == 0 {
-		maxFrames = 3_000_000
-	}
-	w := opts.World
-	st := &Study{
-		World:           w,
-		Profiles:        w.Profiles,
-		Cloud:           w.Cloud.Clone(),
-		Clock:           netsim.NewClock(start),
-		ActiveDNS:       map[string]AAAAResult{},
-		MaxFramesPerRun: maxFrames,
-		Capture:         opts.Capture,
-		Observe:         opts.Observe,
-		Workers:         opts.Workers,
-		Telemetry:       opts.Telemetry,
-		Progress:        opts.Progress,
-		scratch:         opts.Scratch,
-		pool:            opts.Pool,
-	}
-	if st.scratch == nil {
-		st.scratch = NewScratch()
-	}
-	if opts.Telemetry != nil {
-		st.tm = newStudyMetrics(opts.Telemetry)
+	if opts.MaxFramesPerRun == 0 {
+		opts.MaxFramesPerRun = 3_000_000
 	}
 	if opts.Faults != nil && opts.Faults.Active() {
 		fp := *opts.Faults
 		if fp.Seed == 0 {
 			fp.Seed = 1
 		}
-		st.Faults = &fp
+		opts.Faults = &fp
+	} else {
+		opts.Faults = nil
+	}
+	scratch := opts.Scratch
+	if scratch == nil {
+		scratch = NewScratch()
+	}
+	opts.Scratch = nil
+	w := opts.World
+	st := &Study{
+		World:     w,
+		Profiles:  w.Profiles,
+		Cloud:     w.Cloud.Clone(),
+		Clock:     netsim.NewClock(opts.Start),
+		ActiveDNS: map[string]AAAAResult{},
+		opts:      opts,
+		scratch:   scratch,
+	}
+	if opts.Telemetry != nil {
+		st.tm = newStudyMetrics(opts.Telemetry)
 	}
 	for i, p := range w.Profiles {
 		st.Stacks = append(st.Stacks, device.NewStack(p, w.Plans[i], i, w.Prefixes))
 	}
 	return st
 }
+
+// Options returns the study's resolved settings: the frame budget
+// defaulted, Faults nil unless active (and then seeded), and Scratch nil.
+func (st *Study) Options() StudyOptions { return st.opts }
 
 // RunAll executes the six connectivity experiments — on the parallel
 // engine when Workers > 1 and no faults are active, serially otherwise —
@@ -359,8 +327,8 @@ func (st *Study) RunAllContext(ctx context.Context) error {
 // many retransmissions earlier experiments provoked, which only the serial
 // engine can know, so faulted studies always run serially.
 func (st *Study) runConnectivity(ctx context.Context) error {
-	if st.Workers > 1 && st.Faults == nil {
-		return st.runConnectivityParallel(ctx, st.Workers)
+	if st.opts.Workers > 1 && st.opts.Faults == nil {
+		return st.runConnectivityParallel(ctx, st.opts.Workers)
 	}
 	// The runs join st.Results only once all six finish, as on the
 	// parallel engine: a cancelled study keeps no partial results.
@@ -406,12 +374,12 @@ func (st *Study) RunExperimentWith(cfg Config, pol firewall.Policy) (*RunResult,
 	// the policy keeps one, is just the buffer pcap artifacts are written
 	// from.
 	var obs netsim.Tap
-	if st.Observe != nil {
-		obs = st.Observe(cfg, st, h.Net)
+	if st.opts.Observe != nil {
+		obs = st.opts.Observe(cfg, st, h.Net)
 		h.Net.AddTap(obs)
 	}
 	var cap *pcapio.Capture
-	if st.Capture == CaptureFull {
+	if st.opts.Capture == CaptureFull {
 		cap = &pcapio.Capture{}
 		h.Net.AddTap(cap)
 	}
@@ -431,18 +399,13 @@ func (st *Study) RunExperimentWith(cfg Config, pol firewall.Policy) (*RunResult,
 		Capture:         cap,
 		Observed:        obs,
 		Functional:      map[string]bool{},
-		Neighbors:       rt.Neighbors,
-		Leases4:         map[packet.MAC]netip.Addr{},
 		FramesDelivered: h.Net.Delivered(),
 	}
 	for _, s := range st.Stacks {
 		res.Functional[s.Prof.Name] = s.Functional()
-		if lease, ok := rt.LeaseFor(s.MAC); ok {
-			res.Leases4[s.MAC] = lease
-		}
 		res.Retransmits += s.Retransmits()
 	}
-	if st.Faults != nil {
+	if st.opts.Faults != nil {
 		res.FramesDropped = h.Net.Dropped()
 		res.PTBSent = rt.PTBSent
 		res.ServiceDrops = rt.Faults.RAsDropped + rt.Faults.DHCPv6Dropped + rt.Faults.AAAADropped
@@ -470,7 +433,7 @@ func (st *Study) RunExperimentWith(cfg Config, pol firewall.Policy) (*RunResult,
 			functional++
 		}
 	}
-	telemetry.Emit(st.Progress, telemetry.Event{
+	telemetry.Emit(st.opts.Progress, telemetry.Event{
 		Scope:   "experiment",
 		ID:      cfg.ID,
 		Detail:  fmt.Sprintf("%d/%d devices functional, %d frames", functional, len(st.Stacks), res.Frames()),

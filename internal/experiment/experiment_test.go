@@ -8,7 +8,7 @@ import (
 
 func TestSingleExperimentProducesTraffic(t *testing.T) {
 	st := NewStudy()
-	res, err := st.RunExperiment(Configs[0]) // IPv4-only
+	res, h, err := st.RunExperimentWith(Configs[0], nil) // IPv4-only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,8 +21,14 @@ func TestSingleExperimentProducesTraffic(t *testing.T) {
 			t.Errorf("%s not functional in IPv4-only", name)
 		}
 	}
-	if len(res.Leases4) != 93 {
-		t.Errorf("DHCPv4 leases = %d, want 93", len(res.Leases4))
+	leases := 0
+	for _, s := range st.Stacks {
+		if _, ok := h.Router.LeaseFor(s.MAC); ok {
+			leases++
+		}
+	}
+	if leases != 93 {
+		t.Errorf("DHCPv4 leases = %d, want 93", leases)
 	}
 	t.Logf("ipv4-only: %d frames", res.Capture.Len())
 }
@@ -31,7 +37,7 @@ func TestIPv6OnlyFunctionalDevices(t *testing.T) {
 	st := NewStudy()
 	// V6Seq order matters for rotation schedules but functionality only
 	// needs the baseline run.
-	res, err := st.RunExperiment(Configs[1]) // IPv6-only baseline
+	res, h, err := st.RunExperimentWith(Configs[1], nil) // IPv6-only baseline
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +58,10 @@ func TestIPv6OnlyFunctionalDevices(t *testing.T) {
 	if functional != 8 {
 		t.Errorf("functional devices in IPv6-only = %d, want 8", functional)
 	}
-	if len(res.Neighbors) == 0 {
+	if len(h.Router.Neighbors) == 0 {
 		t.Error("router neighbor table empty")
 	}
-	t.Logf("ipv6-only: %d frames, %d neighbors", res.Capture.Len(), len(res.Neighbors))
+	t.Logf("ipv6-only: %d frames, %d neighbors", res.Capture.Len(), len(h.Router.Neighbors))
 }
 
 func TestFullStudyRuns(t *testing.T) {

@@ -132,7 +132,7 @@ func (st *Study) RunFirewallExposureUnder(cfg Config, policies []firewall.Policy
 			return nil, err
 		}
 		rep.Policies = append(rep.Policies, *pe)
-		telemetry.Emit(st.Progress, telemetry.Event{
+		telemetry.Emit(st.opts.Progress, telemetry.Event{
 			Scope:   "firewall",
 			ID:      pe.Policy,
 			Detail:  fmt.Sprintf("%d/%d devices reachable, %d ports open", pe.DevicesReachable, pe.DevicesProbed, pe.PortsReachable),

@@ -54,9 +54,9 @@ func (st *Study) NewHome(cfg Config, pol firewall.Policy, impair string) *Home {
 		h.Router.SetFirewall(h.Firewall)
 	}
 	h.Router.Attach(net)
-	if impair != "" && st.Faults != nil {
-		net.SetImpairment(faults.NewLink(*st.Faults, faults.SubSeed(st.Faults.Seed, impair)))
-		h.Router.Faults = faults.NewServices(*st.Faults, st.Clock)
+	if fp := st.opts.Faults; impair != "" && fp != nil {
+		net.SetImpairment(faults.NewLink(*fp, faults.SubSeed(fp.Seed, impair)))
+		h.Router.Faults = faults.NewServices(*fp, st.Clock)
 		h.faulted = true
 	}
 	for _, s := range st.Stacks {
@@ -100,7 +100,7 @@ func (h *Home) Workload() error {
 // Drain delivers queued frames until the switch is quiescent, within the
 // study's frame budget.
 func (h *Home) Drain() error {
-	_, err := h.Net.Run(h.st.MaxFramesPerRun)
+	_, err := h.Net.Run(h.st.opts.MaxFramesPerRun)
 	return err
 }
 

@@ -111,19 +111,12 @@ func (st *Study) runConnectivityParallel(ctx context.Context, workers int) error
 // scratch, and query counters, so one experiment can run on it
 // concurrently with others.
 func (st *Study) isolatedEnv(base time.Time) *Study {
-	env := NewStudyWith(StudyOptions{
-		World:           st.World,
-		Start:           base,
-		MaxFramesPerRun: st.MaxFramesPerRun,
-		Capture:         st.Capture,
-		Observe:         st.Observe,
-		Progress:        st.Progress,
-	})
-	// The environments share the parent's instruments: counter folds are
-	// atomic additions (order-independent), and cloud-query folding stays
-	// with the parent, which merges the environments' counters in config
-	// order before its single fold.
-	env.Telemetry, env.tm = st.Telemetry, st.tm
+	env := NewStudyWith(StudyOptions{World: st.World, Start: base})
+	// The environments adopt the parent's settings and share its
+	// instruments: counter folds are atomic additions (order-independent),
+	// and cloud-query folding stays with the parent, which merges the
+	// environments' counters in config order before its single fold.
+	env.opts, env.tm = st.opts, st.tm
 	return env
 }
 

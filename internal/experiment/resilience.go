@@ -150,7 +150,7 @@ func runResilienceProfile(opts StudyOptions, p faults.Profile) (*ResilienceProfi
 		po.FunctionalTotal += rc.Functional
 	}
 	st.FoldCloudMetrics()
-	telemetry.Emit(st.Progress, telemetry.Event{
+	telemetry.Emit(st.opts.Progress, telemetry.Event{
 		Scope:   "resilience",
 		ID:      p.Name,
 		Detail:  fmt.Sprintf("%d/%d device-runs functional", po.FunctionalTotal, len(st.Stacks)*len(Configs)),

@@ -10,7 +10,6 @@ import (
 	"v6lab"
 	"v6lab/internal/adversary"
 	"v6lab/internal/faults"
-	"v6lab/internal/fleet"
 	"v6lab/internal/report"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/timeline"
@@ -131,11 +130,13 @@ func runSpec(ctx context.Context, spec JobSpec, sink telemetry.Sink) (*Result, e
 		}
 		opts = append(opts, v6lab.WithFaultProfile(p))
 	}
+	// The lab's frame budget and worker count reach every part: the study,
+	// the resilience grid, and — through the parts' shared resolution —
+	// each fleet, adversary and timeline home. The part configs below set
+	// only what is theirs alone.
 	if spec.MaxFramesPerRun > 0 {
 		opts = append(opts, v6lab.WithMaxFramesPerRun(spec.MaxFramesPerRun))
 	}
-	// One knob for every engine: WithWorkers flows to the study's parallel
-	// engine and — via part inheritance — to fleet and adversary pools.
 	if spec.Workers > 0 {
 		opts = append(opts, v6lab.WithWorkers(spec.Workers))
 	}
@@ -158,32 +159,19 @@ func runSpec(ctx context.Context, spec JobSpec, sink telemetry.Sink) (*Result, e
 	case KindFirewall:
 		parts = []v6lab.RunPart{v6lab.Connectivity(), v6lab.FirewallComparison(spec.Policies...)}
 	case KindFleet:
-		parts = []v6lab.RunPart{v6lab.Fleet(0, v6lab.FleetConfig(fleet.Config{
-			Homes:           spec.FleetHomes,
-			Seed:            spec.FleetSeed,
-			MaxFramesPerRun: spec.MaxFramesPerRun,
-		}))}
+		parts = []v6lab.RunPart{v6lab.Fleet(spec.FleetHomes, v6lab.Seed(spec.FleetSeed))}
 	case KindResilience:
 		parts = []v6lab.RunPart{v6lab.Resilience()}
 	case KindAdversary:
-		parts = []v6lab.RunPart{v6lab.Adversary(0, v6lab.AdversaryConfig(adversary.Config{
-			Fleet: fleet.Config{
-				Homes:           spec.FleetHomes,
-				Seed:            spec.FleetSeed,
-				MaxFramesPerRun: spec.MaxFramesPerRun,
-			},
-			CampaignSeed: spec.CampaignSeed,
-		}))}
+		parts = []v6lab.RunPart{v6lab.Adversary(spec.FleetHomes, v6lab.Seed(spec.FleetSeed),
+			v6lab.AdversaryConfig(adversary.Config{CampaignSeed: spec.CampaignSeed}))}
 	case KindTimeline:
 		h, err := v6lab.ParseHorizon(spec.Horizon)
 		if err != nil {
 			return nil, err
 		}
-		parts = []v6lab.RunPart{v6lab.Timeline(h, v6lab.TimelineConfig(timeline.Config{
-			Homes:             spec.FleetHomes,
-			Seed:              spec.FleetSeed,
-			MaxFramesPerDrain: spec.MaxFramesPerRun,
-		}))}
+		parts = []v6lab.RunPart{v6lab.Timeline(h, v6lab.Seed(spec.FleetSeed),
+			v6lab.TimelineConfig(timeline.Config{Homes: spec.FleetHomes}))}
 	}
 	if err := lab.RunContext(ctx, parts...); err != nil {
 		return nil, err

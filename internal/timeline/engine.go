@@ -111,7 +111,6 @@ type homeEngine struct {
 	h   evHeap
 	seq uint64
 
-	asleep  []bool
 	sleptAt []time.Time
 	devRng  []splitmix.Rand
 	homeRng splitmix.Rand
@@ -153,7 +152,6 @@ func runHome(cfg Config, reg []*device.Profile, spec fleet.HomeSpec, scratch *ex
 		home:    home,
 		start:   st.Clock.Now(),
 		res:     &HomeTimeline{Spec: spec},
-		asleep:  make([]bool, len(st.Stacks)),
 		sleptAt: make([]time.Time, len(st.Stacks)),
 		devRng:  make([]splitmix.Rand, len(st.Stacks)),
 		homeRng: splitmix.New(cfg.Seed ^ (uint64(spec.Index)+1)*0xd1342543de82ef95),
@@ -269,12 +267,12 @@ func (e *homeEngine) handle(ev event) error {
 
 	case evBurst:
 		day := e.dayOf(ev.at)
-		if e.asleep[ev.dev] {
+		s := e.st.Stacks[ev.dev]
+		if s.Asleep() {
 			day.BurstsAsleep++
 			return nil
 		}
 		day.BurstsAttempted++
-		s := e.st.Stacks[ev.dev]
 		s.RunBurst(e.st.Cloud)
 		if err := e.home.Drain(); err != nil {
 			return err
@@ -284,12 +282,11 @@ func (e *homeEngine) handle(ev event) error {
 		}
 
 	case evSleep:
-		if e.asleep[ev.dev] {
+		s := e.st.Stacks[ev.dev]
+		if s.Asleep() {
 			return nil
 		}
-		s := e.st.Stacks[ev.dev]
 		s.SetAsleep(true)
-		e.asleep[ev.dev] = true
 		e.sleptAt[ev.dev] = ev.at
 		e.res.Sleeps++
 		shape := shapeFor(s.Prof.Category)
@@ -298,9 +295,8 @@ func (e *homeEngine) handle(ev event) error {
 	case evWake:
 		s := e.st.Stacks[ev.dev]
 		shape := shapeFor(s.Prof.Category)
-		if e.asleep[ev.dev] {
+		if s.Asleep() {
 			s.SetAsleep(false)
-			e.asleep[ev.dev] = false
 			e.res.Wakes++
 			slept := ev.at.Sub(e.sleptAt[ev.dev])
 			if e.home.Config.Router.IPv6 {
@@ -340,7 +336,7 @@ func (e *homeEngine) handle(ev event) error {
 
 	case evRenew4:
 		s := e.st.Stacks[ev.dev]
-		if e.asleep[ev.dev] {
+		if s.Asleep() {
 			e.push(ev.at.Add(renewEvery), evRenew4, ev.dev, 0)
 			return nil
 		}
@@ -376,7 +372,7 @@ func (e *homeEngine) handle(ev event) error {
 
 	case evRenew6:
 		s := e.st.Stacks[ev.dev]
-		if e.asleep[ev.dev] || !s.StatefulConfigured() {
+		if s.Asleep() || !s.StatefulConfigured() {
 			e.push(ev.at.Add(renewEvery), evRenew6, ev.dev, 0)
 			return nil
 		}
@@ -401,7 +397,7 @@ func (e *homeEngine) handle(ev event) error {
 		}
 
 	case evPowerCycle:
-		if e.asleep[ev.dev] {
+		if e.st.Stacks[ev.dev].Asleep() {
 			e.push(ev.at.Add(durBetween(&e.devRng[ev.dev], 12*time.Hour, 24*time.Hour)), evPowerCycle, ev.dev, 0)
 			return nil
 		}
@@ -485,7 +481,8 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		homesDone = cfg.Telemetry.Counter("timeline", "homes_completed_total", "Timeline homes simulated to the horizon.")
 		burstsDone = cfg.Telemetry.Counter("timeline", "bursts_total", "Workload bursts fired across all timeline homes.")
 	}
-	fc := cfg.fleetCfg()
+	// Homes derive from the fleet's default mixes under the timeline seed.
+	fc := fleet.Config{Seed: cfg.Seed}
 	reg := device.Registry()
 	results := make([]*HomeTimeline, cfg.Homes)
 	err := pool.Run(ctx, cfg.Homes, cfg.Workers, func(int) func(int) error {

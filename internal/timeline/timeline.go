@@ -32,11 +32,9 @@ type Config struct {
 	Homes int
 	// Workers bounds the worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// Seed derives every home's spec and event schedule; 0 means 1.
+	// Seed derives every home's spec (from the fleet's default mixes) and
+	// event schedule; 0 means 1.
 	Seed uint64
-	// Fleet overrides the population mix (sizes, connectivity, policies).
-	// Its Homes/Workers/Seed fields are ignored — the timeline's own govern.
-	Fleet fleet.Config
 	// RotationEvery is the ISP prefix-rotation period; 0 means 60 h
 	// (about two flash renumberings per simulated week), negative disables
 	// rotations.
@@ -81,15 +79,6 @@ func (c Config) withDefaults() Config {
 		c.MaxFramesPerDrain = 3_000_000
 	}
 	return c
-}
-
-// fleetCfg resolves the population-mix config the home specs derive from.
-func (c Config) fleetCfg() fleet.Config {
-	fc := c.Fleet
-	fc.Homes = c.Homes
-	fc.Seed = c.Seed
-	fc.Workers = 1
-	return fc
 }
 
 // RenewalFunnel counts lease-renewal outcomes across one home's horizon.

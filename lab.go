@@ -133,15 +133,19 @@ func WithDevices(names ...string) Option {
 	return func(o *options) { o.deviceNames = append(o.deviceNames, names...) }
 }
 
-// WithSeed sets the seed that fault profiles without an explicit seed
-// inherit (the default is 1). A lab is byte-deterministic in
-// (options, parts): same seed and profile, same pcaps and reports.
+// WithSeed sets the lab's seed (the default is 1): fault profiles without
+// an explicit seed inherit it, and so do the Fleet, Adversary, Timeline
+// and Resilience parts unless a Seed PartOption or their config sets one
+// (see PartOption). A lab is byte-deterministic in (options, parts): same
+// seed and profile, same pcaps and reports.
 func WithSeed(seed uint64) Option {
 	return func(o *options) { o.seed = seed }
 }
 
 // WithMaxFramesPerRun bounds each experiment's frame deliveries (0 keeps
-// the default 3,000,000).
+// the default 3,000,000). The bound reaches every part: each fleet or
+// adversary home's run and each timeline event's drain, unless the part's
+// config sets its own (see PartOption).
 func WithMaxFramesPerRun(n int) Option {
 	return func(o *options) { o.maxFrames = n }
 }
@@ -155,8 +159,8 @@ func WithFaultProfile(p faults.Profile) Option {
 
 // WithWorkers is the lab's single worker-count knob: it sizes the pool
 // for the connectivity experiments, the resilience grid's profiles, and —
-// unless their configs say otherwise — the fleet, adversary and timeline
-// parts. Output is byte-identical for every n: results merge in config (or
+// unless a Workers PartOption or their configs say otherwise — the fleet,
+// adversary and timeline parts. Output is byte-identical for every n: results merge in config (or
 // home-index) order and pcap timestamps are rebased onto the serial
 // timeline (see the experiment package). 0 or 1 means serial for the study
 // engines and GOMAXPROCS for the fleet, adversary and timeline pools; n > 1
@@ -272,7 +276,7 @@ func New(opts ...Option) *Lab {
 	if o.pcaps == nil {
 		so.Capture = experiment.CaptureNone
 	}
-	if o.fault != nil && o.fault.Active() {
+	if o.fault != nil {
 		fp := *o.fault
 		if fp.Seed == 0 {
 			fp.Seed = o.seed

@@ -14,8 +14,8 @@ func TestZeroOptionNewMatchesFullRegistry(t *testing.T) {
 	if got, want := len(lab.Study.Profiles), len(device.Registry()); got != want {
 		t.Errorf("zero-option lab has %d devices, want the full registry (%d)", got, want)
 	}
-	if lab.Study.MaxFramesPerRun != 3_000_000 {
-		t.Errorf("MaxFramesPerRun = %d, want the 3M default", lab.Study.MaxFramesPerRun)
+	if lab.Study.Options().MaxFramesPerRun != 3_000_000 {
+		t.Errorf("MaxFramesPerRun = %d, want the 3M default", lab.Study.Options().MaxFramesPerRun)
 	}
 }
 
@@ -54,7 +54,7 @@ func TestWithDevicesUnknownNameErr(t *testing.T) {
 }
 
 func TestWithMaxFramesPerRun(t *testing.T) {
-	if got := New(WithMaxFramesPerRun(12345)).Study.MaxFramesPerRun; got != 12345 {
+	if got := New(WithMaxFramesPerRun(12345)).Study.Options().MaxFramesPerRun; got != 12345 {
 		t.Errorf("MaxFramesPerRun = %d, want 12345", got)
 	}
 }
@@ -151,19 +151,19 @@ func TestRunPartsAccumulateAndReproduce(t *testing.T) {
 // the default byte-identical path (no impairment installed), an active
 // profile flips the study into the impaired path.
 func TestFaultProfileChangesOutputCleanDoesNot(t *testing.T) {
-	if New(WithFaultProfile(faults.Clean())).Study.Faults != nil {
+	if New(WithFaultProfile(faults.Clean())).Study.Options().Faults != nil {
 		t.Error("a clean profile must not install impairment")
 	}
 	lab := New(WithFaultProfile(faults.LossyWiFi()))
-	if lab.Study.Faults == nil {
+	if lab.Study.Options().Faults == nil {
 		t.Fatal("an active profile must reach the study")
 	}
-	if lab.Study.Faults.Seed != 1 {
-		t.Errorf("profile seed = %d, want 1", lab.Study.Faults.Seed)
+	if lab.Study.Options().Faults.Seed != 1 {
+		t.Errorf("profile seed = %d, want 1", lab.Study.Options().Faults.Seed)
 	}
 	// A profile without its own seed inherits WithSeed.
 	seedless := faults.Profile{Name: "seedless-loss", LossPermille: 30}
-	if got := New(WithSeed(9), WithFaultProfile(seedless)).Study.Faults.Seed; got != 9 {
+	if got := New(WithSeed(9), WithFaultProfile(seedless)).Study.Options().Faults.Seed; got != 9 {
 		t.Errorf("seedless profile got seed %d, want WithSeed's 9", got)
 	}
 }

@@ -7,15 +7,21 @@ import (
 	"v6lab/internal/experiment"
 	"v6lab/internal/faults"
 	"v6lab/internal/fleet"
+	"v6lab/internal/telemetry"
 	"v6lab/internal/timeline"
 )
 
 // PartOption tunes one composable part without touching the lab's global
 // options: Fleet(64, Workers(4), Seed(7)) reads as one population with its
-// own worker pool and seed. Every part resolves its settings the same
-// way — an explicit PartOption wins over a config struct passed via
+// own worker pool and seed. Fleet, Adversary, Timeline and Resilience
+// resolve the settings they share through one rule (resolve): an explicit
+// PartOption wins over a nonzero field of the config struct passed via
 // FleetConfig/AdversaryConfig/TimelineConfig, which wins over the lab's
-// WithWorkers/WithSeed defaults.
+// default — WithSeed, WithWorkers, WithMaxFramesPerRun, WithTelemetry and
+// WithProgress. Seed and Workers are the settings with a PartOption; the
+// frame budget, telemetry and progress come from the config or the lab.
+// The horizon, impairments and the adversary's CampaignSeed are
+// part-specific (see Timeline and Adversary).
 type PartOption func(*partConfig)
 
 // partConfig accumulates the shared per-part settings.
@@ -38,14 +44,14 @@ func applyParts(opts []PartOption) partConfig {
 	return pc
 }
 
-// Seed sets the part's derivation seed, independent of the lab's
-// WithSeed.
+// Seed sets the part's derivation seed, overriding the config's and the
+// lab's WithSeed.
 func Seed(seed uint64) PartOption {
 	return func(pc *partConfig) { pc.seed = seed; pc.seedSet = true }
 }
 
-// Workers bounds the part's worker pool, independent of the lab's
-// WithWorkers. Output is byte-identical for every value.
+// Workers bounds the part's worker pool, overriding the config's and the
+// lab's WithWorkers. Output is byte-identical for every value.
 func Workers(n int) PartOption {
 	return func(pc *partConfig) { pc.workers = n; pc.workersSet = true }
 }
@@ -58,8 +64,10 @@ func Impairments(profiles ...faults.Profile) PartOption {
 }
 
 // FleetConfig supplies a full population config to Fleet (or to the fleet
-// an Adversary or Timeline part builds). Individual PartOptions still
-// override its fields.
+// an Adversary part attacks). Its zero Seed, Workers, MaxFramesPerRun,
+// Telemetry and Progress take the lab's; Seed and Workers PartOptions
+// override it. A Timeline draws its homes from the default mixes and does
+// not read it.
 func FleetConfig(cfg fleet.Config) PartOption {
 	return func(pc *partConfig) { pc.fleetCfg = &cfg }
 }
@@ -69,7 +77,9 @@ func AdversaryConfig(cfg adversary.Config) PartOption {
 	return func(pc *partConfig) { pc.advCfg = &cfg }
 }
 
-// TimelineConfig supplies a full long-horizon config to Timeline.
+// TimelineConfig supplies a full long-horizon config to Timeline. Its zero
+// Seed, Workers, MaxFramesPerDrain, Telemetry and Progress take the lab's;
+// Seed and Workers PartOptions override it.
 func TimelineConfig(cfg timeline.Config) PartOption {
 	return func(pc *partConfig) { pc.tlCfg = &cfg }
 }
@@ -83,15 +93,7 @@ func TimelineConfig(cfg timeline.Config) PartOption {
 func Fleet(n int, opts ...PartOption) RunPart {
 	pc := applyParts(opts)
 	return func(l *Lab) error {
-		var cfg fleet.Config
-		if pc.fleetCfg != nil {
-			cfg = *pc.fleetCfg
-		}
-		if n > 0 {
-			cfg.Homes = n
-		}
-		l.resolveFleet(&cfg, &pc)
-		pop, err := fleet.RunContext(l.runCtx(), cfg)
+		pop, err := fleet.RunContext(l.runCtx(), l.fleetConfig(n, pc))
 		if err != nil {
 			return err
 		}
@@ -100,21 +102,42 @@ func Fleet(n int, opts ...PartOption) RunPart {
 	}
 }
 
-// resolveFleet applies the part-option precedence to a fleet config.
-func (l *Lab) resolveFleet(cfg *fleet.Config, pc *partConfig) {
+// fleetConfig resolves the population config of Fleet(n, ...) — and of
+// the fleet an Adversary attacks.
+func (l *Lab) fleetConfig(n int, pc partConfig) fleet.Config {
+	var cfg fleet.Config
+	if pc.fleetCfg != nil {
+		cfg = *pc.fleetCfg
+	}
+	if n > 0 {
+		cfg.Homes = n
+	}
+	l.resolve(pc, &cfg.Seed, &cfg.Workers, &cfg.MaxFramesPerRun, &cfg.Telemetry, &cfg.Progress)
+	return cfg
+}
+
+// resolve applies the PartOption > config > lab precedence to the settings
+// every population part shares. Each pointer addresses the part config's
+// own field, so the resolved value lives in exactly one place.
+func (l *Lab) resolve(pc partConfig, seed *uint64, workers, maxFrames *int, reg **telemetry.Registry, progress *telemetry.Sink) {
 	if pc.seedSet {
-		cfg.Seed = pc.seed
+		*seed = pc.seed
+	} else if *seed == 0 {
+		*seed = l.opts.seed
 	}
 	if pc.workersSet {
-		cfg.Workers = pc.workers
-	} else if cfg.Workers == 0 {
-		cfg.Workers = l.opts.workers
+		*workers = pc.workers
+	} else if *workers == 0 {
+		*workers = l.opts.workers
 	}
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = l.opts.telemetry
+	if *maxFrames == 0 {
+		*maxFrames = l.opts.maxFrames
 	}
-	if cfg.Progress == nil {
-		cfg.Progress = l.opts.progress
+	if *reg == nil {
+		*reg = l.opts.telemetry
+	}
+	if *progress == nil {
+		*progress = l.opts.progress
 	}
 }
 
@@ -126,40 +149,31 @@ func (l *Lab) resolveFleet(cfg *fleet.Config, pc *partConfig) {
 func Adversary(n int, opts ...PartOption) RunPart {
 	pc := applyParts(opts)
 	return func(l *Lab) error {
-		var cfg adversary.Config
-		if pc.advCfg != nil {
-			cfg = *pc.advCfg
-		}
-		if pc.fleetCfg != nil {
-			cfg.Fleet = *pc.fleetCfg
-		}
-		if n > 0 {
-			cfg.Fleet.Homes = n
-		}
-		if pc.seedSet {
-			cfg.Fleet.Seed = pc.seed
-			if cfg.CampaignSeed == 0 {
-				cfg.CampaignSeed = pc.seed
-			}
-		}
-		if pc.workersSet {
-			cfg.Fleet.Workers = pc.workers
-		} else if cfg.Fleet.Workers == 0 {
-			cfg.Fleet.Workers = l.opts.workers
-		}
-		if cfg.Telemetry == nil {
-			cfg.Telemetry = l.opts.telemetry
-		}
-		if cfg.Progress == nil {
-			cfg.Progress = l.opts.progress
-		}
-		rep, err := adversary.RunContext(l.runCtx(), cfg)
+		rep, err := adversary.RunContext(l.runCtx(), l.adversaryConfig(n, pc))
 		if err != nil {
 			return err
 		}
 		l.Adv = rep
 		return nil
 	}
+}
+
+// adversaryConfig resolves the attack config of Adversary(n, ...). A
+// FleetConfig replaces the AdversaryConfig's fleet.
+func (l *Lab) adversaryConfig(n int, pc partConfig) adversary.Config {
+	var cfg adversary.Config
+	if pc.advCfg != nil {
+		cfg = *pc.advCfg
+	}
+	if pc.fleetCfg == nil {
+		pc.fleetCfg = &cfg.Fleet
+	}
+	cfg.Fleet = l.fleetConfig(n, pc)
+	// A Seed PartOption also seeds a campaign the config left unseeded.
+	if pc.seedSet && cfg.CampaignSeed == 0 {
+		cfg.CampaignSeed = pc.seed
+	}
+	return cfg
 }
 
 // Resilience re-runs the Table 2 grid under each impairment profile —
@@ -175,20 +189,15 @@ func Resilience(opts ...PartOption) RunPart {
 		if len(profiles) == 0 {
 			profiles = faults.Grid()
 		}
-		seed := l.opts.seed
-		if pc.seedSet {
-			seed = pc.seed
-		}
+		so := l.studyOptions()
+		var seed uint64
+		l.resolve(pc, &seed, &so.Workers, &so.MaxFramesPerRun, &so.Telemetry, &so.Progress)
 		seeded := make([]faults.Profile, len(profiles))
 		for i, p := range profiles {
 			if p.Seed == 0 {
 				p.Seed = seed
 			}
 			seeded[i] = p
-		}
-		so := l.studyOptions()
-		if pc.workersSet {
-			so.Workers = pc.workers
 		}
 		rep, err := experiment.RunResilienceContext(l.runCtx(), so, seeded...)
 		if err != nil {
@@ -210,52 +219,9 @@ func Resilience(opts ...PartOption) RunPart {
 func Timeline(h Horizon, opts ...PartOption) RunPart {
 	pc := applyParts(opts)
 	return func(l *Lab) error {
-		var cfg timeline.Config
-		if pc.tlCfg != nil {
-			cfg = *pc.tlCfg
-		}
-		if pc.fleetCfg != nil {
-			cfg.Fleet = *pc.fleetCfg
-			// The timeline's own Homes/Seed govern its fleet; a FleetConfig
-			// that sets them flows through unless the timeline config did.
-			if cfg.Homes == 0 {
-				cfg.Homes = pc.fleetCfg.Homes
-			}
-			if cfg.Seed == 0 {
-				cfg.Seed = pc.fleetCfg.Seed
-			}
-		}
-		if !h.IsZero() {
-			cfg.Horizon = h.Duration()
-		}
-		if cfg.Horizon == 0 && !l.opts.horizon.IsZero() {
-			cfg.Horizon = l.opts.horizon.Duration()
-		}
-		if cfg.Horizon <= 0 {
-			return fmt.Errorf("%w: Timeline needs a horizon (e.g. v6lab.Weeks(1) or WithHorizon)", ErrInvalidHorizon)
-		}
-		if pc.seedSet {
-			cfg.Seed = pc.seed
-		} else if cfg.Seed == 0 {
-			cfg.Seed = l.opts.seed
-		}
-		if pc.workersSet {
-			cfg.Workers = pc.workers
-		} else if cfg.Workers == 0 {
-			cfg.Workers = l.opts.workers
-		}
-		if cfg.Impairments == nil {
-			if len(pc.impairments) > 0 {
-				cfg.Impairments = &pc.impairments[0]
-			} else if l.opts.fault != nil {
-				cfg.Impairments = l.opts.fault
-			}
-		}
-		if cfg.Telemetry == nil {
-			cfg.Telemetry = l.opts.telemetry
-		}
-		if cfg.Progress == nil {
-			cfg.Progress = l.opts.progress
+		cfg, err := l.timelineConfig(h, pc)
+		if err != nil {
+			return err
 		}
 		rep, err := timeline.RunContext(l.runCtx(), cfg)
 		if err != nil {
@@ -264,4 +230,30 @@ func Timeline(h Horizon, opts ...PartOption) RunPart {
 		l.TL = rep
 		return nil
 	}
+}
+
+// timelineConfig resolves the long-horizon config of Timeline(h, ...).
+func (l *Lab) timelineConfig(h Horizon, pc partConfig) (timeline.Config, error) {
+	var cfg timeline.Config
+	if pc.tlCfg != nil {
+		cfg = *pc.tlCfg
+	}
+	if !h.IsZero() {
+		cfg.Horizon = h.Duration()
+	}
+	if cfg.Horizon == 0 && !l.opts.horizon.IsZero() {
+		cfg.Horizon = l.opts.horizon.Duration()
+	}
+	if cfg.Horizon <= 0 {
+		return cfg, fmt.Errorf("%w: Timeline needs a horizon (e.g. v6lab.Weeks(1) or WithHorizon)", ErrInvalidHorizon)
+	}
+	l.resolve(pc, &cfg.Seed, &cfg.Workers, &cfg.MaxFramesPerDrain, &cfg.Telemetry, &cfg.Progress)
+	if cfg.Impairments == nil {
+		if len(pc.impairments) > 0 {
+			cfg.Impairments = &pc.impairments[0]
+		} else if l.opts.fault != nil {
+			cfg.Impairments = l.opts.fault
+		}
+	}
+	return cfg, nil
 }
