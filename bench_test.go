@@ -83,11 +83,11 @@ func BenchmarkAnalyzeAndReport(b *testing.B) {
 	}
 }
 
-// BenchmarkStudyParallel measures the full study on the parallel engine
-// at several worker counts, each over a shared Env with a warm environment
+// BenchmarkStudyParallel measures the full study on the grid engine at
+// several worker counts, each over a shared Env with a warm environment
 // pool — the steady state a study server or fleet reaches after its first
-// run. workers=1 is the serial engine; the work per iteration is identical
-// — and byte-identical — at every count. warmEnvPool fills the pool
+// run. Every count, workers=1 included, runs on pooled environments; the
+// work per iteration is identical — and byte-identical — at every count. warmEnvPool fills the pool
 // before the timer, so the measured rows show what pooling saves:
 // allocs/op must not grow with the worker count.
 func BenchmarkStudyParallel(b *testing.B) {

@@ -43,8 +43,8 @@ func TestRunContextCancelMidFleet(t *testing.T) {
 }
 
 // TestRunContextCancelMidStudy cancels from the progress sink after the
-// first experiment finishes: on the serial engine and the parallel one
-// alike the study returns context.Canceled with no partial results.
+// first experiment finishes: at one worker and at three alike the study
+// returns context.Canceled with no partial results.
 func TestRunContextCancelMidStudy(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		ctx, cancel := context.WithCancel(context.Background())

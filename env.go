@@ -9,8 +9,8 @@ import (
 // registry, workload plans, and the primed cloud domain registry — built
 // once, plus a pool of recycled per-run environments (device stacks,
 // switch arenas, clocks, query counters). Labs created with WithEnv share
-// both: world construction happens once instead of per lab, and parallel
-// workers reuse warm environments instead of rebuilding ~93 stacks per
+// both: world construction happens once instead of per lab, and the
+// study's workers reuse warm environments instead of rebuilding ~93 stacks per
 // study. Output stays byte-identical to a lab without an Env — the pool's
 // reset contract re-seeds every piece of cross-run state absolutely.
 //
@@ -32,12 +32,12 @@ func NewEnv() *Env {
 }
 
 // IdleEnvs reports how many warm run environments are parked in the pool
-// — zero before any parallel lab has run, positive after (a warm pool is
+// — zero before any lab over the Env has run its study, positive after (a warm pool is
 // what makes the second lab's setup nearly free).
 func (e *Env) IdleEnvs() int { return e.pool.Idle() }
 
 // WithEnv runs the lab over the shared environment: its study adopts the
-// Env's World and draws parallel run environments from the Env's pool.
+// Env's World and draws its run environments from the Env's pool.
 // Ignored when WithDevices restricts the population (the world would not
 // match); NewWithOptions drops it when an ablation is active.
 func WithEnv(env *Env) Option {

@@ -123,14 +123,9 @@ type Report struct {
 	Elapsed time.Duration
 }
 
-// Run executes the full pipeline: fleet ground truth, discovery,
-// campaign, worm.
-func Run(cfg Config) (*Report, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cancellation. The fleet checks ctx per home; a
-// cancelled run returns ctx.Err() and no Report.
+// RunContext executes the full pipeline: fleet ground truth, discovery,
+// campaign, worm. The fleet checks ctx per home; a cancelled run returns
+// ctx.Err() and no Report.
 //
 // Discovery and the campaign run inside the fleet's per-home job: each
 // v6-enabled home is scored against its inventory and then swept through

@@ -89,7 +89,7 @@ func TestDiscoveryScoring(t *testing.T) {
 // policy: stateful default-deny homes must yield no reachable devices,
 // and probe counts must line up with targets × ports.
 func TestCampaignRespectsFirewall(t *testing.T) {
-	rep, err := Run(smallCfg(4))
+	rep, err := RunContext(context.Background(), smallCfg(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCampaignRespectsFirewall(t *testing.T) {
 func TestProbeBudgetTruncates(t *testing.T) {
 	cfg := smallCfg(4)
 	cfg.ProbeBudget = len(CampaignPorts()) // budget for exactly one target per home
-	rep, err := Run(cfg)
+	rep, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,11 @@ func TestProbeBudgetTruncates(t *testing.T) {
 // population-visible number to repeat exactly: the whole pipeline is a
 // pure function of (fleet seed, campaign seed).
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(smallCfg(3))
+	a, err := RunContext(context.Background(), smallCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(smallCfg(5))
+	b, err := RunContext(context.Background(), smallCfg(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestTelemetryCounters(t *testing.T) {
 	cfg := smallCfg(4)
 	reg := telemetry.NewRegistry()
 	cfg.Fleet.Telemetry = reg
-	rep, err := Run(cfg)
+	rep, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +199,11 @@ func TestBootCountedOnce(t *testing.T) {
 	cfg := smallCfg(4)
 	plain := cfg.Fleet
 	plain.Telemetry = telemetry.NewRegistry()
-	if _, err := fleet.Run(plain); err != nil {
+	if _, err := fleet.RunContext(context.Background(), plain); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Fleet.Telemetry = telemetry.NewRegistry()
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	want := cloudQueries(plain.Telemetry)

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"context"
 	"testing"
 
 	"v6lab/internal/fleet"
@@ -13,7 +14,7 @@ import (
 func BenchmarkCampaign(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rep, err := Run(Config{Fleet: fleet.Config{Homes: 16, Workers: 4, Seed: 1}})
+		rep, err := RunContext(context.Background(), Config{Fleet: fleet.Config{Homes: 16, Workers: 4, Seed: 1}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -63,12 +64,12 @@ func TestCampaignMatchesTwoBoot(t *testing.T) {
 	compared, reachable := 0, 0
 	for _, seed := range []uint64{1, 2, 3} {
 		cfg := Config{Fleet: fleet.Config{Homes: 24, Workers: 2, Seed: seed}}.withDefaults()
-		rep, err := Run(cfg)
+		rep, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The defender's ground truth, which discovery scores against.
-		pop, err := fleet.Run(cfg.Fleet)
+		pop, err := fleet.RunContext(context.Background(), cfg.Fleet)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -20,7 +21,7 @@ func dataset(t *testing.T) *Dataset {
 	t.Helper()
 	dsOnce.Do(func() {
 		st := experiment.NewStudyWith(experiment.StudyOptions{World: world.Build(nil), Observe: Streaming()})
-		if err := st.RunAll(); err != nil {
+		if err := st.RunAllContext(context.Background()); err != nil {
 			t.Fatalf("study: %v", err)
 		}
 		dsVal = FromStudy(st)

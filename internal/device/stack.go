@@ -364,10 +364,11 @@ func (s *Stack) GlobalAddrs() []netip.Addr {
 func (s *Stack) PreferredSourceGUA() netip.Addr { return s.privacyGUA() }
 
 // SeedDHCP4Transactions sets the DHCPv4 transaction counter as if the
-// stack had already booted n times with IPv4 enabled. The parallel study
-// engine uses it to give each isolated per-experiment environment (and
-// the shared stacks the port scan reuses afterwards) the exact XID
-// sequence the serial engine produces.
+// stack had already booted n times with IPv4 enabled. The study's grid
+// engine seeds it before every run, and once more on the study's own
+// stacks for the port scan, so each run's XIDs depend only on the
+// configs before it, never on which environment ran them or how many
+// retries earlier runs made.
 func (s *Stack) SeedDHCP4Transactions(n int) { s.dhcp4XID = uint32(n) }
 
 // Boot kicks off network configuration for the current experiment.
@@ -728,9 +729,9 @@ func (s *Stack) resolveSpec(i int, wantV4, wantV6 bool) {
 	}
 	if sp.UseHTTPS {
 		if v6DNS {
-			s.sendDNSType(i, dnsmsg.TypeHTTPS, true, sp.ViaEUI64)
+			s.sendDNS(i, dnsmsg.TypeHTTPS, true, sp.ViaEUI64)
 		} else if v4DNS && s.mode == ModeDual {
-			s.sendDNSType(i, dnsmsg.TypeHTTPS, false, sp.ViaEUI64)
+			s.sendDNS(i, dnsmsg.TypeHTTPS, false, sp.ViaEUI64)
 		}
 		return
 	}
@@ -753,12 +754,8 @@ func (s *Stack) resolveSpec(i int, wantV4, wantV6 bool) {
 	}
 }
 
+// sendDNS emits one DNS query over the chosen transport.
 func (s *Stack) sendDNS(i int, t dnsmsg.Type, overV6, viaEUI64 bool) {
-	s.sendDNSType(i, t, overV6, viaEUI64)
-}
-
-// sendDNSType emits one DNS query over the chosen transport.
-func (s *Stack) sendDNSType(i int, t dnsmsg.Type, overV6, viaEUI64 bool) {
 	sp := &s.Plan.Specs[i]
 	s.nextDNSID++
 	id := s.nextDNSID
@@ -1336,17 +1333,22 @@ func (s *Stack) sendDHCP6(m *dhcp6.Message, src netip.Addr) {
 	s.transmit(&s.ethL, &s.ip6L, &s.udpL, &s.rawL)
 }
 
+// nextHop picks the link-layer destination of a UDP or TCP frame from
+// src to dst: for IPv4 the router, broadcast until its MAC is learned;
+// for IPv6 whatever etherDstV6 picks for dst.
+func (s *Stack) nextHop(src, dst netip.Addr) packet.MAC {
+	if !src.Is4() {
+		return s.etherDstV6(dst)
+	}
+	if s.routerMAC.IsZero() {
+		return packet.BroadcastMAC
+	}
+	return s.routerMAC
+}
+
 func (s *Stack) sendUDP(src, dst netip.Addr, dport uint16, payload []byte) {
 	s.nextPort++
-	var dstMAC packet.MAC
-	if src.Is4() {
-		dstMAC = s.routerMAC
-		if dstMAC.IsZero() {
-			dstMAC = packet.BroadcastMAC
-		}
-	} else {
-		dstMAC = s.etherDstV6(dst)
-	}
+	dstMAC := s.nextHop(src, dst)
 	sport := s.nextPort
 	if dport == 123 {
 		sport = 123
@@ -1372,16 +1374,7 @@ func (s *Stack) ipLayer(dstMAC packet.MAC, src, dst netip.Addr, proto packet.IPP
 // sendTCP emits a TCP segment carrying payload, a window of a flow's TLS
 // payload; the zero tlsSegment carries none.
 func (s *Stack) sendTCP(src, dst netip.Addr, sport, dport uint16, flags uint8, seq, ack uint32, payload tlsSegment) {
-	var dstMAC packet.MAC
-	if src.Is4() {
-		dstMAC = s.routerMAC
-		if dstMAC.IsZero() {
-			dstMAC = packet.BroadcastMAC
-		}
-	} else {
-		dstMAC = s.etherDstV6(dst)
-	}
-	s.sendTCPTo(dstMAC, src, dst, sport, dport, flags, seq, ack, payload)
+	s.sendTCPTo(s.nextHop(src, dst), src, dst, sport, dport, flags, seq, ack, payload)
 }
 
 // sendTCPTo emits a TCP segment to an explicit link-layer destination

@@ -40,7 +40,7 @@ func (sc *Scratch) network(clock *netsim.Clock) *netsim.Network {
 	return sc.net
 }
 
-// EnvPool recycles isolated parallel-run environments — device stacks,
+// EnvPool recycles isolated run environments — device stacks,
 // switch, clock, cloud clone — across studies. Building one environment
 // costs ~93 stacks plus a primed switch arena, so a warm pool turns the
 // per-worker setup of every subsequent study over the same World into a
@@ -94,18 +94,21 @@ func (p *EnvPool) Idle() int {
 	return len(p.envs)
 }
 
-// acquireEnv returns an isolated environment for one parallel worker:
-// a warm one from the study's pool when available, freshly built
-// otherwise. The environment is adopted into this study — budget,
-// telemetry wiring — but keeps its own stacks, clock, switch, and query
-// counters.
-func (st *Study) acquireEnv(base time.Time) *Study {
-	if st.opts.Pool != nil {
-		if env := st.opts.Pool.get(st.World); env != nil {
-			env.opts, env.tm = st.opts, st.tm
-			clear(env.Cloud.Queries)
-			return env
+// acquireEnv returns the isolated environment worker w runs on: a warm
+// one from the study's pool when available, freshly built otherwise. A
+// study without a pool is its own worker-0 environment, so a one-worker
+// grid builds no second set of stacks. A pooled or fresh environment is
+// adopted into this study — budget, telemetry wiring — but keeps its own
+// stacks, clock, switch, and query counters.
+func (st *Study) acquireEnv(w int, base time.Time) *Study {
+	if st.opts.Pool == nil {
+		if w == 0 {
+			return st
 		}
+	} else if env := st.opts.Pool.get(st.World); env != nil {
+		env.opts, env.tm = st.opts, st.tm
+		clear(env.Cloud.Queries)
+		return env
 	}
 	return st.isolatedEnv(base)
 }

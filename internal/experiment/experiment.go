@@ -123,8 +123,12 @@ type RunResult struct {
 	// handle here; the analysis package finalizes it.
 	Observed netsim.Tap
 	// Functional maps device name to the outcome of its functionality
-	// test in this experiment.
+	// test in this experiment: true exactly when its stage is "ok".
 	Functional map[string]bool
+	// Stages holds each device's device.FailureStage in Study.Profiles
+	// order: "ok" when functional, else the earliest broken stage of the
+	// configuration→DNS→data funnel ("no-ra", "data-stalled", ...).
+	Stages []string
 	// FramesDelivered counts L2 deliveries (a capacity diagnostic).
 	FramesDelivered int
 	// FramesDropped counts frames the installed impairment swallowed
@@ -172,7 +176,7 @@ type Study struct {
 
 	// opts holds the study's resolved settings (see StudyOptions): the
 	// frame budget defaulted, Faults nil unless active and seeded, and no
-	// Scratch — the study's own lives in scratch. Parallel environments
+	// Scratch — the study's own lives in scratch. Run environments
 	// adopt a parent's settings by copying this one field.
 	opts StudyOptions
 
@@ -187,22 +191,25 @@ type Study struct {
 
 // StudyOptions parameterizes testbed construction over a World. The zero
 // value of every other field selects the paper's single-home defaults:
-// the paper's capture start time and the default frame budget, a serial
-// buffered run with no faults or telemetry. Unless World, Pool, or
-// Scratch deliberately share state, every field the study touches is
-// instantiated per call — two studies built from such options share no
-// mutable state and may run on concurrent goroutines. (A shared World is
-// read-only and therefore also concurrency-safe; a shared Scratch is not.)
+// the paper's capture start time and the default frame budget, a
+// one-worker buffered run with no faults or telemetry. Unless World,
+// Pool, or Scratch deliberately share state, every field the study
+// touches is instantiated per call — two studies built from such
+// options share no mutable state and may run on concurrent goroutines.
+// (A shared World is read-only and therefore also concurrency-safe; a
+// shared Scratch is not.)
 type StudyOptions struct {
 	// World is the prebuilt immutable world the study runs over (required;
 	// world.Build makes one), shared read-only with any number of other
 	// studies. The study serves traffic through a Clone of its cloud
 	// (private query counters), so sharing is race-free.
 	World *world.World
-	// Pool, when non-nil, recycles isolated parallel-run environments
-	// (stacks, switch, clock, cloud clone) across studies. Environments
-	// are keyed by World identity, so a pool only pays off when studies
-	// share a World; mismatched environments are simply not reused.
+	// Pool, when non-nil, recycles isolated run environments (stacks,
+	// switch, clock, cloud clone) across studies: every worker of the
+	// grid, the first included, draws one from it. Without a pool the
+	// study is its own first environment. Environments are keyed by World
+	// identity, so a pool only pays off when studies share a World;
+	// mismatched environments are simply not reused.
 	Pool *EnvPool
 	// Scratch, when non-nil, donates recycled run infrastructure (the L2
 	// switch and its frame arena) to this study. Sharing a Scratch is
@@ -227,8 +234,8 @@ type StudyOptions struct {
 	// (aggregate-only runs read stack and router state, not frames).
 	Observe ObserverFactory
 	// Workers bounds the pool the six connectivity experiments run on;
-	// 0 or 1 means the serial engine. Results are byte-identical either
-	// way (parallel.go).
+	// 0 means one worker. Results are byte-identical for every count
+	// (parallel.go).
 	Workers int
 	// Telemetry, when non-nil, instruments every subsystem the study
 	// touches into the given registry. Studies sharing a registry (fleet
@@ -293,17 +300,11 @@ func NewStudyWith(opts StudyOptions) *Study {
 // defaulted, Faults nil unless active (and then seeded), and Scratch nil.
 func (st *Study) Options() StudyOptions { return st.opts }
 
-// RunAll executes the six connectivity experiments — on the parallel
-// engine when Workers > 1 and no faults are active, serially otherwise —
-// then the active DNS queries and the port scans. Both engines produce
-// byte-identical results.
-func (st *Study) RunAll() error {
-	return st.RunAllContext(context.Background())
-}
-
-// RunAllContext is RunAll with cancellation: ctx is checked between
-// experiments (and before the active phases), so a cancelled study
-// returns ctx.Err() promptly without appending partial results.
+// RunAllContext executes the six connectivity experiments on the pooled
+// engine (runConnectivity), then the active DNS queries and the port
+// scans. ctx is checked before each experiment and before the active
+// phases, so a cancelled study returns ctx.Err() promptly without
+// appending partial results.
 func (st *Study) RunAllContext(ctx context.Context) error {
 	if err := st.runConnectivity(ctx); err != nil {
 		return err
@@ -314,37 +315,12 @@ func (st *Study) RunAllContext(ctx context.Context) error {
 	st.RunActiveDNS()
 	var err error
 	st.Scan, err = st.RunPortScan()
-	if err == nil && st.tm != nil {
+	if err == nil {
 		// One fold of the study's accumulated cloud query totals, after
-		// both engines have converged on identical counts.
-		st.tm.foldCloud(st.Cloud)
+		// the grid has merged every environment's counts.
+		st.FoldCloudMetrics()
 	}
 	return err
-}
-
-// runConnectivity dispatches the Table 2 grid to the serial loop or the
-// worker pool. Under active faults the DHCPv4 XID sequence depends on how
-// many retransmissions earlier experiments provoked, which only the serial
-// engine can know, so faulted studies always run serially.
-func (st *Study) runConnectivity(ctx context.Context) error {
-	if st.opts.Workers > 1 && st.opts.Faults == nil {
-		return st.runConnectivityParallel(ctx, st.opts.Workers)
-	}
-	// The runs join st.Results only once all six finish, as on the
-	// parallel engine: a cancelled study keeps no partial results.
-	results := make([]*RunResult, 0, len(Configs))
-	for _, cfg := range Configs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res, err := st.RunExperiment(cfg)
-		if err != nil {
-			return fmt.Errorf("experiment %s: %w", cfg.ID, err)
-		}
-		results = append(results, res)
-	}
-	st.Results = append(st.Results, results...)
-	return nil
 }
 
 // RunExperiment performs one Table 2 run: reboot everything, configure,
@@ -399,10 +375,17 @@ func (st *Study) RunExperimentWith(cfg Config, pol firewall.Policy) (*RunResult,
 		Capture:         cap,
 		Observed:        obs,
 		Functional:      map[string]bool{},
+		Stages:          make([]string, len(st.Stacks)),
 		FramesDelivered: h.Net.Delivered(),
 	}
-	for _, s := range st.Stacks {
-		res.Functional[s.Prof.Name] = s.Functional()
+	functional := 0
+	for i, s := range st.Stacks {
+		stage := s.FailureStage()
+		ok := stage == "ok"
+		res.Stages[i], res.Functional[s.Prof.Name] = stage, ok
+		if ok {
+			functional++
+		}
 		res.Retransmits += s.Retransmits()
 	}
 	if st.opts.Faults != nil {
@@ -411,26 +394,18 @@ func (st *Study) RunExperimentWith(cfg Config, pol firewall.Policy) (*RunResult,
 		res.ServiceDrops = rt.Faults.RAsDropped + rt.Faults.DHCPv6Dropped + rt.Faults.AAAADropped
 	}
 	// Fold before the inter-experiment hour so elapsed reflects only
-	// simulated time this run consumed — the same value under the serial
-	// engine (shared advancing clock) and the parallel one (private
-	// clock from a common base).
+	// simulated time this run consumed, whichever environment ran it.
 	elapsed := st.Clock.Now().Sub(began)
 	if st.tm != nil {
-		st.tm.foldRun(cfg, rt, st.Stacks, elapsed)
+		st.tm.foldRun(cfg, rt, res, elapsed)
 		// Capture-path accounting: atomic adds, so the fold is identical
-		// across engines and worker counts.
+		// across worker counts.
 		if cap != nil {
 			st.tm.framesBuffered.Add(uint64(cap.Len()))
 			st.tm.captureBytes.Add(int64(cap.Bytes()))
 		}
 		if obs != nil {
 			st.tm.framesStreamed.Add(uint64(res.FramesDelivered))
-		}
-	}
-	functional := 0
-	for _, ok := range res.Functional {
-		if ok {
-			functional++
 		}
 	}
 	telemetry.Emit(st.opts.Progress, telemetry.Event{

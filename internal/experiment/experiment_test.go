@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"v6lab/internal/packet"
@@ -69,7 +70,7 @@ func TestFullStudyRuns(t *testing.T) {
 		t.Skip("full study in -short mode")
 	}
 	st := NewStudy()
-	if err := st.RunAll(); err != nil {
+	if err := st.RunAllContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(st.Results) != 6 {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -20,7 +21,7 @@ func fullStudy(t *testing.T) *Study {
 	t.Helper()
 	studyOnce.Do(func() {
 		studyVal = NewStudy()
-		studyErr = studyVal.RunAll()
+		studyErr = studyVal.RunAllContext(context.Background())
 	})
 	if studyErr != nil {
 		t.Fatal(studyErr)

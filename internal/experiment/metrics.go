@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"v6lab/internal/cloud"
-	"v6lab/internal/device"
 	"v6lab/internal/netsim"
 	"v6lab/internal/router"
 	"v6lab/internal/telemetry"
@@ -101,9 +100,9 @@ func newStudyMetrics(r *telemetry.Registry) *studyMetrics {
 
 // foldRun folds one finished connectivity run's router and device
 // counters. The router is private to the run, so its totals are this
-// run's deltas; elapsed is simulated time consumed, identical under the
-// serial and parallel engines (both measure the run's own clock delta).
-func (tm *studyMetrics) foldRun(cfg Config, rt *router.Router, stacks []*device.Stack, elapsed time.Duration) {
+// run's deltas; elapsed is simulated time consumed, measured on the run's
+// own clock, so it is the same whichever environment ran it.
+func (tm *studyMetrics) foldRun(cfg Config, rt *router.Router, res *RunResult, elapsed time.Duration) {
 	tm.fwdV4.Add(uint64(rt.ForwardedV4))
 	tm.fwdV6.Add(uint64(rt.ForwardedV6))
 	tm.nat44.Add(uint64(rt.NATTranslations))
@@ -114,15 +113,14 @@ func (tm *studyMetrics) foldRun(cfg Config, rt *router.Router, stacks []*device.
 	if rt.Faults != nil {
 		tm.serviceDrops.Add(uint64(rt.Faults.RAsDropped + rt.Faults.DHCPv6Dropped + rt.Faults.AAAADropped))
 	}
-	for _, s := range stacks {
+	for _, stage := range res.Stages {
 		tm.devTested.Inc()
-		stage := s.FailureStage()
 		if stage == "ok" {
 			tm.devFunctional.Inc()
 		}
 		tm.failureStages.With(stage).Inc()
-		tm.retransmits.Add(uint64(s.Retransmits()))
 	}
+	tm.retransmits.Add(uint64(res.Retransmits))
 	tm.expRuns.Inc()
 	tm.expByConfig.With(cfg.ID).Inc()
 	tm.expElapsedMS.Add(uint64(elapsed.Milliseconds()))
@@ -144,7 +142,7 @@ func (tm *studyMetrics) foldFirewall(pe *PolicyExposure) {
 
 // foldCloud folds the study's cloud query counters as a delta against
 // what this study last folded. The study's cloud totals at every fold
-// point are engine-independent (the parallel engine merges clone
+// point are worker-count independent (the grid engine merges clone
 // counters in config order before any fold), so the deltas — and with
 // them the shared registry — stay byte-identical across worker counts.
 func (tm *studyMetrics) foldCloud(cl *cloud.Cloud) {

@@ -10,41 +10,36 @@ import (
 	"v6lab/internal/pool"
 )
 
-// The parallel study engine.
+// The grid engine: the one path every Table 2 grid runs on.
 //
-// The six Table 2 experiments are fully independent: each one builds its
-// own switch and router, reboots every device stack, and the capture it
-// produces depends only on (profiles, plans, config) — never on absolute
-// time, because no stack or router service reads the clock into frame
-// content; the clock only timestamps capture records. That leaves exactly
-// two pieces of state threading the serial run together:
+// The six Table 2 experiments are independent: each one builds its own
+// switch and router, reboots every device stack, and the capture it
+// produces depends only on (profiles, plans, config) and two pieces of
+// state that the engine sets before each run:
 //
 //   - the clock: experiment i starts where experiment i-1 left off, so
-//     pcap timestamps are cumulative. Each parallel environment runs on a
-//     private clock from a common base; afterwards the merge rebases
+//     pcap timestamps are cumulative. Each environment runs on a private
+//     clock rewound to a common base; afterwards the merge rebases
 //     experiment i's record times by the summed elapsed time of
-//     experiments 0..i-1. time.Time.Add is exact, so rebased timestamps
-//     equal the serial ones bit for bit.
-//   - the DHCPv4 transaction counter: Boot increments it once per
-//     v4-enabled experiment (and fault-driven retries increment it
-//     further). On a clean network the increment count before experiment
-//     i is just the number of prior v4-enabled configs, so each
-//     environment pre-seeds its stacks with that count. Under faults the
-//     count depends on the previous experiments' retransmissions, which
-//     is why faulted studies fall back to the serial engine
-//     (runConnectivity).
+//     experiments 0..i-1. time.Time.Add is exact, so the rebased
+//     timestamps are the same for every worker count.
+//   - the DHCPv4 transaction counter: each run's stacks are seeded with
+//     the number of v4-enabled configs before it (beginRun), whatever
+//     the environment ran before. Fault-driven retries advance the
+//     counter within a run, never across runs.
 //
 // The cloud's domain registry is immutable while experiments run; its
 // only run-time mutation is the per-type query diagnostic counter, so
-// each environment gets a Clone sharing the registry with private
-// counters, merged back (in config order) after the pool drains.
+// each environment counts into its own map, merged back (in config
+// order) after the pool drains.
 //
 // Merging in config order makes the Results slice — and therefore
-// FullReport and all six pcaps — byte-identical to the serial engine's.
+// FullReport and all six pcaps — byte-identical for any worker count.
 
-// runConnectivityParallel executes the Table 2 grid on a bounded worker
-// pool of isolated environments and merges the outcomes in config order.
-func (st *Study) runConnectivityParallel(ctx context.Context, workers int) error {
+// runConnectivity executes the Table 2 grid on a pool of
+// max(Workers, 1) isolated environments and merges the outcomes in
+// config order.
+func (st *Study) runConnectivity(ctx context.Context) error {
 	start := st.Clock.Now()
 	type outcome struct {
 		res     *RunResult
@@ -52,14 +47,14 @@ func (st *Study) runConnectivityParallel(ctx context.Context, workers int) error
 		elapsed time.Duration
 	}
 	outcomes := make([]outcome, len(Configs))
-	// Run starts exactly min(workers, len(Configs)) workers, so every slot
-	// holds an environment once it returns.
-	envs := make([]*Study, min(workers, len(Configs)))
-	err := pool.Run(ctx, len(Configs), workers, func(w int) func(int) error {
+	// Run starts exactly min(max(workers, 1), len(Configs)) workers, so
+	// every slot holds an environment once it returns.
+	envs := make([]*Study, min(max(st.opts.Workers, 1), len(Configs)))
+	err := pool.Run(ctx, len(Configs), st.opts.Workers, func(w int) func(int) error {
 		// One environment per worker, reused across its jobs (and — via
 		// the pool — across studies). beginRun's absolute clock and XID
 		// seeding is what makes the reuse byte-invisible.
-		env := st.acquireEnv(start)
+		env := st.acquireEnv(w, start)
 		envs[w] = env
 		return func(i int) error {
 			env.beginRun(start, Configs[:i])
@@ -82,7 +77,7 @@ func (st *Study) runConnectivityParallel(ctx context.Context, workers int) error
 	var offset time.Duration
 	for i := range Configs {
 		out := outcomes[i]
-		// Rebase this capture from the common base onto the serial
+		// Rebase this capture from the common base onto the cumulative
 		// timeline: everything experiments 0..i-1 consumed comes first.
 		// Streaming runs have nothing to rebase — analysis never reads
 		// record times, only pcap artifacts do, and those need a capture.
@@ -98,10 +93,9 @@ func (st *Study) runConnectivityParallel(ctx context.Context, workers int) error
 			st.Cloud.Queries[t] += n
 		}
 	}
-	// Leave the shared clock and stacks exactly where the serial engine
-	// would: the port scan draws its timestamps and next DHCPv4 XID from
-	// them.
-	st.Clock.Advance(offset)
+	// Leave the study's clock and stacks past all six runs: the port scan
+	// draws its timestamps and next DHCPv4 XID from them.
+	st.Clock.Reset(start.Add(offset))
 	st.seedDHCP4(Configs)
 	return nil
 }

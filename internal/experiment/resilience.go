@@ -60,25 +60,20 @@ func (r *ResilienceReport) Config(profile, id string) *ResilienceConfig {
 	return nil
 }
 
-// RunResilience re-runs the Table 2 connectivity grid under each fault
-// profile (faults.Grid() when profiles is empty) and reports per-profile
-// functionality and failure modes. Each profile gets a fresh, isolated
-// study built from opts, so impairment in one profile cannot leak state
-// into another; the whole experiment is deterministic in (opts, profiles).
+// RunResilienceContext re-runs the Table 2 connectivity grid under each
+// fault profile (faults.Grid() when profiles is empty) and reports
+// per-profile functionality and failure modes. Each profile gets a fresh,
+// isolated study built from opts, so impairment in one profile cannot
+// leak state into another; the whole experiment is deterministic in
+// (opts, profiles).
 //
 // Profiles run on a pool of opts.Workers workers (one when unset) — each
 // profile's study is already fully isolated, so the grid is
 // embarrassingly parallel at the profile level — and the report lists
-// them in the order given, identical for any worker count. (Within a
-// profile the experiments stay serial: faults make the DHCPv4 XID chain
-// order-dependent; see runConnectivity.)
-func RunResilience(opts StudyOptions, profiles ...faults.Profile) (*ResilienceReport, error) {
-	return RunResilienceContext(context.Background(), opts, profiles...)
-}
-
-// RunResilienceContext is RunResilience with cancellation: ctx is checked
-// before each profile's grid, and a cancelled run returns ctx.Err() with
-// no report.
+// them in the order given, identical for any worker count. Within a
+// profile the six experiments run on the study's grid engine with one
+// worker. ctx is checked before each experiment, and a cancelled run
+// returns ctx.Err() with no report.
 func RunResilienceContext(ctx context.Context, opts StudyOptions, profiles ...faults.Profile) (*ResilienceReport, error) {
 	if len(profiles) == 0 {
 		profiles = faults.Grid()
@@ -98,11 +93,12 @@ func RunResilienceContext(ctx context.Context, opts StudyOptions, profiles ...fa
 	}
 	err := pool.Run(ctx, len(profiles), opts.Workers, func(int) func(int) error {
 		// Scratch is single-threaded: each worker gets its own, whatever
-		// the caller passed in opts.
+		// the caller passed in opts. The profiles fill the pool, so each
+		// profile's grid runs on one worker.
 		wopts := opts
-		wopts.Scratch = NewScratch()
+		wopts.Scratch, wopts.Workers = NewScratch(), 1
 		return func(i int) (err error) {
-			rep.Profiles[i], err = runResilienceProfile(wopts, profiles[i])
+			rep.Profiles[i], err = runResilienceProfile(ctx, wopts, profiles[i])
 			return err
 		}
 	})
@@ -113,22 +109,20 @@ func RunResilienceContext(ctx context.Context, opts StudyOptions, profiles ...fa
 }
 
 // runResilienceProfile runs the full Table 2 grid under one fault profile
-// on a study of its own.
-func runResilienceProfile(opts StudyOptions, p faults.Profile) (*ResilienceProfile, error) {
-	o := opts
+// on a study of its own and diagnoses each run from its failure stages.
+func runResilienceProfile(ctx context.Context, opts StudyOptions, p faults.Profile) (*ResilienceProfile, error) {
 	fp := p
-	o.Faults = &fp
-	st := NewStudyWith(o)
+	opts.Faults = &fp
+	st := NewStudyWith(opts)
 	began := st.Clock.Now()
+	if err := st.runConnectivity(ctx); err != nil {
+		return nil, fmt.Errorf("resilience %s: %w", p.Name, err)
+	}
 	po := &ResilienceProfile{Profile: p}
-	for _, cfg := range Configs {
-		res, err := st.RunExperiment(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("resilience %s/%s: %w", p.Name, cfg.ID, err)
-		}
+	for _, res := range st.Results {
 		rc := ResilienceConfig{
-			ID:              cfg.ID,
-			Devices:         len(st.Stacks),
+			ID:              res.Config.ID,
+			Devices:         len(res.Stages),
 			Failures:        map[string]int{},
 			FramesDelivered: res.FramesDelivered,
 			FramesDropped:   res.FramesDropped,
@@ -136,14 +130,12 @@ func runResilienceProfile(opts StudyOptions, p faults.Profile) (*ResilienceProfi
 			PTBSent:         res.PTBSent,
 			ServiceDrops:    res.ServiceDrops,
 		}
-		// Diagnose while the stacks still hold this experiment's state.
-		for _, s := range st.Stacks {
-			stage := s.FailureStage()
+		for i, stage := range res.Stages {
 			rc.Failures[stage]++
 			if stage == "ok" {
 				rc.Functional++
 			} else {
-				rc.FailedDevices = append(rc.FailedDevices, s.Prof.Name)
+				rc.FailedDevices = append(rc.FailedDevices, st.Profiles[i].Name)
 			}
 		}
 		po.ByConfig = append(po.ByConfig, rc)

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"v6lab/internal/device"
@@ -103,7 +104,7 @@ func TestResilienceDeterministic(t *testing.T) {
 // while a PMTUD-honoring device recovers via Packet-Too-Big.
 func TestClampedTunnelChangesOutcome(t *testing.T) {
 	names := []string{"TiVo Stream", "Apple TV"}
-	rep, err := RunResilience(StudyOptions{World: world.Build(subset(t, names...))},
+	rep, err := RunResilienceContext(context.Background(), StudyOptions{World: world.Build(subset(t, names...))},
 		faults.Clean(), faults.ClampedTunnel())
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +140,7 @@ func TestClampedTunnelChangesOutcome(t *testing.T) {
 // device the clean network had functional, at the cost of retransmits.
 func TestLossyWiFiRecoversViaRetries(t *testing.T) {
 	names := []string{"Apple TV", "Nest Hub", "Wyze Cam"}
-	rep, err := RunResilience(StudyOptions{World: world.Build(subset(t, names...))},
+	rep, err := RunResilienceContext(context.Background(), StudyOptions{World: world.Build(subset(t, names...))},
 		faults.Clean(), faults.LossyWiFi())
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +169,7 @@ func TestLossyWiFiRecoversViaRetries(t *testing.T) {
 // devices alive.
 func TestFlakyDNSMasqRecoveredByConfigRetries(t *testing.T) {
 	names := []string{"Apple TV", "Nest Hub"}
-	rep, err := RunResilience(StudyOptions{World: world.Build(subset(t, names...))},
+	rep, err := RunResilienceContext(context.Background(), StudyOptions{World: world.Build(subset(t, names...))},
 		faults.Clean(), faults.FlakyDNSMasq())
 	if err != nil {
 		t.Fatal(err)
@@ -186,9 +187,9 @@ func TestFlakyDNSMasqRecoveredByConfigRetries(t *testing.T) {
 	}
 }
 
-// RunResilience defaults to the full grid and reports every profile.
+// RunResilienceContext defaults to the full grid and reports every profile.
 func TestRunResilienceDefaultGrid(t *testing.T) {
-	rep, err := RunResilience(StudyOptions{World: world.Build(subset(t, "Wyze Cam"))})
+	rep, err := RunResilienceContext(context.Background(), StudyOptions{World: world.Build(subset(t, "Wyze Cam"))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -20,7 +21,7 @@ func BenchmarkFleet(b *testing.B) {
 func benchFleet(b *testing.B, cfg Config) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pop, err := Run(cfg)
+		pop, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

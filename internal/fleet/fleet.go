@@ -376,17 +376,12 @@ type Population struct {
 	Homes []*HomeResult
 }
 
-// Run executes the fleet: Homes independent simulated homes on a bounded
-// worker pool. Results are merged in home index order, so the returned
-// Population (and anything rendered from it) is byte-identical for any
-// worker count.
-func Run(cfg Config) (*Population, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cancellation: ctx is checked before each home
-// starts, and a cancelled fleet returns ctx.Err() with no Population —
-// never a partial one.
+// RunContext executes the fleet: Homes independent simulated homes on a
+// bounded worker pool. Results are merged in home index order, so the
+// returned Population (and anything rendered from it) is byte-identical
+// for any worker count. ctx is checked before each home starts, and a
+// cancelled fleet returns ctx.Err() with no Population — never a partial
+// one.
 func RunContext(ctx context.Context, cfg Config) (*Population, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Homes <= 0 {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -85,7 +86,7 @@ func TestSpecForShape(t *testing.T) {
 
 func TestRunRejectsNonPositiveHomes(t *testing.T) {
 	for _, n := range []int{0, -3} {
-		if _, err := Run(Config{Homes: n}); err == nil {
+		if _, err := RunContext(context.Background(), Config{Homes: n}); err == nil {
 			t.Fatalf("Run(Homes: %d) succeeded, want error", n)
 		}
 	}
@@ -95,7 +96,7 @@ func TestRunRejectsNonPositiveHomes(t *testing.T) {
 // -race concurrency check) and verifies the aggregate is an exact fold of
 // the per-home results.
 func TestRunAggregateSums(t *testing.T) {
-	pop, err := Run(Config{Homes: 8, Workers: 4, Seed: 3})
+	pop, err := RunContext(context.Background(), Config{Homes: 8, Workers: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +170,11 @@ func TestRunAggregateSums(t *testing.T) {
 // workers produces deeply equal populations — merge order is home index,
 // never completion order.
 func TestRunWorkerCountInvariance(t *testing.T) {
-	serial, err := Run(Config{Homes: 8, Workers: 1, Seed: 11})
+	serial, err := RunContext(context.Background(), Config{Homes: 8, Workers: 1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(Config{Homes: 8, Workers: 4, Seed: 11})
+	parallel, err := RunContext(context.Background(), Config{Homes: 8, Workers: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestRunHomeOutcomes(t *testing.T) {
 	v4 := Config{Homes: 1, Workers: 1, Seed: 5,
 		Connectivity: []Share{{Name: "ipv4-only", Weight: 1}},
 	}
-	pop, err := Run(v4)
+	pop, err := RunContext(context.Background(), v4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestRunHomeOutcomes(t *testing.T) {
 		Connectivity: []Share{{Name: "dual-stack", Weight: 1}},
 		Policies:     []Share{{Name: "stateful", Weight: 1}},
 	}
-	pop, err = Run(v6)
+	pop, err = RunContext(context.Background(), v6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestSweepReplacesExposure(t *testing.T) {
 			return nil
 		},
 	}
-	pop, err := Run(cfg)
+	pop, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestSweepReplacesExposure(t *testing.T) {
 		t.Fatal("the exposure sweep ran alongside Config.Sweep")
 	}
 	cfg.Sweep = func(*experiment.Home, *HomeResult) error { return errors.New("probe failed") }
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "probe failed") {
+	if _, err := RunContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "probe failed") {
 		t.Fatalf("Run = %v, want the sweep's error", err)
 	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -79,7 +80,7 @@ func TestOneBootMatchesTwoBoot(t *testing.T) {
 	swept := 0
 	for _, seed := range []uint64{1, 2, 3} {
 		cfg := Config{Homes: 40, Workers: 2, Seed: seed}
-		pop, err := Run(cfg)
+		pop, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

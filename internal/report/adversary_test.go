@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,12 +22,12 @@ func TestAdversaryWorkerCountInvariance(t *testing.T) {
 	cfg := adversary.Config{Fleet: fleet.Config{Homes: 200, Seed: 1}, CampaignSeed: 3}
 
 	cfg.Fleet.Workers = 1
-	serial, err := adversary.Run(cfg)
+	serial, err := adversary.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Fleet.Workers = 8
-	parallel, err := adversary.Run(cfg)
+	parallel, err := adversary.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestAdversaryWorkerCountInvariance(t *testing.T) {
 // TestAdversaryRenderSmall renders a small run and spot-checks structure
 // cheaply enough for -short.
 func TestAdversaryRenderSmall(t *testing.T) {
-	rep, err := adversary.Run(adversary.Config{Fleet: fleet.Config{Homes: 12, Workers: 4, Seed: 5}})
+	rep, err := adversary.RunContext(context.Background(), adversary.Config{Fleet: fleet.Config{Homes: 12, Workers: 4, Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,19 @@ import (
 	"v6lab/internal/paper"
 )
 
+// CSVFiles renders every plot-ready CSV series of ds — the Figure 2
+// funnel, the Figure 4 volume shares and the two Figure 3 CDFs — keyed by
+// file name.
+func CSVFiles(ds *analysis.Dataset) map[string]string {
+	cdfs := ds.Figure3()
+	return map[string]string{
+		"funnel.csv":      CSVFunnel(ds.Table3()),
+		"volume.csv":      CSVVolumeShares(ds.Figure4()),
+		"cdf_addrs.csv":   CSVCDF(cdfs.AddrsPerDevice),
+		"cdf_queries.csv": CSVCDF(cdfs.AAAANamesPerDevice),
+	}
+}
+
 // CSVFunnel exports Table 3 as CSV (one row per funnel stage, one column
 // per category plus a total), for plotting Figure 2 externally.
 func CSVFunnel(f analysis.Funnel) string {

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,12 +19,12 @@ func TestFleetWorkerCountInvariance(t *testing.T) {
 	cfg := fleet.Config{Homes: 100, Seed: 1}
 
 	cfg.Workers = 1
-	serial, err := fleet.Run(cfg)
+	serial, err := fleet.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 8
-	parallel, err := fleet.Run(cfg)
+	parallel, err := fleet.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestFleetWorkerCountInvariance(t *testing.T) {
 // TestFleetRenderSmall renders a tiny fleet and checks the structural
 // invariants hold without the 100-home cost.
 func TestFleetRenderSmall(t *testing.T) {
-	pop, err := fleet.Run(fleet.Config{Homes: 3, Workers: 2, Seed: 9})
+	pop, err := fleet.RunContext(context.Background(), fleet.Config{Homes: 3, Workers: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

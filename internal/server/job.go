@@ -198,11 +198,9 @@ func collectArtifacts(lab *v6lab.Lab, spec JobSpec, pcaps map[string]*bytes.Buff
 		for id, b := range pcaps {
 			arts[id+".pcap"] = b.Bytes()
 		}
-		cdfs := lab.Data.Figure3()
-		arts["funnel.csv"] = []byte(report.CSVFunnel(lab.Data.Table3()))
-		arts["volume.csv"] = []byte(report.CSVVolumeShares(lab.Data.Figure4()))
-		arts["cdf_addrs.csv"] = []byte(report.CSVCDF(cdfs.AddrsPerDevice))
-		arts["cdf_queries.csv"] = []byte(report.CSVCDF(cdfs.AAAANamesPerDevice))
+		for name, content := range report.CSVFiles(lab.Data) {
+			arts[name] = []byte(content)
+		}
 	case KindFleet:
 		arts["fullreport"] = []byte(lab.Report(v6lab.FleetStudy))
 	case KindResilience:

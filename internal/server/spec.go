@@ -79,7 +79,7 @@ type JobSpec struct {
 	// MaxFramesPerRun bounds each experiment's frame deliveries
 	// (0 keeps the library default).
 	MaxFramesPerRun int `json:"max_frames_per_run,omitempty"`
-	// Workers sizes the engine's worker pool (0 means serial for the
+	// Workers sizes the engine's worker pool (0 means one worker for the
 	// single-home engines, GOMAXPROCS for fleets). Not part of the
 	// options hash: it changes wall time, never bytes.
 	Workers int `json:"workers,omitempty"`

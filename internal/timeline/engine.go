@@ -458,11 +458,6 @@ func (e *homeEngine) checkReaddr() {
 	}
 }
 
-// Run executes the timeline over a background context.
-func Run(cfg Config) (*Report, error) {
-	return RunContext(context.Background(), cfg)
-}
-
 // RunContext runs Homes independent simulated homes over the horizon on a
 // bounded worker pool. Results merge in home index order, so the Report
 // is byte-identical for any worker count. ctx is checked before each home

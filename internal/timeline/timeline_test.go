@@ -32,12 +32,12 @@ func TestTimelineWorkerCountInvariance(t *testing.T) {
 		RotationEvery: 24 * time.Hour,
 	}
 	cfg.Workers = 1
-	serial, err := Run(cfg)
+	serial, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
 	}
 	cfg.Workers = 8
-	parallel, err := Run(cfg)
+	parallel, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("workers=8: %v", err)
 	}
@@ -51,7 +51,7 @@ func TestTimelineWorkerCountInvariance(t *testing.T) {
 }
 
 func TestTimelineRotationProducesOutages(t *testing.T) {
-	r, err := Run(Config{
+	r, err := RunContext(context.Background(), Config{
 		Horizon:       72 * time.Hour,
 		Homes:         8,
 		Workers:       4,
@@ -77,7 +77,7 @@ func TestTimelineRotationProducesOutages(t *testing.T) {
 }
 
 func TestTimelineDiurnalAndChurn(t *testing.T) {
-	r, err := Run(Config{
+	r, err := RunContext(context.Background(), Config{
 		Horizon:       72 * time.Hour,
 		Homes:         10,
 		Workers:       4,
@@ -121,7 +121,7 @@ func TestTimelineImpairedRenewalsFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(Config{
+	r, err := RunContext(context.Background(), Config{
 		Horizon:       48 * time.Hour,
 		Homes:         6,
 		Workers:       2,
@@ -162,7 +162,7 @@ func TestTimelineCancellation(t *testing.T) {
 
 func TestTimelineRejectsNonPositiveHorizon(t *testing.T) {
 	for _, h := range []time.Duration{0, -time.Hour} {
-		if _, err := Run(Config{Horizon: h, Homes: 1}); err == nil {
+		if _, err := RunContext(context.Background(), Config{Horizon: h, Homes: 1}); err == nil {
 			t.Fatalf("horizon %v accepted", h)
 		}
 	}

@@ -158,15 +158,14 @@ func WithFaultProfile(p faults.Profile) Option {
 }
 
 // WithWorkers is the lab's single worker-count knob: it sizes the pool
-// for the connectivity experiments, the resilience grid's profiles, and —
-// unless a Workers PartOption or their configs say otherwise — the fleet,
-// adversary and timeline parts. Output is byte-identical for every n: results merge in config (or
-// home-index) order and pcap timestamps are rebased onto the serial
-// timeline (see the experiment package). 0 or 1 means serial for the study
-// engines and GOMAXPROCS for the fleet, adversary and timeline pools; n > 1
-// with an active fault profile falls back to serial for the connectivity
-// study (the fault path is order-dependent) while the resilience grid
-// still parallelizes across profiles.
+// for the connectivity experiments (faulted or not), the resilience
+// grid's profiles, and — unless a Workers PartOption or their configs say
+// otherwise — the fleet, adversary and timeline parts. Output is
+// byte-identical for every n: results merge in config (or home-index)
+// order and pcap timestamps are rebased onto one cumulative timeline (see
+// the experiment package). 0 means one worker for the connectivity
+// experiments and the resilience grid, and GOMAXPROCS for the fleet,
+// adversary and timeline pools.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
@@ -530,14 +529,7 @@ func (l *Lab) ExportCSV(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	cdfs := l.Data.Figure3()
-	files := map[string]string{
-		"funnel.csv":      report.CSVFunnel(l.Data.Table3()),
-		"volume.csv":      report.CSVVolumeShares(l.Data.Figure4()),
-		"cdf_addrs.csv":   report.CSVCDF(cdfs.AddrsPerDevice),
-		"cdf_queries.csv": report.CSVCDF(cdfs.AAAANamesPerDevice),
-	}
-	for name, content := range files {
+	for name, content := range report.CSVFiles(l.Data) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 			return err
 		}

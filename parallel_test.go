@@ -1,24 +1,27 @@
 package v6lab
 
-// Byte-identity of the parallel study engine: a lab run on any worker
-// count must produce exactly the FullReport and pcaps the serial engine
-// produces — which are in turn pinned to recorded hashes, so a regression
-// in either engine (or in the frame path underneath both) fails here.
+// Byte-identity of the grid engine: a lab run on any worker count must
+// produce exactly the FullReport and pcaps of a one-worker run — which
+// are in turn pinned to recorded hashes, so a regression in the engine
+// (or in the frame path underneath it) fails here.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"testing"
 
+	"v6lab/internal/experiment"
 	"v6lab/internal/faults"
 	"v6lab/internal/report"
+	"v6lab/internal/telemetry"
 	"v6lab/internal/timeline"
 )
 
-// studyHashes are the sha256 sums of the serial single-home study's
-// outputs, recorded before the parallel engine and the zero-copy frame
-// path landed. Any engine change that alters a byte shows up as a diff
-// against these.
+// studyHashes are the sha256 sums of the single-home study's outputs,
+// recorded before the pooled engine and the zero-copy frame path landed.
+// Any engine change that alters a byte shows up as a diff against these.
 var studyHashes = map[string]string{
 	"fullreport":          "96e255d3365ad1b4619211d1763277de6983cc9a56a8314294a5ff959235f365",
 	"ipv4-only":           "d0857fa276bfa52be08665c09e763a429a94c90ba7d7634d13e348d0eb3ba2fc",
@@ -48,8 +51,8 @@ func labHashes(t *testing.T, lab *Lab, pcaps *pcapSink) map[string]string {
 }
 
 // TestParallelStudyByteIdentity runs the study on six workers and checks
-// every output hash against the recorded serial baselines (the serial
-// engine itself is pinned to the same baselines by the shared lab).
+// every output hash against the recorded baselines (the shared
+// one-worker lab is pinned to the same baselines).
 func TestParallelStudyByteIdentity(t *testing.T) {
 	pcaps := newPcapSink()
 	par := New(WithWorkers(6), WithPcaps(pcaps.open))
@@ -57,10 +60,10 @@ func TestParallelStudyByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := labHashes(t, par, pcaps)
-	serial := labHashes(t, sharedLab(t), benchPcaps)
+	one := labHashes(t, sharedLab(t), benchPcaps)
 	for key, want := range studyHashes {
-		if serial[key] != want {
-			t.Errorf("serial %s = %s, recorded baseline %s", key, serial[key], want)
+		if one[key] != want {
+			t.Errorf("1-worker %s = %s, recorded baseline %s", key, one[key], want)
 		}
 		if got[key] != want {
 			t.Errorf("parallel %s = %s, recorded baseline %s", key, got[key], want)
@@ -71,8 +74,88 @@ func TestParallelStudyByteIdentity(t *testing.T) {
 	}
 }
 
+// lossyWiFiReportHash is the sha256 of the default study's FullReport
+// under faults.LossyWiFi(), recorded when faulted studies still ran on a
+// serial loop of their own.
+const lossyWiFiReportHash = "6144cac37314f4a828f8f569be255321458ad20ae59b599de9f185ecee89f2d4"
+
+// TestFaultedStudyWorkersByteIdentity: a faulted study runs on the same
+// pooled engine as a clean one, so its FullReport, pcaps and telemetry
+// snapshot are byte-identical at one and four workers, and the report
+// matches its recorded hash.
+func TestFaultedStudyWorkersByteIdentity(t *testing.T) {
+	run := func(workers int) (string, *pcapSink, []byte) {
+		pcaps := newPcapSink()
+		lab := New(WithFaultProfile(faults.LossyWiFi()), WithWorkers(workers),
+			WithPcaps(pcaps.open), WithTelemetry(telemetry.NewRegistry()))
+		if err := lab.Run(); err != nil {
+			t.Fatal(err)
+		}
+		snap, _ := lab.TelemetrySnapshot()
+		j, err := snap.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lab.FullReport(), pcaps, j
+	}
+	rep1, pcaps1, tel1 := run(1)
+	rep4, pcaps4, tel4 := run(4)
+	if sum := sha256.Sum256([]byte(rep1)); hex.EncodeToString(sum[:]) != lossyWiFiReportHash {
+		t.Errorf("lossy-wifi fullreport sha256 = %x, recorded %s", sum, lossyWiFiReportHash)
+	}
+	if rep1 != rep4 {
+		t.Error("lossy-wifi fullreports differ between 1 and 4 workers")
+	}
+	if len(pcaps1.files) != len(experiment.Configs) || len(pcaps4.files) != len(pcaps1.files) {
+		t.Fatalf("pcaps written: %d at 1 worker, %d at 4, want %d", len(pcaps1.files), len(pcaps4.files), len(experiment.Configs))
+	}
+	for id, f := range pcaps1.files {
+		if g := pcaps4.files[id]; g == nil || !bytes.Equal(f.Bytes(), g.Bytes()) {
+			t.Errorf("lossy-wifi %s pcap differs between 1 and 4 workers", id)
+		}
+	}
+	if !bytes.Equal(tel1, tel4) {
+		t.Errorf("lossy-wifi telemetry differs between 1 and 4 workers:\n--- 1 ---\n%s\n--- 4 ---\n%s", tel1, tel4)
+	}
+}
+
+// TestResilienceCleanMatchesStudy: the resilience grid's clean profile
+// and the study run the same six experiments on the same engine, so per
+// config they agree on how many devices work and which ones fail.
+func TestResilienceCleanMatchesStudy(t *testing.T) {
+	lab := New(WithDevices("Behmor Brewer", "Smarter IKettle", "Samsung Fridge", "Wyze Cam", "Apple TV"))
+	if err := lab.Run(Connectivity(), Resilience(Impairments(faults.Clean()))); err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, res := range lab.Study.Results {
+		rc := lab.Resil.Config("clean", res.Config.ID)
+		if rc == nil {
+			t.Fatalf("resilience has no clean %s", res.Config.ID)
+		}
+		functional, down := 0, []string(nil)
+		for _, p := range lab.Study.Profiles {
+			if res.Functional[p.Name] {
+				functional++
+			} else {
+				down = append(down, p.Name)
+			}
+		}
+		if rc.Devices != len(lab.Study.Profiles) || rc.Functional != functional {
+			t.Errorf("%s: resilience %d/%d functional, study %d/%d", res.Config.ID, rc.Functional, rc.Devices, functional, len(lab.Study.Profiles))
+		}
+		if !slices.Equal(rc.FailedDevices, down) {
+			t.Errorf("%s: resilience failed %v, study failed %v", res.Config.ID, rc.FailedDevices, down)
+		}
+		failed += len(down)
+	}
+	if len(lab.Study.Results) != len(experiment.Configs) || failed == 0 {
+		t.Fatalf("%d runs with %d failed device-runs: the comparison needs all six runs and some failures", len(lab.Study.Results), failed)
+	}
+}
+
 // TestResilienceWorkersEquivalence checks the profile-parallel resilience
-// grid against the serial one on a small population.
+// grid at four workers against a one-worker run on a small population.
 func TestResilienceWorkersEquivalence(t *testing.T) {
 	names := []string{"Behmor Brewer", "Smarter IKettle", "Samsung Fridge"}
 	serial := New(WithDevices(names...))

@@ -3,8 +3,8 @@ package v6lab
 // One analysis path: every run streams its frames through the analysis
 // Observer at delivery, and a pcap sink decides only whether the frames
 // are also buffered for pcap files. A lab without a sink must therefore
-// render exactly the FullReport a lab with one does, on the serial engine
-// and on the worker pool alike. Together with
+// render exactly the FullReport a lab with one does, at one worker and at
+// several alike. Together with
 // TestParallelStudyByteIdentity (which pins the report of a lab with a
 // sink to its recorded hash) this pins the report without one to the
 // same bytes. The replay test closes the honest-pipeline loop: the pcaps
