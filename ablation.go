@@ -1,5 +1,7 @@
 package v6lab
 
+import "v6lab/internal/world"
+
 // Options selects counterfactual mitigations for ablation studies — the
 // remediations the paper recommends (§6): if every stack used RFC 8981
 // privacy extensions, or probed every address per RFC 4862, how would the
@@ -16,21 +18,28 @@ type Options struct {
 	AAAAEverywhere bool
 }
 
-// NewWithOptions builds a lab with the given mitigations applied to every
-// device profile (and, for AAAAEverywhere, to the simulated Internet).
-// Functional options (WithDevices, WithFaultProfile, ...) compose with the
-// ablations.
-func NewWithOptions(opts Options, extra ...Option) *Lab {
-	if opts.ForcePrivacyExtensions || opts.ForceDAD || opts.AAAAEverywhere {
-		// An active ablation mutates profiles, plans, and the cloud registry
-		// below — all world state. It must never touch a shared Env's world,
-		// so the lab builds a private one.
-		extra = append(extra, func(o *options) { o.env = nil })
-	}
-	l := New(extra...)
-	st := l.Study
-	for _, p := range st.Profiles {
-		if opts.ForcePrivacyExtensions {
+// WithAblation applies the given mitigations to the lab's world: every
+// device profile and, for AAAAEverywhere, every workload plan and the
+// simulated Internet. New applies them to a world it builds for the lab
+// alone (never a shared Env's) before the study is made, so every
+// single-home part — Connectivity, FirewallComparison, Resilience — runs
+// ablated. Fleet, Adversary and Timeline sample their homes from the
+// device registry and run unablated.
+func WithAblation(a Options) Option {
+	return func(o *options) { o.ablation = a }
+}
+
+// active reports whether any mitigation is set.
+func (a Options) active() bool {
+	return a.ForcePrivacyExtensions || a.ForceDAD || a.AAAAEverywhere
+}
+
+// apply writes the mitigations into a world no study reads yet. AAAA
+// records are handed out in plan order, so ablated runs repeat byte for
+// byte.
+func (a Options) apply(w *world.World) {
+	for _, p := range w.Profiles {
+		if a.ForcePrivacyExtensions {
 			p.EUI64 = false
 			p.EUI64GUA = false
 			p.EUI64ForDNS = false
@@ -38,21 +47,18 @@ func NewWithOptions(opts Options, extra ...Option) *Lab {
 			p.EUI64Probe = false
 			p.EUI64ForNTP = false
 		}
-		if opts.ForceDAD {
+		if a.ForceDAD {
 			p.SkipDADGUA = false
 			p.SkipDADULA = false
 			p.SkipDADLLA = false
 		}
 	}
-	if opts.AAAAEverywhere {
-		for name := range st.Cloud.Domains() {
-			st.Cloud.EnsureAAAA(name)
-		}
-		for _, pl := range st.World.Plans {
+	if a.AAAAEverywhere {
+		for _, pl := range w.Plans {
 			for i := range pl.Specs {
 				pl.Specs[i].HasAAAA = true
+				w.Cloud.EnsureAAAA(pl.Specs[i].Name)
 			}
 		}
 	}
-	return l
 }

@@ -1,8 +1,11 @@
 package v6lab
 
 import (
+	"maps"
 	"sync"
 	"testing"
+
+	"v6lab/internal/faults"
 )
 
 var (
@@ -14,7 +17,7 @@ var (
 func privacyLab(t *testing.T) *Lab {
 	t.Helper()
 	privOnce.Do(func() {
-		privLab = NewWithOptions(Options{ForcePrivacyExtensions: true, ForceDAD: true})
+		privLab = New(WithAblation(Options{ForcePrivacyExtensions: true, ForceDAD: true}))
 		privErr = privLab.Run()
 	})
 	if privErr != nil {
@@ -63,7 +66,7 @@ func TestAAAAEverywhereAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extra full study in -short mode")
 	}
-	lab := NewWithOptions(Options{AAAAEverywhere: true})
+	lab := New(WithAblation(Options{AAAAEverywhere: true}))
 	if err := lab.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -77,4 +80,40 @@ func TestAAAAEverywhereAblation(t *testing.T) {
 		t.Errorf("functional (%d) exceeds devices with any IPv6 support (%d)", got, 93-f.NoIPv6.Total())
 	}
 	t.Logf("AAAA-everywhere: %d functional (baseline 8)", got)
+}
+
+// TestAblationReachesResilience: the resilience grid runs on the lab's
+// own ablated world, so its clean grid counts the functional IPv6-only
+// devices the study counts.
+func TestAblationReachesResilience(t *testing.T) {
+	lab := New(WithAblation(Options{AAAAEverywhere: true}))
+	if err := lab.Run(Connectivity(), Resilience(Impairments(faults.Clean()))); err != nil {
+		t.Fatal(err)
+	}
+	study := lab.Data.Table3().Functional.Total()
+	if study <= 8 {
+		t.Fatalf("study counts %d functional devices, want more than the unablated 8", study)
+	}
+	rc := lab.Resil.Config("clean", "ipv6-only")
+	if rc == nil {
+		t.Fatal("resilience has no clean ipv6-only run")
+	}
+	if rc.Functional != study {
+		t.Errorf("clean resilience grid counts %d functional IPv6-only devices, the study %d", rc.Functional, study)
+	}
+}
+
+// TestAblationPcapsDeterministic: AAAA records are handed out in plan
+// order, so identical AAAA-everywhere labs write identical pcaps.
+func TestAblationPcapsDeterministic(t *testing.T) {
+	opts := []Option{
+		WithAblation(Options{AAAAEverywhere: true}),
+		WithDevices("Samsung Fridge", "Samsung TV", "Echo Spot", "HomePod Mini", "Wyze Cam", "Apple TV"),
+	}
+	first := runPcaps(t, opts...)
+	for i := 0; i < 2; i++ {
+		if again := runPcaps(t, opts...); !maps.Equal(again, first) {
+			t.Fatalf("repeat %d of an AAAA-everywhere lab wrote different outputs:\n%v\nvs\n%v", i+1, again, first)
+		}
+	}
 }

@@ -223,11 +223,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	lab := v6lab.NewWithOptions(v6lab.Options{
+	lab := v6lab.New(append(labOpts, v6lab.WithAblation(v6lab.Options{
 		ForcePrivacyExtensions: *privacyExt,
 		ForceDAD:               *forceDAD,
 		AAAAEverywhere:         *aaaaEverywhere,
-	}, labOpts...)
+	}))...)
 
 	// writeMetrics exports the telemetry snapshot; it runs on every exit
 	// path that follows a completed study, including the fleet-only and

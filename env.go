@@ -15,12 +15,10 @@ import (
 // reset contract re-seeds every piece of cross-run state absolutely.
 //
 // An Env is safe for concurrent use: the world is immutable after
-// construction and the pool is internally locked. Two restrictions keep
-// the sharing sound, both enforced automatically: a lab restricted with
-// WithDevices builds a private world (its population differs), and an
-// ablation lab (NewWithOptions with any mitigation set) builds a private
-// world too, because ablations mutate profiles and the cloud registry
-// before running.
+// construction and the pool is internally locked. A lab borrows the
+// Env's world only when it simulates that world: one restricted with
+// WithDevices (its population differs) or given a WithAblation (its
+// profiles, plans and cloud differ) builds a world of its own instead.
 type Env struct {
 	world *world.World
 	pool  *experiment.EnvPool
@@ -38,8 +36,8 @@ func (e *Env) IdleEnvs() int { return e.pool.Idle() }
 
 // WithEnv runs the lab over the shared environment: its study adopts the
 // Env's World and draws its run environments from the Env's pool.
-// Ignored when WithDevices restricts the population (the world would not
-// match); NewWithOptions drops it when an ablation is active.
+// Ignored when WithDevices restricts the population or WithAblation
+// sets a mitigation (the world would not match).
 func WithEnv(env *Env) Option {
 	return func(o *options) { o.env = env }
 }

@@ -44,11 +44,11 @@ func TestWarmEnvPoolByteIdentity(t *testing.T) {
 }
 
 // TestAblationKeepsPrivateWorld pins the guard that keeps ablations off a
-// shared Env: mutating every profile through NewWithOptions must leave the
+// shared Env: mutating every profile through WithAblation must leave the
 // Env's world untouched for the next lab.
 func TestAblationKeepsPrivateWorld(t *testing.T) {
 	env := NewEnv()
-	abl := NewWithOptions(Options{ForcePrivacyExtensions: true}, WithEnv(env))
+	abl := New(WithAblation(Options{ForcePrivacyExtensions: true}), WithEnv(env))
 	plain := New(WithEnv(env))
 	if abl.Study.World == plain.Study.World {
 		t.Fatal("ablation lab shares the Env world it mutates")

@@ -83,13 +83,6 @@ func TestTimelinePartAndArtifact(t *testing.T) {
 	if got := lab.TL.Cfg.Horizon; got != 24*time.Hour {
 		t.Fatalf("timeline horizon = %v, want WithHorizon's 24h", got)
 	}
-	res, err := lab.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Timeline != lab.TL {
-		t.Fatal("Results.Timeline does not expose the timeline report")
-	}
 	out, err := lab.ReportErr(TimelineStudy)
 	if err != nil {
 		t.Fatal(err)

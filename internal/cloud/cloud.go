@@ -134,8 +134,8 @@ func (c *Cloud) install(d *Domain) {
 // Clone returns a cloud sharing this one's domain registry — immutable
 // while experiments run — but with its own query counters, so concurrent
 // experiment environments do not race on the diagnostics map. Do not call
-// AddDomain on a clone. EnsureAAAA on a clone writes the shared registry,
-// so only the ablation lab calls it, on a private world before any run.
+// AddDomain or EnsureAAAA on a clone: a registry is finished on the
+// master before any clone is taken.
 func (c *Cloud) Clone() *Cloud {
 	return &Cloud{
 		domains: c.domains,
@@ -185,9 +185,6 @@ func (c *Cloud) EnsureAAAA(name string) {
 
 // Lookup returns the registered domain, or nil.
 func (c *Cloud) Lookup(name string) *Domain { return c.domains[dnsmsg.CanonicalName(name)] }
-
-// LookupAddr maps an endpoint address back to its domain, or nil.
-func (c *Cloud) LookupAddr(a netip.Addr) *Domain { return c.byAddr[a] }
 
 // Domains returns the registry; callers must not mutate it.
 func (c *Cloud) Domains() map[string]*Domain { return c.domains }

@@ -236,8 +236,8 @@ func TestDeterministicAddressAllocation(t *testing.T) {
 func TestLookupAddrAndParties(t *testing.T) {
 	c := New()
 	d := c.AddDomain("track.analytics.example", PartyThird, false, true)
-	if c.LookupAddr(d.V4[0]) != d {
-		t.Error("LookupAddr failed")
+	if c.byAddr[d.V4[0]] != d {
+		t.Error("address index misses the domain")
 	}
 	if d.Party.String() != "third" || PartyFirst.String() != "first" || PartySupport.String() != "support" {
 		t.Error("party strings")

@@ -247,12 +247,6 @@ type StudyOptions struct {
 	Progress telemetry.Sink
 }
 
-// NewStudy builds the testbed: 93 device stacks, their workload plans, and
-// a cloud primed with every planned destination domain.
-func NewStudy() *Study {
-	return NewStudyWith(StudyOptions{World: world.Build(nil)})
-}
-
 // NewStudyWith builds a testbed from options; see StudyOptions for the
 // zero-value defaults. The study serves traffic through a Clone of the
 // world's cloud: private query counters over the shared domain registry.
@@ -457,14 +451,4 @@ func (st *Study) DropCapture(res *RunResult) {
 		st.tm.captureBytes.Add(-int64(res.Capture.Bytes()))
 	}
 	res.Capture = nil
-}
-
-// Result returns the RunResult for an experiment ID, or nil.
-func (st *Study) Result(id string) *RunResult {
-	for _, r := range st.Results {
-		if r.Config.ID == id {
-			return r
-		}
-	}
-	return nil
 }

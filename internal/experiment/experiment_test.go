@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"v6lab/internal/packet"
+	"v6lab/internal/world"
 )
 
 func TestSingleExperimentProducesTraffic(t *testing.T) {
-	st := NewStudy()
+	st := NewStudyWith(StudyOptions{World: world.Build(nil)})
 	res, h, err := st.RunExperimentWith(Configs[0], nil) // IPv4-only
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +36,7 @@ func TestSingleExperimentProducesTraffic(t *testing.T) {
 }
 
 func TestIPv6OnlyFunctionalDevices(t *testing.T) {
-	st := NewStudy()
+	st := NewStudyWith(StudyOptions{World: world.Build(nil)})
 	// V6Seq order matters for rotation schedules but functionality only
 	// needs the baseline run.
 	res, h, err := st.RunExperimentWith(Configs[1], nil) // IPv6-only baseline
@@ -69,7 +70,7 @@ func TestFullStudyRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study in -short mode")
 	}
-	st := NewStudy()
+	st := NewStudyWith(StudyOptions{World: world.Build(nil)})
 	if err := st.RunAllContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,12 @@ func TestFullStudyRuns(t *testing.T) {
 	if st.Scan.DevicesWithV4OnlyPorts != 6 {
 		t.Errorf("devices with v4-only ports = %d, want 6", st.Scan.DevicesWithV4OnlyPorts)
 	}
-	fridge := st.Scan.ScanFor("Samsung Fridge")
+	var fridge *DeviceScan
+	for i := range st.Scan.Devices {
+		if st.Scan.Devices[i].Device == "Samsung Fridge" {
+			fridge = &st.Scan.Devices[i]
+		}
+	}
 	if fridge == nil {
 		t.Fatal("no fridge scan")
 	}
@@ -104,7 +110,7 @@ func TestFullStudyRuns(t *testing.T) {
 }
 
 func TestMACsAreUniqueAndUnicast(t *testing.T) {
-	st := NewStudy()
+	st := NewStudyWith(StudyOptions{World: world.Build(nil)})
 	seen := map[packet.MAC]bool{}
 	for _, s := range st.Stacks {
 		if seen[s.MAC] {

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"v6lab/internal/router"
+	"v6lab/internal/world"
 )
 
 // runExposureOnce shares one study and one comparison run across the
 // firewall tests (a full boot per policy is the expensive part).
 func exposureFixture(t *testing.T) (*Study, *FirewallReport, *ScanReport) {
 	t.Helper()
-	st := NewStudy()
+	st := NewStudyWith(StudyOptions{World: world.Build(nil)})
 	rep, err := st.RunFirewallExposure(DefaultFirewallPolicies(st.Profiles))
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +101,7 @@ func TestFirewallExposurePolicies(t *testing.T) {
 }
 
 func TestDefaultPinholes(t *testing.T) {
-	st := NewStudy()
+	st := NewStudyWith(StudyOptions{World: world.Build(nil)})
 	rules := DefaultPinholes(st.Profiles)
 	if len(rules) != 3 {
 		t.Fatalf("rules = %v, want the fridge's three v6-only ports", rules)

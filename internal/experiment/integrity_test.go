@@ -8,6 +8,7 @@ import (
 	"v6lab/internal/dhcp6"
 	"v6lab/internal/dnsmsg"
 	"v6lab/internal/packet"
+	"v6lab/internal/world"
 )
 
 var (
@@ -20,13 +21,23 @@ var (
 func fullStudy(t *testing.T) *Study {
 	t.Helper()
 	studyOnce.Do(func() {
-		studyVal = NewStudy()
+		studyVal = NewStudyWith(StudyOptions{World: world.Build(nil)})
 		studyErr = studyVal.RunAllContext(context.Background())
 	})
 	if studyErr != nil {
 		t.Fatal(studyErr)
 	}
 	return studyVal
+}
+
+// runResult returns the study's run of the given experiment, or nil.
+func runResult(st *Study, id string) *RunResult {
+	for _, r := range st.Results {
+		if r.Config.ID == id {
+			return r
+		}
+	}
+	return nil
 }
 
 // TestWireIntegrity checks every captured frame: parseable Ethernet, valid
@@ -93,7 +104,7 @@ func verifySegment(seg []byte, p *packet.Packet, proto packet.IPProtocol, ckOff 
 func TestRDNSSOnlyVariantMechanism(t *testing.T) {
 	st := fullStudy(t)
 	countViz := func(expID string) int {
-		res := st.Result(expID)
+		res := runResult(st, expID)
 		if res == nil {
 			t.Fatalf("no result for %s", expID)
 		}
@@ -128,7 +139,7 @@ func TestRDNSSOnlyVariantMechanism(t *testing.T) {
 // known devices source traffic from them.
 func TestStatefulVariantLeases(t *testing.T) {
 	st := fullStudy(t)
-	res := st.Result("ipv6-only-stateful")
+	res := runResult(st, "ipv6-only-stateful")
 	leaseHolders := map[packet.MAC]bool{}
 	for _, rec := range res.Capture.Records {
 		p := packet.Parse(rec.Data)
@@ -158,7 +169,7 @@ func TestEufySkipsV6InDualStack(t *testing.T) {
 	}
 	countV6 := func(expID string) int {
 		n := 0
-		for _, rec := range st.Result(expID).Capture.Records {
+		for _, rec := range runResult(st, expID).Capture.Records {
 			p := packet.Parse(rec.Data)
 			if p.Ethernet != nil && p.Ethernet.Src == mac && p.IPv6 != nil {
 				n++

@@ -137,13 +137,3 @@ func diffPorts(a, b []uint16) []uint16 {
 	}
 	return out
 }
-
-// ScanFor returns the scan row for a device name, or nil.
-func (r *ScanReport) ScanFor(name string) *DeviceScan {
-	for i := range r.Devices {
-		if r.Devices[i].Device == name {
-			return &r.Devices[i]
-		}
-	}
-	return nil
-}

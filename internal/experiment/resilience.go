@@ -7,7 +7,6 @@ import (
 	"v6lab/internal/faults"
 	"v6lab/internal/pool"
 	"v6lab/internal/telemetry"
-	"v6lab/internal/world"
 )
 
 // ResilienceConfig aggregates one Table 2 experiment's outcome under one
@@ -63,9 +62,10 @@ func (r *ResilienceReport) Config(profile, id string) *ResilienceConfig {
 // RunResilienceContext re-runs the Table 2 connectivity grid under each
 // fault profile (faults.Grid() when profiles is empty) and reports
 // per-profile functionality and failure modes. Each profile gets a fresh,
-// isolated study built from opts, so impairment in one profile cannot
-// leak state into another; the whole experiment is deterministic in
-// (opts, profiles).
+// isolated study built from opts over opts.World (every profile shares
+// the one immutable world and builds only its own stacks), so impairment
+// in one profile cannot leak state into another; the whole experiment is
+// deterministic in (opts, profiles).
 //
 // Profiles run on a pool of opts.Workers workers (one when unset) — each
 // profile's study is already fully isolated, so the grid is
@@ -81,12 +81,6 @@ func RunResilienceContext(ctx context.Context, opts StudyOptions, profiles ...fa
 	// The grid reads stack and router state (failure stages, drop and
 	// retransmit counters), never frames: no capture, no analysis tap.
 	opts.Capture, opts.Observe = CaptureNone, nil
-	// One immutable world for the whole grid: every profile's study shares
-	// the population, plans, and primed cloud registry, rebuilding only
-	// its own stacks. Without a shared one, the grid runs the full registry.
-	if opts.World == nil {
-		opts.World = world.Build(nil)
-	}
 	rep := &ResilienceReport{
 		Devices:  len(opts.World.Profiles),
 		Profiles: make([]*ResilienceProfile, len(profiles)),

@@ -87,9 +87,10 @@ func (p Profile) Active() bool {
 func Clean() Profile { return Profile{Name: "clean"} }
 
 // LossyWiFi models a congested 2.4 GHz link: 3% loss, 0.5% duplication,
-// 1% reordering, uniformly over every LAN frame.
+// 1% reordering, uniformly over every LAN frame. It carries no seed of
+// its own: the frame fates follow the caller's (the lab's WithSeed).
 func LossyWiFi() Profile {
-	return Profile{Name: "lossy-wifi", Seed: 1, LossPermille: 30, DupPermille: 5, ReorderPermille: 10}
+	return Profile{Name: "lossy-wifi", LossPermille: 30, DupPermille: 5, ReorderPermille: 10}
 }
 
 // ClampedTunnel models the paper's HE-tunnel WAN with a 1280-byte path

@@ -273,7 +273,7 @@ func TestDHCPv6StatelessAndStateful(t *testing.T) {
 	if err != nil || rep.Type != dhcp6.Reply || rep.IANA.Addrs[0].Addr != lease {
 		t.Fatalf("reply: %+v err=%v", rep, err)
 	}
-	if got, ok := r.DHCPv6LeaseFor(duid); !ok || got != lease {
+	if got, ok := r.dhcp6Leases[string(duid)]; !ok || got != lease {
 		t.Error("lease not recorded")
 	}
 }

@@ -223,9 +223,3 @@ func (r *Router) leaseV6(duid string) netip.Addr {
 	r.dhcp6Leases[duid] = a
 	return a
 }
-
-// DHCPv6LeaseFor returns the stateful lease for a DUID, if assigned.
-func (r *Router) DHCPv6LeaseFor(duid []byte) (netip.Addr, bool) {
-	a, ok := r.dhcp6Leases[string(duid)]
-	return a, ok
-}

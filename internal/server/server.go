@@ -179,11 +179,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding job spec: %v", err)
 		return
 	}
-	if err := spec.Validate(); err != nil {
+	// The spec that is validated is the one that is hashed and run, so
+	// spellings that share a cache key are accepted or rejected together.
+	canonical := spec.Canonicalize()
+	if err := canonical.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
 	}
-	canonical := spec.Canonicalize()
 	key := canonical.CacheKey()
 	s.jobsAccepted.Inc()
 

@@ -228,6 +228,21 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitValidatesCanonicalSpec: a spec that differs from a valid one
+// only in case and spacing canonicalizes to the same cache key, so it is
+// accepted under that key and runs.
+func TestSubmitValidatesCanonicalSpec(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1})
+	sub := postJob(t, ts.URL, `{"kind":" Study ","devices":["Wyze Cam","Apple TV"],"fault":"Lossy-WiFi"}`)
+	want := JobSpec{Kind: KindStudy, Devices: []string{"Wyze Cam", "Apple TV"}, Fault: "lossy-wifi"}.CacheKey()
+	if sub.Key != want {
+		t.Errorf("mixed-case spec key = %v, want the canonical spec's %v", sub.Key, want)
+	}
+	if st := waitState(t, ts.URL, sub.ID); st.State != StateDone {
+		t.Errorf("mixed-case spec finished %s, want %s", st.State, StateDone)
+	}
+}
+
 func TestUnknownJobAndArtifact(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
 	for _, path := range []string{"/v1/jobs/job-999999", "/v1/jobs/job-999999/events", "/v1/jobs/job-999999/artifacts/fullreport"} {

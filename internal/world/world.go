@@ -6,11 +6,9 @@
 // switches, clocks, captures) lives in the experiment package's pooled
 // environments instead.
 //
-// Immutability contract: nothing in a World may be written after Build
-// returns while any study over it is live. The ablation lab
-// (v6lab.NewWithOptions) is the one sanctioned writer — it mutates
-// profiles and the cloud registry on a World it just built privately,
-// before any run starts.
+// Immutability contract: a World is finished by whoever built it before
+// any study reads it (v6lab.New applies its ablations then), and nothing
+// writes it once a study over it exists.
 package world
 
 import (

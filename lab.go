@@ -117,6 +117,7 @@ type options struct {
 	telemetry   *telemetry.Registry
 	progress    telemetry.Sink
 	env         *Env
+	ablation    Options
 	horizon     Horizon
 	horizonSet  bool
 }
@@ -133,11 +134,14 @@ func WithDevices(names ...string) Option {
 	return func(o *options) { o.deviceNames = append(o.deviceNames, names...) }
 }
 
-// WithSeed sets the lab's seed (the default is 1): fault profiles without
-// an explicit seed inherit it, and so do the Fleet, Adversary, Timeline
-// and Resilience parts unless a Seed PartOption or their config sets one
-// (see PartOption). A lab is byte-deterministic in (options, parts): same
-// seed and profile, same pcaps and reports.
+// WithSeed sets the lab's seed (the default is 1). Fault profiles without
+// an explicit seed (every profile of faults.Grid()) inherit it: the
+// WithFaultProfile study's, a Timeline's impairment, and the Resilience
+// grid's unless Seed(...) overrides it (see Impairments). The Fleet,
+// Adversary, Timeline and Resilience parts inherit it too unless a Seed
+// PartOption or their config sets one (see PartOption). A lab is
+// byte-deterministic in (options, parts): same seed and profile, same
+// pcaps and reports.
 func WithSeed(seed uint64) Option {
 	return func(o *options) { o.seed = seed }
 }
@@ -223,7 +227,9 @@ func WithHorizon(h Horizon) Option {
 }
 
 // Lab is the top-level handle: a configured study plus, after Run, the
-// analyzed dataset.
+// analyzed dataset. Its exported fields are the typed results: each part
+// sets its own, parts that have not run leave theirs nil, and the
+// renderers read the same fields callers do.
 type Lab struct {
 	Study *experiment.Study
 	Data  *analysis.Dataset
@@ -253,7 +259,10 @@ type Lab struct {
 
 // New builds the testbed (devices, workload plans, simulated cloud).
 // Without options it is the paper's single-home study, byte-identical to
-// earlier releases.
+// earlier releases. New is the only place a lab's world is made: it
+// borrows an Env's world or builds one, applies any WithAblation to it,
+// and only then builds the study. Every single-home part runs on that
+// world, and nothing writes it afterwards.
 func New(opts ...Option) *Lab {
 	o := options{seed: 1}
 	for _, opt := range opts {
@@ -271,7 +280,22 @@ func New(opts ...Option) *Lab {
 			l.initErr = fmt.Errorf("WithHorizon: %w", err)
 		}
 	}
-	so := l.studyOptions()
+	so := experiment.StudyOptions{
+		MaxFramesPerRun: o.maxFrames,
+		Observe:         analysis.Streaming(),
+		Workers:         o.workers,
+		Telemetry:       o.telemetry,
+		Progress:        o.progress,
+	}
+	// A lab that restricts the population or ablates simulates a
+	// different world than the Env holds, so it builds its own (see
+	// WithEnv) and finishes it before the study reads it.
+	if o.env != nil && len(o.devices) == 0 && !o.ablation.active() {
+		so.World, so.Pool = o.env.world, o.env.pool
+	} else {
+		so.World = world.Build(o.devices)
+		o.ablation.apply(so.World)
+	}
 	if o.pcaps == nil {
 		so.Capture = experiment.CaptureNone
 	}
@@ -284,27 +308,6 @@ func New(opts ...Option) *Lab {
 	}
 	l.Study = experiment.NewStudyWith(so)
 	return l
-}
-
-// studyOptions reconstructs the (fault-free) study options the lab was
-// built with, for parts that build their own studies.
-func (l *Lab) studyOptions() experiment.StudyOptions {
-	so := experiment.StudyOptions{
-		MaxFramesPerRun: l.opts.maxFrames,
-		Observe:         analysis.Streaming(),
-		Workers:         l.opts.workers,
-		Telemetry:       l.opts.telemetry,
-		Progress:        l.opts.progress,
-	}
-	// A device-restricted lab simulates a different population than the
-	// shared world holds, so it keeps a private one (see WithEnv).
-	if l.opts.env != nil && len(l.opts.devices) == 0 {
-		so.World = l.opts.env.world
-		so.Pool = l.opts.env.pool
-	} else {
-		so.World = world.Build(l.opts.devices)
-	}
-	return so
 }
 
 // runCtx is the context parts run under: RunContext's argument, or
@@ -478,7 +481,7 @@ func (l *Lab) Report(a Artifact) string {
 // ReportErr renders one artifact as text, returning an error wrapping
 // ErrUnknownArtifact for names outside Artifacts, or ErrNotRun for a
 // study artifact before Connectivity has run. The name check comes first.
-// Rendering itself is a thin pass over the typed Results view (see
+// Rendering itself is a thin pass over the lab's result fields (see
 // renderArtifact).
 func (l *Lab) ReportErr(a Artifact) (string, error) {
 	known := false
@@ -491,7 +494,7 @@ func (l *Lab) ReportErr(a Artifact) (string, error) {
 	if !known {
 		return "", fmt.Errorf("%w %q", ErrUnknownArtifact, a)
 	}
-	return renderArtifact(l.resultsView(), a)
+	return renderArtifact(l, a)
 }
 
 // FullReport renders every artifact. Before Connectivity has run it

@@ -2,6 +2,7 @@ package v6lab
 
 import (
 	"errors"
+	"maps"
 	"strings"
 	"testing"
 
@@ -165,5 +166,30 @@ func TestFaultProfileChangesOutputCleanDoesNot(t *testing.T) {
 	seedless := faults.Profile{Name: "seedless-loss", LossPermille: 30}
 	if got := New(WithSeed(9), WithFaultProfile(seedless)).Study.Options().Faults.Seed; got != 9 {
 		t.Errorf("seedless profile got seed %d, want WithSeed's 9", got)
+	}
+}
+
+// TestLossyWiFiSeedFollowsLab: lossy-wifi carries no seed of its own, so
+// the lab's seed drives its frame fates in the study and in a Timeline's
+// impairment.
+func TestLossyWiFiSeedFollowsLab(t *testing.T) {
+	devices := WithDevices("Wyze Cam", "Apple TV", "Google Nest Mini")
+	lossy := WithFaultProfile(faults.LossyWiFi())
+	one := runPcaps(t, devices, lossy, WithSeed(1))
+	if again := runPcaps(t, devices, lossy, WithSeed(1)); !maps.Equal(again, one) {
+		t.Fatalf("two seed-1 lossy-wifi labs wrote different outputs:\n%v\nvs\n%v", again, one)
+	}
+	seven := runPcaps(t, devices, lossy, WithSeed(7))
+	for _, id := range configIDs() {
+		if seven[id] == one[id] {
+			t.Errorf("%s pcap is the same at seed 7 as at seed 1", id)
+		}
+	}
+	cfg, err := New(WithSeed(7)).timelineConfig(Days(1), applyParts([]PartOption{Impairments(faults.LossyWiFi())}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Impairments.Seed != 7 {
+		t.Errorf("timeline impairment seed = %d, want WithSeed's 7", cfg.Impairments.Seed)
 	}
 }

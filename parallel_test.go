@@ -228,7 +228,7 @@ func TestLifecycleHashes(t *testing.T) {
 			return lab.Report(TimelineStudy), err
 		},
 		"ablation-aaaa": func() (string, error) {
-			lab := NewWithOptions(Options{AAAAEverywhere: true})
+			lab := New(WithAblation(Options{AAAAEverywhere: true}))
 			if err := lab.Run(); err != nil {
 				return "", err
 			}

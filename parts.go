@@ -58,7 +58,9 @@ func Workers(n int) PartOption {
 
 // Impairments runs the part under the given fault profiles: the grid for
 // Resilience, a single long-horizon profile for Timeline (which uses the
-// first). Profiles without an explicit seed inherit the part's.
+// first). A profile without an explicit seed takes Resilience's resolved
+// seed (Seed, else WithSeed); Timeline's takes WithSeed, as the lab's own
+// WithFaultProfile does.
 func Impairments(profiles ...faults.Profile) PartOption {
 	return func(pc *partConfig) { pc.impairments = append(pc.impairments, profiles...) }
 }
@@ -179,9 +181,9 @@ func (l *Lab) adversaryConfig(n int, pc partConfig) adversary.Config {
 // Resilience re-runs the Table 2 grid under each impairment profile —
 // Impairments(...) to choose them, faults.Grid() (clean, lossy-wifi,
 // clamped-tunnel, flaky-dnsmasq) when none are given — building a fresh
-// isolated study per profile from the lab's options. Profiles without an
-// explicit seed inherit Seed(...) or WithSeed. Results land in Resil and
-// the ResilienceStudy artifact.
+// isolated study per profile over the lab's world, with the lab study's
+// settings. Profiles without an explicit seed inherit Seed(...) or
+// WithSeed. Results land in Resil and the ResilienceStudy artifact.
 func Resilience(opts ...PartOption) RunPart {
 	pc := applyParts(opts)
 	return func(l *Lab) error {
@@ -189,7 +191,7 @@ func Resilience(opts ...PartOption) RunPart {
 		if len(profiles) == 0 {
 			profiles = faults.Grid()
 		}
-		so := l.studyOptions()
+		so := l.Study.Options()
 		var seed uint64
 		l.resolve(pc, &seed, &so.Workers, &so.MaxFramesPerRun, &so.Telemetry, &so.Progress)
 		seeded := make([]faults.Profile, len(profiles))
@@ -254,6 +256,11 @@ func (l *Lab) timelineConfig(h Horizon, pc partConfig) (timeline.Config, error) 
 		} else if l.opts.fault != nil {
 			cfg.Impairments = l.opts.fault
 		}
+	}
+	if cfg.Impairments != nil && cfg.Impairments.Seed == 0 {
+		fp := *cfg.Impairments
+		fp.Seed = l.opts.seed
+		cfg.Impairments = &fp
 	}
 	return cfg, nil
 }

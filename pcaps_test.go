@@ -152,3 +152,15 @@ func TestPcapDir(t *testing.T) {
 		}
 	}
 }
+
+// runPcaps runs the default parts on a lab with an in-memory pcap sink
+// and returns its output hashes (see labHashes).
+func runPcaps(t *testing.T, opts ...Option) map[string]string {
+	t.Helper()
+	sink := newPcapSink()
+	lab := New(append(opts, WithPcaps(sink.open))...)
+	if err := lab.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return labHashes(t, lab, sink)
+}

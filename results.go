@@ -4,70 +4,13 @@ import (
 	"errors"
 	"fmt"
 
-	"v6lab/internal/adversary"
-	"v6lab/internal/analysis"
-	"v6lab/internal/experiment"
-	"v6lab/internal/fleet"
 	"v6lab/internal/report"
 	"v6lab/internal/telemetry"
-	"v6lab/internal/timeline"
 )
 
-// ErrNotRun is returned by Results on a lab that has not run any part
-// yet.
+// ErrNotRun is returned (wrapped) by ReportErr for a study artifact, and
+// by ExportCSV, before Connectivity has run.
 var ErrNotRun = errors.New("v6lab: no part has run; call Run first")
-
-// Results is the typed view of everything a lab has produced. It exposes
-// the structured study, fleet, resilience, and firewall data directly so
-// callers consume values rather than parse rendered report text;
-// Report/ReportErr are thin renderers over the same view. Fields for
-// parts that have not run are nil.
-type Results struct {
-	// Study is the configured single-home study (always present).
-	Study *experiment.Study
-	// Data is the analysis dataset, set once Connectivity has run.
-	Data *analysis.Dataset
-	// Firewall holds the policy comparison from FirewallComparison.
-	Firewall *experiment.FirewallReport
-	// Fleet holds the population results from Fleet.
-	Fleet *fleet.Population
-	// Resilience holds the impairment grid from Resilience.
-	Resilience *experiment.ResilienceReport
-	// Adversary holds the attacker's-view results from Adversary.
-	Adversary *adversary.Report
-	// Timeline holds the long-horizon results from Timeline.
-	Timeline *timeline.Report
-	// Telemetry is the deterministic metric snapshot, present when the
-	// lab was built WithTelemetry.
-	Telemetry *telemetry.Snapshot
-}
-
-// resultsView assembles the typed view without the telemetry snapshot
-// (renderers never need it, and taking one walks the registry).
-func (l *Lab) resultsView() Results {
-	return Results{
-		Study:      l.Study,
-		Data:       l.Data,
-		Firewall:   l.FirewallCmp,
-		Fleet:      l.FleetPop,
-		Resilience: l.Resil,
-		Adversary:  l.Adv,
-		Timeline:   l.TL,
-	}
-}
-
-// Results returns the typed view of everything the lab has produced, or
-// ErrNotRun when no part has run yet.
-func (l *Lab) Results() (Results, error) {
-	r := l.resultsView()
-	if r.Data == nil && r.Firewall == nil && r.Fleet == nil && r.Resilience == nil && r.Adversary == nil && r.Timeline == nil {
-		return Results{}, ErrNotRun
-	}
-	if snap, ok := l.TelemetrySnapshot(); ok {
-		r.Telemetry = &snap
-	}
-	return r, nil
-}
 
 // TelemetrySnapshot captures the lab's metric registry at the current
 // simulated time. The second return is false when the lab was built
@@ -82,38 +25,38 @@ func (l *Lab) TelemetrySnapshot() (telemetry.Snapshot, bool) {
 	return l.opts.telemetry.Snapshot(l.Study.Clock.Now()), true
 }
 
-// renderArtifact renders one artifact from the typed view. The caller
+// renderArtifact renders one artifact from the lab's results. The caller
 // has already vetted the name against Artifacts.
-func renderArtifact(res Results, a Artifact) (string, error) {
+func renderArtifact(l *Lab, a Artifact) (string, error) {
 	// The fleet, resilience, and adversary artifacts derive from their
 	// own runs, not from the single-home dataset, so they render without
 	// Run.
 	switch a {
 	case FleetStudy:
-		if res.Fleet == nil {
+		if l.FleetPop == nil {
 			return "Fleet population study: not run (pass -fleet N or call Lab.RunFleet)\n", nil
 		}
-		return report.Fleet(res.Fleet), nil
+		return report.Fleet(l.FleetPop), nil
 	case ResilienceStudy:
-		if res.Resilience == nil {
+		if l.Resil == nil {
 			return "Resilience impairment grid: not run (pass -resilience or call Lab.Run(v6lab.Resilience()))\n", nil
 		}
-		return report.Resilience(res.Resilience), nil
+		return report.Resilience(l.Resil), nil
 	case AdversaryStudy:
-		if res.Adversary == nil {
+		if l.Adv == nil {
 			return "Adversary study: not run (pass -adversary N or call Lab.Run(v6lab.Adversary(n)))\n", nil
 		}
-		return report.Adversary(res.Adversary), nil
+		return report.Adversary(l.Adv), nil
 	case TimelineStudy:
-		if res.Timeline == nil {
+		if l.TL == nil {
 			return "Timeline study: not run (pass -horizon 7d or call Lab.Run(v6lab.Timeline(v6lab.Weeks(1))))\n", nil
 		}
-		return report.Timeline(res.Timeline), nil
+		return report.Timeline(l.TL), nil
 	}
-	if res.Data == nil {
+	if l.Data == nil {
 		return "", fmt.Errorf("%s: %w", a, ErrNotRun)
 	}
-	ds := res.Data
+	ds := l.Data
 	switch a {
 	case Table3:
 		return report.Table3(ds.Table3()), nil
@@ -148,14 +91,14 @@ func renderArtifact(res Results, a Artifact) (string, error) {
 	case DADAudit:
 		return report.DAD(ds.DADAudit()), nil
 	case Ports:
-		return report.PortScan(res.Study.Scan), nil
+		return report.PortScan(l.Study.Scan), nil
 	case Tracking:
 		return report.Tracking(ds.Tracking()), nil
 	case Firewall:
-		if res.Firewall == nil {
+		if l.FirewallCmp == nil {
 			return "Firewall policy comparison: not run (pass -firewall=compare or a policy name)\n", nil
 		}
-		return report.FirewallExposure(res.Firewall), nil
+		return report.FirewallExposure(l.FirewallCmp), nil
 	case FuncMatrix:
 		var names []string
 		for _, p := range ds.Profiles {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -13,39 +12,30 @@ import (
 	"v6lab/internal/timeline"
 )
 
-// TestResultsNotRun: a fresh lab has no typed results yet.
-func TestResultsNotRun(t *testing.T) {
-	if _, err := New().Results(); !errors.Is(err, ErrNotRun) {
-		t.Fatalf("err = %v, want ErrNotRun", err)
-	}
-}
-
-// TestResultsTyped: after a run, Results exposes the structured data the
-// renderers consume, and the telemetry snapshot when one was requested.
+// TestResultsTyped: after a run, the lab's fields expose the structured
+// data the renderers consume, and TelemetrySnapshot the snapshot when one
+// was requested.
 func TestResultsTyped(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	lab := New(WithDevices("Wyze Cam", "Apple TV"), WithTelemetry(reg))
 	if err := lab.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := lab.Results()
-	if err != nil {
-		t.Fatal(err)
+	if lab.Study == nil || lab.Data == nil {
+		t.Fatal("lab missing study or dataset after Run")
 	}
-	if res.Study == nil || res.Data == nil {
-		t.Fatal("Results missing study or dataset after Run")
+	if lab.FleetPop != nil || lab.Resil != nil || lab.FirewallCmp != nil {
+		t.Error("lab reports parts that never ran")
 	}
-	if res.Fleet != nil || res.Resilience != nil || res.Firewall != nil {
-		t.Error("Results reports parts that never ran")
+	snap, ok := lab.TelemetrySnapshot()
+	if !ok {
+		t.Fatal("no telemetry snapshot despite WithTelemetry")
 	}
-	if res.Telemetry == nil {
-		t.Fatal("Results missing telemetry snapshot despite WithTelemetry")
-	}
-	if len(res.Telemetry.Points) == 0 {
+	if len(snap.Points) == 0 {
 		t.Fatal("telemetry snapshot has no points after an instrumented run")
 	}
 	var runs int64
-	for _, p := range res.Telemetry.Points {
+	for _, p := range snap.Points {
 		if p.Name == "experiment_runs_total" {
 			runs = p.Value
 		}
@@ -53,8 +43,8 @@ func TestResultsTyped(t *testing.T) {
 	if runs != 6 {
 		t.Errorf("experiment_runs_total = %d, want 6", runs)
 	}
-	// ReportErr renders the same view: the firewall placeholder matches
-	// the nil Firewall field.
+	// ReportErr renders the same fields: the firewall placeholder matches
+	// the nil FirewallCmp field.
 	out, err := lab.ReportErr(Firewall)
 	if err != nil {
 		t.Fatal(err)
