@@ -35,6 +35,7 @@ import (
 	"v6lab/internal/adversary"
 	"v6lab/internal/device"
 	"v6lab/internal/faults"
+	"v6lab/internal/firewall"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/timeline"
 )
@@ -103,11 +104,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// No firewall comparison.
 	case "compare", "all":
 		// Empty list = all default policies.
-	case "open", "stateful", "pinhole":
-		fwPolicies = []string{*fwPolicy}
 	default:
-		fmt.Fprintf(stderr, "v6lab: unknown firewall policy %q (want open|stateful|pinhole|compare)\n", *fwPolicy)
-		return 2
+		if _, err := firewall.ByName(*fwPolicy); err != nil {
+			fmt.Fprintf(stderr, "v6lab: unknown firewall policy %q (want %s|compare)\n", *fwPolicy, strings.Join(firewall.PolicyNames, "|"))
+			return 2
+		}
+		fwPolicies = []string{*fwPolicy}
 	}
 
 	if *fleetN < 0 {

@@ -256,6 +256,19 @@ func TestInvalidChoiceFlagsListValidChoices(t *testing.T) {
 	}
 }
 
+// TestFirewallAliasAccepted: -firewall takes every name firewall.ByName
+// resolves, as the lab API and the server do, so "deny" runs the stateful
+// default-deny policy.
+func TestFirewallAliasAccepted(t *testing.T) {
+	code, stdout, stderr := runCmd("-firewall", "deny", "-artifact", "firewall", "-devices", "Wyze Cam")
+	if code != 0 {
+		t.Fatalf("exit code = %d, want 0 (stderr: %s)", code, stderr)
+	}
+	if !strings.Contains(stdout, "stateful") {
+		t.Errorf("-firewall deny did not run the stateful policy:\n%s", stdout)
+	}
+}
+
 func TestInvalidHorizonRejected(t *testing.T) {
 	for _, bad := range []string{"nope", "0d", "-3d"} {
 		code, _, stderr := runCmd("-horizon", bad)

@@ -9,8 +9,8 @@ import (
 )
 
 // ErrInvalidHorizon is returned (wrapped) for zero or negative horizons:
-// by New when WithHorizon was given one, by ParseHorizon/NewHorizon at
-// construction, and by the Timeline part when no valid horizon reaches it.
+// by ParseHorizon/NewHorizon at construction, and by the Timeline part
+// when no valid horizon reaches it.
 // The lab never panics over a bad horizon mid-run — the error surfaces at
 // the API boundary.
 var ErrInvalidHorizon = errors.New("v6lab: horizon must be a positive simulated duration")
@@ -19,8 +19,8 @@ var ErrInvalidHorizon = errors.New("v6lab: horizon must be a positive simulated 
 // The type exists so day- and week-scale simulated time reads as what it
 // is (Days(3), Weeks(1)) instead of raw time.Duration arithmetic, and so
 // validity is checked where a horizon enters the API rather than deep in
-// an engine. The zero Horizon means "unset" — parts fall back to the
-// lab's WithHorizon.
+// an engine. The zero Horizon means "unset" — a Timeline then takes its
+// TimelineConfig's Horizon.
 type Horizon struct{ d time.Duration }
 
 // Days returns an n-day simulated horizon.

@@ -44,44 +44,30 @@ func TestHorizonConstructorsAndParse(t *testing.T) {
 	}
 }
 
-// TestWithHorizonRejectedAtNew: an invalid WithHorizon is caught when the
-// lab is built and surfaces as a typed error from the first Run — never a
-// mid-run panic.
-func TestWithHorizonRejectedAtNew(t *testing.T) {
-	lab := New(WithDevices("TiVo Stream"), WithHorizon(Days(0)))
-	err := lab.Run()
-	if !errors.Is(err, ErrInvalidHorizon) {
-		t.Fatalf("Run err = %v, want ErrInvalidHorizon", err)
-	}
-	if err := lab.RunContext(t.Context()); !errors.Is(err, ErrInvalidHorizon) {
-		t.Fatalf("RunContext err = %v, want ErrInvalidHorizon", err)
-	}
-}
-
 func TestTimelinePartNeedsAHorizon(t *testing.T) {
 	lab := New(WithDevices("TiVo Stream"))
 	if err := lab.Run(Timeline(Horizon{})); !errors.Is(err, ErrInvalidHorizon) {
 		t.Fatalf("Run(Timeline(zero)) err = %v, want ErrInvalidHorizon", err)
 	}
+	cfg, err := lab.timelineConfig(Horizon{}, applyParts([]PartOption{TimelineConfig(timeline.Config{Horizon: time.Hour})}))
+	if err != nil || cfg.Horizon != time.Hour {
+		t.Fatalf("zero part horizon: resolved %v, %v; want the TimelineConfig's 1h", cfg.Horizon, err)
+	}
 }
 
-// TestTimelinePartAndArtifact: Run(Timeline(h)) fills TL and Results.
-// Timeline, the artifact renders, and a zero part horizon falls back to
-// WithHorizon.
+// TestTimelinePartAndArtifact: Run(Timeline(h)) fills TL, and the
+// artifact renders. Three days cross the 60h prefix rotation.
 func TestTimelinePartAndArtifact(t *testing.T) {
-	lab := New(WithHorizon(Days(1)))
-	// Rotate every 8h so even a one-day horizon exercises renumbering.
-	part := Timeline(Horizon{},
-		TimelineConfig(timeline.Config{Homes: 4, Seed: 3, RotationEvery: 8 * time.Hour}),
-		Workers(2))
+	lab := New()
+	part := Timeline(Days(3), TimelineConfig(timeline.Config{Homes: 4, Seed: 3}), Workers(2))
 	if err := lab.Run(part); err != nil {
 		t.Fatal(err)
 	}
 	if lab.TL == nil {
 		t.Fatal("Run(Timeline) left TL nil")
 	}
-	if got := lab.TL.Cfg.Horizon; got != 24*time.Hour {
-		t.Fatalf("timeline horizon = %v, want WithHorizon's 24h", got)
+	if got := lab.TL.Cfg.Horizon; got != 72*time.Hour {
+		t.Fatalf("timeline horizon = %v, want Days(3)", got)
 	}
 	out, err := lab.ReportErr(TimelineStudy)
 	if err != nil {

@@ -13,7 +13,7 @@
 //     found, RFC 8981 privacy identifiers are not.
 //  2. Campaign scanning: a seeded scheduler sweeps the discovered
 //     population through the firewall of each home on the simulated
-//     clock, with per-home probe budgets. Results merge in home-index
+//     clock. Results merge in home-index
 //     order, so campaign reports are byte-identical at any worker count —
 //     the same discipline internal/fleet uses.
 //  3. Worm propagation ("Where Have All the Firewalls Gone?"): an
@@ -83,28 +83,12 @@ type Config struct {
 	// CampaignSeed seeds the attacker's scheduler: per-home probe-order
 	// shuffling and the worm's target-selection draws. Zero means 1.
 	CampaignSeed uint64
-
-	// ProbeBudget caps SYN probes per home campaign; hitlist entries that
-	// do not fit are dropped from the shuffled tail. Zero means no cap.
-	ProbeBudget int
-
-	// LowByteSweep is how many prefix::N identifiers the generator tries
-	// per home (the "low-byte" hitlist). Zero means 256.
-	LowByteSweep int
-
-	// Worm parameterizes the propagation phase; zero values take the
-	// defaults documented on WormConfig.
-	Worm WormConfig
 }
 
 func (c Config) withDefaults() Config {
 	if c.CampaignSeed == 0 {
 		c.CampaignSeed = 1
 	}
-	if c.LowByteSweep == 0 {
-		c.LowByteSweep = 256
-	}
-	c.Worm = c.Worm.withDefaults()
 	return c
 }
 
@@ -112,7 +96,6 @@ func (c Config) withDefaults() Config {
 type Report struct {
 	Homes        int
 	CampaignSeed uint64
-	ProbeBudget  int
 
 	Discovery DiscoveryReport
 	Campaign  CampaignReport
@@ -140,7 +123,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	camps := make([]*HomeCampaign, n)
 	cfg.Fleet.Sweep = func(h *experiment.Home, hr *fleet.HomeResult) error {
 		i := hr.Spec.Index
-		hd := discoverHome(hr.Inventory, ouis, cfg.LowByteSweep)
+		hd := discoverHome(hr.Inventory, ouis)
 		hc, err := campaignHome(cfg, h, hr, hd, ports)
 		if err != nil {
 			return err
@@ -160,15 +143,11 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adversary: fleet: %w", err)
 	}
-	rep := &Report{
-		Homes:        len(pop.Homes),
-		CampaignSeed: cfg.CampaignSeed,
-		ProbeBudget:  cfg.ProbeBudget,
-	}
+	rep := &Report{Homes: len(pop.Homes), CampaignSeed: cfg.CampaignSeed}
 	for i, hr := range pop.Homes {
 		rep.Elapsed += hr.Elapsed
 		if discoveries[i] == nil {
-			discoveries[i] = discoverHome(hr.Inventory, ouis, cfg.LowByteSweep)
+			discoveries[i] = discoverHome(hr.Inventory, ouis)
 			camps[i] = &HomeCampaign{Index: i, Policy: hr.Spec.Policy, Skipped: true}
 		}
 	}

@@ -28,7 +28,7 @@ func TestDiscoveryScoring(t *testing.T) {
 	ouis := device.VendorOUIs()
 	var ds []*HomeDiscovery
 	for _, hr := range pop.Homes {
-		ds = append(ds, discoverHome(hr.Inventory, ouis, 256))
+		ds = append(ds, discoverHome(hr.Inventory, ouis))
 	}
 
 	// Ground-truth tally to compare the generator against.
@@ -106,32 +106,6 @@ func TestCampaignRespectsFirewall(t *testing.T) {
 		if pw.Policy == "stateful" && pw.Compromised != 0 {
 			t.Errorf("worm compromised %d devices behind stateful default-deny", pw.Compromised)
 		}
-	}
-}
-
-// TestProbeBudgetTruncates caps the campaign and checks the budget holds
-// per home and the truncation is flagged.
-func TestProbeBudgetTruncates(t *testing.T) {
-	cfg := smallCfg(4)
-	cfg.ProbeBudget = len(CampaignPorts()) // budget for exactly one target per home
-	rep, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truncated := false
-	for _, hc := range rep.Campaign.Homes {
-		if hc.Skipped {
-			continue
-		}
-		if hc.ProbesSent > cfg.ProbeBudget {
-			t.Errorf("home %d sent %d probes over budget %d", hc.Index, hc.ProbesSent, cfg.ProbeBudget)
-		}
-		if hc.Truncated {
-			truncated = true
-		}
-	}
-	if !truncated {
-		t.Error("no home was truncated; budget too generous for the test to bite")
 	}
 }
 

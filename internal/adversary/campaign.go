@@ -15,8 +15,7 @@ import (
 // home's firewall on the simulated clock. Each home is swept inside the
 // fleet's per-home job, on the live home; results merge in home-index
 // order, so the campaign report is byte-identical at any worker count.
-// The campaign seed only shuffles the attacker's per-home probe order —
-// which matters exactly when a probe budget truncates the hitlist.
+// The campaign seed only shuffles the attacker's per-home probe order.
 
 // CampaignPorts returns the attacker's probe list: the classic IoT sweep
 // set plus every TCP service port any registry device exposes over IPv6 —
@@ -58,9 +57,7 @@ type HomeCampaign struct {
 	Policy string
 	// Skipped marks homes the campaign never scanned: no discovered
 	// targets, or no IPv6 on the WAN at all.
-	Skipped bool
-	// Truncated marks homes where the probe budget cut the hitlist.
-	Truncated                 bool
+	Skipped                   bool
 	TargetsProbed, ProbesSent int
 	Reachable                 []ReachableDevice
 	// Functional devices under scan (egress must never regress).
@@ -107,8 +104,7 @@ func campaignHome(cfg Config, h *experiment.Home, hr *fleet.HomeResult, hd *Home
 	}
 	hc.Functional = hr.Functional
 
-	// The attacker shuffles probe order per home (scan-detection evasion);
-	// under a budget the shuffle decides which targets make the cut.
+	// The attacker shuffles probe order per home (scan-detection evasion).
 	order := make([]int, len(hd.Found))
 	for i := range order {
 		order[i] = i
@@ -118,16 +114,9 @@ func campaignHome(cfg Config, h *experiment.Home, hr *fleet.HomeResult, hd *Home
 		j := rng.Intn(i + 1)
 		order[i], order[j] = order[j], order[i]
 	}
-	maxTargets := len(order)
-	if cfg.ProbeBudget > 0 {
-		if m := cfg.ProbeBudget / len(ports); m < maxTargets {
-			maxTargets = m
-			hc.Truncated = true
-		}
-	}
-	targets := make([]experiment.TargetProbe, 0, maxTargets)
+	targets := make([]experiment.TargetProbe, 0, len(order))
 	byLAN := map[netip.Addr]*Finding{}
-	for _, oi := range order[:maxTargets] {
+	for _, oi := range order {
 		f := &hd.Found[oi]
 		targets = append(targets, experiment.TargetProbe{Addr: f.LAN, Ports: ports})
 		byLAN[f.LAN] = f

@@ -66,8 +66,12 @@ type HomeDiscovery struct {
 	Missed, MissedRandom int
 }
 
+// lowByteSweep is how many prefix::N identifiers the generator tries in
+// each low-byte window.
+const lowByteSweep = 256
+
 // discoverHome runs the generator against one home's ground truth.
-func discoverHome(inv *fleet.HomeInventory, ouis [][3]byte, lowByteN int) *HomeDiscovery {
+func discoverHome(inv *fleet.HomeInventory, ouis [][3]byte) *HomeDiscovery {
 	hd := &HomeDiscovery{Index: inv.Index, Policy: inv.Policy, V6: inv.V6}
 
 	// Ground truth keyed by interface identifier: within one /64 the IID
@@ -117,7 +121,7 @@ func discoverHome(inv *fleet.HomeInventory, ouis [][3]byte, lowByteN int) *HomeD
 	// and ::64:0 are common firmware defaults — sequential leases there
 	// fall to the sweep just like plain low-byte addresses).
 	for _, base := range [...]byte{0x00, 0x01, 0x10, 0x64} {
-		for n := 1; n <= lowByteN; n++ {
+		for n := 1; n <= lowByteSweep; n++ {
 			try(addr.LowByteIID(base, uint16(n)), SourceLowByte)
 		}
 	}

@@ -77,7 +77,7 @@ func TestCampaignMatchesTwoBoot(t *testing.T) {
 			if ec, _ := experiment.ConfigByID(hr.Spec.ConfigID); !ec.Router.IPv6 {
 				continue
 			}
-			want := twoBootCampaign(t, cfg, reg, hr, discoverHome(hr.Inventory, ouis, cfg.LowByteSweep))
+			want := twoBootCampaign(t, cfg, reg, hr, discoverHome(hr.Inventory, ouis))
 			got := *rep.Campaign.Homes[i]
 			got.Elapsed, want.Elapsed = 0, 0
 			if !reflect.DeepEqual(got, want) {

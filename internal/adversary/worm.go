@@ -18,31 +18,16 @@ import (
 // sorted identity order with per-bot seeded draws, so the curve is fully
 // deterministic.
 
-// WormConfig parameterizes propagation.
-type WormConfig struct {
-	// ProbesPerTick is each bot's scan rate. Zero means 6.
-	ProbesPerTick int
-	// MaxTicks bounds the simulation. Zero means 360.
-	MaxTicks int
-	// Tick is the simulated duration of one round. Zero means a minute.
-	Tick time.Duration
-}
-
-func (c WormConfig) withDefaults() WormConfig {
-	if c.ProbesPerTick == 0 {
-		c.ProbesPerTick = 6
-	}
-	if c.MaxTicks == 0 {
-		c.MaxTicks = 360
-	}
-	if c.Tick == 0 {
-		c.Tick = time.Minute
-	}
-	return c
-}
+// The propagation model: each bot's scan rate, the bound on the
+// simulation, and the simulated duration of one round.
+const (
+	wormProbesPerTick = 6
+	wormMaxTicks      = 360
+	wormTick          = time.Minute
+)
 
 // PolicyWorm is the per-firewall-policy time-to-compromise row. Tick
-// fields are tick indexes; -1 means never reached within MaxTicks.
+// fields are tick indexes; -1 means never reached within wormMaxTicks.
 type PolicyWorm struct {
 	Policy  string
 	Homes   int
@@ -90,10 +75,9 @@ type wormNode struct {
 }
 
 // runWorm seeds patient zero on the first WAN-reachable device and runs
-// the epidemic to exhaustion or MaxTicks.
+// the epidemic to exhaustion or wormMaxTicks.
 func runWorm(cfg Config, pop *fleet.Population, camp *CampaignReport) WormReport {
-	wc := cfg.Worm
-	rep := WormReport{ProbesPerTick: wc.ProbesPerTick, Tick: wc.Tick, PerPolicy: []PolicyWorm{}}
+	rep := WormReport{ProbesPerTick: wormProbesPerTick, Tick: wormTick, PerPolicy: []PolicyWorm{}}
 
 	// Build the node universe in (home, inventory-device) order; the
 	// index is the bot identity every deterministic iteration uses.
@@ -160,7 +144,7 @@ func runWorm(cfg Config, pop *fleet.Population, camp *CampaignReport) WormReport
 	}
 	rep.Curve = append(rep.Curve, rep.Compromised)
 
-	for tick := 1; tick <= wc.MaxTicks && rep.Compromised < rep.Susceptible; tick++ {
+	for tick := 1; tick <= wormMaxTicks && rep.Compromised < rep.Susceptible; tick++ {
 		rep.Ticks = tick
 		// Snapshot: devices infected this tick start scanning next tick.
 		var bots []int
@@ -171,7 +155,7 @@ func runWorm(cfg Config, pop *fleet.Population, camp *CampaignReport) WormReport
 		}
 		for _, id := range bots {
 			b := nodes[id]
-			budget := wc.ProbesPerTick
+			budget := wormProbesPerTick
 			// LAN first: inside the firewall every locally-open housemate
 			// is one probe away.
 			for _, hid := range homeNodes[b.home] {

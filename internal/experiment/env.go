@@ -100,7 +100,7 @@ func (p *EnvPool) Idle() int {
 // grid builds no second set of stacks. A pooled or fresh environment is
 // adopted into this study — budget, telemetry wiring — but keeps its own
 // stacks, clock, switch, and query counters.
-func (st *Study) acquireEnv(w int, base time.Time) *Study {
+func (st *Study) acquireEnv(w int) *Study {
 	if st.opts.Pool == nil {
 		if w == 0 {
 			return st
@@ -110,7 +110,7 @@ func (st *Study) acquireEnv(w int, base time.Time) *Study {
 		clear(env.Cloud.Queries)
 		return env
 	}
-	return st.isolatedEnv(base)
+	return st.isolatedEnv()
 }
 
 // releaseEnv parks a worker's environment for reuse by later studies (or

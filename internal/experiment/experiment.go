@@ -191,11 +191,12 @@ type Study struct {
 
 // StudyOptions parameterizes testbed construction over a World. The zero
 // value of every other field selects the paper's single-home defaults:
-// the paper's capture start time and the default frame budget, a
-// one-worker buffered run with no faults or telemetry. Unless World,
-// Pool, or Scratch deliberately share state, every field the study
-// touches is instantiated per call — two studies built from such
-// options share no mutable state and may run on concurrent goroutines.
+// the default frame budget, a one-worker buffered run with no faults or
+// telemetry. Every study's clock starts at the paper's capture start,
+// 2024-04-05 09:00 UTC. Unless World, Pool, or Scratch deliberately share
+// state, every field the study touches is instantiated per call — two
+// studies built from such options share no mutable state and may run on
+// concurrent goroutines.
 // (A shared World is read-only and therefore also concurrency-safe; a
 // shared Scratch is not.)
 type StudyOptions struct {
@@ -216,9 +217,6 @@ type StudyOptions struct {
 	// only legal across *sequential* studies — one fleet worker's homes,
 	// never two concurrent ones. Nil means private scratch.
 	Scratch *Scratch
-	// Start is the simulated capture start time; the zero value means the
-	// paper's 2024-04-05 09:00 UTC.
-	Start time.Time
 	// MaxFramesPerRun bounds each experiment's frame deliveries; 0 means
 	// the default 3,000,000.
 	MaxFramesPerRun int
@@ -251,9 +249,6 @@ type StudyOptions struct {
 // zero-value defaults. The study serves traffic through a Clone of the
 // world's cloud: private query counters over the shared domain registry.
 func NewStudyWith(opts StudyOptions) *Study {
-	if opts.Start.IsZero() {
-		opts.Start = time.Date(2024, 4, 5, 9, 0, 0, 0, time.UTC)
-	}
 	if opts.MaxFramesPerRun == 0 {
 		opts.MaxFramesPerRun = 3_000_000
 	}
@@ -276,7 +271,7 @@ func NewStudyWith(opts StudyOptions) *Study {
 		World:     w,
 		Profiles:  w.Profiles,
 		Cloud:     w.Cloud.Clone(),
-		Clock:     netsim.NewClock(opts.Start),
+		Clock:     netsim.NewClock(time.Date(2024, 4, 5, 9, 0, 0, 0, time.UTC)),
 		ActiveDNS: map[string]AAAAResult{},
 		opts:      opts,
 		scratch:   scratch,

@@ -56,7 +56,7 @@ func (st *Study) NewHome(cfg Config, pol firewall.Policy, impair string) *Home {
 	h.Router.Attach(net)
 	if fp := st.opts.Faults; impair != "" && fp != nil {
 		net.SetImpairment(faults.NewLink(*fp, faults.SubSeed(fp.Seed, impair)))
-		h.Router.Faults = faults.NewServices(*fp, st.Clock)
+		h.Router.Faults = faults.NewServices(*fp)
 		h.faulted = true
 	}
 	for _, s := range st.Stacks {

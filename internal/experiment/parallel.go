@@ -54,7 +54,7 @@ func (st *Study) runConnectivity(ctx context.Context) error {
 		// One environment per worker, reused across its jobs (and — via
 		// the pool — across studies). beginRun's absolute clock and XID
 		// seeding is what makes the reuse byte-invisible.
-		env := st.acquireEnv(w, start)
+		env := st.acquireEnv(w)
 		envs[w] = env
 		return func(i int) error {
 			env.beginRun(start, Configs[:i])
@@ -103,9 +103,9 @@ func (st *Study) runConnectivity(ctx context.Context) error {
 // isolatedEnv builds a study sharing this one's immutable World
 // (profiles, plans, domain registry) but with private stacks, clock,
 // scratch, and query counters, so one experiment can run on it
-// concurrently with others.
-func (st *Study) isolatedEnv(base time.Time) *Study {
-	env := NewStudyWith(StudyOptions{World: st.World, Start: base})
+// concurrently with others. beginRun sets its clock before each run.
+func (st *Study) isolatedEnv() *Study {
+	env := NewStudyWith(StudyOptions{World: st.World})
 	// The environments adopt the parent's settings and share its
 	// instruments: counter folds are atomic additions (order-independent),
 	// and cloud-query folding stays with the parent, which merges the

@@ -7,19 +7,16 @@
 // by a seeded PRNG, an MTU clamp on the router's HE-style tunnel path
 // (oversized packets elicit ICMPv6 Packet-Too-Big, so flows must honor
 // PMTUD or break), and router-service fault schedules (dropped RAs,
-// DHCPv6 replies, AAAA answers, and blackout windows on the simulated
-// clock).
+// DHCPv6 replies and AAAA answers).
 //
 // Everything is byte-deterministic per (seed, profile): the PRNG is a
-// fixed splitmix64 sequence, schedules are counters, and blackouts read
-// the simulated clock — two runs with the same seed produce identical
-// pcaps.
+// fixed splitmix64 sequence and schedules are counters — two runs with
+// the same seed produce identical pcaps.
 package faults
 
 import (
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"v6lab/internal/dnsmsg"
 	"v6lab/internal/netsim"
@@ -62,22 +59,14 @@ type Profile struct {
 	// 0 = off). Dropping the *first* occurrence is deliberate: it is the
 	// schedule that exercises client retry machinery.
 	DropEveryNthRA, DropEveryNthDHCPv6, DropEveryNthAAAA int
-
-	// Blackouts are windows, as offsets from the start of each
-	// experiment run, during which the router's services (RA, DHCPv4,
-	// DHCPv6, DNS forwarding) do not answer at all.
-	Blackouts []Window
 }
-
-// Window is one service blackout, [From, To) from experiment start.
-type Window struct{ From, To time.Duration }
 
 // Active reports whether the profile impairs anything. Inactive profiles
 // (e.g. Clean) make the study skip the impairment plumbing entirely.
 func (p Profile) Active() bool {
 	return p.LossPermille > 0 || p.DupPermille > 0 || p.ReorderPermille > 0 ||
 		p.TunnelMTU > 0 || p.DropEveryNthRA > 0 || p.DropEveryNthDHCPv6 > 0 ||
-		p.DropEveryNthAAAA > 0 || len(p.Blackouts) > 0
+		p.DropEveryNthAAAA > 0
 }
 
 // The resilience grid's profiles.
@@ -167,20 +156,15 @@ func (l *Link) Dropped() int { return l.dropped }
 // forwarding a WAN DNS answer; each accessor advances its own counter so
 // the schedule is a pure function of call order.
 type Services struct {
-	p     Profile
-	clock *netsim.Clock
-	start time.Time
+	p Profile
 
 	ras, dhcp6s, aaaas int
 	// RAsDropped etc. count suppressed service messages for diagnostics.
 	RAsDropped, DHCPv6Dropped, AAAADropped int
 }
 
-// NewServices builds the service fault schedule for one experiment run,
-// anchoring blackout windows at the clock's current instant.
-func NewServices(p Profile, clock *netsim.Clock) *Services {
-	return &Services{p: p, clock: clock, start: clock.Now()}
-}
+// NewServices builds the service fault schedule for one experiment run.
+func NewServices(p Profile) *Services { return &Services{p: p} }
 
 // nthDrop advances a counter and applies the "first, then every Nth"
 // schedule (1 = always drop).
@@ -192,21 +176,9 @@ func nthDrop(n int, count *int) bool {
 	return n == 1 || *count%n == 1
 }
 
-// Blackout reports whether the simulated clock is inside a blackout
-// window; router services stay silent while it holds.
-func (s *Services) Blackout() bool {
-	off := s.clock.Now().Sub(s.start)
-	for _, w := range s.p.Blackouts {
-		if off >= w.From && off < w.To {
-			return true
-		}
-	}
-	return false
-}
-
 // DropRA reports whether this router advertisement must be suppressed.
 func (s *Services) DropRA() bool {
-	if s.Blackout() || nthDrop(s.p.DropEveryNthRA, &s.ras) {
+	if nthDrop(s.p.DropEveryNthRA, &s.ras) {
 		s.RAsDropped++
 		return true
 	}
@@ -215,7 +187,7 @@ func (s *Services) DropRA() bool {
 
 // DropDHCPv6 reports whether this DHCPv6 reply must be suppressed.
 func (s *Services) DropDHCPv6() bool {
-	if s.Blackout() || nthDrop(s.p.DropEveryNthDHCPv6, &s.dhcp6s) {
+	if nthDrop(s.p.DropEveryNthDHCPv6, &s.dhcp6s) {
 		s.DHCPv6Dropped++
 		return true
 	}
@@ -228,10 +200,6 @@ func (s *Services) DropDHCPv6() bool {
 // affected by — the AAAA schedule, mirroring a resolver that chokes on
 // v6 records specifically.
 func (s *Services) DropDNSReply(payload []byte) bool {
-	if s.Blackout() {
-		s.AAAADropped++
-		return true
-	}
 	if s.p.DropEveryNthAAAA <= 0 {
 		return false
 	}

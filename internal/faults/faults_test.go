@@ -2,7 +2,6 @@ package faults
 
 import (
 	"testing"
-	"time"
 
 	"v6lab/internal/netsim"
 	"v6lab/internal/splitmix"
@@ -45,8 +44,7 @@ func TestActive(t *testing.T) {
 	if (Profile{}).Active() {
 		t.Error("zero profile must be inactive")
 	}
-	for _, p := range []Profile{LossyWiFi(), ClampedTunnel(), FlakyDNSMasq(),
-		{Blackouts: []Window{{From: 0, To: time.Second}}}} {
+	for _, p := range []Profile{LossyWiFi(), ClampedTunnel(), FlakyDNSMasq()} {
 		if !p.Active() {
 			t.Errorf("%q must be active", p.Name)
 		}
@@ -114,32 +112,8 @@ func TestLinkVerdictDeterminismAndRates(t *testing.T) {
 	}
 }
 
-func TestBlackoutWindows(t *testing.T) {
-	clock := netsim.NewClock(time.Date(2024, 4, 5, 9, 0, 0, 0, time.UTC))
-	p := Profile{Blackouts: []Window{{From: 2 * time.Second, To: 4 * time.Second}}}
-	s := NewServices(p, clock)
-	if s.Blackout() {
-		t.Error("before the window")
-	}
-	clock.Advance(3 * time.Second)
-	if !s.Blackout() {
-		t.Error("inside the window")
-	}
-	if !s.DropRA() || !s.DropDHCPv6() || !s.DropDNSReply(nil) {
-		t.Error("all services must stay silent during a blackout")
-	}
-	clock.Advance(2 * time.Second)
-	if s.Blackout() {
-		t.Error("after the window")
-	}
-	if s.RAsDropped != 1 || s.DHCPv6Dropped != 1 || s.AAAADropped != 1 {
-		t.Errorf("drop counters = %d/%d/%d, want 1/1/1", s.RAsDropped, s.DHCPv6Dropped, s.AAAADropped)
-	}
-}
-
 func TestServicesSchedules(t *testing.T) {
-	clock := netsim.NewClock(time.Date(2024, 4, 5, 9, 0, 0, 0, time.UTC))
-	s := NewServices(FlakyDNSMasq(), clock)
+	s := NewServices(FlakyDNSMasq())
 	// RA schedule n=2: 1st dropped, 2nd sent, 3rd dropped.
 	got := []bool{s.DropRA(), s.DropRA(), s.DropRA()}
 	want := []bool{true, false, true}

@@ -27,18 +27,15 @@ import (
 	"v6lab/internal/world"
 )
 
-// SizeBand is one bucket of the household-size distribution: homes in the
-// band hold between Min and Max devices (inclusive, uniform within).
-type SizeBand struct {
-	Min, Max int
-	Weight   int
-}
+// sizeBand is one bucket of the household-size distribution: homes in the
+// band hold between min and max devices (inclusive, uniform within).
+type sizeBand struct{ min, max, weight int }
 
-// Share is one weighted option of a categorical mix (connectivity configs,
+// share is one weighted option of a categorical mix (connectivity configs,
 // firewall policies).
-type Share struct {
-	Name   string
-	Weight int
+type share struct {
+	name   string
+	weight int
 }
 
 // Config parameterizes a fleet run. The zero value of every field selects
@@ -54,14 +51,6 @@ type Config struct {
 	// Seed derives every home's spec; identical seeds reproduce the
 	// population exactly. 0 means seed 1.
 	Seed uint64
-	// Sizes is the household-size distribution; nil means DefaultSizes.
-	Sizes []SizeBand
-	// Connectivity is the Table 2 config mix by experiment ID; nil means
-	// DefaultConnectivity.
-	Connectivity []Share
-	// Policies is the inbound-IPv6 firewall policy mix ("open",
-	// "stateful", "pinhole"); nil means DefaultPolicies.
-	Policies []Share
 	// MaxFramesPerRun bounds each home experiment's frame deliveries;
 	// 0 means the study default.
 	MaxFramesPerRun int
@@ -79,36 +68,36 @@ type Config struct {
 	Progress telemetry.Sink
 }
 
-// DefaultSizes is the default household-size distribution: mostly small
-// deployments with a tail of heavily instrumented homes, the shape
-// in-the-wild smart-home studies report.
-var DefaultSizes = []SizeBand{
-	{Min: 3, Max: 6, Weight: 3},
-	{Min: 7, Max: 12, Weight: 4},
-	{Min: 13, Max: 20, Weight: 2},
-	{Min: 21, Max: 35, Weight: 1},
+// sizeMix is the household-size distribution: mostly small deployments
+// with a tail of heavily instrumented homes, the shape in-the-wild
+// smart-home studies report.
+var sizeMix = []sizeBand{
+	{min: 3, max: 6, weight: 3},
+	{min: 7, max: 12, weight: 4},
+	{min: 13, max: 20, weight: 2},
+	{min: 21, max: 35, weight: 1},
 }
 
-// DefaultConnectivity is the default Table 2 config mix: dual-stack
+// connectivityMix is the Table 2 config mix by experiment ID: dual-stack
 // dominates residential deployments, IPv4-only remains common, and the
 // IPv6-only variants form the forward-looking tail.
-var DefaultConnectivity = []Share{
-	{Name: "ipv4-only", Weight: 25},
-	{Name: "dual-stack", Weight: 35},
-	{Name: "dual-stack-stateful", Weight: 15},
-	{Name: "ipv6-only", Weight: 10},
-	{Name: "ipv6-only-rdnss", Weight: 5},
-	{Name: "ipv6-only-stateful", Weight: 10},
+var connectivityMix = []share{
+	{name: "ipv4-only", weight: 25},
+	{name: "dual-stack", weight: 35},
+	{name: "dual-stack-stateful", weight: 15},
+	{name: "ipv6-only", weight: 10},
+	{name: "ipv6-only-rdnss", weight: 5},
+	{name: "ipv6-only-stateful", weight: 10},
 }
 
-// DefaultPolicies is the default inbound-IPv6 policy mix: most CPE ships
+// policyMix is the inbound-IPv6 firewall policy mix: most CPE ships
 // RFC 6092 default-deny, a substantial minority forwards the routed
 // prefix unfiltered (the paper's router; Rye et al. find millions of such
 // homes), and a small slice punches static pinholes.
-var DefaultPolicies = []Share{
-	{Name: "open", Weight: 35},
-	{Name: "stateful", Weight: 50},
-	{Name: "pinhole", Weight: 15},
+var policyMix = []share{
+	{name: "open", weight: 35},
+	{name: "stateful", weight: 50},
+	{name: "pinhole", weight: 15},
 }
 
 // withDefaults resolves zero fields.
@@ -118,15 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Sizes == nil {
-		c.Sizes = DefaultSizes
-	}
-	if c.Connectivity == nil {
-		c.Connectivity = DefaultConnectivity
-	}
-	if c.Policies == nil {
-		c.Policies = DefaultPolicies
 	}
 	return c
 }
@@ -172,31 +152,32 @@ func pickIndex(r *splitmix.Rand, weights []int) int {
 }
 
 // pick draws one option from a weighted mix.
-func pick(r *splitmix.Rand, shares []Share) string {
+func pick(r *splitmix.Rand, shares []share) string {
 	weights := make([]int, len(shares))
 	for i, s := range shares {
-		weights[i] = s.Weight
+		weights[i] = s.weight
 	}
-	return shares[pickIndex(r, weights)].Name
+	return shares[pickIndex(r, weights)].name
 }
 
-// SpecForIn derives home i's spec from the fleet seed alone, drawing
-// devices from registry (a caller-held snapshot, so drivers deriving many
-// specs reuse one registry copy). It never looks at other homes, so specs
+// SpecForIn derives home i's spec from the fleet seed alone, drawing its
+// size, connectivity and policy from the package's mixes and its devices
+// from registry (a caller-held snapshot, so drivers deriving many specs
+// reuse one registry copy). It never looks at other homes, so specs
 // can be produced in any order.
 func (c Config) SpecForIn(registry []*device.Profile, i int) HomeSpec {
 	c = c.withDefaults()
 	r := splitmix.New(c.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
 
 	// Household size: pick a band by weight, then uniform within it.
-	weights := make([]int, len(c.Sizes))
-	for bi, b := range c.Sizes {
-		weights[bi] = b.Weight
+	weights := make([]int, len(sizeMix))
+	for bi, b := range sizeMix {
+		weights[bi] = b.weight
 	}
-	band := c.Sizes[pickIndex(&r, weights)]
-	size := band.Min
-	if band.Max > band.Min {
-		size += r.Intn(band.Max - band.Min + 1)
+	band := sizeMix[pickIndex(&r, weights)]
+	size := band.min
+	if band.max > band.min {
+		size += r.Intn(band.max - band.min + 1)
 	}
 	if size > len(registry) {
 		size = len(registry)
@@ -223,8 +204,8 @@ func (c Config) SpecForIn(registry []*device.Profile, i int) HomeSpec {
 		Index:         i,
 		DeviceIndexes: idx,
 		Devices:       names,
-		ConfigID:      pick(&r, c.Connectivity),
-		Policy:        pick(&r, c.Policies),
+		ConfigID:      pick(&r, connectivityMix),
+		Policy:        pick(&r, policyMix),
 	}
 }
 

@@ -39,18 +39,18 @@ func TestSpecForDeterministic(t *testing.T) {
 func TestSpecForShape(t *testing.T) {
 	cfg := Config{Homes: 50, Seed: 7}.withDefaults()
 	reg := device.Registry()
-	minSize, maxSize := cfg.Sizes[0].Min, cfg.Sizes[0].Max
-	for _, b := range cfg.Sizes {
-		if b.Min < minSize {
-			minSize = b.Min
+	minSize, maxSize := sizeMix[0].min, sizeMix[0].max
+	for _, b := range sizeMix {
+		if b.min < minSize {
+			minSize = b.min
 		}
-		if b.Max > maxSize {
-			maxSize = b.Max
+		if b.max > maxSize {
+			maxSize = b.max
 		}
 	}
 	policies := map[string]bool{}
-	for _, s := range cfg.Policies {
-		policies[s.Name] = true
+	for _, s := range policyMix {
+		policies[s.name] = true
 	}
 	for i := 0; i < 50; i++ {
 		sp := cfg.SpecForIn(device.Registry(), i)
@@ -189,17 +189,25 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// handSpec builds a home of the registry's first n devices under one
+// connectivity config and policy, outside the fleet's mixes.
+func handSpec(reg []*device.Profile, n int, configID, policy string) HomeSpec {
+	sp := HomeSpec{ConfigID: configID, Policy: policy}
+	for i := range n {
+		sp.DeviceIndexes = append(sp.DeviceIndexes, i)
+		sp.Devices = append(sp.Devices, reg[i].Name)
+	}
+	return sp
+}
+
 // TestRunHomeOutcomes spot-checks the physics: an IPv4-only home shows no
 // IPv6 funnel activity and no exposure scan, a v6-enabled home does.
 func TestRunHomeOutcomes(t *testing.T) {
-	v4 := Config{Homes: 1, Workers: 1, Seed: 5,
-		Connectivity: []Share{{Name: "ipv4-only", Weight: 1}},
-	}
-	pop, err := RunContext(context.Background(), v4)
+	reg := device.Registry()
+	hr, err := runHome(Config{}, reg, handSpec(reg, 10, "ipv4-only", "stateful"), experiment.NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr := pop.Homes[0]
 	if hr.NDP != 0 || hr.GUA != 0 || hr.InternetV6 != 0 {
 		t.Fatalf("ipv4-only home shows IPv6 funnel activity: %+v", hr)
 	}
@@ -210,16 +218,10 @@ func TestRunHomeOutcomes(t *testing.T) {
 		t.Fatalf("ipv4-only home bricked devices: %d/%d functional", hr.Functional, hr.Devices)
 	}
 
-	v6 := Config{Homes: 1, Workers: 1, Seed: 5,
-		Sizes:        []SizeBand{{Min: 10, Max: 10, Weight: 1}},
-		Connectivity: []Share{{Name: "dual-stack", Weight: 1}},
-		Policies:     []Share{{Name: "stateful", Weight: 1}},
-	}
-	pop, err = RunContext(context.Background(), v6)
+	hr, err = runHome(Config{}, reg, handSpec(reg, 10, "dual-stack", "stateful"), experiment.NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr = pop.Homes[0]
 	if hr.NDP == 0 {
 		t.Fatal("dual-stack home shows no NDP activity")
 	}
@@ -236,11 +238,12 @@ func TestRunHomeOutcomes(t *testing.T) {
 
 // TestSweepReplacesExposure: a Config.Sweep is the WAN phase of every
 // v6-enabled home, in place of the exposure sweep. It runs on the live
-// home with its firewall, and its error fails the fleet.
+// home with its firewall, and its error fails the home's run.
 func TestSweepReplacesExposure(t *testing.T) {
+	reg := device.Registry()
+	spec := handSpec(reg, 10, "dual-stack", "open")
 	calls := 0
-	cfg := Config{Homes: 1, Workers: 1, Seed: 5,
-		Connectivity: []Share{{Name: "dual-stack", Weight: 1}},
+	cfg := Config{
 		Sweep: func(h *experiment.Home, hr *HomeResult) error {
 			calls++
 			if h.Firewall == nil {
@@ -252,18 +255,18 @@ func TestSweepReplacesExposure(t *testing.T) {
 			return nil
 		},
 	}
-	pop, err := RunContext(context.Background(), cfg)
+	hr, err := runHome(cfg, reg, spec, experiment.NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
 		t.Fatalf("Sweep ran %d times for one dual-stack home", calls)
 	}
-	if pop.Homes[0].Exposure != nil {
+	if hr.Exposure != nil {
 		t.Fatal("the exposure sweep ran alongside Config.Sweep")
 	}
 	cfg.Sweep = func(*experiment.Home, *HomeResult) error { return errors.New("probe failed") }
-	if _, err := RunContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "probe failed") {
-		t.Fatalf("Run = %v, want the sweep's error", err)
+	if _, err := runHome(cfg, reg, spec, experiment.NewScratch()); err == nil || !strings.Contains(err.Error(), "probe failed") {
+		t.Fatalf("runHome = %v, want the sweep's error", err)
 	}
 }

@@ -18,9 +18,6 @@ func Adversary(rep *adversary.Report) string {
 
 	title := fmt.Sprintf("Adversary — %d homes, campaign seed %d", rep.Homes, rep.CampaignSeed)
 	fmt.Fprintf(&w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	if rep.ProbeBudget > 0 {
-		fmt.Fprintf(&w, "per-home probe budget %d\n", rep.ProbeBudget)
-	}
 
 	d := rep.Discovery
 	pct := func(n, of int) float64 {

@@ -135,8 +135,7 @@ type Router struct {
 	WANv6Tap func(raw []byte) bool
 
 	// Faults, when set, impairs the router's own services: RA / DHCPv6 /
-	// forwarded-DNS drop schedules, blackout windows, and the tunnel MTU
-	// clamp. Nil means the paper's well-behaved dnsmasq.
+	// forwarded-DNS drop schedules and the tunnel MTU clamp. Nil means the paper's well-behaved dnsmasq.
 	Faults *faults.Services
 
 	// ForwardedV4 and ForwardedV6 count packets routed to the Internet.

@@ -25,9 +25,6 @@ var (
 // handleDHCPv4 implements the dnsmasq DHCPv4 server: DISCOVER→OFFER,
 // REQUEST→ACK, with router, mask, DNS, and lease options.
 func (r *Router) handleDHCPv4(p *packet.Packet) {
-	if r.Faults != nil && r.Faults.Blackout() {
-		return
-	}
 	msg := &r.dhcp4In
 	if err := dhcp4.UnmarshalInto(msg, p.UDP.PayloadData); err != nil {
 		return

@@ -226,15 +226,12 @@ func canonicalDevices(names []string) []string {
 	return out
 }
 
-// canonicalPolicy folds firewall.ByName's aliases onto one spelling.
+// canonicalPolicy folds firewall.ByName's aliases onto the policy's own
+// name. A name ByName rejects is only lower-cased and trimmed; validation
+// reports it.
 func canonicalPolicy(name string) string {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "stateful", "stateful-default-deny", "deny":
-		return "stateful"
-	case "open":
-		return "open"
-	case "pinhole":
-		return "pinhole"
+	if p, err := firewall.ByName(name); err == nil {
+		return p.Name()
 	}
 	return strings.ToLower(strings.TrimSpace(name))
 }

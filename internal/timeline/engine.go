@@ -18,8 +18,12 @@ import (
 // Protocol timers the event schedule is built from. They mirror what the
 // router's dnsmasq hands out: DHCPv4 leases of 3600 s (renew at T1 =
 // lease/2), DHCPv6 IA_NA preferred lifetimes of 3600 s, and RAs with an
-// 1800 s router lifetime.
+// 1800 s router lifetime, sent every 600 s. The ISP rotates each home's
+// prefix every 60 h (about two flash renumberings per simulated week);
+// the RA interval bounds the re-addressing outage after a rotation.
 const (
+	raInterval     = 600 * time.Second
+	rotationEvery  = 60 * time.Hour
 	renewEvery     = 1800 * time.Second
 	renewRetryGap  = 60 * time.Second
 	maxRenewRetry  = 2
@@ -180,16 +184,14 @@ func runHome(cfg Config, reg []*device.Profile, spec fleet.HomeSpec, scratch *ex
 func (e *homeEngine) schedule() {
 	v6 := e.home.Config.Router.IPv6
 	if v6 {
-		e.push(e.start.Add(e.cfg.RAInterval), evRA, -1, 0)
-		if e.cfg.RotationEvery > 0 {
-			for k := 1; ; k++ {
-				jitter := time.Duration(e.homeRng.Intn(3600))*time.Second - 30*time.Minute
-				at := e.start.Add(time.Duration(k)*e.cfg.RotationEvery + jitter)
-				if !at.Before(e.deadline) {
-					break
-				}
-				e.push(at, evRotate, -1, 0)
+		e.push(e.start.Add(raInterval), evRA, -1, 0)
+		for k := 1; ; k++ {
+			jitter := time.Duration(e.homeRng.Intn(3600))*time.Second - 30*time.Minute
+			at := e.start.Add(time.Duration(k)*rotationEvery + jitter)
+			if !at.Before(e.deadline) {
+				break
 			}
+			e.push(at, evRotate, -1, 0)
 		}
 	}
 	day0 := e.start.Truncate(24 * time.Hour)
@@ -263,7 +265,7 @@ func (e *homeEngine) handle(ev event) error {
 			}
 			e.checkReaddr()
 		}
-		e.push(ev.at.Add(e.cfg.RAInterval), evRA, -1, 0)
+		e.push(ev.at.Add(raInterval), evRA, -1, 0)
 
 	case evBurst:
 		day := e.dayOf(ev.at)
@@ -476,7 +478,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		homesDone = cfg.Telemetry.Counter("timeline", "homes_completed_total", "Timeline homes simulated to the horizon.")
 		burstsDone = cfg.Telemetry.Counter("timeline", "bursts_total", "Workload bursts fired across all timeline homes.")
 	}
-	// Homes derive from the fleet's default mixes under the timeline seed.
+	// Homes derive from the fleet's mixes under the timeline seed.
 	fc := fleet.Config{Seed: cfg.Seed}
 	reg := device.Registry()
 	results := make([]*HomeTimeline, cfg.Homes)

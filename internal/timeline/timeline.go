@@ -32,23 +32,15 @@ type Config struct {
 	Homes int
 	// Workers bounds the worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// Seed derives every home's spec (from the fleet's default mixes) and
+	// Seed derives every home's spec (from the fleet's mixes) and
 	// event schedule; 0 means 1.
 	Seed uint64
-	// RotationEvery is the ISP prefix-rotation period; 0 means 60 h
-	// (about two flash renumberings per simulated week), negative disables
-	// rotations.
-	RotationEvery time.Duration
-	// RAInterval is the router's periodic advertisement interval; 0 means
-	// dnsmasq's 600 s. It bounds re-addressing outages after a rotation.
-	RAInterval time.Duration
 	// MaxFramesPerDrain bounds the frame deliveries of any one event's
 	// drain; 0 means the study default (3,000,000).
 	MaxFramesPerDrain int
 	// Impairments, when active, installs the PR 3 fault profile on every
 	// home as a long-horizon impairment: the link model on the switch and
-	// the service-fault schedule (RA/DHCPv6/DNS drops, blackouts) on the
-	// router. This is what makes lease renewals *fail*.
+	// the service-fault schedule (RA/DHCPv6/DNS drops) on the router. This is what makes lease renewals *fail*.
 	Impairments *faults.Profile
 	// Telemetry, when non-nil, instruments every home into the shared
 	// registry (commuting adds only — snapshots are worker-count-free).
@@ -68,12 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.RotationEvery == 0 {
-		c.RotationEvery = 60 * time.Hour
-	}
-	if c.RAInterval <= 0 {
-		c.RAInterval = 600 * time.Second
 	}
 	if c.MaxFramesPerDrain <= 0 {
 		c.MaxFramesPerDrain = 3_000_000

@@ -26,10 +26,9 @@ func encodeHomes(t *testing.T, r *Report) []byte {
 
 func TestTimelineWorkerCountInvariance(t *testing.T) {
 	cfg := Config{
-		Horizon:       48 * time.Hour,
-		Homes:         12,
-		Seed:          7,
-		RotationEvery: 24 * time.Hour,
+		Horizon: 72 * time.Hour,
+		Homes:   12,
+		Seed:    7,
 	}
 	cfg.Workers = 1
 	serial, err := RunContext(context.Background(), cfg)
@@ -46,24 +45,23 @@ func TestTimelineWorkerCountInvariance(t *testing.T) {
 		t.Fatalf("reports differ between 1 and 8 workers:\n%d vs %d bytes", len(a), len(b))
 	}
 	if serial.Totals().Frames == 0 {
-		t.Fatal("no frames delivered over a 2-day horizon")
+		t.Fatal("no frames delivered over a 3-day horizon")
 	}
 }
 
 func TestTimelineRotationProducesOutages(t *testing.T) {
 	r, err := RunContext(context.Background(), Config{
-		Horizon:       72 * time.Hour,
-		Homes:         8,
-		Workers:       4,
-		Seed:          3,
-		RotationEvery: 24 * time.Hour,
+		Horizon: 72 * time.Hour,
+		Homes:   8,
+		Workers: 4,
+		Seed:    3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tot := r.Totals()
 	if tot.Rotations == 0 {
-		t.Fatal("no prefix rotations over 3 days with RotationEvery=24h")
+		t.Fatal("no prefix rotations over 3 days at the 60h rotation period")
 	}
 	if tot.Recovered == 0 {
 		t.Fatal("no home re-addressed after a rotation")
@@ -78,11 +76,10 @@ func TestTimelineRotationProducesOutages(t *testing.T) {
 
 func TestTimelineDiurnalAndChurn(t *testing.T) {
 	r, err := RunContext(context.Background(), Config{
-		Horizon:       72 * time.Hour,
-		Homes:         10,
-		Workers:       4,
-		Seed:          5,
-		RotationEvery: -1,
+		Horizon: 72 * time.Hour,
+		Homes:   10,
+		Workers: 4,
+		Seed:    5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,12 +119,11 @@ func TestTimelineImpairedRenewalsFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, err := RunContext(context.Background(), Config{
-		Horizon:       48 * time.Hour,
-		Homes:         6,
-		Workers:       2,
-		Seed:          11,
-		RotationEvery: -1,
-		Impairments:   &prof,
+		Horizon:     48 * time.Hour,
+		Homes:       6,
+		Workers:     2,
+		Seed:        11,
+		Impairments: &prof,
 	})
 	if err != nil {
 		t.Fatal(err)

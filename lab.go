@@ -118,8 +118,6 @@ type options struct {
 	progress    telemetry.Sink
 	env         *Env
 	ablation    Options
-	horizon     Horizon
-	horizonSet  bool
 }
 
 // Option configures New.
@@ -135,13 +133,12 @@ func WithDevices(names ...string) Option {
 }
 
 // WithSeed sets the lab's seed (the default is 1). Fault profiles without
-// an explicit seed (every profile of faults.Grid()) inherit it: the
-// WithFaultProfile study's, a Timeline's impairment, and the Resilience
-// grid's unless Seed(...) overrides it (see Impairments). The Fleet,
-// Adversary, Timeline and Resilience parts inherit it too unless a Seed
-// PartOption or their config sets one (see PartOption). A lab is
-// byte-deterministic in (options, parts): same seed and profile, same
-// pcaps and reports.
+// an explicit seed (every profile of faults.Grid()) always inherit it: the
+// WithFaultProfile study's, a Timeline's impairment and the Resilience
+// grid's (see Impairments). The Fleet, Adversary and Timeline populations
+// inherit it too unless a Seed PartOption or their config sets one (see
+// PartOption). A lab is byte-deterministic in (options, parts): same seed
+// and profile, same pcaps and reports.
 func WithSeed(seed uint64) Option {
 	return func(o *options) { o.seed = seed }
 }
@@ -217,15 +214,6 @@ func WithProgress(sink telemetry.Sink) Option {
 	return func(o *options) { o.progress = sink }
 }
 
-// WithHorizon sets the lab's default simulated horizon: Timeline parts
-// given a zero Horizon fall back to it. A zero or negative horizon is
-// rejected at New time — the constructor records an ErrInvalidHorizon
-// that the first Run/RunContext returns, so misconfiguration surfaces at
-// the API boundary instead of panicking mid-run.
-func WithHorizon(h Horizon) Option {
-	return func(o *options) { o.horizon = h; o.horizonSet = true }
-}
-
 // Lab is the top-level handle: a configured study plus, after Run, the
 // analyzed dataset. Its exported fields are the typed results: each part
 // sets its own, parts that have not run leave theirs nil, and the
@@ -249,8 +237,8 @@ type Lab struct {
 	TL *timeline.Report
 
 	opts options
-	// initErr records an option rejected at New time (e.g. an invalid
-	// WithHorizon); the first Run/RunContext returns it.
+	// initErr records an option rejected at New time (a WithDevices name
+	// outside the registry); the first Run/RunContext returns it.
 	initErr error
 	// ctx is the context of the RunContext call currently executing;
 	// parts read it through runCtx. Nil outside Run/RunContext.
@@ -275,10 +263,6 @@ func New(opts ...Option) *Lab {
 	l := &Lab{opts: o}
 	if devErr != nil {
 		l.initErr = fmt.Errorf("WithDevices: %w", devErr)
-	} else if o.horizonSet {
-		if err := o.horizon.validate(); err != nil {
-			l.initErr = fmt.Errorf("WithHorizon: %w", err)
-		}
 	}
 	so := experiment.StudyOptions{
 		MaxFramesPerRun: o.maxFrames,
@@ -300,10 +284,7 @@ func New(opts ...Option) *Lab {
 		so.Capture = experiment.CaptureNone
 	}
 	if o.fault != nil {
-		fp := *o.fault
-		if fp.Seed == 0 {
-			fp.Seed = o.seed
-		}
+		fp := o.seeded(*o.fault)
 		so.Faults = &fp
 	}
 	l.Study = experiment.NewStudyWith(so)
@@ -317,6 +298,16 @@ func (l *Lab) runCtx() context.Context {
 		return l.ctx
 	}
 	return context.Background()
+}
+
+// seeded gives a fault profile without a seed of its own the lab's
+// WithSeed: the study's, the resilience grid's and a Timeline's
+// impairments all follow this one rule.
+func (o options) seeded(p faults.Profile) faults.Profile {
+	if p.Seed == 0 {
+		p.Seed = o.seed
+	}
+	return p
 }
 
 // resolveDevices maps names onto registry profiles, preserving registry
@@ -351,7 +342,7 @@ func resolveDevices(names []string) ([]*device.Profile, error) {
 // Connectivity, FirewallComparison, Fleet, Adversary, Resilience,
 // Timeline — cover every study the lab knows how to run; each takes
 // PartOptions (Capture, Seed, Workers, Impairments, or a full config via
-// FleetConfig/AdversaryConfig/TimelineConfig) for per-part control.
+// AdversaryConfig/TimelineConfig) for per-part control.
 type RunPart func(*Lab) error
 
 // Connectivity is the core study: the six Table 2 experiments, the active

@@ -16,12 +16,12 @@ import (
 // own worker pool and seed. Fleet, Adversary, Timeline and Resilience
 // resolve the settings they share through one rule (resolve): an explicit
 // PartOption wins over a nonzero field of the config struct passed via
-// FleetConfig/AdversaryConfig/TimelineConfig, which wins over the lab's
-// default — WithSeed, WithWorkers, WithMaxFramesPerRun, WithTelemetry and
+// AdversaryConfig/TimelineConfig, which wins over the lab's default —
+// WithSeed, WithWorkers, WithMaxFramesPerRun, WithTelemetry and
 // WithProgress. Seed and Workers are the settings with a PartOption; the
 // frame budget, telemetry and progress come from the config or the lab.
 // The horizon, impairments and the adversary's CampaignSeed are
-// part-specific (see Timeline and Adversary).
+// part-specific (see Timeline, Impairments and Adversary).
 type PartOption func(*partConfig)
 
 // partConfig accumulates the shared per-part settings.
@@ -31,7 +31,6 @@ type partConfig struct {
 	workers     int
 	workersSet  bool
 	impairments []faults.Profile
-	fleetCfg    *fleet.Config
 	advCfg      *adversary.Config
 	tlCfg       *timeline.Config
 }
@@ -44,8 +43,10 @@ func applyParts(opts []PartOption) partConfig {
 	return pc
 }
 
-// Seed sets the part's derivation seed, overriding the config's and the
-// lab's WithSeed.
+// Seed sets the seed a Fleet, Adversary or Timeline derives its
+// population from, overriding the config's and the lab's WithSeed. It
+// never seeds impairments, which always take WithSeed, so it leaves a
+// Resilience grid unchanged.
 func Seed(seed uint64) PartOption {
 	return func(pc *partConfig) { pc.seed = seed; pc.seedSet = true }
 }
@@ -58,44 +59,36 @@ func Workers(n int) PartOption {
 
 // Impairments runs the part under the given fault profiles: the grid for
 // Resilience, a single long-horizon profile for Timeline (which uses the
-// first). A profile without an explicit seed takes Resilience's resolved
-// seed (Seed, else WithSeed); Timeline's takes WithSeed, as the lab's own
-// WithFaultProfile does.
+// first). A profile without an explicit seed takes the lab's WithSeed, in
+// either part, as the lab's own WithFaultProfile does; a Seed PartOption
+// does not reach it.
 func Impairments(profiles ...faults.Profile) PartOption {
 	return func(pc *partConfig) { pc.impairments = append(pc.impairments, profiles...) }
 }
 
-// FleetConfig supplies a full population config to Fleet (or to the fleet
-// an Adversary part attacks). Its zero Seed, Workers, MaxFramesPerRun,
-// Telemetry and Progress take the lab's; Seed and Workers PartOptions
-// override it. A Timeline draws its homes from the default mixes and does
-// not read it.
-func FleetConfig(cfg fleet.Config) PartOption {
-	return func(pc *partConfig) { pc.fleetCfg = &cfg }
-}
-
-// AdversaryConfig supplies a full attack config to Adversary.
+// AdversaryConfig supplies a full attack config to Adversary. Its Fleet's
+// zero Seed, Workers, MaxFramesPerRun, Telemetry and Progress take the
+// lab's; Seed and Workers PartOptions override them.
 func AdversaryConfig(cfg adversary.Config) PartOption {
 	return func(pc *partConfig) { pc.advCfg = &cfg }
 }
 
-// TimelineConfig supplies a full long-horizon config to Timeline. Its zero
-// Seed, Workers, MaxFramesPerDrain, Telemetry and Progress take the lab's;
-// Seed and Workers PartOptions override it.
+// TimelineConfig supplies a full long-horizon config to Timeline. Its
+// Horizon serves when Timeline's own is zero. Its zero Seed, Workers,
+// MaxFramesPerDrain, Telemetry and Progress take the lab's; Seed and
+// Workers PartOptions override it.
 func TimelineConfig(cfg timeline.Config) PartOption {
 	return func(pc *partConfig) { pc.tlCfg = &cfg }
 }
 
-// Fleet simulates a population of n independent homes. With no options it
-// is the default fleet configuration (household-size distribution,
-// connectivity and firewall-policy mixes); PartOptions and FleetConfig
-// refine it. n <= 0 keeps the config's (or default) population size.
-// Results land in FleetPop and the FleetStudy artifact. It is independent
-// of Connectivity: either may run first, or alone.
+// Fleet simulates a population of n independent homes, drawn from the
+// fleet's household-size, connectivity and firewall-policy mixes; Seed and
+// Workers refine it. Results land in FleetPop and the FleetStudy artifact.
+// It is independent of Connectivity: either may run first, or alone.
 func Fleet(n int, opts ...PartOption) RunPart {
 	pc := applyParts(opts)
 	return func(l *Lab) error {
-		pop, err := fleet.RunContext(l.runCtx(), l.fleetConfig(n, pc))
+		pop, err := fleet.RunContext(l.runCtx(), l.fleetConfig(fleet.Config{}, n, pc))
 		if err != nil {
 			return err
 		}
@@ -104,13 +97,9 @@ func Fleet(n int, opts ...PartOption) RunPart {
 	}
 }
 
-// fleetConfig resolves the population config of Fleet(n, ...) — and of
-// the fleet an Adversary attacks.
-func (l *Lab) fleetConfig(n int, pc partConfig) fleet.Config {
-	var cfg fleet.Config
-	if pc.fleetCfg != nil {
-		cfg = *pc.fleetCfg
-	}
+// fleetConfig resolves cfg into the population config of Fleet(n, ...)
+// — or of the fleet an Adversary attacks. n <= 0 keeps cfg's size.
+func (l *Lab) fleetConfig(cfg fleet.Config, n int, pc partConfig) fleet.Config {
 	if n > 0 {
 		cfg.Homes = n
 	}
@@ -120,11 +109,14 @@ func (l *Lab) fleetConfig(n int, pc partConfig) fleet.Config {
 
 // resolve applies the PartOption > config > lab precedence to the settings
 // every population part shares. Each pointer addresses the part config's
-// own field, so the resolved value lives in exactly one place.
+// own field, so the resolved value lives in exactly one place. A nil seed
+// marks a part with no population to seed (Resilience).
 func (l *Lab) resolve(pc partConfig, seed *uint64, workers, maxFrames *int, reg **telemetry.Registry, progress *telemetry.Sink) {
-	if pc.seedSet {
+	switch {
+	case seed == nil:
+	case pc.seedSet:
 		*seed = pc.seed
-	} else if *seed == 0 {
+	case *seed == 0:
 		*seed = l.opts.seed
 	}
 	if pc.workersSet {
@@ -160,17 +152,13 @@ func Adversary(n int, opts ...PartOption) RunPart {
 	}
 }
 
-// adversaryConfig resolves the attack config of Adversary(n, ...). A
-// FleetConfig replaces the AdversaryConfig's fleet.
+// adversaryConfig resolves the attack config of Adversary(n, ...).
 func (l *Lab) adversaryConfig(n int, pc partConfig) adversary.Config {
 	var cfg adversary.Config
 	if pc.advCfg != nil {
 		cfg = *pc.advCfg
 	}
-	if pc.fleetCfg == nil {
-		pc.fleetCfg = &cfg.Fleet
-	}
-	cfg.Fleet = l.fleetConfig(n, pc)
+	cfg.Fleet = l.fleetConfig(cfg.Fleet, n, pc)
 	// A Seed PartOption also seeds a campaign the config left unseeded.
 	if pc.seedSet && cfg.CampaignSeed == 0 {
 		cfg.CampaignSeed = pc.seed
@@ -182,8 +170,8 @@ func (l *Lab) adversaryConfig(n int, pc partConfig) adversary.Config {
 // Impairments(...) to choose them, faults.Grid() (clean, lossy-wifi,
 // clamped-tunnel, flaky-dnsmasq) when none are given — building a fresh
 // isolated study per profile over the lab's world, with the lab study's
-// settings. Profiles without an explicit seed inherit Seed(...) or
-// WithSeed. Results land in Resil and the ResilienceStudy artifact.
+// settings. Profiles without an explicit seed take WithSeed (see
+// Impairments). Results land in Resil and the ResilienceStudy artifact.
 func Resilience(opts ...PartOption) RunPart {
 	pc := applyParts(opts)
 	return func(l *Lab) error {
@@ -192,14 +180,10 @@ func Resilience(opts ...PartOption) RunPart {
 			profiles = faults.Grid()
 		}
 		so := l.Study.Options()
-		var seed uint64
-		l.resolve(pc, &seed, &so.Workers, &so.MaxFramesPerRun, &so.Telemetry, &so.Progress)
+		l.resolve(pc, nil, &so.Workers, &so.MaxFramesPerRun, &so.Telemetry, &so.Progress)
 		seeded := make([]faults.Profile, len(profiles))
 		for i, p := range profiles {
-			if p.Seed == 0 {
-				p.Seed = seed
-			}
-			seeded[i] = p
+			seeded[i] = l.opts.seeded(p)
 		}
 		rep, err := experiment.RunResilienceContext(l.runCtx(), so, seeded...)
 		if err != nil {
@@ -214,7 +198,7 @@ func Resilience(opts ...PartOption) RunPart {
 // homes simulated over h of simulated time (days to weeks), with diurnal
 // workload bursts, DHCP lease renewals, RA lifetime expiries, sleep/wake
 // and power-cycle churn, and periodic ISP prefix rotations. A zero h
-// falls back to the lab's WithHorizon; having neither is an
+// takes the TimelineConfig's Horizon; having neither is an
 // ErrInvalidHorizon. The part never buffers frames: a week of simulated
 // time never holds a week of frames. Results land in TL and the
 // TimelineStudy artifact.
@@ -243,11 +227,8 @@ func (l *Lab) timelineConfig(h Horizon, pc partConfig) (timeline.Config, error) 
 	if !h.IsZero() {
 		cfg.Horizon = h.Duration()
 	}
-	if cfg.Horizon == 0 && !l.opts.horizon.IsZero() {
-		cfg.Horizon = l.opts.horizon.Duration()
-	}
 	if cfg.Horizon <= 0 {
-		return cfg, fmt.Errorf("%w: Timeline needs a horizon (e.g. v6lab.Weeks(1) or WithHorizon)", ErrInvalidHorizon)
+		return cfg, fmt.Errorf("%w: Timeline needs a horizon (e.g. v6lab.Weeks(1))", ErrInvalidHorizon)
 	}
 	l.resolve(pc, &cfg.Seed, &cfg.Workers, &cfg.MaxFramesPerDrain, &cfg.Telemetry, &cfg.Progress)
 	if cfg.Impairments == nil {
@@ -257,9 +238,8 @@ func (l *Lab) timelineConfig(h Horizon, pc partConfig) (timeline.Config, error) 
 			cfg.Impairments = l.opts.fault
 		}
 	}
-	if cfg.Impairments != nil && cfg.Impairments.Seed == 0 {
-		fp := *cfg.Impairments
-		fp.Seed = l.opts.seed
+	if cfg.Impairments != nil {
+		fp := l.opts.seeded(*cfg.Impairments)
 		cfg.Impairments = &fp
 	}
 	return cfg, nil

@@ -2,11 +2,14 @@ package v6lab
 
 import (
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"v6lab/internal/adversary"
+	"v6lab/internal/experiment"
+	"v6lab/internal/faults"
 	"v6lab/internal/fleet"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/timeline"
@@ -23,7 +26,8 @@ type partSettings struct {
 
 // TestPartSettingsPrecedence: Fleet, Adversary and Timeline resolve seed,
 // workers, frame budget, telemetry and progress by one rule — a PartOption
-// beats the config struct, which beats the lab's default.
+// beats the config struct, which beats the lab's default. Fleet takes no
+// config struct, so only its lab and PartOption layers apply.
 func TestPartSettingsPrecedence(t *testing.T) {
 	labReg, cfgReg := telemetry.NewRegistry(), telemetry.NewRegistry()
 	labSink, cfgSink := telemetry.NewWriterSink(io.Discard), telemetry.NewWriterSink(io.Discard)
@@ -40,13 +44,7 @@ func TestPartSettingsPrecedence(t *testing.T) {
 		config  PartOption
 		resolve func(pc partConfig) partSettings
 	}{
-		{"fleet", FleetConfig(fc), func(pc partConfig) partSettings {
-			return fromFleet(lab.fleetConfig(2, pc))
-		}},
 		{"adversary", AdversaryConfig(adversary.Config{Fleet: fc}), func(pc partConfig) partSettings {
-			return fromFleet(lab.adversaryConfig(2, pc).Fleet)
-		}},
-		{"adversary+FleetConfig", FleetConfig(fc), func(pc partConfig) partSettings {
 			return fromFleet(lab.adversaryConfig(2, pc).Fleet)
 		}},
 		{"timeline", TimelineConfig(tc), func(pc partConfig) partSettings {
@@ -71,6 +69,31 @@ func TestPartSettingsPrecedence(t *testing.T) {
 				t.Errorf("%s, %s wins: resolved %+v, want %+v", p.name, tt.layer, got, tt.want)
 			}
 		}
+	}
+	if got, want := fromFleet(lab.fleetConfig(fleet.Config{}, 2, applyParts(nil))), (partSettings{5, 3, 777, labReg, labSink}); got != want {
+		t.Errorf("fleet, lab wins: resolved %+v, want %+v", got, want)
+	}
+	if got, want := fromFleet(lab.fleetConfig(fleet.Config{}, 2, applyParts([]PartOption{Seed(9), Workers(2)}))), (partSettings{9, 2, 777, labReg, labSink}); got != want {
+		t.Errorf("fleet, part option wins: resolved %+v, want %+v", got, want)
+	}
+}
+
+// TestResilienceImpairmentSeedFollowsLab: an unseeded impairment in the
+// resilience grid takes the lab's WithSeed, as the study's and a
+// Timeline's do; a Seed PartOption does not reach it.
+func TestResilienceImpairmentSeedFollowsLab(t *testing.T) {
+	run := func(opts ...PartOption) *experiment.ResilienceReport {
+		lab := New(WithSeed(7), WithDevices("Wyze Cam", "Apple TV"))
+		if err := lab.Run(Resilience(opts...)); err != nil {
+			t.Fatal(err)
+		}
+		return lab.Resil
+	}
+	lossy7 := faults.LossyWiFi()
+	lossy7.Seed = 7
+	got := run(Seed(3), Impairments(faults.LossyWiFi()))
+	if want := run(Impairments(lossy7)); !reflect.DeepEqual(got, want) {
+		t.Errorf("Resilience(Seed(3)) on a WithSeed(7) lab ran lossy-wifi seeded %d, want 7", got.Profiles[0].Profile.Seed)
 	}
 }
 
